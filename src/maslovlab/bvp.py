@@ -32,9 +32,9 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .frames import Frame, HermitianMatrix, orthonormalize
+from .frames import Frame, HermitianMatrix, exceeds_scaled_tol, orthonormalize
 from .maslov import LagrangianPairPath, PathSample, maslov_winding
-from .spectral import HermitianPath, sf_eigen
+from .spectral import HermitianPath, eigenvalue_curves, flow_of_curves
 from .symplectic import SymplecticForm, classify
 
 __all__ = [
@@ -186,8 +186,7 @@ def _c_matrix(fam: HamiltonianFamily, s: float, t: float) -> np.ndarray:
             f"coefficient C({s}, {t}) has shape {c.shape}, "
             f"expected ({fam.dim}, {fam.dim})"
         )
-    scale = max(1.0, np.linalg.norm(c, 2))
-    if np.max(np.abs(c - c.conj().T)) > _HERMITICITY_TOL * scale:
+    if exceeds_scaled_tol(np.max(np.abs(c - c.conj().T)), c, _HERMITICITY_TOL):
         raise ValueError(f"coefficient C({s}, {t}) is not Hermitian")
     return (c + c.conj().T) / 2.0
 
@@ -318,22 +317,22 @@ def _fold_matrix(
     k = fam.dim
     grid = grid if grid % 2 == 1 else grid + 1
     h = fam.t_end / grid
-    a = np.zeros((grid * k, grid * k), dtype=complex)
+    # blocks[j, i] is the k x k block coupling node j to node i. With
+    # grid >= 7 the offsets +-1, +-2, +-3 are distinct mod grid, so each
+    # block receives one term and the sum matches any assembly order.
+    blocks = np.zeros((grid, grid, k, k), dtype=complex)
+    nodes = np.arange(grid)
+    blocks[nodes, nodes] += [_c_matrix(fam, s, j * h) for j in range(grid)]
     gh = g.conj().T
-    for j in range(grid):
-        rows = slice(j * k, (j + 1) * k)
-        a[rows, rows] += _c_matrix(fam, s, j * h)
-        for r, w in _STENCIL6:
-            for sign in (1, -1):
-                target = j + sign * r
-                block = (sign * w / h) * fam.j0
-                if target >= grid:
-                    block = block @ g
-                    target -= grid
-                elif target < 0:
-                    block = block @ gh
-                    target += grid
-                a[rows, target * k : (target + 1) * k] += block
+    for r, w in _STENCIL6:
+        for sign in (1, -1):
+            block = (sign * w / h) * fam.j0
+            target = nodes + sign * r
+            inside = (target >= 0) & (target < grid)
+            wrapped = block @ g if sign > 0 else block @ gh
+            blocks[nodes[inside], target[inside]] += block
+            blocks[nodes[~inside], target[~inside] % grid] += wrapped
+    a = blocks.transpose(0, 2, 1, 3).reshape(grid * k, grid * k)
     return _gated_hermitian(a)
 
 
@@ -401,9 +400,8 @@ def _sbp_matrix(
 
 
 def _gated_hermitian(a: np.ndarray) -> HermitianMatrix:
-    scale = max(1.0, np.linalg.norm(a, 2))
     defect = np.max(np.abs(a - a.conj().T))
-    if defect > _HERMITICITY_TOL * scale:
+    if exceeds_scaled_tol(defect, a, _HERMITICITY_TOL):
         raise ArithmeticError(
             f"discretized operator is not Hermitian (residual {defect:.3e})"
         )
@@ -488,17 +486,30 @@ def desuspension_check(
     move the true and parasite branches in parallel, keeping the
     near-zero window clean; spectral flow driven purely by a rotating
     boundary condition can be cancelled by a parasite crossing, in which
-    case the flag reports the mismatch rather than hiding it. Keep
-    coefficient norms well below the grid frequency 1/h for the same
-    reason.
+    case the flag reports the mismatch rather than hiding it. For the
+    same reason keep coefficient norms below about 2.2 pi / T: past that
+    the parasite branch crosses zero, on grids of 33, 64 and 129 nodes
+    alike, so refining the grid does not move the threshold.
     """
+    return _desuspension(fam, bc, grid, num_samples, ode_tol)[0]
+
+
+def _desuspension(
+    fam: HamiltonianFamily,
+    bc: BoundaryPath,
+    grid: int = 64,
+    num_samples: int = 33,
+    ode_tol: float = _DEFAULT_ODE_TOL,
+) -> tuple[tuple[int, int, bool], np.ndarray]:
+    """:func:`desuspension_check` and the eigenvalue curves its flow came from."""
     bc_path = _boundary_callable(bc)
     grid_s = np.linspace(0.0, 1.0, num_samples)
     probe = tuple(bc_path(float(t)) for t in grid_s)
     for cond in probe:
         _check_boundary(fam, cond)
     build = _assembler(fam, bc_path, grid, probe)
-    sf = sf_eigen(HermitianPath.from_callable(build, num_samples))
+    curves = eigenvalue_curves(HermitianPath.from_callable(build, num_samples))
+    sf = flow_of_curves(curves)
 
     form = green_form(fam)
 
@@ -508,7 +519,7 @@ def desuspension_check(
     samples = tuple(PathSample(float(t), *pair(float(t))) for t in grid_s)
     result = maslov_winding(LagrangianPairPath(samples, pair))
     neg_mas = -result.mas_plus
-    return sf, neg_mas, sf == neg_mas
+    return (sf, neg_mas, sf == neg_mas), curves
 
 
 def splitting_check(
@@ -532,11 +543,23 @@ def splitting_check(
     the periodic family equals minus their Maslov index. Returns
     (sf_whole, neg_mas_cut, agree).
     """
+    return _splitting(fam, cut, grid, num_samples, ode_tol)[0]
+
+
+def _splitting(
+    fam: HamiltonianFamily,
+    cut: float,
+    grid: int = 64,
+    num_samples: int = 33,
+    ode_tol: float = _DEFAULT_ODE_TOL,
+) -> tuple[tuple[int, int, bool], np.ndarray]:
+    """:func:`splitting_check` and the eigenvalue curves of the periodic problem."""
     if not 0.0 < cut < fam.t_end:
         raise ValueError(f"cut must lie inside (0, {fam.t_end})")
-    sf_whole = sf_eigen(
+    curves = eigenvalue_curves(
         discretize(fam, periodic_condition(fam), grid, num_samples)
     )
+    sf_whole = flow_of_curves(curves)
 
     k = fam.dim
     eye = np.eye(k, dtype=complex)
@@ -553,4 +576,4 @@ def splitting_check(
     samples = tuple(PathSample(float(t), *pair(float(t))) for t in grid_s)
     result = maslov_winding(LagrangianPairPath(samples, pair))
     neg_mas_cut = -result.mas_plus
-    return sf_whole, neg_mas_cut, sf_whole == neg_mas_cut
+    return (sf_whole, neg_mas_cut, sf_whole == neg_mas_cut), curves

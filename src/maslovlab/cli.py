@@ -45,11 +45,10 @@ import scipy.linalg
 
 from .bvp import (
     HamiltonianFamily,
-    desuspension_check,
-    discretize,
+    _desuspension,
+    _splitting,
     periodic_condition,
     separated_condition,
-    splitting_check,
 )
 from .frames import RANK_TOL, gap_delta, intersect, orthonormalize
 from .maslov import (
@@ -317,18 +316,12 @@ def _pair_path_for(family: str, dim: int, num_samples: int, seed: int):
                                scale_lam=2.5, scale_mu=0.7)[1]
 
 
-def _theta_curve_rows(theta: np.ndarray):
-    header = ("s", "branch_index", "theta")
-    rows = []
-    for row in np.asarray(theta):
-        s = float(row[0])
-        for j, value in enumerate(row[1:]):
-            rows.append((s, j, float(value)))
-    return header, rows
+_THETA_HEADER = ("s", "branch_index", "theta")
+_EIGEN_HEADER = ("s", "eig_index", "value")
 
 
-def _eigen_curve_rows(curves: np.ndarray):
-    header = ("s", "eig_index", "value")
+def _curve_rows(curves: np.ndarray, header: tuple[str, str, str]):
+    """Long-format CSV rows (s, index, value) of curves given as rows [s, v_1 .. v_n]."""
     rows = []
     for row in np.asarray(curves):
         s = float(row[0])
@@ -356,7 +349,7 @@ def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
         counts["winding"] = (res.mas_plus, res.mas_minus)
         results["mas_plus"] = res.mas_plus
         results["mas_minus"] = res.mas_minus
-        curves["theta_curves.csv"] = _theta_curve_rows(res.theta_curves)
+        curves["theta_curves.csv"] = _curve_rows(res.theta_curves, _THETA_HEADER)
     if params["method"] in ("crossing", "both"):
         res = maslov_crossings(path, seed=seed, rank_tol=tols.rank)
         counts["crossing"] = (res.mas_plus, res.mas_minus)
@@ -416,7 +409,7 @@ def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
             "end": int(np.sum(np.abs(eigs_end) < tols.zero)),
         },
     }
-    curves = {"eigenvalue_curves.csv": _eigen_curve_rows(eigenvalue_curves(path))}
+    curves = {"eigenvalue_curves.csv": _curve_rows(eigenvalue_curves(path), _EIGEN_HEADER)}
     return results, curves
 
 
@@ -441,7 +434,7 @@ def _run_reduction_demo(params: dict, seed: int, tols: Tolerances):
         "mas_minus": direct.mas_minus,
         "agree": True,
     }
-    curves = {"theta_curves.csv": _theta_curve_rows(direct.theta_curves)}
+    curves = {"theta_curves.csv": _curve_rows(direct.theta_curves, _THETA_HEADER)}
     return results, curves
 
 
@@ -478,7 +471,7 @@ def _bvp_desuspension_ingredients(family: str, seed: int):
 
 def _run_bvp_desuspension(params: dict, seed: int, tols: Tolerances):
     fam, bc = _bvp_desuspension_ingredients(params["family"], seed)
-    sf, neg_mas, agree = desuspension_check(
+    (sf, neg_mas, agree), eig_curves = _desuspension(
         fam, bc, grid=params["grid"], num_samples=params["num_samples"]
     )
     if not agree:
@@ -495,8 +488,7 @@ def _run_bvp_desuspension(params: dict, seed: int, tols: Tolerances):
         "neg_mas": int(neg_mas),
         "agree": True,
     }
-    path = discretize(fam, bc, grid=params["grid"], num_samples=params["num_samples"])
-    curves = {"eigenvalue_curves.csv": _eigen_curve_rows(eigenvalue_curves(path))}
+    curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 
 
@@ -507,7 +499,7 @@ def _run_bvp_splitting(params: dict, seed: int, tols: Tolerances):
         )
     else:
         fam = HamiltonianFamily(2, _J2, lambda s, t: (2.0 * s - 1.0) * np.eye(2))
-    sf_whole, neg_mas_cut, agree = splitting_check(
+    (sf_whole, neg_mas_cut, agree), eig_curves = _splitting(
         fam, params["cut"], grid=params["grid"]
     )
     if not agree:
@@ -524,8 +516,7 @@ def _run_bvp_splitting(params: dict, seed: int, tols: Tolerances):
         "neg_mas_cut": int(neg_mas_cut),
         "agree": True,
     }
-    path = discretize(fam, periodic_condition(fam), grid=params["grid"])
-    curves = {"eigenvalue_curves.csv": _eigen_curve_rows(eigenvalue_curves(path))}
+    curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 
 
@@ -611,11 +602,15 @@ def _suite_direct_sum(trials: int, seed: int, tols: Tolerances) -> int:
     for trial in range(trials):
         _, path_a = _rotating_pair_path(0xD5A0, seed, trial, dim=2)
         _, path_b = _rotating_pair_path(0xD5A1, seed, trial, dim=4)
+        # Each summand carries one constant form, so the summed form is
+        # built, checked and split once per trial.
+        form = SymplecticForm(
+            scipy.linalg.block_diag(path_a.samples[0].form.j, path_b.samples[0].form.j)
+        )
 
         def summed_fn(s: float):
-            form_a, lam_a, mu_a = path_a.callback(s)
-            form_b, lam_b, mu_b = path_b.callback(s)
-            form = SymplecticForm(scipy.linalg.block_diag(form_a.j, form_b.j))
+            _, lam_a, mu_a = path_a.callback(s)
+            _, lam_b, mu_b = path_b.callback(s)
             lam = orthonormalize(scipy.linalg.block_diag(lam_a.matrix, lam_b.matrix))
             mu = orthonormalize(scipy.linalg.block_diag(mu_a.matrix, mu_b.matrix))
             return form, lam, mu

@@ -133,14 +133,6 @@ class Frame:
         """Orthogonal projection matrix onto the subspace."""
         return self.matrix @ self.matrix.conj().T
 
-    def contains(self, vector, tol: float = 1e-9) -> bool:
-        v = np.asarray(vector, dtype=complex)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return True
-        r = v - self.matrix @ (self.matrix.conj().T @ v)
-        return np.linalg.norm(r) <= tol * nv
-
 
 @dataclass(frozen=True)
 class Projection:
@@ -187,11 +179,11 @@ class HermitianMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("Hermitian matrix must be square")
         sym = (a + a.conj().T) / 2.0
-        scale = max(1.0, np.linalg.norm(a, 2)) if a.size else 1.0
-        if a.size and np.max(np.abs(a - sym)) > 1e-12 * scale:
+        defect = np.max(np.abs(a - sym)) if a.size else 0.0
+        if exceeds_scaled_tol(defect, a, 1e-12):
             raise ValueError(
                 "matrix is not Hermitian to working precision "
-                f"(residual {np.max(np.abs(a - sym)):.3e})"
+                f"(residual {defect:.3e})"
             )
         object.__setattr__(self, "matrix", sym)
 
@@ -206,6 +198,17 @@ class HermitianMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return hermitian_eig(self.matrix)[0]
+
+
+def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:
+    """Whether ``defect > tol * max(1, ||a||_2)``: the relative Hermiticity gate.
+
+    The 2-norm costs an SVD, so it is taken only when the defect is not
+    within ``tol``; a defect within ``tol`` passes whatever the norm is.
+    A non-finite defect still reaches the norm, which raises on
+    non-finite input.
+    """
+    return not defect <= tol and defect > tol * max(1.0, np.linalg.norm(a, 2))
 
 
 def orthonormalize(matrix, rank_tol: float = RANK_TOL, scale_floor: float | None = None) -> Frame:

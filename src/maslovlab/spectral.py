@@ -342,10 +342,15 @@ def _eigen_rows(path: HermitianPath, s_a, lam_a, s_b, lam_b, depth):
             "depth exhausted"
         )
     s_mid = 0.5 * (s_a + s_b)
-    lam_mid = np.sort(_eval_hermitian(path, s_mid).eigenvalues())
+    lam_mid = _interior_eigenvalues(_eval_hermitian(path, s_mid))
     left = _eigen_rows(path, s_a, lam_a, s_mid, lam_mid, depth + 1)
     right = _eigen_rows(path, s_mid, lam_mid, s_b, lam_b, depth + 1)
     return left + right
+
+
+def _interior_eigenvalues(mat: HermitianMatrix) -> np.ndarray:
+    """Sorted eigenvalues of a matrix that only feeds the movement gate."""
+    return np.sort(scipy.linalg.eigvalsh(mat.matrix))
 
 
 def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
@@ -354,13 +359,17 @@ def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
     Sorted rows are the canonical continuous branch choice for
     Hermitian families; adaptive midpoint refinement keeps consecutive
     rows within the same movement gate used for Maslov winding.
+
+    The first and last rows, which decide the spectral flow, come from
+    :func:`hermitian_eig` with its residual check. Interior rows only
+    feed the movement gate and come from eigenvalues alone.
     """
     first_s, first_mat = path.samples[0]
     rows = [(first_s, np.sort(first_mat.eigenvalues()))]
-    for (s_a, _), (s_b, mat_b) in zip(path.samples, path.samples[1:]):
-        lam_a = rows[-1][1]
-        lam_b = np.sort(mat_b.eigenvalues())
-        rows.extend(_eigen_rows(path, s_a, lam_a, s_b, lam_b, 0))
+    last = len(path.samples) - 1
+    for i, ((s_a, _), (s_b, mat_b)) in enumerate(zip(path.samples, path.samples[1:]), 1):
+        lam_b = np.sort(mat_b.eigenvalues()) if i == last else _interior_eigenvalues(mat_b)
+        rows.extend(_eigen_rows(path, s_a, rows[-1][1], s_b, lam_b, 0))
     return np.array([[s, *lams] for s, lams in rows])
 
 
@@ -381,7 +390,11 @@ def sf_eigen(path: HermitianPath) -> int:
     two are the same number by construction and the relation route can
     be used as an independent check.
     """
-    curves = eigenvalue_curves(path)
+    return flow_of_curves(eigenvalue_curves(path))
+
+
+def flow_of_curves(curves: np.ndarray) -> int:
+    """Spectral flow read off the end rows of :func:`eigenvalue_curves`."""
     return _floor_turns(curves[-1, 1:]) - _floor_turns(curves[0, 1:])
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maslovlab import bvp
 from maslovlab.bvp import (
     BoundaryCondition,
     HamiltonianFamily,
@@ -16,7 +17,13 @@ from maslovlab.bvp import (
     separated_condition,
     splitting_check,
 )
-from maslovlab.frames import Frame, fredholm_pair_index, gap_hat, intersect
+from maslovlab.frames import (
+    Frame,
+    HermitianMatrix,
+    fredholm_pair_index,
+    gap_hat,
+    intersect,
+)
 from maslovlab.sampling import rng_from_seed
 from maslovlab.symplectic import classify
 
@@ -86,6 +93,80 @@ def test_non_hermitian_coefficient_is_rejected():
     fam = planar_family(lambda s, t: np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="not Hermitian"):
         cauchy_data(fam, 0.5)
+
+
+def skewed(defect):
+    """A with ||A||_2 = 1e6 (to rounding) and max|A - A^H| = defect."""
+    return np.array([[1e6, defect], [0.0, 0.0]], dtype=complex)
+
+
+def test_coefficient_hermiticity_gate_is_relative():
+    # Gate: max|C - C^H| > 1e-10 * max(1, ||C||_2), i.e. 1e-4 here.
+    bvp._c_matrix(planar_family(lambda s, t: skewed(0.9e-4)), 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"coefficient C\(0.0, 0.0\) is not Hermitian"):
+        bvp._c_matrix(planar_family(lambda s, t: skewed(1.1e-4)), 0.0, 0.0)
+
+
+def test_operator_hermiticity_gate_is_relative():
+    bvp._gated_hermitian(skewed(0.9e-4))
+    with pytest.raises(ArithmeticError, match="discretized operator is not Hermitian"):
+        bvp._gated_hermitian(skewed(1.1e-4))
+
+
+def blockwise_fold_matrix(fam, g, grid, s):
+    """Block-by-block assembly of the twisted circulant, the reference."""
+    k = fam.dim
+    grid = grid if grid % 2 == 1 else grid + 1
+    h = fam.t_end / grid
+    a = np.zeros((grid * k, grid * k), dtype=complex)
+    gh = g.conj().T
+    for j in range(grid):
+        rows = slice(j * k, (j + 1) * k)
+        a[rows, rows] += bvp._c_matrix(fam, s, j * h)
+        for r, w in bvp._STENCIL6:
+            for sign in (1, -1):
+                target = j + sign * r
+                block = (sign * w / h) * fam.j0
+                if target >= grid:
+                    block = block @ g
+                    target -= grid
+                elif target < 0:
+                    block = block @ gh
+                    target += grid
+                a[rows, target * k : (target + 1) * k] += block
+    return a
+
+
+FOLD_CASES = {
+    "scalar_identity": (np.array([[-1j]]), np.eye(1)),
+    "scalar_phase": (np.array([[-1j]]), np.array([[np.exp(0.4j)]])),
+    "planar_identity": (J2, np.eye(2)),
+    "planar_rotation": (J2, np.exp(0.3j) * rotation(0.7)),
+}
+
+
+@pytest.mark.parametrize("grid", [12, 13])
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_fold_matrix_matches_blockwise_assembly(monkeypatch, case, grid):
+    j0, g = FOLD_CASES[case]
+    k = j0.shape[0]
+    pauli = np.array([[0.0, -1j], [1j, 0.0]]) if k == 2 else np.zeros((1, 1))
+    calls = []
+
+    def coeff(s, t):
+        calls.append((s, t))
+        return (s + np.cos(2.0 * t)) * np.eye(k) + 0.3 * np.sin(t) * pauli
+
+    fam = HamiltonianFamily(k, j0, coeff, t_end=1.3)
+    reference = blockwise_fold_matrix(fam, g, grid, 0.37)
+    reference_calls = list(calls)
+    calls.clear()
+    gated = bvp._fold_matrix(fam, g, grid, 0.37)
+    assert calls == reference_calls
+    expected = HermitianMatrix.from_symmetrized(reference).matrix
+    assert gated.matrix.tobytes() == expected.tobytes()
+    monkeypatch.setattr(bvp, "_gated_hermitian", lambda a: a)
+    assert bvp._fold_matrix(fam, g, grid, 0.37).tobytes() == reference.tobytes()
 
 
 def test_boundary_condition_must_be_half_dimensional():

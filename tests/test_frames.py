@@ -65,6 +65,17 @@ def test_hermitian_matrix_symmetrizes_and_gates():
         HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_matrix_gate_is_relative():
+    # Gate: max|A - (A + A^H)/2| > 1e-12 * max(1, ||A||_2), i.e. 1e-6 at
+    # ||A||_2 = 1e6; the half-defect is d/2 for an off-diagonal entry d.
+    def skewed(d):
+        return np.array([[1e6, d], [0.0, 0.0]], dtype=complex)
+
+    HermitianMatrix(skewed(1.8e-6))
+    with pytest.raises(ValueError, match="not Hermitian to working precision"):
+        HermitianMatrix(skewed(2.2e-6))
+
+
 def test_intersection_of_rotated_planes():
     rng = rng_from_seed(0)
     # Two 2-dim subspaces of C^4 sharing exactly one direction.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from maslovlab.frames import HermitianMatrix, gap_hat
+from maslovlab.frames import HermitianMatrix, gap_hat, hermitian_eig
 from maslovlab.sampling import rng_from_seed
 from maslovlab.spectral import (
     HermitianPath,
@@ -221,6 +221,17 @@ def test_eigenvalue_curves_are_refined_and_ordered():
     assert curves.shape[1] == 3
     assert np.all(np.diff(curves[:, 0]) > 0)
     assert len(curves) > 5
+
+
+def test_eigenvalue_curves_end_rows_are_the_checked_spectra():
+    rng = rng_from_seed(41)
+    a0 = 6.0 * random_hermitian(rng, 5)
+    a1 = 6.0 * random_hermitian(rng, 5)
+    path = HermitianPath.from_callable(lambda s: (1.0 - s) * a0 + s * a1, num_samples=5)
+    curves = eigenvalue_curves(path)
+    assert len(curves) > 5
+    for row, (_, mat) in ((curves[0], path.samples[0]), (curves[-1], path.samples[-1])):
+        assert row[1:].tobytes() == np.sort(hermitian_eig(mat.matrix)[0]).tobytes()
 
 
 def test_multivalued_relation_path():
