@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -33,12 +33,14 @@ from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
+    exceeds_scaled_tol,
     gap_hat,
     intersect,
     morse_counts,
     orthonormalize,
 )
 from .reduction import (
+    IntrinsicDecomposition,
     complementary_lagrangian,
     graph_coefficients,
     intrinsic_decomposition,
@@ -506,9 +508,8 @@ def _matrix_derivative(qfun, t: float, h: float):
 
 
 def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
-    scale = max(1.0, np.linalg.norm(d, 2))
     residual = np.max(np.abs(d - d.conj().T), initial=0.0)
-    if residual > 1e-5 * scale:
+    if exceeds_scaled_tol(residual, d, 1e-5):
         raise ArithmeticError(
             f"{label} came out non-Hermitian (residual {residual:.3e}); "
             "the parameter is probably not a crossing"
@@ -875,12 +876,23 @@ class _SegmentFailure(Exception):
         self.new_time = new_time
 
 
+class _Verdict(NamedTuple):
+    """A kept reduction failure, raised as a fresh ``_SegmentFailure(*verdict)``.
+
+    A kept exception object would gain the traceback of every raise,
+    and with it the frames that hold the reduction state.
+    """
+
+    message: str
+    new_time: float | None = None
+
+
 def _adequacy_scan(
     path: LagrangianPairPath,
     anchor_v: Frame,
     a: float,
     b: float,
-) -> _SegmentFailure | None:
+) -> _Verdict | None:
     """Check X = V + lam(s) + mu(s) across one gap between nodes.
 
     The stacked matrix [V | lam(s) | mu(s)] must keep full row rank for
@@ -888,8 +900,8 @@ def _adequacy_scan(
     over the gap by a bounded Brent search. A vanishing minimum is
     precisely a parameter where the anchor's complement stops being
     adequate (for a transversal anchor: a crossing of the pair), which
-    node-level checks cannot see. Returns the _SegmentFailure carrying
-    the failing time, or None when the gap is adequate.
+    node-level checks cannot see. Returns the _Verdict carrying the
+    failing time, or None when the gap is adequate.
     """
 
     def smallest_sv(s: float) -> float:
@@ -904,7 +916,7 @@ def _adequacy_scan(
     )
     if res.fun <= 1e-6:
         t_bad = float(res.x)
-        return _SegmentFailure(
+        return _Verdict(
             f"adequacy fails between nodes at s={t_bad:.9f} "
             f"(smallest singular value {res.fun:.3e})",
             new_time=t_bad,
@@ -913,64 +925,97 @@ def _adequacy_scan(
 
 
 class _Anchor:
-    """Everything ``maslov_reduced`` derives from one anchor node.
+    """Everything ``maslov_reduced`` derives from one anchor decomposition.
 
-    The decomposition at the node, the reduction of the pair at each
-    parameter onto its X0, and the adequacy verdict on each gap are
-    deterministic functions of the anchor and the path. They are kept,
-    so trying the same anchor again (on a subsegment after a failed
-    attempt, or in the refined-partition pass) repeats no arithmetic.
+    The anchor fixes lam0 and the isotropic complement V. The reduction
+    of the pair at each parameter onto X0 = lam0 + V and the adequacy
+    verdict on each gap are deterministic functions of (lam0, V) and
+    the path. They are kept, so trying the anchor again (on a
+    subsegment after a failed attempt, or in the refined-partition
+    pass) repeats no arithmetic.
+
+    Transversal anchors are interchangeable. At a node where
+    lam inter mu = 0, lam0 = 0, so V = 0 and X0 = 0; the reduction and
+    the scan read nothing of the anchor but these empty frames, so they
+    come out the same whichever transversal node was picked.
+    ``_Reduction`` therefore builds one _Anchor for all of them, and
+    each parameter is reduced and each gap scanned once for the whole
+    family.
     """
 
-    def __init__(self, red: "_Reduction", node: PathSample):
-        self.red = red
-        self.dec = self.failure = None
-        try:
-            self.dec = intrinsic_decomposition(
-                node.form, node.lam, node.mu, seed=red.seed, rank_tol=red.rank_tol
-            )
-        except (ValueError, ArithmeticError) as exc:
-            self.failure = _SegmentFailure(str(exc))
+    def __init__(
+        self,
+        path: LagrangianPairPath,
+        dec: IntrinsicDecomposition,
+        rank_tol: float,
+    ):
+        self.path = path
+        self.dec = dec
+        self.rank_tol = rank_tol
         self._reduced: dict = {}
         self._gaps: dict = {}
 
+    @property
+    def transversal(self) -> bool:
+        return self.dec.lam0.dim == 0
+
     def reduce(self, s: float, form: SymplecticForm, lam: Frame, mu: Frame):
-        """Reduced pair at s, or _SegmentFailure with the failed gate."""
+        """Reduced pair at s; raises _SegmentFailure with the failed gate."""
         hit = self._reduced.get(s)
         if hit is None:
-            rank_tol = self.red.rank_tol
+            rank_tol = self.rank_tol
             try:
                 local = pair_decomposition(form, self.dec.lam0, self.dec.v, lam, mu, rank_tol)
                 hit = reduced_pair(form, local, lam, mu, rank_tol)
             except (ValueError, ArithmeticError) as exc:
-                hit = _SegmentFailure(str(exc))
+                hit = _Verdict(str(exc))
             self._reduced[s] = hit
-        if isinstance(hit, _SegmentFailure):
-            raise hit
+        if isinstance(hit, _Verdict):
+            raise _SegmentFailure(*hit)
         return hit
 
     def scan(self, node_times: list[float]) -> None:
         """Adequacy scan over every gap of node_times, in order."""
         for gap in zip(node_times, node_times[1:]):
             if gap not in self._gaps:
-                self._gaps[gap] = _adequacy_scan(self.red.path, self.dec.v, *gap)
+                self._gaps[gap] = _adequacy_scan(self.path, self.dec.v, *gap)
             if self._gaps[gap] is not None:
-                raise self._gaps[gap]
+                raise _SegmentFailure(*self._gaps[gap])
 
 
 class _Reduction:
-    """Per-call state of ``maslov_reduced``: one _Anchor per node tried."""
+    """Per-call state of ``maslov_reduced``: the anchor of each node tried.
+
+    Every transversal node shares one _Anchor (see there). A node whose
+    decomposition fails has no anchor.
+    """
 
     def __init__(self, path: LagrangianPairPath, seed: int, rank_tol: float):
         self.path = path
         self.seed = seed
         self.rank_tol = rank_tol
-        self._anchors: dict[float, _Anchor] = {}
+        self._anchors: dict[float, _Anchor | None] = {}
+        self._transversal: _Anchor | None = None
         self._cap_dims: dict[float, int] = {}
 
-    def anchor(self, node: PathSample) -> _Anchor:
+    def anchor(self, node: PathSample) -> _Anchor | None:
+        """The anchor at a node, or None when its decomposition fails."""
         if node.s not in self._anchors:
-            self._anchors[node.s] = _Anchor(self, node)
+            anchor = None
+            try:
+                dec = intrinsic_decomposition(
+                    node.form, node.lam, node.mu, seed=self.seed, rank_tol=self.rank_tol
+                )
+            except (ValueError, ArithmeticError):
+                pass
+            else:
+                if dec.lam0.dim > 0:
+                    anchor = _Anchor(self.path, dec, self.rank_tol)
+                else:
+                    if self._transversal is None:
+                        self._transversal = _Anchor(self.path, dec, self.rank_tol)
+                    anchor = self._transversal
+            self._anchors[node.s] = anchor
         return self._anchors[node.s]
 
     def cap_dim(self, node: PathSample) -> int:
@@ -982,11 +1027,11 @@ class _Reduction:
 def _reduced_segment_counts(
     nodes: list[PathSample],
     red: _Reduction,
+    anchor: _Anchor,
     lo: int,
     hi: int,
-    anchor_index: int,
 ) -> tuple[int, int]:
-    """Maslov counts of one reduced segment for a fixed anchor node.
+    """Maslov counts of one reduced segment for a fixed anchor.
 
     The anchor fixes lam0 = lam inter mu and an isotropic complement V
     at one node of the segment; every node is then reduced onto
@@ -997,13 +1042,10 @@ def _reduced_segment_counts(
     which the partition search treats as "try another anchor or split".
     """
     path = red.path
-    anchor = red.anchor(nodes[anchor_index])
-    if anchor.failure is not None:
-        raise anchor.failure
     s_lo, s_hi = nodes[lo].s, nodes[hi].s
     width = s_hi - s_lo
     node_times = [node.s for node in nodes[lo : hi + 1]]
-    if anchor.dec.lam0.dim == 0:
+    if anchor.transversal:
         for node in nodes[lo : hi + 1]:
             anchor.reduce(node.s, node.form, node.lam, node.mu)
         if path.callback is not None:
@@ -1046,7 +1088,10 @@ def _solve_segment(
     Anchor candidates are the segment's nodes ordered by decreasing
     intersection dimension (a crossing inside the segment can only be
     covered by an anchor whose lam0 contains the crossing directions),
-    with ties broken toward the segment middle.
+    with ties broken toward the segment middle. The transversal
+    candidates come last and share one anchor, so once it has failed
+    the rest would fail the same way, at the same located time, and
+    are not tried.
     """
     dims = [red.cap_dim(nodes[i]) for i in range(lo, hi + 1)]
     mid_position = 0.5 * (lo + hi)
@@ -1055,12 +1100,17 @@ def _solve_segment(
         key=lambda i: (-dims[i - lo], abs(i - mid_position)),
     )
     located: float | None = None
-    for anchor in order:
+    for candidate in order:
+        anchor = red.anchor(nodes[candidate])
+        if anchor is None:
+            continue
         try:
-            return _reduced_segment_counts(nodes, red, lo, hi, anchor)
+            return _reduced_segment_counts(nodes, red, anchor, lo, hi)
         except _SegmentFailure as exc:
             if located is None and exc.new_time is not None:
                 located = exc.new_time
+        if anchor.transversal:
+            break
     if depth >= max_depth:
         raise ValueError(
             "no admissible reduction partition at the requested resolution "

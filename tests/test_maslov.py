@@ -1,5 +1,9 @@
 """Tests for the Maslov index engines and their cross-checks."""
 
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,10 +15,12 @@ from maslovlab.frames import (
     morse_counts,
     orthonormalize,
 )
+from maslovlab import maslov
 from maslovlab.maslov import (
     LagrangianPairPath,
     PathSample,
     _adequacy_scan,
+    _hermitize_derivative,
     benchmark_pair_path,
     counting_function_E,
     crossing_form,
@@ -379,6 +385,101 @@ def test_adequacy_scan_finds_failure_strictly_between_nodes():
     wind = maslov_winding(path)
     red = maslov_reduced(path)
     assert (wind.mas_plus, wind.mas_minus) == (red.mas_plus, red.mas_minus) == (1, 1)
+
+
+REDUCTION_CASES = ["crossing between nodes", "criterion 04 trial 1"]
+
+
+def reduction_case(case: str) -> tuple[LagrangianPairPath, int]:
+    """(path, seed) for maslov_reduced: the crossing strictly between
+    nodes of the scan test, or trial 1 of acceptance criterion 04, a
+    rotating pair in C^16 whose anchors also fail on the reduction."""
+    if case == "crossing between nodes":
+        return line_path(lambda s: 2.0 * (s - 0.7), num_samples=6), 0
+    path = rotation_pair_path((0xAC04, 0, 1), dim=16, num_samples=25,
+                              scale_lam=3.0, scale_mu=0.8)
+    return path, 1
+
+
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkeypatch, case):
+    """Every transversal anchor has lam0 = V = 0, so one reduction per
+    parameter and one scan per gap serve all of them, and each solved
+    segment builds at most one transversal anchor."""
+    path, seed = reduction_case(case)
+    reductions, scans = Counter(), Counter()
+    built = {"transversal anchors": 0, "segments solved": 0}
+
+    def counted_decomposition(form, lam0, v, lam, mu, *args, **kwargs):
+        if lam0.dim == 0:
+            reductions[lam.matrix.tobytes() + mu.matrix.tobytes()] += 1
+        return pair_decomposition(form, lam0, v, lam, mu, *args, **kwargs)
+
+    def counted_scan(scan_path, anchor_v, a, b):
+        if anchor_v.dim == 0:
+            scans[(a, b)] += 1
+        return _adequacy_scan(scan_path, anchor_v, a, b)
+
+    def counted_anchor(form, lam, mu, *args, **kwargs):
+        dec = intrinsic_decomposition(form, lam, mu, *args, **kwargs)
+        built["transversal anchors"] += dec.lam0.dim == 0
+        return dec
+
+    def counted_solve(*args):
+        built["segments solved"] += 1
+        return solve_segment(*args)
+
+    solve_segment = maslov._solve_segment
+    monkeypatch.setattr(maslov, "pair_decomposition", counted_decomposition)
+    monkeypatch.setattr(maslov, "_adequacy_scan", counted_scan)
+    monkeypatch.setattr(maslov, "intrinsic_decomposition", counted_anchor)
+    monkeypatch.setattr(maslov, "_solve_segment", counted_solve)
+    red = maslov_reduced(path, seed=seed)
+    wind = maslov_winding(path)
+    assert reductions and scans
+    assert max(reductions.values()) == 1
+    assert max(scans.values()) == 1
+    assert 0 < built["transversal anchors"] <= built["segments solved"]
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus)
+
+
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_reduced_leaves_no_cyclic_garbage(monkeypatch, case):
+    """With the cyclic collector paused, the reduction state is freed on return.
+
+    Anchors fail on the scan and on the reduction, and nodes are
+    inserted; nothing of that may keep the state alive.
+    """
+    path, seed = reduction_case(case)
+    refs = []
+    for cls in (maslov._Reduction, maslov._Anchor):
+        def tracked_init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", tracked_init)
+    gc.disable()
+    try:
+        result = maslov_reduced(path, seed=seed)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    wind = maslov_winding(path)
+    assert (result.mas_plus, result.mas_minus) == (wind.mas_plus, wind.mas_minus)
+    assert len(refs) >= 2
+    assert not alive
+
+
+@pytest.mark.parametrize("defect, passes", [(9.9, True), (10.1, False)])
+def test_hermitize_derivative_gate_scales_with_the_norm(defect, passes):
+    """At ||d|| = 1e6 the relative gate 1e-5 * ||d|| sits at 10."""
+    d = np.array([[1e6, defect], [0.0, 0.0]], dtype=complex)
+    if passes:
+        q = _hermitize_derivative(d, "crossing form")
+        assert np.allclose(q.matrix, [[1e6, defect / 2], [defect / 2, 0.0]])
+    else:
+        with pytest.raises(ArithmeticError, match="crossing form came out non-Hermitian"):
+            _hermitize_derivative(d, "crossing form")
 
 
 @pytest.mark.parametrize("num_samples", [6, 8])
