@@ -33,7 +33,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .frames import Frame, HermitianMatrix, exceeds_scaled_tol, orthonormalize
-from .maslov import LagrangianPairPath, PathSample, maslov_winding
+from .maslov import LagrangianPairPath, maslov_winding
 from .spectral import HermitianPath, eigenvalue_curves, flow_of_curves
 from .symplectic import SymplecticForm, classify
 
@@ -516,9 +516,7 @@ def _desuspension(
     def pair(t: float):
         return form, bc_path(t).lagrangian, cauchy_data(fam, t, ode_tol)
 
-    samples = tuple(PathSample(float(t), *pair(float(t))) for t in grid_s)
-    result = maslov_winding(LagrangianPairPath(samples, pair))
-    neg_mas = -result.mas_plus
+    neg_mas = -maslov_winding(LagrangianPairPath.from_callable(pair, num_samples)).mas_plus
     return (sf, neg_mas, sf == neg_mas), curves
 
 
@@ -572,8 +570,5 @@ def _splitting(
         mu = orthonormalize(np.vstack([plus, eye]))
         return form, lam, mu
 
-    grid_s = np.linspace(0.0, 1.0, num_samples)
-    samples = tuple(PathSample(float(t), *pair(float(t))) for t in grid_s)
-    result = maslov_winding(LagrangianPairPath(samples, pair))
-    neg_mas_cut = -result.mas_plus
+    neg_mas_cut = -maslov_winding(LagrangianPairPath.from_callable(pair, num_samples)).mas_plus
     return (sf_whole, neg_mas_cut, sf_whole == neg_mas_cut), curves

@@ -69,14 +69,15 @@ from .sampling import (
     random_subspace,
     random_symplectic_form,
     rng_from_seed,
+    rotating_pair_path,
 )
 from .spectral import (
     HermitianPath,
     canonical_product_form,
     cayley,
     eigenvalue_curves,
+    flow_of_curves,
     graph_relation,
-    sf_eigen,
     sf_relation,
 )
 from .symplectic import SymplecticForm
@@ -283,24 +284,8 @@ def _line(angle: float):
     return orthonormalize(np.array([[np.cos(angle)], [np.sin(angle)]], dtype=complex))
 
 
-def _rotating_pair_path(tag: int, seed: int, trial: int, dim: int = 4,
-                        num_samples: int = 33, scale_lam: float = 2.0,
-                        scale_mu: float = 0.6):
-    """Seeded pair path with both legs rotating under one random form.
-
-    Returns (rng, path); the rng has only been used for the path
-    ingredients and can seed further per-trial draws.
-    """
-    rng = rng_from_seed((tag, seed, trial))
-    form = random_symplectic_form(rng, dim)
-    lam = random_lagrangian(rng, form)
-    mu = random_lagrangian(rng, form)
-    rot_lam = lagrangian_rotation(rng, form, lam, scale=scale_lam)
-    rot_mu = lagrangian_rotation(rng, form, mu, scale=scale_mu)
-    path = LagrangianPairPath.from_callable(
-        lambda s: (form, rot_lam(s), rot_mu(s)), num_samples=num_samples
-    )
-    return rng, path
+def _counts(res) -> tuple[int, int]:
+    return res.mas_plus, res.mas_minus
 
 
 def _pair_path_for(family: str, dim: int, num_samples: int, seed: int):
@@ -312,8 +297,8 @@ def _pair_path_for(family: str, dim: int, num_samples: int, seed: int):
         return LagrangianPairPath.from_callable(
             lambda s: (_FORM2, lam, mu), num_samples=num_samples
         )
-    return _rotating_pair_path(0xC119, seed, 0, dim=dim, num_samples=num_samples,
-                               scale_lam=2.5, scale_mu=0.7)[1]
+    return rotating_pair_path(rng_from_seed((0xC119, seed, 0)), dim=dim,
+                              num_samples=num_samples, scale_lam=2.5, scale_mu=0.7)
 
 
 _THETA_HEADER = ("s", "branch_index", "theta")
@@ -346,13 +331,13 @@ def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
     counts = {}
     if params["method"] in ("winding", "both"):
         res = maslov_winding(path, rank_tol=tols.rank)
-        counts["winding"] = (res.mas_plus, res.mas_minus)
+        counts["winding"] = _counts(res)
         results["mas_plus"] = res.mas_plus
         results["mas_minus"] = res.mas_minus
         curves["theta_curves.csv"] = _curve_rows(res.theta_curves, _THETA_HEADER)
     if params["method"] in ("crossing", "both"):
         res = maslov_crossings(path, seed=seed, rank_tol=tols.rank)
-        counts["crossing"] = (res.mas_plus, res.mas_minus)
+        counts["crossing"] = _counts(res)
         results.setdefault("mas_plus", res.mas_plus)
         results.setdefault("mas_minus", res.mas_minus)
         results["crossings"] = [
@@ -371,32 +356,35 @@ def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
     return results, curves
 
 
+def _linear_flow_routes(a_start, a_end, num_samples: int, rank_tol: float):
+    """Eigenvalue curves of A(s) = (1 - s) a_start + s a_end and sf_relation of its graphs."""
+
+    def matrix(s: float) -> np.ndarray:
+        return (1.0 - s) * a_start + s * a_end
+
+    curves = eigenvalue_curves(HermitianPath.from_callable(matrix, num_samples=num_samples))
+    form = canonical_product_form(a_start.shape[0])
+    grid = np.linspace(0.0, 1.0, num_samples)
+    entries = [(float(s), form, graph_relation(matrix(float(s)))) for s in grid]
+    sf_rel = sf_relation(entries, lambda s: (form, graph_relation(matrix(s))), rank_tol=rank_tol)
+    return curves, sf_rel
+
+
 def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
     dim = params["dim"]
     rng = rng_from_seed((0x5F10, seed))
     a_start = random_hermitian(rng, dim)
     a_end = random_hermitian(rng, dim)
-
-    def matrix(s: float) -> np.ndarray:
-        return (1.0 - s) * a_start + s * a_end
-
-    path = HermitianPath.from_callable(matrix, num_samples=params["num_samples"])
-    sf = sf_eigen(path)
-
-    form = canonical_product_form(dim)
-    grid = np.linspace(0.0, 1.0, params["num_samples"])
-    entries = [(float(s), form, graph_relation(matrix(float(s)))) for s in grid]
-    sf_rel = sf_relation(
-        entries, lambda s: (form, graph_relation(matrix(s))), rank_tol=tols.rank
-    )
+    eig_curves, sf_rel = _linear_flow_routes(a_start, a_end, params["num_samples"], tols.rank)
+    sf = flow_of_curves(eig_curves)
     if sf_rel != sf:
         raise InvariantViolation(
             "spectral flow must equal the Maslov count of the graph path "
             f"against X x {{0}}; got {sf} (eigenvalue route) vs {sf_rel} "
             "(relation route)"
         )
-    eigs_start = np.sort(np.linalg.eigvalsh(matrix(0.0)))
-    eigs_end = np.sort(np.linalg.eigvalsh(matrix(1.0)))
+    eigs_start = np.sort(np.linalg.eigvalsh(a_start))
+    eigs_end = np.sort(np.linalg.eigvalsh(a_end))
     results = {
         "dim": dim,
         "sf": int(sf),
@@ -409,7 +397,7 @@ def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
             "end": int(np.sum(np.abs(eigs_end) < tols.zero)),
         },
     }
-    curves = {"eigenvalue_curves.csv": _curve_rows(eigenvalue_curves(path), _EIGEN_HEADER)}
+    curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 
 
@@ -422,7 +410,7 @@ def _run_reduction_demo(params: dict, seed: int, tols: Tolerances):
         raise InvariantViolation(
             f"partition independence of segmental reduction failed: {exc}"
         )
-    if (direct.mas_plus, direct.mas_minus) != (reduced.mas_plus, reduced.mas_minus):
+    if _counts(direct) != _counts(reduced):
         raise InvariantViolation(
             "segmental reduction must preserve the Maslov counts; got "
             f"({direct.mas_plus}, {direct.mas_minus}) direct vs "
@@ -557,7 +545,7 @@ _SCENARIOS = {
 def _suite_flipping(trials: int, seed: int, tols: Tolerances) -> int:
     failures = 0
     for trial in range(trials):
-        _, path = _rotating_pair_path(0xF119, seed, trial)
+        path = rotating_pair_path(rng_from_seed((0xF119, seed, trial)))
 
         def swapped_fn(s: float):
             form, lam, mu = path.evaluate(s)
@@ -577,7 +565,8 @@ def _suite_flipping(trials: int, seed: int, tols: Tolerances) -> int:
 def _suite_catenation(trials: int, seed: int, tols: Tolerances) -> int:
     failures = 0
     for trial in range(trials):
-        rng, path = _rotating_pair_path(0xCA7E, seed, trial)
+        rng = rng_from_seed((0xCA7E, seed, trial))
+        path = rotating_pair_path(rng)
         split = float(rng.uniform(0.3, 0.7))
         left = LagrangianPairPath.from_callable(
             lambda s: path.callback(split * s), num_samples=17
@@ -588,11 +577,8 @@ def _suite_catenation(trials: int, seed: int, tols: Tolerances) -> int:
         whole = maslov_winding(path, rank_tol=tols.rank)
         res_left = maslov_winding(left, rank_tol=tols.rank)
         res_right = maslov_winding(right, rank_tol=tols.rank)
-        summed = (
-            res_left.mas_plus + res_right.mas_plus,
-            res_left.mas_minus + res_right.mas_minus,
-        )
-        if (whole.mas_plus, whole.mas_minus) != summed:
+        (left_plus, left_minus), (right_plus, right_minus) = _counts(res_left), _counts(res_right)
+        if _counts(whole) != (left_plus + right_plus, left_minus + right_minus):
             failures += 1
     return failures
 
@@ -600,8 +586,8 @@ def _suite_catenation(trials: int, seed: int, tols: Tolerances) -> int:
 def _suite_direct_sum(trials: int, seed: int, tols: Tolerances) -> int:
     failures = 0
     for trial in range(trials):
-        _, path_a = _rotating_pair_path(0xD5A0, seed, trial, dim=2)
-        _, path_b = _rotating_pair_path(0xD5A1, seed, trial, dim=4)
+        path_a = rotating_pair_path(rng_from_seed((0xD5A0, seed, trial)), dim=2)
+        path_b = rotating_pair_path(rng_from_seed((0xD5A1, seed, trial)), dim=4)
         # Each summand carries one constant form, so the summed form is
         # built, checked and split once per trial.
         form = SymplecticForm(
@@ -619,10 +605,8 @@ def _suite_direct_sum(trials: int, seed: int, tols: Tolerances) -> int:
         res_a = maslov_winding(path_a, rank_tol=tols.rank)
         res_b = maslov_winding(path_b, rank_tol=tols.rank)
         res_sum = maslov_winding(summed_path, rank_tol=tols.rank)
-        if (res_sum.mas_plus, res_sum.mas_minus) != (
-            res_a.mas_plus + res_b.mas_plus,
-            res_a.mas_minus + res_b.mas_minus,
-        ):
+        (a_plus, a_minus), (b_plus, b_minus) = _counts(res_a), _counts(res_b)
+        if _counts(res_sum) != (a_plus + b_plus, a_minus + b_minus):
             failures += 1
     return failures
 
@@ -651,10 +635,7 @@ def _suite_naturality(trials: int, seed: int, tols: Tolerances) -> int:
         pushed = LagrangianPairPath.from_callable(pushed_fn, num_samples=65)
         res_fixed = maslov_winding(fixed, rank_tol=tols.rank)
         res_pushed = maslov_winding(pushed, rank_tol=tols.rank)
-        if (res_fixed.mas_plus, res_fixed.mas_minus) != (
-            res_pushed.mas_plus,
-            res_pushed.mas_minus,
-        ):
+        if _counts(res_fixed) != _counts(res_pushed):
             failures += 1
     return failures
 
@@ -669,7 +650,7 @@ def _suite_constancy(trials: int, seed: int, tols: Tolerances) -> int:
             lambda s: (form, lam, mu), num_samples=5
         )
         res = maslov_winding(path, rank_tol=tols.rank)
-        if (res.mas_plus, res.mas_minus) != (0, 0):
+        if _counts(res) != (0, 0):
             failures += 1
     return failures
 
@@ -677,17 +658,14 @@ def _suite_constancy(trials: int, seed: int, tols: Tolerances) -> int:
 def _suite_reduction(trials: int, seed: int, tols: Tolerances) -> int:
     failures = 0
     for trial in range(trials):
-        _, path = _rotating_pair_path(0x12ED, seed, trial)
+        path = rotating_pair_path(rng_from_seed((0x12ED, seed, trial)))
         direct = maslov_winding(path, rank_tol=tols.rank)
         try:
             reduced = maslov_reduced(path, seed=trial, rank_tol=tols.rank)
         except ArithmeticError:
             failures += 1
             continue
-        if (direct.mas_plus, direct.mas_minus) != (
-            reduced.mas_plus,
-            reduced.mas_minus,
-        ):
+        if _counts(direct) != _counts(reduced):
             failures += 1
     return failures
 
@@ -695,13 +673,10 @@ def _suite_reduction(trials: int, seed: int, tols: Tolerances) -> int:
 def _suite_diagonal(trials: int, seed: int, tols: Tolerances) -> int:
     failures = 0
     for trial in range(trials):
-        _, path = _rotating_pair_path(0xD1A6, seed, trial)
+        path = rotating_pair_path(rng_from_seed((0xD1A6, seed, trial)))
         direct = maslov_winding(path, rank_tol=tols.rank)
         lifted = diagonal_lift(path, rank_tol=tols.rank)
-        if (direct.mas_plus, direct.mas_minus) != (
-            lifted.mas_plus,
-            lifted.mas_minus,
-        ):
+        if _counts(direct) != _counts(lifted):
             failures += 1
     return failures
 
@@ -713,20 +688,8 @@ def _suite_sf_mas(trials: int, seed: int, tols: Tolerances) -> int:
         dim = 2 + trial % 3
         a_start = random_hermitian(rng, dim)
         a_end = random_hermitian(rng, dim)
-
-        def matrix(s: float) -> np.ndarray:
-            return (1.0 - s) * a_start + s * a_end
-
-        path = HermitianPath.from_callable(matrix, num_samples=33)
-        form = canonical_product_form(dim)
-        entries = [
-            (float(s), form, graph_relation(matrix(float(s))))
-            for s in np.linspace(0.0, 1.0, 33)
-        ]
-        sf_rel = sf_relation(
-            entries, lambda s: (form, graph_relation(matrix(s))), rank_tol=tols.rank
-        )
-        if sf_eigen(path) != sf_rel:
+        curves, sf_rel = _linear_flow_routes(a_start, a_end, 33, tols.rank)
+        if flow_of_curves(curves) != sf_rel:
             failures += 1
     return failures
 

@@ -21,7 +21,6 @@ crossings) and serves as the reference implementation.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -39,6 +38,7 @@ from .frames import (
     morse_counts,
     orthonormalize,
 )
+from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
     IntrinsicDecomposition,
     complementary_lagrangian,
@@ -77,10 +77,8 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _ANGLE_SNAP = 1e-8
 _UNIT_CIRCLE_TOL = 1e-9
-_MOVEMENT_GATE = np.pi / 2
 _BISECT_TOL = 1e-10
 _MERGE_TOL = 1e-8
-_MAX_REFINE_DEPTH = 40
 _GATE_DELTA = 0.5
 
 
@@ -125,8 +123,11 @@ def _consecutive_gaps(frames: list[Frame]) -> np.ndarray:
     """gap_hat between consecutive frames of one dimension, in one batch.
 
     For subspaces of equal dimension both one-sided gaps equal the sine
-    of the largest principal angle, sqrt(1 - sigma_min(A^H B)^2).
+    of the largest principal angle, sqrt(1 - sigma_min(A^H B)^2). One
+    frame object repeated, such as a constant mu, has no gaps.
     """
+    if all(f is frames[0] for f in frames):
+        return np.zeros(len(frames) - 1)
     if len({f.matrix.shape for f in frames}) != 1:
         return np.array([gap_hat(a, b) for a, b in zip(frames, frames[1:])])
     stack = np.stack([f.matrix for f in frames])
@@ -138,6 +139,48 @@ def _consecutive_gaps(frames: list[Frame]) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - cosines**2, 0.0, 1.0))
 
 
+def _sampling_failures(samples) -> Iterator[str | None]:
+    """Why each step between consecutive samples fails the sampling-adequacy gate.
+
+    Yields None for a step that passes: both subspaces move by gap below
+    0.5 and the form matrix by less than half its smallest singular value.
+    """
+    steps = np.maximum(
+        _consecutive_gaps([smp.lam for smp in samples]),
+        _consecutive_gaps([smp.mu for smp in samples]),
+    )
+    for a, b, step in zip(samples, samples[1:], steps):
+        dj = None if b.form is a.form else np.linalg.norm(b.form.j - a.form.j, 2)
+        if step >= _GATE_DELTA:
+            yield (
+                f"sampling-adequacy gate: consecutive subspace gap {step:.3f} "
+                f"at s={a.s:.6f}..{b.s:.6f} is not below 0.5"
+            )
+        elif dj is not None and dj >= _GATE_DELTA * a.form.sigma_min:
+            yield (
+                f"sampling-adequacy gate: consecutive form distance {dj:.3e} "
+                f"at s={a.s:.6f}..{b.s:.6f} exceeds half the smallest singular value"
+            )
+        else:
+            yield None
+
+
+def _refined_samples(samples, callback: PathCallback) -> tuple[PathSample, ...]:
+    """The samples, with callback values inserted until every step passes the gate."""
+
+    def step(s_a, a: PathSample, s_b, b: PathSample) -> PathSample | str:
+        return next(_sampling_failures((a, b))) or b
+
+    def value_at(s: float) -> PathSample:
+        return PathSample(s, *callback(s))
+
+    out = [samples[0]]
+    for a, b, failure in zip(samples, samples[1:], _sampling_failures(samples)):
+        rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
+        out.extend(smp for _, smp in rows)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LagrangianPairPath:
     """Sampled path of Lagrangian pairs, optionally with an analytic callback.
@@ -146,31 +189,29 @@ class LagrangianPairPath:
     consecutive subspaces stay within gap 0.5 and consecutive form
     matrices within half the smallest singular value; silent
     under-resolution would corrupt an integer invariant, so violations
-    raise instead of warning. The callback, when given, must evaluate
-    the same path at arbitrary s and is used for adaptive refinement.
-    Being a function of s, it is called at most once per parameter
-    value: :meth:`evaluate` keeps every evaluation, starting from the
-    samples.
+    raise instead of warning. This constructor only validates: it never
+    refines, even when a callback is given, so a path that fails the
+    gate raises at once. :meth:`from_callable` refines while it builds.
+
+    The callback, when given, must evaluate the same path at arbitrary
+    s; the counting routes use it to refine between samples. Being a
+    function of s, it is called at most once per parameter value:
+    :meth:`evaluate` keeps every evaluation, starting from the samples.
     """
 
     samples: tuple[PathSample, ...]
     callback: PathCallback | None = None
-    # s -> (form, lam, mu) for every evaluated parameter, and the
+    # Every evaluated (form, lam, mu) by parameter, and the
     # (s, rank_tol) whose lam and mu are known to be Lagrangian.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: Memo = field(init=False, repr=False, compare=False)
     _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
-        if len(samples) < 2:
-            raise ValueError("a path needs at least two samples")
-        if abs(samples[0].s) > 1e-12 or abs(samples[-1].s - 1.0) > 1e-12:
-            raise ValueError("path samples must start at s=0 and end at s=1")
+        memo = Memo([smp.s for smp in samples], [(smp.form, smp.lam, smp.mu) for smp in samples])
+        object.__setattr__(self, "_memo", memo)
         dim = samples[0].form.dim
-        for a, b in zip(samples, samples[1:]):
-            if b.s <= a.s:
-                raise ValueError("sample times must be strictly increasing")
         passed = {name: _lagrangian_flags(samples, name) for name in ("lam", "mu")}
         for i, smp in enumerate(samples):
             if smp.form.dim != dim:
@@ -183,62 +224,33 @@ class LagrangianPairPath:
                     raise ValueError(
                         f"sample at s={smp.s:.6f}: {name} is {kind}, not lagrangian"
                     )
-            self._memo[smp.s] = (smp.form, smp.lam, smp.mu)
             self._checked.add((smp.s, RANK_TOL))
-        steps = np.maximum(
-            _consecutive_gaps([smp.lam for smp in samples]),
-            _consecutive_gaps([smp.mu for smp in samples]),
-        )
-        for a, b, step in zip(samples, samples[1:], steps):
-            if step >= _GATE_DELTA:
-                raise ValueError(
-                    "sampling-adequacy gate: consecutive subspace gap "
-                    f"{step:.3f} at s={a.s:.6f}..{b.s:.6f} is not below 0.5"
-                )
-            if b.form is a.form:
-                continue
-            dj = np.linalg.norm(b.form.j - a.form.j, 2)
-            if dj >= _GATE_DELTA * a.form.sigma_min:
-                raise ValueError(
-                    "sampling-adequacy gate: consecutive form distance "
-                    f"{dj:.3e} at s={a.s:.6f}..{b.s:.6f} exceeds half "
-                    "the smallest singular value"
-                )
+        failure = next((f for f in _sampling_failures(samples) if f is not None), None)
+        if failure is not None:
+            raise ValueError(failure)
 
     @classmethod
     def from_callable(cls, fn: PathCallback, num_samples: int = 33) -> "LagrangianPairPath":
-        """Sample a callback s -> (form, lam, mu) on a uniform grid."""
+        """Sample a callback s -> (form, lam, mu), refining where the grid is too coarse.
+
+        The uniform grid of ``num_samples`` points gets callback midpoints
+        inserted, by :func:`refinement.refine`, in every step that fails
+        the sampling-adequacy gate, so a path that turns quickly between
+        grid points still builds.
+        """
         if num_samples < 2:
             raise ValueError("need at least two samples")
         grid = np.linspace(0.0, 1.0, num_samples)
         samples = tuple(PathSample(float(s), *fn(float(s))) for s in grid)
-        return cls(samples, callback=fn)
+        return cls(_refined_samples(samples, fn), callback=fn)
 
     @property
     def dim(self) -> int:
         return self.samples[0].form.dim
 
     def evaluate(self, s: float) -> tuple[SymplecticForm, Frame, Frame]:
-        """(form, lam, mu) at s: a sample within 1e-13, else the callback.
-
-        Evaluations are memoized, so repeated parameters (refinement,
-        bisection, finite differences, adequacy scans) cost one lookup.
-        """
-        s = float(s)
-        hit = self._memo.get(s)
-        if hit is not None:
-            return hit
-        index = bisect.bisect_left(self.samples, s - 1e-13, key=lambda smp: smp.s)
-        if index < len(self.samples) and abs(self.samples[index].s - s) <= 1e-13:
-            smp = self.samples[index]
-            return smp.form, smp.lam, smp.mu
-        if self.callback is None:
-            raise ValueError(
-                f"path has no refinement callback, cannot evaluate between samples (s={s})"
-            )
-        value = self.callback(s)
-        self._memo[s] = value
-        return value
+        """(form, lam, mu) at s: a sample within 1e-13, else the callback, memoized."""
+        return self._memo.evaluate(s, self.callback)
 
 
 @dataclass(frozen=True)
@@ -305,32 +317,8 @@ def _checked_result(
     return MaslovResult(int(mas_plus), int(mas_minus), method, theta_curves, crossings)
 
 
-def _relative_angles(
-    form: SymplecticForm, lam: Frame, mu: Frame, rank_tol: float, checked: bool
-) -> np.ndarray:
-    """Eigenvalue angles of the relative unitary of the pair on X^+.
-
-    Both Lagrangians are written as graphs of metric unitaries
-    U: X^- -> X^+; the quotient W = U_lam U_mu^{-1} is an endomorphism
-    of X^+ whose spectrum does not depend on the frames chosen for the
-    splitting halves, so per-sample splittings are consistent along a
-    path. W is unitary for the definite metric gram_plus; conjugating
-    by gram_plus^(1/2) makes it unitary on the nose, which keeps the
-    eigenvalue computation stable. With ``checked`` the caller has
-    already verified that lam and mu are Lagrangian at ``rank_tol``.
-    """
-    split = splitting(form)
-    if checked:
-        u_lam = lagrangian_generator(split, lam)
-        u_mu = lagrangian_generator(split, mu)
-    else:
-        u_lam = unitary_generator(form, lam, split, rank_tol)
-        u_mu = unitary_generator(form, mu, split, rank_tol)
-    return _generator_angles([split], u_lam[None], u_mu[None])[0]
-
-
 def _generator_angles(splits, u_lam: np.ndarray, u_mu: np.ndarray) -> np.ndarray:
-    """Angles of W = U_lam U_mu^{-1} for stacks of generators, see _relative_angles."""
+    """Angles of W = U_lam U_mu^{-1} for stacks of generators, see _path_angles."""
     root = np.stack([sp.plus_roots[0] for sp in splits])
     inv_root = np.stack([sp.plus_roots[1] for sp in splits])
     vals = np.linalg.eigvals(root @ (u_lam @ np.linalg.inv(u_mu)) @ inv_root)
@@ -344,11 +332,28 @@ def _generator_angles(splits, u_lam: np.ndarray, u_mu: np.ndarray) -> np.ndarray
 
 
 def _path_angles(path: LagrangianPairPath, s: float, rank_tol: float) -> np.ndarray:
-    """Relative angles at s, checking lam and mu there once per rank_tol."""
+    """Eigenvalue angles of the relative unitary of the pair on X^+ at s.
+
+    Both Lagrangians are written as graphs of metric unitaries
+    U: X^- -> X^+; the quotient W = U_lam U_mu^{-1} is an endomorphism
+    of X^+ whose spectrum does not depend on the frames chosen for the
+    splitting halves, so per-sample splittings are consistent along a
+    path. W is unitary for the definite metric gram_plus; conjugating
+    by gram_plus^(1/2) makes it unitary on the nose, which keeps the
+    eigenvalue computation stable. lam and mu are checked to be
+    Lagrangian at s once per ``rank_tol``.
+    """
+    form, lam, mu = path.evaluate(s)
+    split = splitting(form)
     key = (float(s), rank_tol)
-    angles = _relative_angles(*path.evaluate(s), rank_tol, key in path._checked)
-    path._checked.add(key)
-    return angles
+    if key in path._checked:
+        u_lam = lagrangian_generator(split, lam)
+        u_mu = lagrangian_generator(split, mu)
+    else:
+        u_lam = unitary_generator(form, lam, split, rank_tol)
+        u_mu = unitary_generator(form, mu, split, rank_tol)
+        path._checked.add(key)
+    return _generator_angles([split], u_lam[None], u_mu[None])[0]
 
 
 def _sample_angles(path: LagrangianPairPath, rank_tol: float) -> Iterator[np.ndarray]:
@@ -381,42 +386,20 @@ def _circular_delta(from_angle, to_angle):
     return -((from_angle - to_angle + np.pi) % _TWO_PI - np.pi)
 
 
-def _advance_branches(
-    path: LagrangianPairPath,
-    s_prev: float,
-    theta_prev: np.ndarray,
-    s_next: float,
-    raw_next: np.ndarray | None,
-    rank_tol: float,
-    depth: int,
-) -> list[tuple[float, np.ndarray]]:
-    """Continue the angle branches from s_prev to s_next, refining as needed."""
-    if raw_next is None:
-        raw_next = _path_angles(path, s_next, rank_tol)
-    cost = np.abs(_circular_delta(theta_prev[:, None], raw_next[None, :]))
+def _branch_step(s_a, theta_a: np.ndarray, s_b, raw_b: np.ndarray) -> np.ndarray | str:
+    """Continue the branches theta_a onto the angles raw_b, if no branch moves past pi/2.
+
+    The branches are matched to the angles by minimal-total-displacement
+    assignment on the circle.
+    """
+    cost = np.abs(_circular_delta(theta_a[:, None], raw_b[None, :]))
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    deltas = np.empty_like(theta_prev)
-    deltas[rows] = _circular_delta(theta_prev[rows], raw_next[cols])
-    if np.max(np.abs(deltas)) <= _MOVEMENT_GATE:
-        return [(s_next, theta_prev + deltas)]
-    if path.callback is None:
-        raise ValueError(
-            "insufficient sampling resolution: spectral movement "
-            f"{np.max(np.abs(deltas)):.3f} rad in {s_prev:.6f}..{s_next:.6f} "
-            "exceeds pi/2 and the path has no refinement callback"
-        )
-    if depth >= _MAX_REFINE_DEPTH:
-        raise ValueError(
-            "insufficient sampling resolution: refinement depth exhausted "
-            f"between s={s_prev:.6f} and s={s_next:.6f}"
-        )
-    s_mid = 0.5 * (s_prev + s_next)
-    first = _advance_branches(path, s_prev, theta_prev, s_mid, None, rank_tol, depth + 1)
-    theta_mid = first[-1][1]
-    second = _advance_branches(
-        path, s_mid, theta_mid, s_next, raw_next, rank_tol, depth + 1
-    )
-    return first + second
+    deltas = np.empty_like(theta_a)
+    deltas[rows] = _circular_delta(theta_a[rows], raw_b[cols])
+    movement = np.max(np.abs(deltas))
+    if movement <= MOVEMENT_GATE:
+        return theta_a + deltas
+    return f"spectral movement {movement:.3f} rad in {s_a:.6f}..{s_b:.6f} exceeds pi/2"
 
 
 def _winding_rows(
@@ -425,11 +408,10 @@ def _winding_rows(
     """Continuous angle branches along the path, one row per parameter value."""
     angles = _sample_angles(path, rank_tol)
     rows = [(path.samples[0].s, np.sort(next(angles)))]
+    angles_at = None if path.callback is None else (lambda s: _path_angles(path, s, rank_tol))
     for smp, raw in zip(path.samples[1:], angles):
         s_prev, theta_prev = rows[-1]
-        rows.extend(
-            _advance_branches(path, s_prev, theta_prev, smp.s, raw, rank_tol, 0)
-        )
+        rows.extend(refine(s_prev, theta_prev, smp.s, raw, _branch_step, angles_at))
     return rows
 
 
@@ -447,8 +429,9 @@ def maslov_winding(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> Masl
 
     Continuous eigenvalue-angle branches theta_j(s) of the relative
     unitary are selected across samples by minimal-total-displacement
-    assignment on the circle, with adaptive bisection whenever the
-    spectrum moves more than pi/2 in one step. Then
+    assignment on the circle. A step in which the spectrum moves more
+    than pi/2 is halved by :func:`refinement.refine` through the path's
+    callback; without a callback it raises. Then
 
         Mas_+ = sum_j E(theta_j(1)/2pi) - E(theta_j(0)/2pi),
         Mas_- = sum_j floor(theta_j(1)/2pi) - floor(theta_j(0)/2pi),
@@ -1057,10 +1040,6 @@ def _reduced_segment_counts(
             form_r, lam_r, mu_r = anchor.reduce(node.s, node.form, node.lam, node.mu)
             s01 = (node.s - s_lo) / width
             reduced_samples.append(PathSample(min(max(s01, 0.0), 1.0), form_r, lam_r, mu_r))
-        reduced_samples[0] = PathSample(0.0, reduced_samples[0].form,
-                                        reduced_samples[0].lam, reduced_samples[0].mu)
-        reduced_samples[-1] = PathSample(1.0, reduced_samples[-1].form,
-                                         reduced_samples[-1].lam, reduced_samples[-1].mu)
         reduced_callback = None
         if path.callback is not None:
             anchor.scan(node_times)
@@ -1216,7 +1195,10 @@ def _connecting_path(
     Lagrangian complement W; scaling the endpoint's graph coefficient
     linearly stays Lagrangian because the pairing it induces is
     Hermitian. W is drawn from seeded random Lagrangians until it is
-    transversal to both endpoints.
+    transversal to both endpoints. When the endpoint's graph coefficient
+    is large the graph sweeps most of a principal angle within a short
+    parameter window; :meth:`LagrangianPairPath.from_callable` refines
+    the grid there.
     """
     from .sampling import random_lagrangian, rng_from_seed
 
@@ -1242,23 +1224,7 @@ def _connecting_path(
         lam_s = orthonormalize(start.matrix + w.matrix @ (s * t2), rank_tol)
         return form, lam_s, mu
 
-    # A uniform grid can violate the sampling-adequacy gate when t2 has
-    # large singular values: the graph sweeps most of a principal angle
-    # within a short parameter window. Insert midpoints until adjacent
-    # nodes stay close, leaving the path itself unchanged.
-    nodes = [(float(s), fn(float(s))) for s in np.linspace(0.0, 1.0, num_samples)]
-    index = 0
-    while index < len(nodes) - 1:
-        (s_a, (_, lam_a, _)), (s_b, (_, lam_b, _)) = nodes[index], nodes[index + 1]
-        if gap_hat(lam_a, lam_b) >= 0.25 and s_b - s_a > 1e-6:
-            s_mid = 0.5 * (s_a + s_b)
-            nodes.insert(index + 1, (s_mid, fn(s_mid)))
-        else:
-            index += 1
-    samples = tuple(
-        PathSample(s, form, lam_s, mu) for s, (_, lam_s, _) in nodes
-    )
-    return LagrangianPairPath(samples, callback=fn)
+    return LagrangianPairPath.from_callable(fn, num_samples)
 
 
 def hormander(
@@ -1300,21 +1266,23 @@ def hormander(
     return value
 
 
-def _doubled_sample(smp: PathSample, flip_first: bool) -> tuple[SymplecticForm, Frame, Frame]:
-    n = smp.form.dim
+def _doubled_sample(
+    form: SymplecticForm, lam: Frame, mu: Frame, flip_first: bool
+) -> tuple[SymplecticForm, Frame, Frame]:
+    n = form.dim
     sign = -1.0 if flip_first else 1.0
     j2 = np.block(
         [
-            [sign * smp.form.j, np.zeros((n, n))],
-            [np.zeros((n, n)), -sign * smp.form.j],
+            [sign * form.j, np.zeros((n, n))],
+            [np.zeros((n, n)), -sign * form.j],
         ]
     )
     form2 = SymplecticForm(j2)
     pair_frame = Frame(
         np.block(
             [
-                [smp.lam.matrix, np.zeros((n, smp.mu.dim))],
-                [np.zeros((n, smp.lam.dim)), smp.mu.matrix],
+                [lam.matrix, np.zeros((n, mu.dim))],
+                [np.zeros((n, lam.dim)), mu.matrix],
             ]
         )
     )
@@ -1336,23 +1304,11 @@ def diagonal_lift(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> Maslo
 
     def lifted(flip_first: bool, swap: bool) -> LagrangianPairPath:
         def fn(s: float):
-            form, lam, mu = path.evaluate(s)
-            form2, pair_frame, diagonal = _doubled_sample(
-                PathSample(s, form, lam, mu), flip_first
-            )
-            if swap:
-                return form2, diagonal, pair_frame
-            return form2, pair_frame, diagonal
+            form2, pair_frame, diagonal = _doubled_sample(*path.evaluate(s), flip_first)
+            return (form2, diagonal, pair_frame) if swap else (form2, pair_frame, diagonal)
 
-        samples = []
-        for smp in path.samples:
-            form2, pair_frame, diagonal = _doubled_sample(smp, flip_first)
-            if swap:
-                samples.append(PathSample(smp.s, form2, diagonal, pair_frame))
-            else:
-                samples.append(PathSample(smp.s, form2, pair_frame, diagonal))
-        callback = fn if path.callback is not None else None
-        return LagrangianPairPath(tuple(samples), callback)
+        samples = tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)
+        return LagrangianPairPath(samples, fn if path.callback is not None else None)
 
     direct = maslov_winding(path, rank_tol)
     lift = maslov_winding(lifted(flip_first=False, swap=False), rank_tol)

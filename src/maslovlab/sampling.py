@@ -24,6 +24,7 @@ __all__ = [
     "random_lagrangian_containing",
     "perturb_lagrangian",
     "lagrangian_rotation",
+    "rotating_pair_path",
     "form_deformation",
 ]
 
@@ -222,6 +223,25 @@ def lagrangian_rotation(rng, form, lam, scale: float = 1.0):
         return generator_to_frame(split, u @ twist)
 
     return at
+
+
+def rotating_pair_path(rng, dim: int = 4, num_samples: int = 33,
+                       scale_lam: float = 2.0, scale_mu: float = 0.6):
+    """Pair path with both legs rotating under one random form on C^dim.
+
+    Draws the form, lam, mu and the two rotations from ``rng``, in that
+    order, and samples the path on ``num_samples`` points.
+    """
+    from .maslov import LagrangianPairPath
+
+    form = random_symplectic_form(rng, dim)
+    lam = random_lagrangian(rng, form)
+    mu = random_lagrangian(rng, form)
+    rot_lam = lagrangian_rotation(rng, form, lam, scale=scale_lam)
+    rot_mu = lagrangian_rotation(rng, form, mu, scale=scale_mu)
+    return LagrangianPairPath.from_callable(
+        lambda s: (form, rot_lam(s), rot_mu(s)), num_samples=num_samples
+    )
 
 
 def form_deformation(rng, form, scale: float = 0.5):

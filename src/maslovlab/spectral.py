@@ -15,7 +15,7 @@ routes are kept comparable down to the endpoint snapping rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,8 @@ from .frames import (
     intersect,
     orthonormalize,
 )
-from .maslov import LagrangianPairPath, PathSample, maslov_winding
+from .maslov import LagrangianPairPath, PathSample, _refined_samples, maslov_winding
+from .refinement import MOVEMENT_GATE, Memo, refine
 from .symplectic import SymplecticForm, annihilator
 
 __all__ = [
@@ -57,8 +58,6 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _SPECTRAL_MAP_TOL = 1e-9
 _TURN_SNAP = 1e-8 / (2.0 * math.pi)
-_MOVEMENT_GATE = math.pi / 2.0
-_MAX_REFINE_DEPTH = 40
 
 
 def product_form(tau: np.ndarray) -> SymplecticForm:
@@ -279,23 +278,20 @@ class HermitianPath:
 
     ``samples`` is an ordered tuple of (s, HermitianMatrix) pairs with
     s strictly increasing from 0 to 1 and a fixed matrix dimension. An
-    optional ``callback`` evaluates the path off-grid so eigenvalue
-    tracking can refine itself where the spectrum moves quickly.
+    optional ``callback`` evaluates the path off-grid. Construction
+    neither evaluates nor refines; :func:`eigenvalue_curves` refines
+    through :meth:`evaluate` where the spectrum moves quickly, and
+    :meth:`evaluate` calls the callback at most once per parameter.
     """
 
     samples: tuple
     callback: Callable[[float], HermitianMatrix] | None = None
+    _memo: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.samples) < 2:
-            raise ValueError("a path needs at least two samples")
-        s_vals = [s for s, _ in self.samples]
-        if abs(s_vals[0]) > 1e-12 or abs(s_vals[-1] - 1.0) > 1e-12:
-            raise ValueError("path parameter must run from 0 to 1")
-        if any(b - a <= 0 for a, b in zip(s_vals, s_vals[1:])):
-            raise ValueError("sample parameters must increase strictly")
-        dims = {mat.dim for _, mat in self.samples}
-        if len(dims) != 1:
+        memo = Memo([s for s, _ in self.samples], [mat for _, mat in self.samples])
+        object.__setattr__(self, "_memo", memo)
+        if len({mat.dim for _, mat in self.samples}) != 1:
             raise ValueError("all samples must share one matrix dimension")
 
     @staticmethod
@@ -309,43 +305,22 @@ class HermitianPath:
     def dim(self) -> int:
         return self.samples[0][1].dim
 
-
-def _eval_hermitian(path: HermitianPath, s: float) -> HermitianMatrix:
-    for s_i, mat in path.samples:
-        if abs(s_i - s) <= 1e-13:
-            return mat
-    if path.callback is None:
-        raise ValueError(f"no sample at s={s} and the path has no callback")
-    return _as_hermitian(path.callback(s))
+    def evaluate(self, s: float) -> HermitianMatrix:
+        """The matrix at s: a sample within 1e-13, else the callback, memoized."""
+        return _as_hermitian(self._memo.evaluate(s, self.callback))
 
 
-def _eigen_rows(path: HermitianPath, s_a, lam_a, s_b, lam_b, depth):
-    """Rows (s, sorted eigenvalues) between two samples, refined as needed.
+def _eigen_step(s_a, lam_a: np.ndarray, s_b, lam_b: np.ndarray) -> np.ndarray | str:
+    """lam_b, unless some sorted eigenvalue moves by pi/2 or more on the scale 2 arctan.
 
-    Movement is measured on the compactified scale theta = 2 arctan
-    (the eigenvalue angle of the corresponding graph Lagrangian), so a
-    spectral step is acceptable exactly when the matching Maslov
-    winding step would be.
+    That scale is the eigenvalue angle of the corresponding graph
+    Lagrangian, so a spectral step is acceptable exactly when the
+    matching Maslov winding step would be.
     """
     theta_step = np.max(np.abs(2.0 * np.arctan(lam_b) - 2.0 * np.arctan(lam_a)))
-    if theta_step < _MOVEMENT_GATE:
-        return [(s_b, lam_b)]
-    if path.callback is None:
-        raise ValueError(
-            f"insufficient sampling resolution: spectral movement {theta_step:.3f} "
-            f"rad in {s_a:.6f}..{s_b:.6f} exceeds pi/2 and the path has no "
-            "refinement callback"
-        )
-    if depth >= _MAX_REFINE_DEPTH:
-        raise ValueError(
-            f"insufficient sampling resolution near s={s_a:.9f}: refinement "
-            "depth exhausted"
-        )
-    s_mid = 0.5 * (s_a + s_b)
-    lam_mid = _interior_eigenvalues(_eval_hermitian(path, s_mid))
-    left = _eigen_rows(path, s_a, lam_a, s_mid, lam_mid, depth + 1)
-    right = _eigen_rows(path, s_mid, lam_mid, s_b, lam_b, depth + 1)
-    return left + right
+    if theta_step < MOVEMENT_GATE:
+        return lam_b
+    return f"spectral movement {theta_step:.3f} rad in {s_a:.6f}..{s_b:.6f} exceeds pi/2"
 
 
 def _interior_eigenvalues(mat: HermitianMatrix) -> np.ndarray:
@@ -357,8 +332,10 @@ def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
     """Sorted eigenvalue curves as rows [s, lam_1 .. lam_n].
 
     Sorted rows are the canonical continuous branch choice for
-    Hermitian families; adaptive midpoint refinement keeps consecutive
-    rows within the same movement gate used for Maslov winding.
+    Hermitian families. Between samples, :func:`refinement.refine`
+    halves every step that fails the movement gate of Maslov winding,
+    evaluating the path through its callback; without a callback such
+    a step raises. The path's samples themselves are never changed.
 
     The first and last rows, which decide the spectral flow, come from
     :func:`hermitian_eig` with its residual check. Interior rows only
@@ -366,10 +343,13 @@ def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
     """
     first_s, first_mat = path.samples[0]
     rows = [(first_s, np.sort(first_mat.eigenvalues()))]
+    eigenvalues_at = None
+    if path.callback is not None:
+        eigenvalues_at = lambda s: _interior_eigenvalues(path.evaluate(s))
     last = len(path.samples) - 1
     for i, ((s_a, _), (s_b, mat_b)) in enumerate(zip(path.samples, path.samples[1:]), 1):
         lam_b = np.sort(mat_b.eigenvalues()) if i == last else _interior_eigenvalues(mat_b)
-        rows.extend(_eigen_rows(path, s_a, rows[-1][1], s_b, lam_b, 0))
+        rows.extend(refine(s_a, rows[-1][1], s_b, lam_b, _eigen_step, eigenvalues_at))
     return np.array([[s, *lams] for s, lams in rows])
 
 
@@ -404,9 +384,12 @@ def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:
     ``entries`` is an ordered list of (s, SymplecticForm, LinearRelation)
     with each form living on the product space and each relation
     Lagrangian for its form; ``callback`` optionally evaluates
-    (form, relation) off-grid. The value is the lower Maslov count of
-    the pair path (A(s), X x {0}), which needs no operator conversion
-    and accepts purely multivalued samples.
+    (form, relation) off-grid. With a callback, entries too far apart
+    for the sampling-adequacy gate get callback values inserted between
+    them, as in :meth:`LagrangianPairPath.from_callable`; without one,
+    such entries raise. The value is the lower Maslov count of the pair
+    path (A(s), X x {0}), which needs no operator conversion and accepts
+    purely multivalued samples.
     """
     if len(entries) < 2:
         raise ValueError("a relation path needs at least two entries")
@@ -428,5 +411,6 @@ def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:
         def pair_callback(s: float):
             form, rel = callback(s)
             return form, rel.subspace, horizontal
-    pair_path = LagrangianPairPath(samples, pair_callback)
-    return maslov_winding(pair_path, rank_tol).mas_minus
+
+        samples = _refined_samples(samples, pair_callback)
+    return maslov_winding(LagrangianPairPath(samples, pair_callback), rank_tol).mas_minus

@@ -197,7 +197,6 @@ class SymplecticSplitting:
     the frames are eigenvector bases).
     """
 
-    form: SymplecticForm
     x_plus: Frame
     x_minus: Frame
     gram_plus: np.ndarray
@@ -241,7 +240,7 @@ def _split(form: SymplecticForm, zero_tol: float | None) -> SymplecticSplitting:
     gram_minus = 1j * (minus.matrix.conj().T @ form.j @ minus.matrix)
     gram_plus = (gram_plus + gram_plus.conj().T) / 2.0
     gram_minus = (gram_minus + gram_minus.conj().T) / 2.0
-    return SymplecticSplitting(form, plus, minus, gram_plus, gram_minus)
+    return SymplecticSplitting(plus, minus, gram_plus, gram_minus)
 
 
 def hermitian_sqrt(a: np.ndarray):

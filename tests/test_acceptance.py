@@ -21,7 +21,6 @@ from maslovlab.bvp import (
 from maslovlab.cli import run_suite
 from maslovlab.frames import gap_delta, orthonormalize
 from maslovlab.maslov import (
-    LagrangianPairPath,
     benchmark_pair_path,
     diagonal_lift,
     hormander,
@@ -30,12 +29,12 @@ from maslovlab.maslov import (
     maslov_winding,
 )
 from maslovlab.sampling import (
-    lagrangian_rotation,
     random_hermitian,
     random_lagrangian,
     random_subspace,
     random_symplectic_form,
     rng_from_seed,
+    rotating_pair_path,
 )
 from maslovlab.spectral import (
     HermitianPath,
@@ -46,20 +45,6 @@ from maslovlab.spectral import (
     sf_relation,
 )
 from maslovlab.symplectic import SymplecticForm
-
-
-def rotating_pair_path(tag, seed, trial, dim=4, num_samples=33,
-                       scale_lam=2.0, scale_mu=0.6):
-    """Seeded pair path with both legs rotating under one random form."""
-    rng = rng_from_seed((tag, seed, trial))
-    form = random_symplectic_form(rng, dim)
-    lam = random_lagrangian(rng, form)
-    mu = random_lagrangian(rng, form)
-    rot_lam = lagrangian_rotation(rng, form, lam, scale=scale_lam)
-    rot_mu = lagrangian_rotation(rng, form, mu, scale=scale_mu)
-    return LagrangianPairPath.from_callable(
-        lambda s: (form, rot_lam(s), rot_mu(s)), num_samples=num_samples
-    )
 
 
 def line(angle):
@@ -88,7 +73,7 @@ def test_criterion_02_winding_crossing_agreement_on_50_seeded_paths():
     while collected < 50:
         assert candidate < 80, "too many degenerate draws"
         dim = (2, 4, 6, 8)[candidate % 4]
-        path = rotating_pair_path(0xAC02, 0, candidate, dim=dim)
+        path = rotating_pair_path(rng_from_seed((0xAC02, 0, candidate)), dim=dim)
         candidate += 1
         winding = maslov_winding(path)
         try:
@@ -114,8 +99,8 @@ def test_criterion_03_properties_battery_100_trials_each():
 def test_criterion_04_reduction_invariance_on_c16_paths():
     start = time.perf_counter()
     for trial in range(20):
-        path = rotating_pair_path(0xAC04, 0, trial, dim=16, num_samples=25,
-                                  scale_lam=3.0, scale_mu=0.8)
+        path = rotating_pair_path(rng_from_seed((0xAC04, 0, trial)), dim=16,
+                                  num_samples=25, scale_lam=3.0, scale_mu=0.8)
         direct = maslov_winding(path)
         # maslov_reduced recomputes on a refined partition internally
         # and raises if the summed counts change.
@@ -130,7 +115,7 @@ def test_criterion_04_reduction_invariance_on_c16_paths():
 def test_criterion_05_diagonal_identities_on_50_paths():
     start = time.perf_counter()
     for trial in range(50):
-        path = rotating_pair_path(0xAC05, 0, trial, dim=(2, 4)[trial % 2])
+        path = rotating_pair_path(rng_from_seed((0xAC05, 0, trial)), dim=(2, 4)[trial % 2])
         direct = maslov_winding(path)
         # diagonal_lift evaluates the doubled-space expressions in both
         # arrangements and raises unless all three agree.

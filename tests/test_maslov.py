@@ -11,6 +11,7 @@ import scipy.linalg
 from maslovlab.frames import (
     Frame,
     fredholm_pair_index,
+    gap_hat,
     intersect,
     morse_counts,
     orthonormalize,
@@ -43,6 +44,7 @@ from maslovlab.sampling import (
     random_lagrangian,
     random_symplectic_form,
     rng_from_seed,
+    rotating_pair_path,
 )
 from maslovlab.symplectic import SymplecticForm, standard_form
 
@@ -65,15 +67,7 @@ def line_path(angle_fn, num_samples: int = 21) -> LagrangianPairPath:
 def rotation_pair_path(seed: int, dim: int = 4, num_samples: int = 33,
                        scale_lam: float = 2.5, scale_mu: float = 0.7):
     """Seeded pair path with both legs rotating under a random fixed form."""
-    rng = rng_from_seed(seed)
-    form = random_symplectic_form(rng, dim)
-    lam = random_lagrangian(rng, form)
-    mu = random_lagrangian(rng, form)
-    rot_lam = lagrangian_rotation(rng, form, lam, scale=scale_lam)
-    rot_mu = lagrangian_rotation(rng, form, mu, scale=scale_mu)
-    return LagrangianPairPath.from_callable(
-        lambda s: (form, rot_lam(s), rot_mu(s)), num_samples=num_samples
-    )
+    return rotating_pair_path(rng_from_seed(seed), dim, num_samples, scale_lam, scale_mu)
 
 
 def direct_sum_path(path_a: LagrangianPairPath, path_b: LagrangianPairPath,
@@ -337,6 +331,33 @@ def test_winding_without_callback_needs_resolution():
     with_callback = LagrangianPairPath(samples, fn)
     result = maslov_winding(with_callback)
     assert (result.mas_plus, result.mas_minus) == (1, 0)
+
+
+def steep_graph(s: float):
+    """lam(s) = span{(1, 1000 (s - 1/2))} against e1: one positive crossing at s = 1/2.
+
+    The line turns through almost pi within |s - 1/2| < 0.01, so on a
+    uniform grid of 21 points the steps next to s = 1/2 have gap near 1.
+    """
+    return FORM2, orthonormalize(np.array([[1.0], [1000.0 * (s - 0.5)]])), MU_HORIZONTAL
+
+
+def test_from_callable_refines_a_grid_that_fails_the_gap_gate():
+    grid = np.linspace(0.0, 1.0, 21)
+    gaps = [gap_hat(steep_graph(a)[1], steep_graph(b)[1]) for a, b in zip(grid, grid[1:])]
+    assert max(gaps) >= 0.5
+    path = LagrangianPairPath.from_callable(steep_graph, num_samples=21)
+    times = [smp.s for smp in path.samples]
+    assert set(grid.tolist()) <= set(times) and len(times) > 21
+    result = maslov_winding(path)
+    assert (result.mas_plus, result.mas_minus) == (1, 1)
+
+
+def test_direct_constructor_validates_without_refining():
+    grid = np.linspace(0.0, 1.0, 21)
+    samples = tuple(PathSample(float(s), *steep_graph(float(s))) for s in grid)
+    with pytest.raises(ValueError, match="sampling-adequacy gate"):
+        LagrangianPairPath(samples, steep_graph)
 
 
 def test_off_grid_non_lagrangian_value_is_rejected():

@@ -213,6 +213,46 @@ def test_sf_resolution_error_without_callback():
     assert sf_eigen(with_callback) == 1
 
 
+def test_sf_relation_refines_a_steep_graph_path_it_has_a_callback_for():
+    """A(s) = c((1 - s) diag(-1, 2) + s diag(3, 2)) at c = 1e6 on 21 samples.
+
+    The graph of A turns through X x {0} within |s - 1/4| of order 1e-6,
+    so consecutive entries around s = 1/4 are at gap 1; the callback
+    lets sf_relation refine there, and both routes give 1.
+    """
+    c = 1e6
+
+    def matrix(s: float) -> np.ndarray:
+        return c * ((1.0 - s) * np.diag([-1.0, 2.0]) + s * np.diag([3.0, 2.0]))
+
+    form = canonical_product_form(2)
+    entries = [(float(s), form, graph_relation(matrix(float(s)))) for s in np.linspace(0, 1, 21)]
+    relation = sf_relation(entries, lambda s: (form, graph_relation(matrix(s))))
+    assert relation == sf_eigen(HermitianPath.from_callable(matrix, num_samples=21)) == 1
+    with pytest.raises(ValueError, match="sampling-adequacy gate"):
+        sf_relation(entries)
+
+
+def test_hermitian_path_calls_its_callback_once_per_parameter():
+    calls = []
+
+    def matrix(s: float) -> np.ndarray:
+        return np.diag([10.0 * (s - 0.3), 0.5]).astype(complex)
+
+    def fn(s: float) -> np.ndarray:
+        calls.append(s)
+        return matrix(s)
+
+    grid = np.linspace(0.0, 1.0, 5)
+    path = HermitianPath(tuple((float(s), HermitianMatrix(matrix(s))) for s in grid), fn)
+    first = eigenvalue_curves(path)
+    assert eigenvalue_curves(path).tobytes() == first.tobytes()
+    for s in first[:, 0]:
+        assert np.array_equal(path.evaluate(s).matrix, matrix(s))
+    assert calls and not set(calls) & set(grid.tolist())
+    assert len(calls) == len(set(calls)) == len(first) - len(grid)
+
+
 def test_eigenvalue_curves_are_refined_and_ordered():
     path = HermitianPath.from_callable(
         lambda s: np.diag([10.0 * (s - 0.3), 0.5]), num_samples=5
