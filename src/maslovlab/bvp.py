@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 from .frames import Frame, HermitianMatrix, exceeds_scaled_tol, orthonormalize
 from .maslov import LagrangianPairPath, maslov_winding
 from .spectral import HermitianPath, eigenvalue_curves, flow_of_curves
-from .symplectic import SymplecticForm, classify
+from .symplectic import SymplecticForm, classify, direct_sum
 
 __all__ = [
     "HamiltonianFamily",
@@ -176,7 +176,8 @@ def green_form(fam: HamiltonianFamily) -> SymplecticForm:
     whose matrix is blockdiag(-J0, +J0) in the convention
     omega(x, y) = y^H J x used throughout.
     """
-    return SymplecticForm(scipy.linalg.block_diag(-fam.j0, fam.j0))
+    j0 = SymplecticForm(fam.j0)
+    return direct_sum(j0, j0, signs=(-1, 1))
 
 
 def _c_matrix(fam: HamiltonianFamily, s: float, t: float) -> np.ndarray:
@@ -561,7 +562,7 @@ def _splitting(
 
     k = fam.dim
     eye = np.eye(k, dtype=complex)
-    form = SymplecticForm(scipy.linalg.block_diag(-fam.j0, fam.j0))
+    form = green_form(fam)
 
     def pair(t: float):
         minus = propagator(fam, t, 0.0, cut, ode_tol)

@@ -80,7 +80,7 @@ from .spectral import (
     graph_relation,
     sf_relation,
 )
-from .symplectic import SymplecticForm
+from .symplectic import SymplecticForm, direct_sum
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -589,10 +589,8 @@ def _suite_direct_sum(trials: int, seed: int, tols: Tolerances) -> int:
         path_a = rotating_pair_path(rng_from_seed((0xD5A0, seed, trial)), dim=2)
         path_b = rotating_pair_path(rng_from_seed((0xD5A1, seed, trial)), dim=4)
         # Each summand carries one constant form, so the summed form is
-        # built, checked and split once per trial.
-        form = SymplecticForm(
-            scipy.linalg.block_diag(path_a.samples[0].form.j, path_b.samples[0].form.j)
-        )
+        # built from their eigendata and split once per trial.
+        form = direct_sum(path_a.samples[0].form, path_b.samples[0].form)
 
         def summed_fn(s: float):
             _, lam_a, mu_a = path_a.callback(s)

@@ -106,10 +106,11 @@ class Frame:
 
     @classmethod
     def _of_orthonormal(cls, m: np.ndarray) -> "Frame":
-        """Frame of a complex 2-D array whose columns come out of an SVD.
+        """Frame of a complex 2-D array whose columns are orthonormal by construction.
 
-        LAPACK already returns those columns orthonormal to roundoff, so
-        the construction check is skipped.
+        Columns that come out of an SVD are orthonormal to roundoff, and
+        so are the columns of a block-diagonal array of frames, so the
+        construction check is skipped.
         """
         frame = object.__new__(cls)
         object.__setattr__(frame, "matrix", m)
@@ -209,6 +210,22 @@ def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:
     non-finite input.
     """
     return not defect <= tol and defect > tol * max(1.0, np.linalg.norm(a, 2))
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Complex block-diagonal matrix of 2-D blocks.
+
+    The values of ``scipy.linalg.block_diag``, without its per-call
+    overhead, which is most of its cost on the small blocks used here.
+    """
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=complex)
+    row = col = 0
+    for b in blocks:
+        out[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return out
 
 
 def orthonormalize(matrix, rank_tol: float = RANK_TOL, scale_floor: float | None = None) -> Frame:

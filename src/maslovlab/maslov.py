@@ -32,6 +32,7 @@ from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
+    _block_diag,
     exceeds_scaled_tol,
     gap_hat,
     intersect,
@@ -50,6 +51,7 @@ from .reduction import (
 from .symplectic import (
     SymplecticForm,
     classify,
+    direct_sum,
     lagrangian_generator,
     lagrangian_generators,
     lagrangian_mask,
@@ -139,6 +141,22 @@ def _consecutive_gaps(frames: list[Frame]) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - cosines**2, 0.0, 1.0))
 
 
+def _form_distances(samples) -> list[float | None]:
+    """||J_b - J_a||_2 for each step, None where both samples carry one form object.
+
+    The largest singular values of all the differences come from one
+    stacked SVD, the same LAPACK call per matrix as ``np.linalg.norm``.
+    """
+    steps = [(a.form, b.form) for a, b in zip(samples, samples[1:])]
+    moved = [i for i, (fa, fb) in enumerate(steps) if fb is not fa]
+    out: list[float | None] = [None] * len(steps)
+    if moved:
+        diffs = np.stack([steps[i][1].j - steps[i][0].j for i in moved])
+        for i, norm in zip(moved, np.linalg.svd(diffs, compute_uv=False)[:, 0]):
+            out[i] = norm
+    return out
+
+
 def _sampling_failures(samples) -> Iterator[str | None]:
     """Why each step between consecutive samples fails the sampling-adequacy gate.
 
@@ -149,8 +167,7 @@ def _sampling_failures(samples) -> Iterator[str | None]:
         _consecutive_gaps([smp.lam for smp in samples]),
         _consecutive_gaps([smp.mu for smp in samples]),
     )
-    for a, b, step in zip(samples, samples[1:], steps):
-        dj = None if b.form is a.form else np.linalg.norm(b.form.j - a.form.j, 2)
+    for a, b, step, dj in zip(samples, samples[1:], steps, _form_distances(samples)):
         if step >= _GATE_DELTA:
             yield (
                 f"sampling-adequacy gate: consecutive subspace gap {step:.3f} "
@@ -165,8 +182,20 @@ def _sampling_failures(samples) -> Iterator[str | None]:
             yield None
 
 
-def _refined_samples(samples, callback: PathCallback) -> tuple[PathSample, ...]:
-    """The samples, with callback values inserted until every step passes the gate."""
+class _GatedSamples(tuple):
+    """Path samples each of whose steps has already passed the sampling gate.
+
+    :func:`_refined_path` builds them, and :class:`LagrangianPairPath`
+    then runs every construction check but that gate.
+    """
+
+
+def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
+    """The path through the samples, with callback values inserted until every step passes the gate.
+
+    Each step is gated once, here; the constructor does not gate the
+    refined samples again, but still checks them as Lagrangian.
+    """
 
     def step(s_a, a: PathSample, s_b, b: PathSample) -> PathSample | str:
         return next(_sampling_failures((a, b))) or b
@@ -178,7 +207,7 @@ def _refined_samples(samples, callback: PathCallback) -> tuple[PathSample, ...]:
     for a, b, failure in zip(samples, samples[1:], _sampling_failures(samples)):
         rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
         out.extend(smp for _, smp in rows)
-    return tuple(out)
+    return LagrangianPairPath(_GatedSamples(out), callback)
 
 
 @dataclass(frozen=True)
@@ -207,6 +236,7 @@ class LagrangianPairPath:
     _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        gated = isinstance(self.samples, _GatedSamples)
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
         memo = Memo([smp.s for smp in samples], [(smp.form, smp.lam, smp.mu) for smp in samples])
@@ -225,6 +255,8 @@ class LagrangianPairPath:
                         f"sample at s={smp.s:.6f}: {name} is {kind}, not lagrangian"
                     )
             self._checked.add((smp.s, RANK_TOL))
+        if gated:
+            return
         failure = next((f for f in _sampling_failures(samples) if f is not None), None)
         if failure is not None:
             raise ValueError(failure)
@@ -242,7 +274,7 @@ class LagrangianPairPath:
             raise ValueError("need at least two samples")
         grid = np.linspace(0.0, 1.0, num_samples)
         samples = tuple(PathSample(float(s), *fn(float(s))) for s in grid)
-        return cls(_refined_samples(samples, fn), callback=fn)
+        return _refined_path(samples, fn)
 
     @property
     def dim(self) -> int:
@@ -1268,27 +1300,16 @@ def hormander(
 
 def _doubled_sample(
     form: SymplecticForm, lam: Frame, mu: Frame, flip_first: bool
-) -> tuple[SymplecticForm, Frame, Frame]:
-    n = form.dim
-    sign = -1.0 if flip_first else 1.0
-    j2 = np.block(
-        [
-            [sign * form.j, np.zeros((n, n))],
-            [np.zeros((n, n)), -sign * form.j],
-        ]
-    )
-    form2 = SymplecticForm(j2)
-    pair_frame = Frame(
-        np.block(
-            [
-                [lam.matrix, np.zeros((n, mu.dim))],
-                [np.zeros((n, lam.dim)), mu.matrix],
-            ]
-        )
-    )
-    eye = np.eye(n)
-    diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
-    return form2, pair_frame, diagonal
+) -> tuple[SymplecticForm, Frame]:
+    """The doubled form J (+) -J (or -J (+) J) and the lifted pair lam (+) mu.
+
+    The form comes from ``form``'s eigendata (:func:`direct_sum`), and
+    a block-diagonal frame of two orthonormal frames is orthonormal, so
+    nothing here decomposes or re-checks a 2N x 2N matrix.
+    """
+    sign = -1 if flip_first else 1
+    pair = Frame._of_orthonormal(_block_diag([lam.matrix, mu.matrix]))
+    return direct_sum(form, form, signs=(sign, -sign)), pair
 
 
 def diagonal_lift(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> MaslovResult:
@@ -1301,10 +1322,12 @@ def diagonal_lift(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> Maslo
     the lift in the oppositely doubled form. The lifted evaluation is
     returned.
     """
+    eye = np.eye(path.dim)
+    diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
 
     def lifted(flip_first: bool, swap: bool) -> LagrangianPairPath:
         def fn(s: float):
-            form2, pair_frame, diagonal = _doubled_sample(*path.evaluate(s), flip_first)
+            form2, pair_frame = _doubled_sample(*path.evaluate(s), flip_first)
             return (form2, diagonal, pair_frame) if swap else (form2, pair_frame, diagonal)
 
         samples = tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)

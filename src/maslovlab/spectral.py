@@ -31,7 +31,7 @@ from .frames import (
     intersect,
     orthonormalize,
 )
-from .maslov import LagrangianPairPath, PathSample, _refined_samples, maslov_winding
+from .maslov import LagrangianPairPath, PathSample, _refined_path, maslov_winding
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .symplectic import SymplecticForm, annihilator
 
@@ -254,7 +254,8 @@ def cayley(a) -> np.ndarray:
     defect = np.linalg.norm(transform.conj().T @ transform - eye, 2)
     if defect > _UNITARY_TOL:
         raise ArithmeticError(f"Cayley transform unitarity defect {defect:.3e}")
-    mapped = np.sort_complex((hermitian_eig(mat)[0] - 1j) / (hermitian_eig(mat)[0] + 1j))
+    vals = hermitian_eig(mat)[0]
+    mapped = np.sort_complex((vals - 1j) / (vals + 1j))
     actual = np.linalg.eigvals(transform)
     cost = np.abs(mapped[:, None] - actual[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
@@ -406,11 +407,12 @@ def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:
         PathSample(float(s), form, rel.subspace, horizontal)
         for s, form, rel in entries
     )
-    pair_callback = None
-    if callback is not None:
+    if callback is None:
+        path = LagrangianPairPath(samples)
+    else:
         def pair_callback(s: float):
             form, rel = callback(s)
             return form, rel.subspace, horizontal
 
-        samples = _refined_samples(samples, pair_callback)
-    return maslov_winding(LagrangianPairPath(samples, pair_callback), rank_tol).mas_minus
+        path = _refined_path(samples, pair_callback)
+    return maslov_winding(path, rank_tol).mas_minus

@@ -22,7 +22,8 @@ import numpy as np
 from .frames import (
     RANK_TOL,
     Frame,
-    default_zero_tol,
+    _block_diag,
+    exceeds_scaled_tol,
     gap_delta,
     hermitian_eig,
     intersect,
@@ -33,6 +34,7 @@ from .frames import (
 __all__ = [
     "SymplecticForm",
     "SymplecticSplitting",
+    "direct_sum",
     "standard_form",
     "omega_eval",
     "omega_matrix",
@@ -55,15 +57,21 @@ __all__ = [
 class SymplecticForm:
     """Invertible skew-Hermitian matrix defining omega(x, y) = y^H J x.
 
-    Construction symmetrizes away anti-skew noise below 1e-12 (relative)
-    and rejects anything larger, as well as matrices with smallest
-    singular value below 1e-10 times the largest. The 0x0 form is allowed
-    and represents the trivial symplectic space, which shows up as the
-    reduction of a Lagrangian subspace by itself.
+    Construction rejects non-finite entries, symmetrizes away anti-skew
+    noise below 1e-12 (relative) and rejects anything larger, as well as
+    matrices whose smallest singular value is at most 1e-10 times the
+    largest. The 0x0 form is allowed and represents the trivial
+    symplectic space, which shows up as the reduction of a Lagrangian
+    subspace by itself.
 
-    The smallest singular value found by the construction check is kept
-    as ``sigma_min``, and the default splitting is computed on first use
-    and then kept with the form (see :func:`splitting`).
+    The check runs one Hermitian eigendecomposition of H = -iJ and keeps
+    it as ``eig`` (eigenvalues ascending, eigenvectors as columns). The
+    singular values of J are the moduli of those eigenvalues, so the
+    smallest one is kept as ``sigma_min``, and the splitting (see
+    :func:`splitting`) and :func:`normalize_strong` read ``eig`` instead
+    of decomposing again. The default splitting is computed on first use
+    and then kept with the form. :func:`direct_sum` builds a form from
+    its summands' ``eig`` without decomposing at all.
     """
 
     j: np.ndarray
@@ -72,22 +80,24 @@ class SymplecticForm:
         j = np.asarray(self.j, dtype=complex)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError("form matrix must be square")
-        if j.shape[0] == 0:
-            object.__setattr__(self, "j", j.reshape(0, 0))
-            object.__setattr__(self, "sigma_min", 0.0)
-            return
+        if j.size and not np.isfinite(j).all():
+            raise ValueError("form matrix has non-finite entries")
         skew = (j - j.conj().T) / 2.0
-        scale = max(1.0, np.linalg.norm(j, 2))
-        if np.max(np.abs(j - skew)) > 1e-12 * scale:
-            raise ValueError(
-                "form matrix is not skew-Hermitian "
-                f"(residual {np.max(np.abs(j - skew)):.3e})"
-            )
-        s = np.linalg.svd(skew, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
+        defect = np.max(np.abs(j - skew), initial=0.0)
+        if exceeds_scaled_tol(defect, j, 1e-12):
+            raise ValueError(f"form matrix is not skew-Hermitian (residual {defect:.3e})")
+        h = -1j * skew
+        self._set(skew, *hermitian_eig((h + h.conj().T) / 2.0))
+
+    def _set(self, j: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+        """Store J and the eigenpairs of -iJ, after the singular gate."""
+        moduli = np.abs(vals)
+        sigma_min = float(moduli.min()) if moduli.size else 0.0
+        if moduli.size and sigma_min <= 1e-10 * moduli.max():
             raise ValueError("form matrix is numerically singular")
-        object.__setattr__(self, "j", skew)
-        object.__setattr__(self, "sigma_min", float(s[-1]))
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "eig", (vals, vecs))
+        object.__setattr__(self, "sigma_min", sigma_min)
 
     @property
     def dim(self) -> int:
@@ -96,6 +106,30 @@ class SymplecticForm:
     @cached_property
     def _default_splitting(self) -> "SymplecticSplitting":
         return _split(self, None)
+
+
+def direct_sum(*forms: SymplecticForm, signs=None) -> SymplecticForm:
+    """The form sign_1 J_1 (+) ... (+) sign_k J_k on the direct sum of the spaces.
+
+    ``signs`` holds one of +1 and -1 per summand (default all +1). The
+    matrix is that of ``SymplecticForm(block_diag(...))``, bit for bit,
+    and so is the singular gate, but no decomposition runs: the
+    eigenpairs of -i(-J) are (-lambda, v), and those of a block-diagonal
+    matrix are its blocks' eigenpairs padded with zeros. The eigenvectors
+    may differ from a fresh decomposition by a unitary inside each
+    eigenspace, so the splitting subspaces agree to roundoff while their
+    frames need not.
+    """
+    signs = (1,) * len(forms) if signs is None else tuple(signs)
+    if len(signs) != len(forms) or any(sign not in (1, -1) for sign in signs):
+        raise ValueError("direct_sum needs one sign, +1 or -1, per summand")
+    j = _block_diag([sign * form.j for sign, form in zip(signs, forms)])
+    vals = np.concatenate([sign * form.eig[0] for sign, form in zip(signs, forms)])
+    order = np.argsort(vals, kind="stable")
+    vecs = _block_diag([form.eig[1] for form in forms])[:, order]
+    out = object.__new__(SymplecticForm)
+    out._set((j - j.conj().T) / 2.0, vals[order], vecs)
+    return out
 
 
 def standard_form(n: int) -> SymplecticForm:
@@ -216,10 +250,14 @@ class SymplecticSplitting:
 def splitting(form: SymplecticForm, zero_tol: float | None = None) -> SymplecticSplitting:
     """Split C^N into the definite eigenspaces of -iJ.
 
+    The eigenspaces are read off the eigendecomposition the form keeps
+    from its construction (``form.eig``); no decomposition runs here.
     Raises if any eigenvalue of -iJ sits within the zero tolerance of 0
-    (the form would be degenerate at working precision). The splitting
-    at the default tolerance is computed once per form object and kept
-    on it, so paths that carry one form for every s split it once.
+    (the form would be degenerate at working precision). The default
+    tolerance is 1e-9 * max(1, ||J||_2), with ||J||_2 the largest
+    eigenvalue modulus. The splitting at the default tolerance is
+    computed once per form object and kept on it, so paths that carry
+    one form for every s split it once.
     """
     if zero_tol is None:
         return form._default_splitting
@@ -227,12 +265,11 @@ def splitting(form: SymplecticForm, zero_tol: float | None = None) -> Symplectic
 
 
 def _split(form: SymplecticForm, zero_tol: float | None) -> SymplecticSplitting:
-    h = -1j * form.j
-    h = (h + h.conj().T) / 2.0
+    vals, vecs = form.eig
+    moduli = np.abs(vals)
     if zero_tol is None:
-        zero_tol = default_zero_tol(h)
-    vals, vecs = hermitian_eig(h)
-    if np.min(np.abs(vals)) <= zero_tol:
+        zero_tol = 1e-9 * max(1.0, moduli.max(initial=0.0))
+    if np.min(moduli) <= zero_tol:
         raise ValueError("splitting is degenerate: -iJ has a near-zero eigenvalue")
     minus = Frame(vecs[:, vals < 0])
     plus = Frame(vecs[:, vals > 0])
@@ -260,9 +297,7 @@ def normalize_strong(form: SymplecticForm):
     (J' = i sign(H), T = |H|^(1/2)) satisfying T^H J' T = J. The
     splitting eigenspaces of J' coincide with those of J.
     """
-    h = -1j * form.j
-    h = (h + h.conj().T) / 2.0
-    vals, vecs = hermitian_eig(h)
+    vals, vecs = form.eig
     sign = (vecs * np.sign(vals)) @ vecs.conj().T
     t = (vecs * np.sqrt(np.abs(vals))) @ vecs.conj().T
     jn = 1j * sign

@@ -360,6 +360,74 @@ def test_direct_constructor_validates_without_refining():
         LagrangianPairPath(samples, steep_graph)
 
 
+def varying_form_line_path(num_samples: int = 9, stretch: float = 1.0):
+    """A fixed line against the horizontal under J(s) = (1 + stretch s) J2."""
+    lam = line(0.7)
+
+    def fn(s: float):
+        return SymplecticForm((1.0 + stretch * s) * FORM2.j), lam, MU_HORIZONTAL
+
+    return fn, tuple(PathSample(float(s), *fn(float(s))) for s in np.linspace(0.0, 1.0, num_samples))
+
+
+def test_form_distances_match_one_norm_per_step():
+    rng = rng_from_seed(42)
+    forms = [random_symplectic_form(rng, 4) for _ in range(5)]
+    forms[3] = forms[2]
+    lam = Frame.empty(4)
+    samples = [PathSample(s, form, lam, lam) for s, form in zip(np.linspace(0.0, 1.0, 5), forms)]
+    got = maslov._form_distances(samples)
+    assert got[2] is None
+    for a, b, dj in zip(samples, samples[1:], got):
+        if dj is not None:
+            assert dj == np.linalg.norm(b.form.j - a.form.j, 2)
+
+
+def test_form_distance_gate_fires_and_refines():
+    fn, samples = varying_form_line_path(num_samples=2, stretch=3.0)
+    with pytest.raises(ValueError, match="consecutive form distance"):
+        LagrangianPairPath(samples, fn)
+    path = LagrangianPairPath.from_callable(fn, num_samples=2)
+    assert len(path.samples) > 2
+
+
+def test_from_callable_gates_each_step_once(monkeypatch):
+    calls = []
+    failures = maslov._sampling_failures
+
+    def counted(samples):
+        calls.append(len(samples))
+        return failures(samples)
+
+    monkeypatch.setattr(maslov, "_sampling_failures", counted)
+    LagrangianPairPath.from_callable(varying_form_line_path()[0], num_samples=9)
+    assert calls == [9]
+    calls.clear()
+    LagrangianPairPath.from_callable(steep_graph, num_samples=21)
+    # One pass over the grid, then one call per step that refinement tries.
+    assert calls[0] == 21 and all(n == 2 for n in calls[1:]) and len(calls) > 1
+
+
+def test_diagonal_lift_decomposes_no_doubled_matrix(monkeypatch):
+    from maslovlab import frames, symplectic
+
+    path = rotation_pair_path(41, dim=4, num_samples=17)
+    shapes = []
+
+    def counted(fn):
+        def wrapper(a):
+            shapes.append(np.shape(a))
+            return fn(a)
+        return wrapper
+
+    monkeypatch.setattr(symplectic, "hermitian_eig", counted(symplectic.hermitian_eig))
+    monkeypatch.setattr(frames, "hermitian_eig", counted(frames.hermitian_eig))
+    result = diagonal_lift(path)
+    direct = maslov_winding(path)
+    assert (result.mas_plus, result.mas_minus) == (direct.mas_plus, direct.mas_minus)
+    assert shapes and (8, 8) not in shapes
+
+
 def test_off_grid_non_lagrangian_value_is_rejected():
     """A callback value reached only by refinement is still checked.
 

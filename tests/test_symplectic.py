@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from maslovlab import symplectic
 from maslovlab.frames import Frame, fredholm_pair_index, gap_delta, gap_hat
 from maslovlab.sampling import (
     random_lagrangian,
@@ -16,6 +18,7 @@ from maslovlab.symplectic import (
     SymplecticForm,
     annihilator,
     classify,
+    direct_sum,
     generator_to_frame,
     normalize_strong,
     omega_eval,
@@ -51,6 +54,74 @@ def test_form_constructor_gates():
         SymplecticForm(np.array([[0.0, 1.0], [1.0, 0.0]]))  # not skew
     with pytest.raises(ValueError):
         SymplecticForm(np.zeros((2, 2)))  # singular
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_form_constructor_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        SymplecticForm(np.array([[0.0, -bad], [bad, 0.0]]))
+
+
+def test_form_keeps_one_checked_eigendecomposition_of_minus_i_j():
+    f = random_symplectic_form(rng_from_seed(13), 6)
+    vals, vecs = f.eig
+    h = -1j * f.j
+    assert np.all(np.diff(vals) >= 0)
+    assert np.allclose(h @ vecs, vecs * vals, atol=1e-12)
+    singular = np.linalg.svd(f.j, compute_uv=False)
+    assert f.sigma_min == pytest.approx(singular[-1], rel=1e-12)
+    assert np.abs(vals).max() == pytest.approx(singular[0], rel=1e-12)
+
+
+def test_form_and_splitting_decompose_minus_i_j_once(monkeypatch):
+    j = random_symplectic_form(rng_from_seed(14), 6).j
+    eig_shapes = []
+    norms = []
+
+    def counted_eig(a):
+        eig_shapes.append(np.shape(a))
+        return hermitian_eig(a)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            norms.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    hermitian_eig = symplectic.hermitian_eig
+    monkeypatch.setattr(symplectic, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm))
+    monkeypatch.setattr(scipy.linalg, "svd", counted(scipy.linalg.svd))
+    split = splitting(SymplecticForm(j))
+    assert eig_shapes == [(6, 6)]
+    assert norms == []
+    assert split.x_plus.dim == split.x_minus.dim == 3
+
+
+@pytest.mark.parametrize("signs", [None, (1, -1), (-1, 1), (-1, -1)])
+def test_direct_sum_matches_a_fresh_block_diagonal_form(signs):
+    rng = rng_from_seed(15)
+    a = random_symplectic_form(rng, 4)
+    b = SymplecticForm(3.0 * random_symplectic_form(rng, 2).j)
+    summed = direct_sum(a, b, signs=signs)
+    sa, sb = (1, 1) if signs is None else signs
+    fresh = SymplecticForm(scipy.linalg.block_diag(sa * a.j, sb * b.j))
+    assert np.array_equal(summed.j, fresh.j)
+    assert summed.sigma_min == pytest.approx(fresh.sigma_min, rel=1e-12, abs=1e-12)
+    got, want = splitting(summed), splitting(fresh)
+    assert gap_hat(got.x_plus, want.x_plus) < 1e-12
+    assert gap_hat(got.x_minus, want.x_minus) < 1e-12
+    assert np.all(np.diff(summed.eig[0]) >= 0)
+
+
+def test_direct_sum_keeps_the_singular_gate():
+    unit = standard_form(1)
+    tiny = SymplecticForm(1e-11 * unit.j)
+    with pytest.raises(ValueError, match="numerically singular"):
+        direct_sum(unit, tiny)
+    with pytest.raises(ValueError, match="numerically singular"):
+        SymplecticForm(scipy.linalg.block_diag(unit.j, tiny.j))
 
 
 def test_annihilator_involution_and_dimension():
