@@ -349,11 +349,9 @@ def _checked_result(
     return MaslovResult(int(mas_plus), int(mas_minus), method, theta_curves, crossings)
 
 
-def _generator_angles(splits, u_lam: np.ndarray, u_mu: np.ndarray) -> np.ndarray:
+def _generator_angles(u_lam: np.ndarray, u_mu: np.ndarray) -> np.ndarray:
     """Angles of W = U_lam U_mu^{-1} for stacks of generators, see _path_angles."""
-    root = np.stack([sp.plus_roots[0] for sp in splits])
-    inv_root = np.stack([sp.plus_roots[1] for sp in splits])
-    vals = np.linalg.eigvals(root @ (u_lam @ np.linalg.inv(u_mu)) @ inv_root)
+    vals = np.linalg.eigvals(u_lam @ np.linalg.inv(u_mu))
     drift = np.max(np.abs(np.abs(vals) - 1.0), axis=-1)
     bad = np.flatnonzero(drift > _UNIT_CIRCLE_TOL)
     if bad.size:
@@ -370,8 +368,8 @@ def _path_angles(path: LagrangianPairPath, s: float, rank_tol: float) -> np.ndar
     U: X^- -> X^+; the quotient W = U_lam U_mu^{-1} is an endomorphism
     of X^+ whose spectrum does not depend on the frames chosen for the
     splitting halves, so per-sample splittings are consistent along a
-    path. W is unitary for the definite metric gram_plus; conjugating
-    by gram_plus^(1/2) makes it unitary on the nose, which keeps the
+    path. The generators are taken in the metric-orthonormal bases of
+    the splitting, so W is an ordinary unitary matrix, which keeps the
     eigenvalue computation stable. lam and mu are checked to be
     Lagrangian at s once per ``rank_tol``.
     """
@@ -385,7 +383,7 @@ def _path_angles(path: LagrangianPairPath, s: float, rank_tol: float) -> np.ndar
         u_lam = unitary_generator(form, lam, split, rank_tol)
         u_mu = unitary_generator(form, mu, split, rank_tol)
         path._checked.add(key)
-    return _generator_angles([split], u_lam[None], u_mu[None])[0]
+    return _generator_angles(u_lam[None], u_mu[None])[0]
 
 
 def _sample_angles(path: LagrangianPairPath, rank_tol: float) -> Iterator[np.ndarray]:
@@ -403,7 +401,7 @@ def _sample_angles(path: LagrangianPairPath, rank_tol: float) -> Iterator[np.nda
             splits = [splitting(f) for f in _shared_forms([smp.form for smp in samples])]
             u_lam = lagrangian_generators(splits, np.stack([smp.lam.matrix for smp in samples]))
             u_mu = lagrangian_generators(splits, np.stack([smp.mu.matrix for smp in samples]))
-            batch = _generator_angles(splits, u_lam, u_mu)
+            batch = _generator_angles(u_lam, u_mu)
         except (ValueError, ArithmeticError):
             batch = None
     if batch is not None:

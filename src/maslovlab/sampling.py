@@ -89,17 +89,13 @@ def random_symplectic_form(rng, dim: int, standard: bool = False):
 
 def random_lagrangian(rng, form, split=None) -> Frame:
     """Random Lagrangian subspace of (C^2n, omega), uniform in the generator."""
-    from .symplectic import generator_to_frame, hermitian_sqrt, splitting
+    from .symplectic import generator_to_frame, splitting
 
     split = splitting(form) if split is None else split
     n = split.x_minus.dim
     if split.x_plus.dim != n:
         raise ValueError("unbalanced splitting admits no Lagrangians")
-    u_std = random_unitary(rng, n)
-    _, gp_inv = hermitian_sqrt(split.gram_plus)
-    gm_root, _ = hermitian_sqrt(split.gram_minus)
-    u = gp_inv @ u_std @ gm_root
-    return generator_to_frame(split, u)
+    return generator_to_frame(split, random_unitary(rng, n))
 
 
 def random_lagrangian_pair(rng, form, intersection_dim: int = 0):
@@ -109,7 +105,7 @@ def random_lagrangian_pair(rng, form, intersection_dim: int = 0):
     ``intersection_dim`` generator eigendirections with it and is rotated
     away by angles bounded off zero elsewhere.
     """
-    from .symplectic import generator_to_frame, hermitian_sqrt, splitting, unitary_generator
+    from .symplectic import generator_to_frame, splitting, unitary_generator
 
     split = splitting(form)
     n = split.x_minus.dim
@@ -117,11 +113,9 @@ def random_lagrangian_pair(rng, form, intersection_dim: int = 0):
         raise ValueError("intersection dimension out of range")
     lam = random_lagrangian(rng, form, split)
     u_lam = unitary_generator(form, lam, split)
-    # In metric-orthonormal coordinates the generators are unitary;
-    # sharing an eigendirection of u_mu u_lam^-1 at eigenvalue 1 is the
-    # same as sharing an intersection direction.
-    gp_root, gp_inv = hermitian_sqrt(split.gram_plus)
-    u_std = gp_root @ u_lam @ hermitian_sqrt(split.gram_minus)[1]
+    # The generators are unitary; sharing an eigendirection of
+    # u_mu u_lam^-1 at eigenvalue 1 is the same as sharing an
+    # intersection direction.
     angles = np.concatenate(
         [
             np.zeros(intersection_dim),
@@ -131,8 +125,7 @@ def random_lagrangian_pair(rng, form, intersection_dim: int = 0):
     )
     w = random_unitary(rng, n)
     rot = (w * np.exp(1j * angles)) @ w.conj().T
-    u_mu = gp_inv @ (rot @ u_std) @ hermitian_sqrt(split.gram_minus)[0]
-    mu = generator_to_frame(split, u_mu)
+    mu = generator_to_frame(split, rot @ u_lam)
     return lam, mu
 
 
@@ -173,54 +166,38 @@ def perturb_lagrangian(rng, form, lam, scale: float) -> Frame:
     """Small random motion of a Lagrangian that stays Lagrangian.
 
     Twists the unitary generator by exp(i * scale * H) for a random
-    Hermitian H of unit norm, conjugated into the metric of the
-    splitting so the result is again a generator.
+    Hermitian H of unit norm, so the result is again a generator.
     """
     import scipy.linalg
 
-    from .symplectic import (
-        generator_to_frame,
-        hermitian_sqrt,
-        splitting,
-        unitary_generator,
-    )
+    from .symplectic import generator_to_frame, splitting, unitary_generator
 
     split = splitting(form)
     u = unitary_generator(form, lam, split)
-    gm_root, gm_inv = hermitian_sqrt(split.gram_minus)
     h = random_hermitian(rng, lam.dim)
     h = h / max(1.0, np.linalg.norm(h, 2))
-    twist = gm_inv @ scipy.linalg.expm(1j * scale * h) @ gm_root
-    return generator_to_frame(split, u @ twist)
+    return generator_to_frame(split, u @ scipy.linalg.expm(1j * scale * h))
 
 
 def lagrangian_rotation(rng, form, lam, scale: float = 1.0):
     """Callable s -> Frame rotating a Lagrangian along a random flow.
 
-    The unitary generator of ``lam`` is multiplied by the metric
-    conjugate of exp(i * s * scale * H) for one random Hermitian H, so
-    the returned family interpolates smoothly from lam at s=0 and every
-    member is Lagrangian for ``form``. Useful as the lam leg of a
-    random pair path.
+    The unitary generator of ``lam`` is multiplied by
+    exp(i * s * scale * H) for one random Hermitian H, so the returned
+    family interpolates smoothly from lam at s=0 and every member is
+    Lagrangian for ``form``. Useful as the lam leg of a random pair path.
     """
     import scipy.linalg
 
-    from .symplectic import (
-        generator_to_frame,
-        hermitian_sqrt,
-        splitting,
-        unitary_generator,
-    )
+    from .symplectic import generator_to_frame, splitting, unitary_generator
 
     split = splitting(form)
     u = unitary_generator(form, lam, split)
-    gm_root, gm_inv = hermitian_sqrt(split.gram_minus)
     h = random_hermitian(rng, lam.dim)
     h = h / max(1.0, np.linalg.norm(h, 2))
 
     def at(s: float) -> Frame:
-        twist = gm_inv @ scipy.linalg.expm(1j * scale * s * h) @ gm_root
-        return generator_to_frame(split, u @ twist)
+        return generator_to_frame(split, u @ scipy.linalg.expm(1j * scale * s * h))
 
     return at
 

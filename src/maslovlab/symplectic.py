@@ -10,6 +10,13 @@ definite on X^-, positive definite on X^+, and the two eigenspaces are
 omega-orthogonal. Every Lagrangian subspace is the graph of a unitary
 generator U: X^- -> X^+ with respect to the induced definite metrics,
 written as lambda = {v + U v : v in X^-}.
+
+The splitting is read off the eigendecomposition of -iJ that every form
+keeps. An eigenvector x with eigenvalue lambda has metric norm
+sqrt(|lambda|), so in the bases x / sqrt(|lambda|) both definite
+metrics are the identity. Generators are computed in those bases, where
+a subspace is Lagrangian exactly when its generator is an ordinary
+unitary matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ __all__ = [
     "lagrangian_mask",
     "generator_to_frame",
     "transform_form",
-    "hermitian_sqrt",
 ]
 
 
@@ -69,7 +75,7 @@ class SymplecticForm:
     singular values of J are the moduli of those eigenvalues, so the
     smallest one is kept as ``sigma_min``, and the splitting (see
     :func:`splitting`) and :func:`normalize_strong` read ``eig`` instead
-    of decomposing again. The default splitting is computed on first use
+    of decomposing again. The splitting is computed on first use
     and then kept with the form. :func:`direct_sum` builds a form from
     its summands' ``eig`` without decomposing at all.
     """
@@ -104,8 +110,13 @@ class SymplecticForm:
         return self.j.shape[0]
 
     @cached_property
-    def _default_splitting(self) -> "SymplecticSplitting":
-        return _split(self, None)
+    def _splitting(self) -> "SymplecticSplitting":
+        vals, vecs = self.eig
+        roots = np.sqrt(np.abs(vals))
+        plus, minus = vals > 0, vals < 0
+        return SymplecticSplitting(
+            Frame(vecs[:, plus]), Frame(vecs[:, minus]), roots[plus], roots[minus]
+        )
 
 
 def direct_sum(*forms: SymplecticForm, signs=None) -> SymplecticForm:
@@ -224,70 +235,32 @@ def classify(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_TOL) -> st
 class SymplecticSplitting:
     """Eigenspace splitting of -iJ with the induced definite metrics.
 
-    ``x_plus`` and ``x_minus`` are orthonormal frames for the positive
-    and negative eigenspaces. ``gram_plus`` is the Gram matrix of the
-    positive definite form -i*omega on x_plus, ``gram_minus`` that of
-    +i*omega on x_minus (both Hermitian positive definite, diagonal when
-    the frames are eigenvector bases).
+    ``x_plus`` and ``x_minus`` are orthonormal eigenvector frames for the
+    positive and negative eigenspaces, ``root_plus`` and ``root_minus``
+    the square roots of the moduli of their eigenvalues. The definite
+    metrics (-i*omega on X^+, +i*omega on X^-) are diagonal in these
+    frames with entries root**2, so the columns of x_plus / root_plus
+    and x_minus / root_minus are metric-orthonormal.
     """
 
     x_plus: Frame
     x_minus: Frame
-    gram_plus: np.ndarray
-    gram_minus: np.ndarray
-
-    @cached_property
-    def plus_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """gram_plus^(1/2) and gram_plus^(-1/2), see :func:`hermitian_sqrt`."""
-        return hermitian_sqrt(self.gram_plus)
-
-    @cached_property
-    def metric_scale(self) -> float:
-        """max(1, ||gram_minus||), the scale of the generator unitarity gate."""
-        return max(1.0, np.linalg.norm(self.gram_minus, 2))
+    root_plus: np.ndarray
+    root_minus: np.ndarray
 
 
-def splitting(form: SymplecticForm, zero_tol: float | None = None) -> SymplecticSplitting:
+def splitting(form: SymplecticForm) -> SymplecticSplitting:
     """Split C^N into the definite eigenspaces of -iJ.
 
-    The eigenspaces are read off the eigendecomposition the form keeps
-    from its construction (``form.eig``); no decomposition runs here.
-    Raises if any eigenvalue of -iJ sits within the zero tolerance of 0
-    (the form would be degenerate at working precision). The default
-    tolerance is 1e-9 * max(1, ||J||_2), with ||J||_2 the largest
-    eigenvalue modulus. The splitting at the default tolerance is
-    computed once per form object and kept on it, so paths that carry
-    one form for every s split it once.
+    The eigenspaces and their eigenvalues are read off the
+    eigendecomposition the form keeps from its construction
+    (``form.eig``); no decomposition runs here. The form's singular gate
+    already keeps every eigenvalue away from 0 relative to the largest,
+    so no further threshold applies. The splitting is computed once per
+    form object and kept on it, so paths that carry one form for every s
+    split it once.
     """
-    if zero_tol is None:
-        return form._default_splitting
-    return _split(form, zero_tol)
-
-
-def _split(form: SymplecticForm, zero_tol: float | None) -> SymplecticSplitting:
-    vals, vecs = form.eig
-    moduli = np.abs(vals)
-    if zero_tol is None:
-        zero_tol = 1e-9 * max(1.0, moduli.max(initial=0.0))
-    if np.min(moduli) <= zero_tol:
-        raise ValueError("splitting is degenerate: -iJ has a near-zero eigenvalue")
-    minus = Frame(vecs[:, vals < 0])
-    plus = Frame(vecs[:, vals > 0])
-    gram_plus = -1j * (plus.matrix.conj().T @ form.j @ plus.matrix)
-    gram_minus = 1j * (minus.matrix.conj().T @ form.j @ minus.matrix)
-    gram_plus = (gram_plus + gram_plus.conj().T) / 2.0
-    gram_minus = (gram_minus + gram_minus.conj().T) / 2.0
-    return SymplecticSplitting(plus, minus, gram_plus, gram_minus)
-
-
-def hermitian_sqrt(a: np.ndarray):
-    """Square root and inverse square root of a Hermitian positive definite matrix."""
-    vals, vecs = hermitian_eig(a)
-    if np.min(vals) <= 0:
-        raise ValueError("matrix is not positive definite")
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return root, inv_root
+    return form._splitting
 
 
 def normalize_strong(form: SymplecticForm):
@@ -313,9 +286,12 @@ def unitary_generator(
 ) -> np.ndarray:
     """Coordinate matrix of the generator U: X^- -> X^+ of a Lagrangian.
 
-    The returned matrix maps x_minus coordinates to x_plus coordinates,
-    so that lam = span(x_minus + x_plus @ U). It is unitary with respect
-    to the induced metrics: U^H gram_plus U = gram_minus to 1e-10.
+    The matrix is taken in the metric-orthonormal bases of the splitting:
+    it maps coordinates on x_minus / root_minus to coordinates on
+    x_plus / root_plus, so that
+    lam = span(x_minus / root_minus + (x_plus / root_plus) @ U). A
+    subspace is Lagrangian exactly when U is unitary, and the gate
+    checks ||U^H U - I||_max <= 1e-10.
 
     Raises
     ------
@@ -342,8 +318,8 @@ def _require_balanced(split: SymplecticSplitting) -> None:
 def lagrangian_generator(split: SymplecticSplitting, lam: Frame) -> np.ndarray:
     """Generator of a subspace already known to be Lagrangian.
 
-    Same result and metric-unitarity gate as :func:`unitary_generator`
-    without classifying ``lam`` again; for callers that verified it.
+    Same result and unitarity gate as :func:`unitary_generator` without
+    classifying ``lam`` again; for callers that verified it.
     """
     return lagrangian_generators([split], lam.matrix[None])[0]
 
@@ -359,24 +335,28 @@ def lagrangian_generators(splits, frames: np.ndarray) -> np.ndarray:
         _require_balanced(split)
     x_minus = np.stack([sp.x_minus.matrix for sp in splits])
     x_plus = np.stack([sp.x_plus.matrix for sp in splits])
-    gram_plus = np.stack([sp.gram_plus for sp in splits])
-    gram_minus = np.stack([sp.gram_minus for sp in splits])
-    scale = np.array([sp.metric_scale for sp in splits])
+    root_plus = np.stack([sp.root_plus for sp in splits])[..., :, None]
+    root_minus = np.stack([sp.root_minus for sp in splits])[..., None, :]
     c_minus = x_minus.conj().swapaxes(-1, -2) @ frames
     c_plus = x_plus.conj().swapaxes(-1, -2) @ frames
     u = np.linalg.solve(c_minus.swapaxes(-1, -2), c_plus.swapaxes(-1, -2)).swapaxes(-1, -2)
-    res = np.abs(u.conj().swapaxes(-1, -2) @ gram_plus @ u - gram_minus).max(axis=(-2, -1))
-    bad = np.flatnonzero(res > 1e-10 * scale)
+    u = root_plus * u / root_minus
+    res = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(res > 1e-10)
     if bad.size:
-        raise ArithmeticError(
-            f"generator fails metric unitarity (residual {res[bad[0]]:.3e})"
-        )
+        raise ArithmeticError(f"generator fails unitarity (residual {res[bad[0]]:.3e})")
     return u
 
 
 def generator_to_frame(split: SymplecticSplitting, u: np.ndarray) -> Frame:
-    """Lagrangian frame {v + U v} from a generator in splitting coordinates."""
-    return orthonormalize(split.x_minus.matrix + split.x_plus.matrix @ u)
+    """Lagrangian frame {v + U v : v in X^-} from a unitary generator.
+
+    ``u`` is in the metric-orthonormal bases of :func:`unitary_generator`.
+    The frame orthonormalizes the graphs of the orthonormal eigenvectors
+    x_minus, whose metric coordinates are root_minus.
+    """
+    graph = split.x_plus.matrix @ (u * split.root_minus / split.root_plus[:, None])
+    return orthonormalize(split.x_minus.matrix + graph)
 
 
 def transform_form(form: SymplecticForm, l: np.ndarray) -> SymplecticForm:

@@ -425,7 +425,26 @@ def test_diagonal_lift_decomposes_no_doubled_matrix(monkeypatch):
     result = diagonal_lift(path)
     direct = maslov_winding(path)
     assert (result.mas_plus, result.mas_minus) == (direct.mas_plus, direct.mas_minus)
-    assert shapes and (8, 8) not in shapes
+    assert shapes == []
+
+
+def _rescaled(path: LagrangianPairPath, c: float) -> LagrangianPairPath:
+    """The same Lagrangian legs under the constant form c J."""
+    form = SymplecticForm(c * path.samples[0].form.j)
+    return LagrangianPairPath.from_callable(
+        lambda s: (form, *path.evaluate(s)[1:]), num_samples=len(path.samples)
+    )
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_counts_are_invariant_under_rescaling_the_form(c):
+    for path in (benchmark_pair_path(), rotation_pair_path(43, dim=6, num_samples=33)):
+        want = maslov_winding(path)
+        want = (want.mas_plus, want.mas_minus)
+        scaled = _rescaled(path, c)
+        for route in (maslov_winding, diagonal_lift, maslov_reduced):
+            got = route(scaled)
+            assert (got.mas_plus, got.mas_minus) == want, route.__name__
 
 
 def test_off_grid_non_lagrangian_value_is_rejected():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from maslovlab import symplectic
+from maslovlab import frames, symplectic
 from maslovlab.frames import Frame, fredholm_pair_index, gap_delta, gap_hat
 from maslovlab.sampling import (
+    lagrangian_rotation,
+    perturb_lagrangian,
     random_lagrangian,
     random_lagrangian_pair,
     random_symplectic_form,
@@ -20,6 +22,7 @@ from maslovlab.symplectic import (
     classify,
     direct_sum,
     generator_to_frame,
+    lagrangian_generator,
     normalize_strong,
     omega_eval,
     omega_matrix,
@@ -171,7 +174,8 @@ def test_splitting_scale_invariance():
     s2 = splitting(SymplecticForm(2.0 * f.j))
     assert gap_hat(s1.x_plus, s2.x_plus) < 1e-12
     assert gap_hat(s1.x_minus, s2.x_minus) < 1e-12
-    assert np.allclose(s2.gram_plus, 2.0 * s1.gram_plus)
+    assert np.allclose(s2.root_plus, np.sqrt(2.0) * s1.root_plus)
+    assert np.allclose(s2.root_minus, np.sqrt(2.0) * s1.root_minus)
 
 
 def test_normalize_strong_properties():
@@ -195,10 +199,41 @@ def test_unitary_generator_round_trip():
         s = splitting(f)
         lam = random_lagrangian(rng, f, s)
         u = unitary_generator(f, lam, s)
-        res = u.conj().T @ s.gram_plus @ u - s.gram_minus
-        assert np.max(np.abs(res)) < 1e-10
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim // 2))) < 1e-10
         rebuilt = generator_to_frame(s, u)
         assert gap_hat(rebuilt, lam) < 1e-9
+
+
+def test_generator_gate_rejects_a_non_lagrangian_frame():
+    # span{(1, 0.5i)} is a symplectic line; its generator is 1/3.
+    f = standard_form(1)
+    s = splitting(f)
+    lam = Frame.span([1.0, 0.5j])
+    with pytest.raises(ArithmeticError, match="fails unitarity"):
+        lagrangian_generator(s, lam)
+
+
+def test_splitting_and_generators_decompose_nothing(monkeypatch):
+    rng = rng_from_seed(16)
+    form = random_symplectic_form(rng, 6)
+    calls = []
+
+    def counted(fn):
+        def wrapper(a):
+            calls.append(np.shape(a))
+            return fn(a)
+        return wrapper
+
+    monkeypatch.setattr(symplectic, "hermitian_eig", counted(symplectic.hermitian_eig))
+    monkeypatch.setattr(frames, "hermitian_eig", counted(frames.hermitian_eig))
+    split = splitting(form)
+    lam = random_lagrangian(rng, form)
+    u = unitary_generator(form, lam, split)
+    assert gap_hat(generator_to_frame(split, u), lam) < 1e-9
+    random_lagrangian_pair(rng, form, 1)
+    perturb_lagrangian(rng, form, lam, 0.1)
+    lagrangian_rotation(rng, form, lam)(0.5)
+    assert calls == []
 
 
 def test_unitary_generator_rejects_non_lagrangian():
