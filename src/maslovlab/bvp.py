@@ -481,16 +481,26 @@ def desuspension_check(
 
     Notes
     -----
-    The Hermitian central-difference realizations carry a
-    reversed-orientation parasite branch on bounded grids (the spectrum
-    reflected through the boundary data). Coefficient-driven families
-    move the true and parasite branches in parallel, keeping the
-    near-zero window clean; spectral flow driven purely by a rotating
-    boundary condition can be cancelled by a parasite crossing, in which
-    case the flag reports the mismatch rather than hiding it. For the
-    same reason keep coefficient norms below about 2.2 pi / T: past that
-    the parasite branch crosses zero, on grids of 33, 64 and 129 nodes
-    alike, so refining the grid does not move the threshold.
+    Both realizations are local, Hermitian and centred, so they carry
+    doublers (fermion doubling; Nielsen and Ninomiya, Nucl. Phys. B 185,
+    1981): the modes next to the highest grid frequency form a
+    reversed-orientation parasite branch, which refining the grid does
+    not remove. Coefficient-driven families move the true and parasite
+    branches in parallel, keeping the near-zero window clean; spectral
+    flow driven purely by a rotating boundary condition can be cancelled
+    by a parasite crossing, in which case the flag reports the mismatch
+    rather than hiding it. How large the coefficient may be depends on
+    the realization:
+
+    * unitary-graph conditions (periodic among them) use the twisted
+      circulant of the sixth-order central stencil, whose symbol
+      (2/h) sum_r w_r sin(r theta) puts the doublers at +-2.2 pi / T.
+      Keep |C| below about 2.2 pi / T; past that the parasite branch
+      crosses zero, on grids of 33, 64 and 129 nodes alike.
+    * every other condition uses the summation-by-parts operator, which
+      fails earlier: on planar lines at angles 0 and 0.5 with C = s c I,
+      sf is first wrong at c = 2.75 for T = 1 and at c = 1.5 for T = 2,
+      on grids of 33 and 129 nodes alike. Keep |C| T below about 2.7.
     """
     return _desuspension(fam, bc, grid, num_samples, ode_tol)[0]
 

@@ -50,13 +50,10 @@ from .reduction import (
 )
 from .symplectic import (
     SymplecticForm,
+    _NotLagrangian,
     classify,
     direct_sum,
-    lagrangian_generator,
     lagrangian_generators,
-    lagrangian_mask,
-    splitting,
-    unitary_generator,
 )
 
 __all__ = [
@@ -100,25 +97,6 @@ class PathSample:
 
 
 PathCallback = Callable[[float], tuple[SymplecticForm, Frame, Frame]]
-
-
-def _shared_forms(forms: list[SymplecticForm]) -> list[SymplecticForm]:
-    """The forms, or just the first when every entry is that same object."""
-    return forms[:1] if all(f is forms[0] for f in forms) else forms
-
-
-def _lagrangian_flags(samples: tuple[PathSample, ...], member: str) -> np.ndarray:
-    """Which samples' lam (or mu) pass the Lagrangian test, in one batch.
-
-    False marks both failures and frames that cannot be stacked; the
-    caller classifies those one by one for the exact verdict.
-    """
-    frames = [getattr(smp, member).matrix for smp in samples]
-    n, k = frames[0].shape
-    if k == 0 or any(f.shape != (n, k) or smp.form.dim != n for f, smp in zip(frames, samples)):
-        return np.zeros(len(samples), dtype=bool)
-    forms = _shared_forms([smp.form for smp in samples])
-    return lagrangian_mask(np.stack([f.j for f in forms]), np.stack(frames))
 
 
 def _consecutive_gaps(frames: list[Frame]) -> np.ndarray:
@@ -222,6 +200,13 @@ class LagrangianPairPath:
     refines, even when a callback is given, so a path that fails the
     gate raises at once. :meth:`from_callable` refines while it builds.
 
+    Every sample's lam and mu are checked as Lagrangian at ``RANK_TOL``
+    in one call of :func:`symplectic.lagrangian_generators`, lam and mu
+    of each sample in turn, so the error names the first failing sample
+    along the path and its member. The relative angles of every checked
+    (s, rank_tol) are kept on the path (see :func:`_path_angles`), so no
+    route checks a parameter twice.
+
     The callback, when given, must evaluate the same path at arbitrary
     s; the counting routes use it to refine between samples. Being a
     function of s, it is called at most once per parameter value:
@@ -230,10 +215,10 @@ class LagrangianPairPath:
 
     samples: tuple[PathSample, ...]
     callback: PathCallback | None = None
-    # Every evaluated (form, lam, mu) by parameter, and the
-    # (s, rank_tol) whose lam and mu are known to be Lagrangian.
+    # Every evaluated (form, lam, mu) by parameter, and the relative
+    # angles of every (s, rank_tol) whose lam and mu passed the check.
     _memo: Memo = field(init=False, repr=False, compare=False)
-    _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _angles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gated = isinstance(self.samples, _GatedSamples)
@@ -241,20 +226,18 @@ class LagrangianPairPath:
         object.__setattr__(self, "samples", samples)
         memo = Memo([smp.s for smp in samples], [(smp.form, smp.lam, smp.mu) for smp in samples])
         object.__setattr__(self, "_memo", memo)
-        dim = samples[0].form.dim
-        passed = {name: _lagrangian_flags(samples, name) for name in ("lam", "mu")}
-        for i, smp in enumerate(samples):
-            if smp.form.dim != dim:
-                raise ValueError("all samples must share one ambient dimension")
-            for name, sub in (("lam", smp.lam), ("mu", smp.mu)):
-                if passed[name][i]:
-                    continue
-                kind = classify(smp.form, sub)
-                if kind != "lagrangian":
-                    raise ValueError(
-                        f"sample at s={smp.s:.6f}: {name} is {kind}, not lagrangian"
-                    )
-            self._checked.add((smp.s, RANK_TOL))
+        if any(smp.form.dim != samples[0].form.dim for smp in samples):
+            raise ValueError("all samples must share one ambient dimension")
+        members = [sub for smp in samples for sub in (smp.lam, smp.mu)]
+        try:
+            u = lagrangian_generators([smp.form for smp in samples for _ in range(2)], members)
+        except _NotLagrangian as err:
+            smp, name = samples[err.index // 2], ("lam", "mu")[err.index % 2]
+            raise ValueError(
+                f"sample at s={smp.s:.6f}: {name} is {err.kind}, not lagrangian"
+            ) from None
+        for smp, angles in zip(samples, _generator_angles(u[0::2], u[1::2])):
+            self._angles[(smp.s, RANK_TOL)] = angles
         if gated:
             return
         failure = next((f for f in _sampling_failures(samples) if f is not None), None)
@@ -370,45 +353,20 @@ def _path_angles(path: LagrangianPairPath, s: float, rank_tol: float) -> np.ndar
     splitting halves, so per-sample splittings are consistent along a
     path. The generators are taken in the metric-orthonormal bases of
     the splitting, so W is an ordinary unitary matrix, which keeps the
-    eigenvalue computation stable. lam and mu are checked to be
-    Lagrangian at s once per ``rank_tol``.
+    eigenvalue computation stable.
+
+    The angles of each (s, rank_tol) are computed once and kept on the
+    path. A pair not seen before is checked as Lagrangian at
+    ``rank_tol``, lam and mu in one call of
+    :func:`symplectic.lagrangian_generators`.
     """
-    form, lam, mu = path.evaluate(s)
-    split = splitting(form)
     key = (float(s), rank_tol)
-    if key in path._checked:
-        u_lam = lagrangian_generator(split, lam)
-        u_mu = lagrangian_generator(split, mu)
-    else:
-        u_lam = unitary_generator(form, lam, split, rank_tol)
-        u_mu = unitary_generator(form, mu, split, rank_tol)
-        path._checked.add(key)
-    return _generator_angles(u_lam[None], u_mu[None])[0]
-
-
-def _sample_angles(path: LagrangianPairPath, rank_tol: float) -> Iterator[np.ndarray]:
-    """Relative angles at the samples, in path order.
-
-    Samples already verified at ``rank_tol`` go through the stacked
-    kernels in one batch. If the batch hits any gate, the samples are
-    redone one at a time, interleaved with the caller's refinement, so
-    the error raised is the first one met along the path.
-    """
-    samples = path.samples
-    batch = None
-    if all((smp.s, rank_tol) in path._checked for smp in samples):
-        try:
-            splits = [splitting(f) for f in _shared_forms([smp.form for smp in samples])]
-            u_lam = lagrangian_generators(splits, np.stack([smp.lam.matrix for smp in samples]))
-            u_mu = lagrangian_generators(splits, np.stack([smp.mu.matrix for smp in samples]))
-            batch = _generator_angles(u_lam, u_mu)
-        except (ValueError, ArithmeticError):
-            batch = None
-    if batch is not None:
-        yield from batch
-    else:
-        for smp in samples:
-            yield _path_angles(path, smp.s, rank_tol)
+    angles = path._angles.get(key)
+    if angles is None:
+        form, lam, mu = path.evaluate(s)
+        u = lagrangian_generators([form], [lam, mu], rank_tol)
+        angles = path._angles[key] = _generator_angles(u[:1], u[1:])[0]
+    return angles
 
 
 def _circular_delta(from_angle, to_angle):
@@ -436,7 +394,7 @@ def _winding_rows(
     path: LagrangianPairPath, rank_tol: float
 ) -> list[tuple[float, np.ndarray]]:
     """Continuous angle branches along the path, one row per parameter value."""
-    angles = _sample_angles(path, rank_tol)
+    angles = (_path_angles(path, smp.s, rank_tol) for smp in path.samples)
     rows = [(path.samples[0].s, np.sort(next(angles)))]
     angles_at = None if path.callback is None else (lambda s: _path_angles(path, s, rank_tol))
     for smp, raw in zip(path.samples[1:], angles):
@@ -530,9 +488,14 @@ def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
     return HermitianMatrix.from_symmetrized(d)
 
 
-def _signature(q: HermitianMatrix) -> tuple[int, int, int]:
-    zero_tol = 1e-7 * max(1.0, np.linalg.norm(q.matrix, 2))
-    return morse_counts(q.matrix, zero_tol=zero_tol)
+def _signature(q: HermitianMatrix, form: SymplecticForm) -> tuple[int, int, int]:
+    """Inertia of q, counting eigenvalues below 1e-7 max(||J||_2, ||q||_2) as zero.
+
+    ||J||_2 is the largest |eigenvalue| of -iJ, which the form keeps, so
+    the tolerance follows the data under J -> cJ.
+    """
+    scale = max(np.abs(form.eig[0]).max(), np.linalg.norm(q.matrix, 2))
+    return morse_counts(q.matrix, zero_tol=1e-7 * scale)
 
 
 def crossing_form(
@@ -582,7 +545,7 @@ def crossing_form(
         coarse, fine, combined = _matrix_derivative(qfun, t, fd_step)
         g_coarse = _hermitize_derivative(coarse, "crossing form")
         g_fine = _hermitize_derivative(fine, "crossing form")
-        if _signature(g_coarse) != _signature(g_fine):
+        if _signature(g_coarse, form_t) != _signature(g_fine, form_t):
             raise ArithmeticError(
                 f"crossing form signature at t={t} is not stable under "
                 "finite-difference step halving; decrease fd_step"
@@ -596,13 +559,13 @@ def crossing_form(
     basis_change = frame_alt.matrix.conj().T @ frame.matrix
     transported = basis_change.conj().T @ gamma_alt.matrix @ basis_change
     scale = max(1.0, np.linalg.norm(gamma.matrix, 2))
-    if _signature(gamma) != _signature(gamma_alt) or (
+    if _signature(gamma, form_t) != _signature(gamma_alt, form_t) or (
         np.max(np.abs(gamma.matrix - transported), initial=0.0) > 1e-5 * scale
     ):
         raise ArithmeticError(
             f"crossing form at t={t} depends on the choice of complement"
         )
-    return CrossingRecord(float(t), frame, gamma, _signature(gamma))
+    return CrossingRecord(float(t), frame, gamma, _signature(gamma, form_t))
 
 
 def one_sided_form(
@@ -659,7 +622,7 @@ def one_sided_form(
     coarse, fine, combined = _matrix_derivative(qfun, t, fd_step)
     g_coarse = _hermitize_derivative(coarse, "one-sided form")
     g_fine = _hermitize_derivative(fine, "one-sided form")
-    if _signature(g_coarse) != _signature(g_fine):
+    if _signature(g_coarse, form_t) != _signature(g_fine, form_t):
         raise ArithmeticError(
             f"one-sided form signature at t={t} is not stable under "
             "finite-difference step halving; decrease fd_step"

@@ -87,11 +87,11 @@ def random_symplectic_form(rng, dim: int, standard: bool = False):
     return SymplecticForm(1j * (h + h.conj().T) / 2.0)
 
 
-def random_lagrangian(rng, form, split=None) -> Frame:
+def random_lagrangian(rng, form) -> Frame:
     """Random Lagrangian subspace of (C^2n, omega), uniform in the generator."""
     from .symplectic import generator_to_frame, splitting
 
-    split = splitting(form) if split is None else split
+    split = splitting(form)
     n = split.x_minus.dim
     if split.x_plus.dim != n:
         raise ValueError("unbalanced splitting admits no Lagrangians")
@@ -111,8 +111,8 @@ def random_lagrangian_pair(rng, form, intersection_dim: int = 0):
     n = split.x_minus.dim
     if not 0 <= intersection_dim <= n:
         raise ValueError("intersection dimension out of range")
-    lam = random_lagrangian(rng, form, split)
-    u_lam = unitary_generator(form, lam, split)
+    lam = random_lagrangian(rng, form)
+    u_lam = unitary_generator(form, lam)
     # The generators are unitary; sharing an eigendirection of
     # u_mu u_lam^-1 at eigenvalue 1 is the same as sharing an
     # intersection direction.
@@ -173,7 +173,7 @@ def perturb_lagrangian(rng, form, lam, scale: float) -> Frame:
     from .symplectic import generator_to_frame, splitting, unitary_generator
 
     split = splitting(form)
-    u = unitary_generator(form, lam, split)
+    u = unitary_generator(form, lam)
     h = random_hermitian(rng, lam.dim)
     h = h / max(1.0, np.linalg.norm(h, 2))
     return generator_to_frame(split, u @ scipy.linalg.expm(1j * scale * h))
@@ -192,7 +192,7 @@ def lagrangian_rotation(rng, form, lam, scale: float = 1.0):
     from .symplectic import generator_to_frame, splitting, unitary_generator
 
     split = splitting(form)
-    u = unitary_generator(form, lam, split)
+    u = unitary_generator(form, lam)
     h = random_hermitian(rng, lam.dim)
     h = h / max(1.0, np.linalg.norm(h, 2))
 

@@ -50,7 +50,6 @@ __all__ = [
     "splitting",
     "normalize_strong",
     "unitary_generator",
-    "lagrangian_generator",
     "lagrangian_generators",
     "isotropy_residuals",
     "lagrangian_mask",
@@ -278,67 +277,73 @@ def normalize_strong(form: SymplecticForm):
     return SymplecticForm(jn), t
 
 
-def unitary_generator(
-    form: SymplecticForm,
-    lam: Frame,
-    split: SymplecticSplitting | None = None,
-    rank_tol: float = RANK_TOL,
-) -> np.ndarray:
+def unitary_generator(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Coordinate matrix of the generator U: X^- -> X^+ of a Lagrangian.
 
     The matrix is taken in the metric-orthonormal bases of the splitting:
     it maps coordinates on x_minus / root_minus to coordinates on
     x_plus / root_plus, so that
     lam = span(x_minus / root_minus + (x_plus / root_plus) @ U). A
-    subspace is Lagrangian exactly when U is unitary, and the gate
-    checks ||U^H U - I||_max <= 1e-10.
-
-    Raises
-    ------
-    ValueError
-        If the splitting halves have different dimensions (no Lagrangian
-        subspaces exist) or if ``lam`` is not Lagrangian for ``form``.
+    subspace is Lagrangian exactly when U is unitary. This is the
+    one-frame call to :func:`lagrangian_generators`, with its checks
+    and errors.
     """
-    split = splitting(form) if split is None else split
-    _require_balanced(split)
-    kind = classify(form, lam, rank_tol)
-    if kind != "lagrangian":
-        raise ValueError(f"subspace is {kind}, not lagrangian")
-    return lagrangian_generator(split, lam)
+    return lagrangian_generators([form], [lam], rank_tol)[0]
 
 
-def _require_balanced(split: SymplecticSplitting) -> None:
-    if split.x_plus.dim != split.x_minus.dim:
-        raise ValueError(
-            "splitting halves have different dimensions "
-            f"({split.x_plus.dim} vs {split.x_minus.dim}); no Lagrangians exist"
-        )
+class _NotLagrangian(ValueError):
+    """The frame at ``index`` of a checked stack is ``kind``, not Lagrangian."""
+
+    def __init__(self, index: int, kind: str):
+        super().__init__(f"subspace is {kind}, not lagrangian")
+        self.index, self.kind = index, kind
 
 
-def lagrangian_generator(split: SymplecticSplitting, lam: Frame) -> np.ndarray:
-    """Generator of a subspace already known to be Lagrangian.
+def lagrangian_generators(forms, frames, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """The Lagrangian check: generators (m, n, n) of m frames, each verified Lagrangian.
 
-    Same result and unitarity gate as :func:`unitary_generator` without
-    classifying ``lam`` again; for callers that verified it.
+    ``forms`` holds one form per frame, or one form shared by all of
+    them; all forms have one dimension. The checks run in this order:
+
+    * every splitting is balanced; otherwise no Lagrangian exists and
+      ValueError says so;
+    * every frame is Lagrangian. Frames of one shape go through the
+      stacked isotropy test :func:`lagrangian_mask`; :func:`classify`
+      decides each frame the test rejects, and the first frame that is
+      not Lagrangian raises ValueError ("subspace is {kind}, not
+      lagrangian");
+    * every generator is unitary, ||U^H U - I||_max <= 1e-10; the first
+      that is not raises ArithmeticError.
+
+    The generators are in the bases of :func:`unitary_generator`.
     """
-    return lagrangian_generators([split], lam.matrix[None])[0]
-
-
-def lagrangian_generators(splits, frames: np.ndarray) -> np.ndarray:
-    """Generators of a stack of Lagrangian frames (m, N, n).
-
-    The batched form of :func:`lagrangian_generator`. ``splits`` holds
-    one splitting per frame, or a single one shared by all of them. The
-    gates are checked in stack order and the first failure raises.
-    """
+    if all(f is forms[0] for f in forms):
+        forms = forms[:1]
+    splits = [splitting(f) for f in forms]
     for split in splits:
-        _require_balanced(split)
+        if split.x_plus.dim != split.x_minus.dim:
+            raise ValueError(
+                "splitting halves have different dimensions "
+                f"({split.x_plus.dim} vs {split.x_minus.dim}); no Lagrangians exist"
+            )
+    mats = [f.matrix for f in frames]
+    n, k = mats[0].shape
+    if k and all(m.shape == (n, k) for m in mats) and all(f.dim == n for f in forms):
+        mats = np.stack(mats)
+        passed = lagrangian_mask(np.stack([f.j for f in forms]), mats, rank_tol)
+    else:
+        passed = np.zeros(len(frames), dtype=bool)
+    for i in np.flatnonzero(~passed):
+        kind = classify(forms[i if len(forms) > 1 else 0], frames[i], rank_tol)
+        if kind != "lagrangian":
+            raise _NotLagrangian(int(i), kind)
+    mats = np.asarray(mats)
     x_minus = np.stack([sp.x_minus.matrix for sp in splits])
     x_plus = np.stack([sp.x_plus.matrix for sp in splits])
     root_plus = np.stack([sp.root_plus for sp in splits])[..., :, None]
     root_minus = np.stack([sp.root_minus for sp in splits])[..., None, :]
-    c_minus = x_minus.conj().swapaxes(-1, -2) @ frames
-    c_plus = x_plus.conj().swapaxes(-1, -2) @ frames
+    c_minus = x_minus.conj().swapaxes(-1, -2) @ mats
+    c_plus = x_plus.conj().swapaxes(-1, -2) @ mats
     u = np.linalg.solve(c_minus.swapaxes(-1, -2), c_plus.swapaxes(-1, -2)).swapaxes(-1, -2)
     u = root_plus * u / root_minus
     res = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))

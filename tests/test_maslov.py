@@ -360,6 +360,31 @@ def test_direct_constructor_validates_without_refining():
         LagrangianPairPath(samples, steep_graph)
 
 
+@pytest.mark.parametrize(
+    "stretch, bad_mu, kind",
+    [
+        (0.0, Frame.span(np.array([1.0, 1j])), "symplectic"),
+        (1.0, Frame.span(np.array([1.0, 1j])), "symplectic"),
+        (0.0, Frame.full(2), "coisotropic"),
+    ],
+)
+def test_constructor_names_the_first_non_lagrangian_sample(stretch, bad_mu, kind):
+    """mu fails at s=0.25 and lam at s=0.75; the error names the first along the path.
+
+    The form is one object (stretch 0) or one per sample; a frame of
+    another shape cannot go through the stacked test.
+    """
+
+    def fn(s: float):
+        form = FORM2 if stretch == 0.0 else SymplecticForm((1.0 + stretch * s) * FORM2.j)
+        lam = Frame.span(np.array([1.0, 1j])) if s == 0.75 else line(0.3)
+        return form, lam, bad_mu if s == 0.25 else MU_HORIZONTAL
+
+    samples = tuple(PathSample(float(s), *fn(float(s))) for s in np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match=f"^sample at s=0.250000: mu is {kind}, not lagrangian$"):
+        LagrangianPairPath(samples)
+
+
 def varying_form_line_path(num_samples: int = 9, stretch: float = 1.0):
     """A fixed line against the horizontal under J(s) = (1 + stretch s) J2."""
     lam = line(0.7)
@@ -442,7 +467,7 @@ def test_counts_are_invariant_under_rescaling_the_form(c):
         want = maslov_winding(path)
         want = (want.mas_plus, want.mas_minus)
         scaled = _rescaled(path, c)
-        for route in (maslov_winding, diagonal_lift, maslov_reduced):
+        for route in (maslov_winding, maslov_crossings, diagonal_lift, maslov_reduced):
             got = route(scaled)
             assert (got.mas_plus, got.mas_minus) == want, route.__name__
 
@@ -464,6 +489,50 @@ def test_off_grid_non_lagrangian_value_is_rejected():
     path = LagrangianPairPath(samples, fn)
     with pytest.raises(ValueError, match="subspace is symplectic, not lagrangian"):
         maslov_winding(path)
+
+
+def test_each_parameter_is_checked_as_lagrangian_once(monkeypatch):
+    """Winding then crossings check each path parameter's lam and mu once.
+
+    The constructor checks the samples; the crossings route reads the
+    angles the winding kept, and crossing forms need no generators.
+    """
+    from maslovlab import symplectic
+
+    checked = []
+    original = symplectic.lagrangian_generators
+
+    def counted(forms, frames, *args, **kwargs):
+        frames = list(frames)
+        checked.append(len(frames))
+        return original(forms, frames, *args, **kwargs)
+
+    monkeypatch.setattr(symplectic, "lagrangian_generators", counted)
+    monkeypatch.setattr(maslov, "lagrangian_generators", counted)
+    path = benchmark_pair_path()
+    maslov_winding(path)
+    maslov_crossings(path)
+    assert 0 < sum(checked) <= 2 * len(path._memo.values)
+
+
+def test_a_tighter_rank_tol_checks_the_samples_again():
+    """Samples pass the default check at construction; rank_tol=1e-12 re-checks them.
+
+    At s=0.5 lam is span{(cos a, sin a + 1e-11 i)}, whose isotropy
+    residual 2e-11 cos a lies between the two thresholds 10 rank_tol.
+    """
+
+    def fn(s: float):
+        angle = 0.3 + s
+        lam = line(angle)
+        if s == 0.5:
+            lam = Frame.span(np.array([np.cos(angle), np.sin(angle) + 1e-11j]))
+        return FORM2, lam, MU_HORIZONTAL
+
+    path = LagrangianPairPath.from_callable(fn, num_samples=5)
+    maslov_winding(path)
+    with pytest.raises(ValueError, match="not lagrangian"):
+        maslov_winding(path, rank_tol=1e-12)
 
 
 def test_adequacy_scan_finds_failure_strictly_between_nodes():

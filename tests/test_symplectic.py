@@ -22,7 +22,6 @@ from maslovlab.symplectic import (
     classify,
     direct_sum,
     generator_to_frame,
-    lagrangian_generator,
     normalize_strong,
     omega_eval,
     omega_matrix,
@@ -197,20 +196,21 @@ def test_unitary_generator_round_trip():
     for dim in (2, 4, 8):
         f = random_symplectic_form(rng, dim)
         s = splitting(f)
-        lam = random_lagrangian(rng, f, s)
-        u = unitary_generator(f, lam, s)
+        lam = random_lagrangian(rng, f)
+        u = unitary_generator(f, lam)
         assert np.max(np.abs(u.conj().T @ u - np.eye(dim // 2))) < 1e-10
         rebuilt = generator_to_frame(s, u)
         assert gap_hat(rebuilt, lam) < 1e-9
 
 
 def test_generator_gate_rejects_a_non_lagrangian_frame():
-    # span{(1, 0.5i)} is a symplectic line; its generator is 1/3.
+    # span{(1, 1e-9 i)} passes the isotropy test (residual 2e-9), but its
+    # generator is (1 - 1e-9) / (1 + 1e-9), off the unit circle by 2e-9.
     f = standard_form(1)
-    s = splitting(f)
-    lam = Frame.span([1.0, 0.5j])
+    lam = Frame.span([1.0, 1e-9j])
+    assert classify(f, lam) == "lagrangian"
     with pytest.raises(ArithmeticError, match="fails unitarity"):
-        lagrangian_generator(s, lam)
+        unitary_generator(f, lam)
 
 
 def test_splitting_and_generators_decompose_nothing(monkeypatch):
@@ -228,7 +228,7 @@ def test_splitting_and_generators_decompose_nothing(monkeypatch):
     monkeypatch.setattr(frames, "hermitian_eig", counted(frames.hermitian_eig))
     split = splitting(form)
     lam = random_lagrangian(rng, form)
-    u = unitary_generator(form, lam, split)
+    u = unitary_generator(form, lam)
     assert gap_hat(generator_to_frame(split, u), lam) < 1e-9
     random_lagrangian_pair(rng, form, 1)
     perturb_lagrangian(rng, form, lam, 0.1)
