@@ -79,6 +79,17 @@ _UNIT_CIRCLE_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _MERGE_TOL = 1e-8
 _GATE_DELTA = 0.5
+# Adequacy scan (see _adequacy_scan): the smallest singular value at
+# which a gap fails, the motion factor K of the clearing test, the share
+# of a piece's motion below which its end values send it to Brent, the
+# narrowest piece bisected, as a share of the gap, and how close to a
+# bracket bound a Brent minimum counts as on it (bounded Brent stops up
+# to about 2 sqrt(eps) |s| from a bound).
+_ADEQUACY_SV = 1e-6
+_MOTION_FACTOR = 2.0
+_LOCATE_RATIO = 0.3
+_PIECE_FLOOR = 2.0**-6
+_EDGE_TOL = 1e-7
 
 
 def counting_function_E(a: float) -> int:
@@ -488,14 +499,18 @@ def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
     return HermitianMatrix.from_symmetrized(d)
 
 
-def _signature(q: HermitianMatrix, form: SymplecticForm) -> tuple[int, int, int]:
-    """Inertia of q, counting eigenvalues below 1e-7 max(||J||_2, ||q||_2) as zero.
+def _data_scale(q: HermitianMatrix, form: SymplecticForm) -> float:
+    """max(||J||_2, ||q||_2), the scale of the crossing-form tolerances.
 
     ||J||_2 is the largest |eigenvalue| of -iJ, which the form keeps, so
-    the tolerance follows the data under J -> cJ.
+    tolerances relative to it follow the data under J -> cJ.
     """
-    scale = max(np.abs(form.eig[0]).max(), np.linalg.norm(q.matrix, 2))
-    return morse_counts(q.matrix, zero_tol=1e-7 * scale)
+    return max(np.abs(form.eig[0]).max(), np.linalg.norm(q.matrix, 2))
+
+
+def _signature(q: HermitianMatrix, form: SymplecticForm) -> tuple[int, int, int]:
+    """Inertia of q, counting eigenvalues below 1e-7 max(||J||_2, ||q||_2) as zero."""
+    return morse_counts(q.matrix, zero_tol=1e-7 * _data_scale(q, form))
 
 
 def crossing_form(
@@ -517,8 +532,9 @@ def crossing_form(
     stencils at the endpoints; the step and half-step results must
     agree in signature and the Richardson combination is returned. The
     whole computation is repeated with a second complement V and both
-    the matrix and the signature must agree, which exercises the
-    independence of the form from that choice.
+    the matrix, to within 1e-5 max(||J(t)||_2, ||Gamma||_2), and the
+    signature must agree, which exercises the independence of the form
+    from that choice.
 
     Raises
     ------
@@ -558,9 +574,9 @@ def crossing_form(
         raise ArithmeticError("intersection frame changed between complement choices")
     basis_change = frame_alt.matrix.conj().T @ frame.matrix
     transported = basis_change.conj().T @ gamma_alt.matrix @ basis_change
-    scale = max(1.0, np.linalg.norm(gamma.matrix, 2))
     if _signature(gamma, form_t) != _signature(gamma_alt, form_t) or (
-        np.max(np.abs(gamma.matrix - transported), initial=0.0) > 1e-5 * scale
+        np.max(np.abs(gamma.matrix - transported), initial=0.0)
+        > 1e-5 * _data_scale(gamma, form_t)
     ):
         raise ArithmeticError(
             f"crossing form at t={t} depends on the choice of complement"
@@ -863,6 +879,15 @@ class _Verdict(NamedTuple):
     new_time: float | None = None
 
 
+def _chord(m: Frame, n: Frame) -> float:
+    """min over unitaries W of ||n W - m||_2 for orthonormal frames of equal dimension.
+
+    It is 2 sin(theta_max / 2), theta_max the largest principal angle,
+    whose sine is gap_hat(m, n).
+    """
+    return 2.0 * math.sin(0.5 * math.asin(gap_hat(m, n)))
+
+
 def _adequacy_scan(
     path: LagrangianPairPath,
     anchor_v: Frame,
@@ -872,31 +897,89 @@ def _adequacy_scan(
     """Check X = V + lam(s) + mu(s) across one gap between nodes.
 
     The stacked matrix [V | lam(s) | mu(s)] must keep full row rank for
-    every s in the gap [a, b]; its smallest singular value is minimized
-    over the gap by a bounded Brent search. A vanishing minimum is
-    precisely a parameter where the anchor's complement stops being
+    every s in the gap [a, b]. A smallest singular value sigma(s) at or
+    below 1e-6 is a parameter where the anchor's complement stops being
     adequate (for a transversal anchor: a crossing of the pair), which
-    node-level checks cannot see. Returns the _Verdict carrying the
-    failing time, or None when the gap is adequate.
+    node-level checks cannot see. Returns the _Verdict carrying the time
+    of that minimum, found to about 1e-9 by a bounded Brent search, or
+    None when the gap is adequate.
+
+    Most gaps are cleared without a search. sigma is invariant under
+    right multiplication of the lam and mu blocks by unitaries, so by
+    Weyl's inequality sigma(s) >= sigma(c) - rho_lam(c, s) - rho_mu(c, s)
+    for every s, with rho the :func:`_chord` distance: this bound is
+    rigorous at each point. A piece [c, d] is cleared when
+    (sigma(c) + sigma(d) - K (rho_lam + rho_mu)) / 2 > 1e-6, with
+    K = ``_MOTION_FACTOR`` and the motions measured between the piece's
+    two ends only. That the motion inside the piece stays within K
+    times the motion between its ends is a measured heuristic, not a
+    bound: a pair that leaves and comes back inside one piece is not
+    seen. The gap's ends are nodes, which the path memoizes, so a gap
+    cleared at once costs no callback call.
+
+    A piece that is not cleared is bisected, down to ``_PIECE_FLOOR``
+    of the gap. A transversal crossing inside a piece keeps the sum of
+    its end values near its slope times the width, a fixed share of the
+    motion, so bisection would never clear it: a piece whose end values
+    sum to at most ``_LOCATE_RATIO`` of its motion, or one at the floor
+    width, goes to Brent at once, on a bracket one piece width wider on
+    each side. A search that ends on a bracket bound inside the gap is
+    run again on a bracket widened on that side, so the time returned
+    is always a located minimum, never a bisection point or a bracket
+    edge near it.
     """
-
-    def smallest_sv(s: float) -> float:
-        form, lam, mu = path.evaluate(s)
-        stack = np.concatenate((anchor_v.matrix, lam.matrix, mu.matrix), axis=1)
-        return float(np.linalg.svd(stack, compute_uv=False)[-1])
-
     if b - a <= 1e-9:
         return None
-    res = scipy.optimize.minimize_scalar(
-        smallest_sv, bounds=(a, b), method="bounded", options={"xatol": 1e-9}
-    )
-    if res.fun <= 1e-6:
-        t_bad = float(res.x)
-        return _Verdict(
-            f"adequacy fails between nodes at s={t_bad:.9f} "
-            f"(smallest singular value {res.fun:.3e})",
-            new_time=t_bad,
-        )
+    points: dict[float, tuple[Frame, Frame, float]] = {}
+
+    def point(s: float) -> tuple[Frame, Frame, float]:
+        hit = points.get(s)
+        if hit is None:
+            _, lam, mu = path.evaluate(s)
+            stack = np.concatenate((anchor_v.matrix, lam.matrix, mu.matrix), axis=1)
+            hit = points[s] = (lam, mu, float(np.linalg.svd(stack, compute_uv=False)[-1]))
+        return hit
+
+    def smallest_sv(s: float) -> float:
+        return point(s)[2]
+
+    def locate(lo: float, hi: float) -> _Verdict | None:
+        while True:
+            res = scipy.optimize.minimize_scalar(
+                smallest_sv, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+            )
+            t_min, width = float(res.x), hi - lo
+            if lo > a and t_min - lo <= _EDGE_TOL:
+                lo = max(a, lo - width)
+            elif hi < b and hi - t_min <= _EDGE_TOL:
+                hi = min(b, hi + width)
+            elif res.fun <= _ADEQUACY_SV:
+                return _Verdict(
+                    f"adequacy fails between nodes at s={t_min:.9f} "
+                    f"(smallest singular value {res.fun:.3e})",
+                    new_time=t_min,
+                )
+            else:
+                return None
+
+    floor = _PIECE_FLOOR * (b - a)
+    pieces = [(a, b)]
+    while pieces:
+        c, d = pieces.pop()
+        lam_c, mu_c, sv_c = point(c)
+        lam_d, mu_d, sv_d = point(d)
+        motion = _chord(lam_c, lam_d) + _chord(mu_c, mu_d)
+        ends = sv_c + sv_d - 2.0 * _ADEQUACY_SV
+        if ends > _MOTION_FACTOR * motion:
+            continue
+        if ends <= _LOCATE_RATIO * motion or d - c <= floor:
+            width = d - c
+            verdict = locate(max(a, c - width), min(b, d + width))
+            if verdict is not None:
+                return verdict
+            continue
+        mid = 0.5 * (c + d)
+        pieces.extend(((mid, d), (c, mid)))
     return None
 
 
@@ -908,7 +991,10 @@ class _Anchor:
     verdict on each gap are deterministic functions of (lam0, V) and
     the path. They are kept, so trying the anchor again (on a
     subsegment after a failed attempt, or in the refined-partition
-    pass) repeats no arithmetic.
+    pass) repeats no arithmetic. A gap's verdict comes from
+    :func:`_adequacy_scan`: the Weyl bound it clears pieces with is
+    rigorous at each point, while the motion of lam and mu inside a
+    piece is measured between its ends only, a heuristic.
 
     Transversal anchors are interchangeable. At a node where
     lam inter mu = 0, lam0 = 0, so V = 0 and X0 = 0; the reduction and
@@ -1153,6 +1239,14 @@ def maslov_reduced(
     counts of the reduced paths are summed. Catenation makes the result
     independent of the admissible partition; this is re-checked by
     recomputing on a refined partition, and a disagreement raises.
+
+    Between nodes, V + lam(s) + mu(s) = X is checked by
+    :func:`_adequacy_scan`, which clears most gaps from their node
+    values by Weyl's inequality and runs a Brent search only where the
+    smallest singular value can dip to 1e-6. The bound is rigorous at
+    each point; that lam and mu move inside a piece by at most twice
+    their motion between its ends is a measured heuristic, so a pair
+    that leaves and comes back between two scan points is not seen.
     """
     red = _Reduction(path, seed, rank_tol)
     nodes = list(path.samples)

@@ -472,6 +472,26 @@ def test_counts_are_invariant_under_rescaling_the_form(c):
             assert (got.mas_plus, got.mas_minus) == want, route.__name__
 
 
+def test_complement_dependence_is_caught_at_small_form_scale(monkeypatch):
+    """Under 1e-9 J, a crossing form that moves by 1e-3 ||Gamma|| with the
+    choice of complement must raise: the check is relative to
+    max(||J||_2, ||Gamma||_2), not to max(1, ||Gamma||_2)."""
+    path = _rescaled(benchmark_pair_path(), 1e-9)
+    assert crossing_form(path, 0.5).signature == (1, 0, 0)
+    pair_coefficient_matrix = maslov._pair_coefficient_matrix
+    complements = {}
+
+    def complement_dependent(form, anchor_lam0, anchor_v, lam, mu, rank_tol):
+        q = pair_coefficient_matrix(form, anchor_lam0, anchor_v, lam, mu, rank_tol)
+        index = complements.setdefault(anchor_v.matrix.tobytes(), len(complements))
+        return (1.0 + 1e-3 * index) * q
+
+    monkeypatch.setattr(maslov, "_pair_coefficient_matrix", complement_dependent)
+    with pytest.raises(ArithmeticError, match="depends on the choice of complement"):
+        crossing_form(path, 0.5)
+    assert len(complements) == 2
+
+
 def test_off_grid_non_lagrangian_value_is_rejected():
     """A callback value reached only by refinement is still checked.
 
@@ -556,12 +576,67 @@ def test_adequacy_scan_finds_failure_strictly_between_nodes():
         if a < 0.7 < b:
             assert failure is not None
             assert a < failure.new_time < b
-            assert failure.new_time == pytest.approx(0.7, abs=1e-6)
+            assert failure.new_time == pytest.approx(0.7, abs=1e-8)
         else:
             assert failure is None
     wind = maslov_winding(path)
     red = maslov_reduced(path)
     assert (wind.mas_plus, wind.mas_minus) == (red.mas_plus, red.mas_minus) == (1, 1)
+
+
+def test_adequacy_scan_locates_one_of_two_opposite_crossings_in_one_gap():
+    """The line rises through the horizontal at s=0.44 and falls back at
+    s=0.51, both inside the gap [0.4, 0.6] between transversal nodes.
+
+    The two crossings cancel, so a scan that saw neither would still
+    give the right total; the scan must locate one of them all the same,
+    and the reduction, inserting nodes there, must match the winding.
+    """
+    path = line_path(lambda s: 0.01225 - 10.0 * (s - 0.475) ** 2, num_samples=6)
+    times = [smp.s for smp in path.samples]
+    a, b = next((a, b) for a, b in zip(times, times[1:]) if a < 0.44 and 0.51 < b)
+    dec = intrinsic_decomposition(path.samples[0].form, path.samples[0].lam, path.samples[0].mu)
+    failure = _adequacy_scan(path, dec.v, a, b)
+    assert failure is not None
+    assert min(abs(failure.new_time - 0.44), abs(failure.new_time - 0.51)) < 1e-8
+    wind = maslov_winding(path)
+    red = maslov_reduced(path)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (0, 0)
+
+
+def test_reduced_on_c16_path_whose_crossing_sits_near_a_bisection_point():
+    """Criterion 04's family at (0xAC04, 109, 0).
+
+    A located time taken from a bisection point or a Brent bracket edge
+    near the crossing, rather than the located minimum, puts a
+    transversal node there, and the partition search then finds no
+    admissible reduction.
+    """
+    path = rotating_pair_path(rng_from_seed((0xAC04, 109, 0)), dim=16, num_samples=25,
+                              scale_lam=3.0, scale_mu=0.8)
+    wind = maslov_winding(path)
+    red = maslov_reduced(path, seed=0)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (0, 0)
+
+
+def test_winding_and_reduction_of_a_transversal_c16_path_stay_cheap():
+    """Criterion 04 trial 0 has no crossing, so the adequacy scan clears
+    its gaps from node values and a few bisections; counted through the
+    callback, building the path, its winding and its reduction take at
+    most 200 evaluations (768 with one Brent search per gap)."""
+    base = rotating_pair_path(rng_from_seed((0xAC04, 0, 0)), dim=16, num_samples=25,
+                              scale_lam=3.0, scale_mu=0.8)
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return base.callback(s)
+
+    path = LagrangianPairPath.from_callable(counted, num_samples=25)
+    wind = maslov_winding(path)
+    red = maslov_reduced(path, seed=0)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (0, 0)
+    assert len(calls) <= 200
 
 
 REDUCTION_CASES = ["crossing between nodes", "criterion 04 trial 1"]
