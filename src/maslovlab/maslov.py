@@ -79,12 +79,8 @@ _UNIT_CIRCLE_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _MERGE_TOL = 1e-8
 _GATE_DELTA = 0.5
-# Adequacy scan (see _adequacy_scan): the smallest singular value at
-# which a gap fails, the motion factor K of the clearing test, the share
-# of a piece's motion below which its end values send it to Brent, the
-# narrowest piece bisected, as a share of the gap, and how close to a
-# bracket bound a Brent minimum counts as on it (bounded Brent stops up
-# to about 2 sqrt(eps) |s| from a bound).
+# Adequacy scan constants, see _adequacy_scan. A bounded Brent search
+# stops up to about 2 sqrt(eps) |s| from a bound, hence _EDGE_TOL.
 _ADEQUACY_SV = 1e-6
 _MOTION_FACTOR = 2.0
 _LOCATE_RATIO = 0.3
