@@ -17,6 +17,13 @@ symplectic form. Three routes compute it:
 All three agree on their common domain, which the test suite checks.
 The winding route is the most robust (it needs no regularity at the
 crossings) and serves as the reference implementation.
+
+One piece loop, :func:`_scan_pieces`, finds where a value can reach a
+threshold between samples. Its users are the crossing scan of
+``maslov_crossings`` and ``maslov_semipositive`` (the distance of the
+relative unitary's spectrum to 1, then counts of its eigenvalues near
+1, so no winding branch is shared) and the adequacy scan of
+``maslov_reduced`` (sigma_min of [V | lam | mu]).
 """
 
 from __future__ import annotations
@@ -77,11 +84,11 @@ _TWO_PI = 2.0 * np.pi
 _ANGLE_SNAP = 1e-8
 _UNIT_CIRCLE_TOL = 1e-9
 _BISECT_TOL = 1e-10
-_MERGE_TOL = 1e-8
 _GATE_DELTA = 0.5
-# Adequacy scan constants, see _adequacy_scan. A bounded Brent search
-# stops up to about 2 sqrt(eps) |s| from a bound, hence _EDGE_TOL.
-_ADEQUACY_SV = 1e-6
+# Piece scan constants, see _scan_pieces and its two users. A bounded
+# Brent search stops up to about 2 sqrt(eps) |s| from a bound, hence
+# _EDGE_TOL.
+_SCAN_ZERO = 1e-6
 _MOTION_FACTOR = 2.0
 _LOCATE_RATIO = 0.3
 _PIECE_FLOOR = 2.0**-6
@@ -642,115 +649,127 @@ def one_sided_form(
     return _hermitize_derivative(combined, "one-sided form"), base
 
 
-def _set_distance_to_target(path, s, target, rank_tol):
-    """Circular distance from the spectrum at s to the target angle."""
-    raw = _path_angles(path, s, rank_tol)
-    return float(np.min(np.abs(_circular_delta(raw, target))))
+def _scan_pieces(
+    a: float, b: float, value, motion, threshold: float, locate_ratio: float
+) -> Iterator[tuple[float, float]]:
+    """The pieces of [a, b] that will not clear, in order; the caller decides each.
 
-
-def _branch_value(path, s, reference, rank_tol):
-    """Continuous branch value at s closest to an interpolated reference."""
-    raw = _path_angles(path, s, rank_tol)
-    deltas = _circular_delta(reference, raw)
-    return reference + deltas[np.argmin(np.abs(deltas))]
-
-
-def _bisect_passage(path, s_lo, th_lo, s_hi, th_hi, target, rank_tol):
-    """Root of a branch passing through an angle multiple, to 1e-10 in s."""
-    f_lo = th_lo - target
-    f_hi = th_hi - target
-    while s_hi - s_lo > _BISECT_TOL:
-        s_mid = 0.5 * (s_lo + s_hi)
-        reference = th_lo + (th_hi - th_lo) * (s_mid - s_lo) / (s_hi - s_lo)
-        th_mid = _branch_value(path, s_mid, reference, rank_tol)
-        f_mid = th_mid - target
-        if f_mid == 0.0:
-            return s_mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            s_lo, th_lo, f_lo = s_mid, th_mid, f_mid
-        else:
-            s_hi, th_hi, f_hi = s_mid, th_mid, f_mid
-    return 0.5 * (s_lo + s_hi)
-
-
-def _branch_event_times(path, rows, rank_tol, locate_tangential):
-    """Times where an angle branch arrives at a multiple of 2*pi, one per branch.
-
-    Works on the continued branch rows. Sign changes are bisected;
-    branches that land on a multiple at a grid point are recorded at
-    that grid point (plateau rows whose predecessor already sits on the
-    multiple produce nothing, so a plateau is one event at its first
-    snapped row); optionally, interior local minima of the distance to
-    the nearest multiple are minimized to catch tangential touches
-    (which lead to degenerate crossing forms downstream). The returned
-    times are raw: a crossing of multiplicity r appears as r nearly
-    equal entries, one per participating branch.
+    A piece [c, d] is cleared when value(c) + value(d) - 2 threshold
+    exceeds ``_MOTION_FACTOR`` times motion(c, d). value moves by at
+    most the motion, so a cleared piece stays above the threshold as
+    long as the motion inside it stays within that factor of the motion
+    between its ends. That is a measured heuristic: a value that dips
+    and comes back inside one piece is not seen. A piece that is not
+    cleared is bisected, down to ``_PIECE_FLOOR`` of [a, b]; one at that
+    width, or one whose excess is at most ``locate_ratio`` of its
+    motion, is yielded. value is taken once per point.
     """
-    s_vals = np.array([s for s, _ in rows])
-    theta = np.array([th for _, th in rows])
-    num_branches = theta.shape[1]
-    times = []
-    snapped = np.abs(theta / _TWO_PI - np.round(theta / _TWO_PI)) <= _ANGLE_SNAP / _TWO_PI
-    for j in range(num_branches):
-        if snapped[0, j]:
-            times.append(0.0)
-        for i in range(len(rows) - 1):
-            th_a, th_b = theta[i, j], theta[i + 1, j]
-            s_a, s_b = s_vals[i], s_vals[i + 1]
-            if snapped[i + 1, j]:
-                if not snapped[i, j]:
-                    times.append(float(s_b))
-                continue
-            k_lo = math.floor(min(th_a, th_b) / _TWO_PI) + 1
-            k_hi = math.ceil(max(th_a, th_b) / _TWO_PI) - 1
-            for k in range(k_lo, k_hi + 1):
-                target = _TWO_PI * k
-                if snapped[i, j] and abs(th_a - target) <= _ANGLE_SNAP:
+    values: dict[float, float] = {}
+    floor = _PIECE_FLOOR * (b - a)
+    pieces = [(a, b)]
+    while pieces:
+        c, d = pieces.pop()
+        for s in (c, d):
+            if s not in values:
+                values[s] = value(s)
+        excess = values[c] + values[d] - 2.0 * threshold
+        move = motion(c, d)
+        if excess > _MOTION_FACTOR * move:
+            continue
+        if excess <= locate_ratio * move or d - c <= floor:
+            yield c, d
+            continue
+        mid = 0.5 * (c + d)
+        pieces.extend(((mid, d), (c, mid)))
+
+
+def _ordered_angle(s: float, path: LagrangianPairPath, rank_tol: float, j: int) -> float:
+    """The j-th smallest angle of W(s) (see :func:`_path_angles`).
+
+    A module function, not a closure over the path: ``scipy.optimize.brentq``
+    wraps the function it is given in a closure that refers to itself,
+    and through a closure over the path that cycle would keep the path
+    alive until the cyclic collector runs.
+    """
+    return float(np.sort(_path_angles(path, s, rank_tol))[j])
+
+
+def _crossing_events(path: LagrangianPairPath, rank_tol: float) -> tuple[list[float], int]:
+    """Times where lam(s) meets mu(s), and how often an eigenvalue of W(s) arrives at 1.
+
+    Angles of the relative unitary W(s) (see :func:`_path_angles`)
+    within 1e-8 of 0 count as 0, the snap winding applies to its end
+    angles. The state at s is (z, p), the numbers of angles at 0 and
+    above it: a crossing changes p by one, whatever the other angles do.
+    No angle is followed from one parameter to the next.
+
+    Each sample gap is scanned by :func:`_scan_pieces` on
+    f(s) = min |angle|, with the Hausdorff distance between the end
+    spectra on the circle as the motion; pieces that will not clear are
+    split down to the floor width, never located early. A floor piece
+    whose end states differ is bisected where they differ, to brackets
+    of 1e-10, dropping brackets that clear against 1e-8 (an angle
+    passing pi changes p too). Where z = 0 at both ends and p differs
+    by one, the crossing angle is the j-th smallest, j the number below
+    0, and a root search on it gives the crossing to 1e-10. A root
+    farther than 1e-6 from 0 is a jump of that order statistic (an
+    angle passing pi), and bisection goes on.
+
+    Each interval where z > 0 gives one time: the end of the path it
+    holds, or else its midpoint. The arrivals are the rises of z. Two
+    crossings in one floor piece that leave its end states equal
+    (opposite crossings of two angles, or an angle that comes back) are
+    not seen, and add 0 to both counts.
+    """
+
+    def distance(s: float) -> float:
+        return float(np.min(np.abs(_path_angles(path, s, rank_tol))))
+
+    def motion(c: float, d: float) -> float:
+        theta_c, theta_d = _path_angles(path, c, rank_tol), _path_angles(path, d, rank_tol)
+        delta = np.abs(_circular_delta(theta_c[:, None], theta_d[None, :]))
+        return float(max(delta.min(axis=1).max(), delta.min(axis=0).max()))
+
+    def state(s: float) -> tuple[int, int]:
+        theta = _path_angles(path, s, rank_tol)
+        return int(np.sum(np.abs(theta) <= _ANGLE_SNAP)), int(np.sum(theta > _ANGLE_SNAP))
+
+    changes = []  # (time, z before, z after)
+    for smp_a, smp_b in zip(path.samples, path.samples[1:]):
+        for piece in _scan_pieces(smp_a.s, smp_b.s, distance, motion, 0.0, 0.0):
+            brackets = [piece]
+            while brackets:
+                u, v = brackets.pop()
+                (z_u, p_u), (z_v, p_v) = state(u), state(v)
+                excess = distance(u) + distance(v) - 2.0 * _ANGLE_SNAP
+                if (z_u, p_u) == (z_v, p_v) or excess > _MOTION_FACTOR * motion(u, v):
                     continue
-                if min(th_a, th_b) < target < max(th_a, th_b):
-                    times.append(
-                        _bisect_passage(path, s_a, th_a, s_b, th_b, target, rank_tol)
+                if v - u <= _BISECT_TOL:
+                    if z_u != z_v:
+                        changes.append((0.5 * (u + v), z_u, z_v))
+                    continue
+                if z_u == z_v == 0 and abs(p_u - p_v) == 1:
+                    j = len(_path_angles(path, u, rank_tol)) - max(p_u, p_v)
+                    t = scipy.optimize.brentq(
+                        _ordered_angle, u, v, args=(path, rank_tol, j), xtol=_BISECT_TOL
                     )
-        if locate_tangential and path.callback is not None:
-            dist = np.abs(
-                theta[:, j] - _TWO_PI * np.round(theta[:, j] / _TWO_PI)
-            )
-            for i in range(1, len(rows) - 1):
-                is_min = dist[i] < dist[i - 1] and dist[i] <= dist[i + 1]
-                if not is_min or dist[i] > 0.1 or dist[i] <= _ANGLE_SNAP:
-                    continue
-                target = _TWO_PI * np.round(theta[i, j] / _TWO_PI)
-                res = scipy.optimize.minimize_scalar(
-                    lambda s: _set_distance_to_target(path, s, target, rank_tol),
-                    bounds=(s_vals[i - 1], s_vals[i + 1]),
-                    method="bounded",
-                    options={"xatol": 1e-12},
-                )
-                if res.fun <= _ANGLE_SNAP:
-                    times.append(float(res.x))
-    return times
+                    if abs(_ordered_angle(t, path, rank_tol, j)) <= _SCAN_ZERO:
+                        changes.extend(((t, 0, 1), (t, 1, 0)))
+                        continue
+                mid = 0.5 * (u + v)
+                brackets.extend(((mid, v), (u, mid)))
 
-
-def _merge_events(times):
-    """Group nearly equal event times into (representative, count) pairs."""
-    if not times:
-        return []
-    groups = []
-    for t in sorted(times):
-        t = min(max(t, 0.0), 1.0)
-        if groups and t - groups[-1][-1] <= _MERGE_TOL:
-            groups[-1].append(t)
-        else:
-            groups.append([t])
-    out = []
-    for group in groups:
-        t = float(np.mean(group))
-        if t <= _MERGE_TOL:
-            t = 0.0
-        elif t >= 1.0 - _MERGE_TOL:
-            t = 1.0
-        out.append((t, len(group)))
-    return out
+    s_start, s_end = path.samples[0].s, path.samples[-1].s
+    times, opened = [], s_start if state(s_start)[0] else None
+    for t, _, z in sorted(changes):
+        if opened is None and z:
+            opened = t
+        elif opened is not None and not z:
+            times.append(s_start if opened == s_start else 0.5 * (opened + t))
+            opened = None
+    if opened is not None:
+        times.extend((s_start, s_end) if opened == s_start else (s_end,))
+    return times, sum(max(0, z - z_u) for _, z_u, z in changes)
 
 
 def maslov_crossings(
@@ -761,11 +780,12 @@ def maslov_crossings(
 ) -> MaslovResult:
     """Maslov counts by locating crossings and adding their signatures.
 
-    Crossing times are found where a continued eigenvalue-angle branch
-    of the relative unitary meets a multiple of 2*pi (equivalently,
-    where the smallest principal angle between the pair vanishes),
-    bisected to 1e-10 in s. Every crossing must be regular. The counts
-    follow the asymmetric endpoint convention
+    Crossing times are found by :func:`_crossing_events`, the piece
+    loop of the adequacy scan of ``maslov_reduced`` run on counts of the
+    relative unitary's eigenvalues near 1, so no eigenvalue branch of
+    the winding route is used. Crossings are located to 1e-10 in s.
+    Every crossing must be regular. The counts follow the
+    asymmetric endpoint convention
 
         Mas_+ = m+(Gamma(0)) + sum_{0<t<1} sign Gamma(t) - m-(Gamma(1)),
 
@@ -777,10 +797,8 @@ def maslov_crossings(
             "the crossing method needs a refinement callback to locate "
             "crossings between samples"
         )
-    rows = _winding_rows(path, rank_tol)
-    raw_times = _branch_event_times(path, rows, rank_tol, locate_tangential=True)
     records = []
-    for t, _ in _merge_events(raw_times):
+    for t in _crossing_events(path, rank_tol)[0]:
         rec = crossing_form(path, t, fd_step, seed, rank_tol)
         if rec.signature[2] != 0:
             raise ValueError(
@@ -823,8 +841,12 @@ def maslov_semipositive(
     the total upward jump of the intersection dimension, counted at the
     jump time. Semi-positivity is verified by sampling the eigenvalues
     of Q(lam, t) at every grid point; a violation raises with the
-    offending t. The result agrees with the lower winding count, and
-    with the upper one when the endpoints are transversal.
+    offending t. The jumps are the rises, over 0 < t <= 1, of the number
+    of eigenvalues of the relative unitary within 1e-8 of 1, read off
+    :func:`_crossing_events`, the scan ``maslov_crossings`` uses. A
+    plateau where the pair stays intersected counts once, at its start.
+    The result agrees with the lower winding count, and with the upper
+    one when the endpoints are transversal.
     """
     if path.callback is None:
         raise ValueError(
@@ -846,9 +868,7 @@ def maslov_semipositive(
                 f"path is not semi-positive at t={smp.s:.6f}: "
                 f"Q(lam, t) has eigenvalue {low:.3e}"
             )
-    rows = _winding_rows(path, rank_tol)
-    raw_times = _branch_event_times(path, rows, rank_tol, locate_tangential=False)
-    return int(sum(count for t, count in _merge_events(raw_times) if t > 0.0))
+    return _crossing_events(path, rank_tol)[1]
 
 
 class _SegmentFailure(Exception):
@@ -875,15 +895,6 @@ class _Verdict(NamedTuple):
     new_time: float | None = None
 
 
-def _chord(m: Frame, n: Frame) -> float:
-    """min over unitaries W of ||n W - m||_2 for orthonormal frames of equal dimension.
-
-    It is 2 sin(theta_max / 2), theta_max the largest principal angle,
-    whose sine is gap_hat(m, n).
-    """
-    return 2.0 * math.sin(0.5 * math.asin(gap_hat(m, n)))
-
-
 def _adequacy_scan(
     path: LagrangianPairPath,
     anchor_v: Frame,
@@ -900,46 +911,47 @@ def _adequacy_scan(
     of that minimum, found to about 1e-9 by a bounded Brent search, or
     None when the gap is adequate.
 
-    Most gaps are cleared without a search. sigma is invariant under
-    right multiplication of the lam and mu blocks by unitaries, so by
-    Weyl's inequality sigma(s) >= sigma(c) - rho_lam(c, s) - rho_mu(c, s)
-    for every s, with rho the :func:`_chord` distance: this bound is
-    rigorous at each point. A piece [c, d] is cleared when
-    (sigma(c) + sigma(d) - K (rho_lam + rho_mu)) / 2 > 1e-6, with
-    K = ``_MOTION_FACTOR`` and the motions measured between the piece's
-    two ends only. That the motion inside the piece stays within K
-    times the motion between its ends is a measured heuristic, not a
-    bound: a pair that leaves and comes back inside one piece is not
-    seen. The gap's ends are nodes, which the path memoizes, so a gap
-    cleared at once costs no callback call.
+    The gap is scanned by :func:`_scan_pieces`, the piece loop that
+    :func:`_crossing_events` also runs, with threshold 1e-6. sigma is
+    invariant under right multiplication of the lam and mu blocks by
+    unitaries, so by Weyl's inequality
+    sigma(s) >= sigma(c) - rho_lam(c, s) - rho_mu(c, s) for every s, with
+    rho(m, n) = min over unitaries W of ||n W - m||_2 =
+    sqrt(2 - 2 sigma_min(m^H n)), the chord of the largest principal
+    angle: this bound is rigorous at each point. The motion of a piece is
+    rho_lam + rho_mu between its ends, both chords from one stacked SVD.
+    The gap's ends are nodes, which the path memoizes, so a gap cleared
+    at once costs no callback call.
 
-    A piece that is not cleared is bisected, down to ``_PIECE_FLOOR``
-    of the gap. A transversal crossing inside a piece keeps the sum of
-    its end values near its slope times the width, a fixed share of the
-    motion, so bisection would never clear it: a piece whose end values
-    sum to at most ``_LOCATE_RATIO`` of its motion, or one at the floor
-    width, goes to Brent at once, on a bracket one piece width wider on
-    each side. A search that ends on a bracket bound inside the gap is
-    run again on a bracket widened on that side, so the time returned
-    is always a located minimum, never a bisection point or a bracket
-    edge near it.
+    A transversal crossing inside a piece keeps the sum of its end
+    values near its slope times the width, a fixed share of the motion,
+    so bisection would never clear it: a piece whose end values sum to
+    at most ``_LOCATE_RATIO`` of its motion, or one at the floor width,
+    goes to Brent at once, on a bracket one piece width wider on each
+    side. A search that ends on a bracket bound inside the gap is run
+    again on a bracket widened on that side, so the time returned is
+    always a located minimum, never a bisection point or a bracket edge
+    near it.
     """
     if b - a <= 1e-9:
         return None
-    points: dict[float, tuple[Frame, Frame, float]] = {}
-
-    def point(s: float) -> tuple[Frame, Frame, float]:
-        hit = points.get(s)
-        if hit is None:
-            _, lam, mu = path.evaluate(s)
-            stack = np.concatenate((anchor_v.matrix, lam.matrix, mu.matrix), axis=1)
-            hit = points[s] = (lam, mu, float(np.linalg.svd(stack, compute_uv=False)[-1]))
-        return hit
 
     def smallest_sv(s: float) -> float:
-        return point(s)[2]
+        _, lam, mu = path.evaluate(s)
+        stack = np.concatenate((anchor_v.matrix, lam.matrix, mu.matrix), axis=1)
+        return float(np.linalg.svd(stack, compute_uv=False)[-1])
 
-    def locate(lo: float, hi: float) -> _Verdict | None:
+    def motion(c: float, d: float) -> float:
+        (_, lam_c, mu_c), (_, lam_d, mu_d) = path.evaluate(c), path.evaluate(d)
+        products = np.stack(
+            (lam_c.matrix.conj().T @ lam_d.matrix, mu_c.matrix.conj().T @ mu_d.matrix)
+        )
+        cosines = np.linalg.svd(products, compute_uv=False)[:, -1]
+        return float(np.sqrt(np.clip(2.0 - 2.0 * cosines, 0.0, None)).sum())
+
+    for c, d in _scan_pieces(a, b, smallest_sv, motion, _SCAN_ZERO, _LOCATE_RATIO):
+        width = d - c
+        lo, hi = max(a, c - width), min(b, d + width)
         while True:
             res = scipy.optimize.minimize_scalar(
                 smallest_sv, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
@@ -949,33 +961,14 @@ def _adequacy_scan(
                 lo = max(a, lo - width)
             elif hi < b and hi - t_min <= _EDGE_TOL:
                 hi = min(b, hi + width)
-            elif res.fun <= _ADEQUACY_SV:
+            elif res.fun <= _SCAN_ZERO:
                 return _Verdict(
                     f"adequacy fails between nodes at s={t_min:.9f} "
                     f"(smallest singular value {res.fun:.3e})",
                     new_time=t_min,
                 )
             else:
-                return None
-
-    floor = _PIECE_FLOOR * (b - a)
-    pieces = [(a, b)]
-    while pieces:
-        c, d = pieces.pop()
-        lam_c, mu_c, sv_c = point(c)
-        lam_d, mu_d, sv_d = point(d)
-        motion = _chord(lam_c, lam_d) + _chord(mu_c, mu_d)
-        ends = sv_c + sv_d - 2.0 * _ADEQUACY_SV
-        if ends > _MOTION_FACTOR * motion:
-            continue
-        if ends <= _LOCATE_RATIO * motion or d - c <= floor:
-            width = d - c
-            verdict = locate(max(a, c - width), min(b, d + width))
-            if verdict is not None:
-                return verdict
-            continue
-        mid = 0.5 * (c + d)
-        pieces.extend(((mid, d), (c, mid)))
+                break
     return None
 
 

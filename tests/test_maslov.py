@@ -43,6 +43,7 @@ from maslovlab.sampling import (
     lagrangian_rotation,
     random_lagrangian,
     random_symplectic_form,
+    random_unitary,
     rng_from_seed,
     rotating_pair_path,
 )
@@ -215,6 +216,19 @@ def test_endpoint_crossing_at_start_counts_positive_part():
     assert (cross.mas_plus, cross.mas_minus) == (1, 0)
     assert cross.crossings[0].t == 0.0
     assert cross.crossings[0].signature == (1, 0, 0)
+
+
+def test_start_angle_within_the_snap_counts_as_an_endpoint_crossing():
+    """The start angle is 4e-9, not 0, and no sign change follows.
+
+    Winding snaps end angles within 1e-8 onto 0, so the crossing route
+    must record the start as an endpoint crossing too.
+    """
+    path = line_path(lambda s: np.arctan(s + 2e-9))
+    wind = maslov_winding(path)
+    cross = maslov_crossings(path)
+    assert (wind.mas_plus, wind.mas_minus) == (cross.mas_plus, cross.mas_minus) == (1, 0)
+    assert cross.crossings[0].t == 0.0
 
 
 def test_endpoint_crossing_at_end_counts_lower_index():
@@ -774,6 +788,186 @@ def test_semipositive_requires_constant_mu():
     path = rotation_pair_path(900)
     with pytest.raises(ValueError, match="constant mu"):
         maslov_semipositive(path)
+
+
+J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+OPPOSITE_CROSSINGS_C4 = "C^4, two lines cross both ways in one sample gap"
+
+
+def lines_frame(angles) -> np.ndarray:
+    """Columns (cos t_i, sin t_i) placed in coordinates 2i, 2i+1 of C^2k."""
+    k = len(angles)
+    m = np.zeros((2 * k, k), dtype=complex)
+    m[2 * np.arange(k), np.arange(k)] = np.cos(angles)
+    m[2 * np.arange(k) + 1, np.arange(k)] = np.sin(angles)
+    return m
+
+
+def line_sum_path(angles_fn, mu_angles, p, num_samples) -> LagrangianPairPath:
+    """P (+)_i line(angles_fn(s)_i) against the fixed P (+)_i line(mu_angles_i).
+
+    The form is J = P^-H (J2 (+) ... (+) J2) P^-1, so P carries the sum
+    of planar line pairs to this path, and its counts are the sums of
+    the lines' counts: a line rising through its partner adds (1, 1),
+    one falling through it (-1, -1).
+    """
+    pinv = np.linalg.inv(p)
+    form = SymplecticForm(pinv.conj().T @ scipy.linalg.block_diag(*[J2] * (len(p) // 2)) @ pinv)
+    mu = orthonormalize(p @ lines_frame(mu_angles))
+    return LagrangianPairPath.from_callable(
+        lambda s: (form, orthonormalize(p @ lines_frame(angles_fn(s))), mu), num_samples
+    )
+
+
+def close_crossings_path(case) -> LagrangianPairPath:
+    """A path whose crossings of different lines lie close together.
+
+    An integer case is draw ``case`` of a seeded family: k = 1 + case % 4
+    lines, line i turning from angle a_i at rate b_i against a line at
+    c_i, under a general change of coordinates P = U diag(d) V with d in
+    [0.5, 2], at 65 samples. The C^4 case has one line rising through
+    its partner at s = 0.52 and one falling through it at s = 0.56, both
+    inside the sample gap [0.5, 0.625].
+    """
+    if case == OPPOSITE_CROSSINGS_C4:
+        return line_sum_path(lambda s: [s - 0.52, -1.5 * (s - 0.56)], [0.0, 0.0], np.eye(4), 9)
+    rng = np.random.default_rng((0x5041, case))
+    k = 1 + case % 4
+    a = rng.uniform(0.0, np.pi, k)
+    b = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, k)
+    c = rng.uniform(0.0, np.pi, k)
+    p = (random_unitary(rng, 2 * k) * rng.uniform(0.5, 2.0, 2 * k)) @ random_unitary(rng, 2 * k)
+    return line_sum_path(lambda s: a + b * s, c, p, 65)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (31, (3, 3)),
+        (91, (0, 0)),
+        (209, (1, 1)),
+        (214, (0, 0)),
+        (219, (2, 2)),
+        (379, (3, 3)),
+        (OPPOSITE_CROSSINGS_C4, (0, 0)),
+    ],
+)
+def test_crossings_count_close_crossings_of_different_lines(case, expected):
+    """Each crossing is found once, however close a crossing of another line lies.
+
+    The expected counts are the closed-form sums over the lines. Angle
+    branches continued by minimal displacement swap labels where two
+    eigenvalues pass each other near angle 0, so an event finder that
+    follows them drops crossings, or finds one of two that cancel.
+    """
+    result = maslov_crossings(close_crossings_path(case))
+    assert (result.mas_plus, result.mas_minus) == expected
+
+
+@pytest.mark.parametrize(
+    "first_line",
+    [
+        lambda s: 0.2 * (s - 0.53) ** 2,
+        lambda s: 0.2 * (s - 0.5302) ** 2,
+        lambda s: 2e-9 + 0.2 * (s - 0.5302) ** 2,
+    ],
+    ids=["touch", "touch mid-piece", "near miss"],
+)
+def test_touch_beside_a_fast_line_counts_nothing_or_raises(first_line):
+    """A touch contributes 0 to both counts; the crossing route gives (0, 0) or refuses it.
+
+    Line 1 comes back from its partner between samples. Line 2 turns
+    fast, far from its partner, so the scan splits the pieces around
+    the touch down to the floor width. A time taken where the angle is
+    merely small, such as a piece end within 1e-8 of angle 0 near the
+    touch, is not a crossing: its crossing form has the sign of the
+    offset and would count +-1.
+    """
+    path = line_sum_path(lambda s: [first_line(s), 1.0 + 1.5 * s], [0.0, 0.0], np.eye(4), 21)
+    wind = maslov_winding(path)
+    assert (wind.mas_plus, wind.mas_minus) == (0, 0)
+    try:
+        cross = maslov_crossings(path)
+    except ValueError as exc:
+        assert "degenerate crossing" in str(exc)
+    else:
+        assert (cross.mas_plus, cross.mas_minus) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "angles, num_samples, expected",
+    [
+        (lambda s: [4 * (s - 0.5213), 5 * (s - 0.5214)], 9, (2, 2)),
+        (lambda s: [4 * (s - 0.5213), 3e-4], 9, (1, 1)),
+        (lambda s: [3 * s, 4 * (s - 2e-4)], 9, (3, 2)),
+        (lambda s: [-3 * (1 - s), -4 * (s - 1 + 2e-4)], 9, (-2, -1)),
+        (lambda s: [5e-5, np.pi / 2 + 1.5 * (s - 0.5213)], 21, (0, 0)),
+        (lambda s: [1.5e-4, -5e-5 - (s - 0.5) ** 2], 21, (0, 0)),
+    ],
+    ids=[
+        "two rising 1e-4 apart",
+        "rising beside a line held near its partner",
+        "start crossing, then one in the first piece",
+        "one in the last piece, then an end crossing",
+        "a line passes pi beside one held near its partner",
+        "the eigenvalue nearest 1 changes side",
+    ],
+)
+def test_crossings_find_each_crossing_in_a_floor_piece(angles, num_samples, expected):
+    """Crossings a few 1e-4 apart, or beside an eigenvalue nearer to 1, are each found.
+
+    The signed angle nearest 0 does not change sign across the second
+    and third crossings of the first four cases, so a scan that reads
+    it misses them. In the last two no angle reaches 0, though the
+    nearest angle jumps from one side of 0 to the other or the order
+    of the angles changes where a line passes pi.
+    """
+    path = line_sum_path(angles, [0.0, 0.0], np.eye(4), num_samples)
+    wind = maslov_winding(path)
+    cross = maslov_crossings(path)
+    assert (wind.mas_plus, wind.mas_minus) == (cross.mas_plus, cross.mas_minus) == expected
+    if expected == (0, 0):
+        assert cross.crossings == ()
+
+
+@pytest.mark.parametrize(
+    "angle_fn",
+    [
+        lambda s: min(0.0, s - 0.5),
+        lambda s: min(0.0, s - 0.5) + (1e-16 * np.sin(1e3 * s) if s > 0.5 else 0.0),
+        lambda s: min(0.0, s - 0.3) + max(0.0, s - 0.6),
+    ],
+    ids=["to the end", "to the end, with noise", "then leaves"],
+)
+def test_semipositive_counts_a_plateau_once(angle_fn):
+    """A line that reaches mu and stays there counts once, at its arrival."""
+    path = line_path(angle_fn)
+    assert maslov_semipositive(path) == maslov_winding(path).mas_minus == 1
+
+
+def test_crossing_routes_follow_no_angle_branch(monkeypatch):
+    """maslov_crossings and maslov_semipositive read each spectrum as a set.
+
+    With the winding route's branch continuation patched to raise, both
+    still give the winding counts, computed before the patch.
+    """
+    paths = {
+        "seeded": lambda: rotation_pair_path(902),
+        "benchmark": benchmark_pair_path,
+        "two rotations": lambda: line_path(lambda s: -np.pi / 4 + 1.5 * np.pi * s, num_samples=41),
+    }
+    winding = {name: maslov_winding(build()) for name, build in paths.items()}
+
+    def no_branches(*args, **kwargs):
+        raise AssertionError("branch continuation was called")
+
+    monkeypatch.setattr(maslov, "_winding_rows", no_branches)
+    monkeypatch.setattr(maslov, "_branch_step", no_branches)
+    for name in ("seeded", "benchmark"):
+        cross = maslov_crossings(paths[name]())
+        wind = winding[name]
+        assert (cross.mas_plus, cross.mas_minus) == (wind.mas_plus, wind.mas_minus)
+    assert maslov_semipositive(paths["two rotations"]()) == winding["two rotations"].mas_minus == 2
 
 
 def test_reduced_agrees_with_winding_on_seeded_paths():
