@@ -10,27 +10,34 @@ symplectic form. Three routes compute it:
 * ``maslov_crossings`` finds the isolated times where the pair
   intersects, differentiates a crossing form there, and adds up
   signatures with an asymmetric endpoint convention.
-* ``maslov_reduced`` localizes a high-dimensional path into small
-  symplectic subspaces through pair-adapted reduction and sums the
-  windings of the reduced segments.
+* ``maslov_reduced`` reduces the path, near each intersection that
+  ``maslov_crossings`` locates, onto the small symplectic subspace
+  X0 = (lam inter mu) + V anchored there, and sums the windings of the
+  reduced segments.
 
 All three agree on their common domain, which the test suite checks.
 The winding route is the most robust (it needs no regularity at the
 crossings) and serves as the reference implementation.
 
-One piece loop, :func:`_scan_pieces`, finds where a value can reach a
-threshold between samples. Its users are the crossing scan of
-``maslov_crossings`` and ``maslov_semipositive`` (the distance of the
-relative unitary's spectrum to 1, then counts of its eigenvalues near
-1, so no winding branch is shared) and the adequacy scan of
-``maslov_reduced`` (sigma_min of [V | lam | mu]).
+One scan, :func:`_crossing_events`, finds where the pair intersects
+between samples: its piece loop, :func:`_scan_pieces`, bisects where
+the distance of the relative unitary's spectrum to 1 can reach 0, and
+counts of its eigenvalues near 1 cut the path into levels of constant
+intersection dimension, so no winding branch is shared.
+``maslov_crossings`` takes crossing forms in the spans where the pair
+intersects, ``maslov_semipositive`` adds up the rises between levels,
+and ``maslov_reduced`` anchors one reduced segment at each peak level.
+Winding is independent of the scan, and every consumer of the reduced
+route checks it against winding.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.optimize
@@ -48,7 +55,6 @@ from .frames import (
 )
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
-    IntrinsicDecomposition,
     complementary_lagrangian,
     graph_coefficients,
     intrinsic_decomposition,
@@ -85,14 +91,10 @@ _ANGLE_SNAP = 1e-8
 _UNIT_CIRCLE_TOL = 1e-9
 _BISECT_TOL = 1e-10
 _GATE_DELTA = 0.5
-# Piece scan constants, see _scan_pieces and its two users. A bounded
-# Brent search stops up to about 2 sqrt(eps) |s| from a bound, hence
-# _EDGE_TOL.
+# Piece scan constants, see _scan_pieces and _crossing_events.
 _SCAN_ZERO = 1e-6
 _MOTION_FACTOR = 2.0
-_LOCATE_RATIO = 0.3
-_PIECE_FLOOR = 2.0**-6
-_EDGE_TOL = 1e-7
+_PIECE_DEPTH = 6
 
 
 def counting_function_E(a: float) -> int:
@@ -649,38 +651,34 @@ def one_sided_form(
     return _hermitize_derivative(combined, "one-sided form"), base
 
 
-def _scan_pieces(
-    a: float, b: float, value, motion, threshold: float, locate_ratio: float
-) -> Iterator[tuple[float, float]]:
-    """The pieces of [a, b] that will not clear, in order; the caller decides each.
+def _scan_pieces(a: float, b: float, value, motion) -> Iterator[tuple[float, float]]:
+    """The pieces of [a, b] where a nonnegative value may reach 0, in order.
 
-    A piece [c, d] is cleared when value(c) + value(d) - 2 threshold
-    exceeds ``_MOTION_FACTOR`` times motion(c, d). value moves by at
-    most the motion, so a cleared piece stays above the threshold as
-    long as the motion inside it stays within that factor of the motion
-    between its ends. That is a measured heuristic: a value that dips
-    and comes back inside one piece is not seen. A piece that is not
-    cleared is bisected, down to ``_PIECE_FLOOR`` of [a, b]; one at that
-    width, or one whose excess is at most ``locate_ratio`` of its
-    motion, is yielded. value is taken once per point.
+    A piece [c, d] is cleared when value(c) + value(d) exceeds
+    ``_MOTION_FACTOR`` times motion(c, d). value moves by at most the
+    motion, so a cleared piece stays above 0 as long as the motion
+    inside it stays within that factor of the motion between its ends.
+    That is a measured heuristic: a value that dips and comes back
+    inside one piece is not seen. A piece that is not cleared is halved
+    ``_PIECE_DEPTH`` times, to 1/64 of [a, b]; a piece at that depth, or
+    one with value 0 at both ends, is yielded. value is taken once per
+    point.
     """
     values: dict[float, float] = {}
-    floor = _PIECE_FLOOR * (b - a)
-    pieces = [(a, b)]
+    pieces = [(a, b, 0)]
     while pieces:
-        c, d = pieces.pop()
+        c, d, depth = pieces.pop()
         for s in (c, d):
             if s not in values:
                 values[s] = value(s)
-        excess = values[c] + values[d] - 2.0 * threshold
-        move = motion(c, d)
-        if excess > _MOTION_FACTOR * move:
+        excess = values[c] + values[d]
+        if excess > _MOTION_FACTOR * motion(c, d):
             continue
-        if excess <= locate_ratio * move or d - c <= floor:
+        if excess <= 0.0 or depth == _PIECE_DEPTH:
             yield c, d
             continue
         mid = 0.5 * (c + d)
-        pieces.extend(((mid, d), (c, mid)))
+        pieces.extend(((mid, d, depth + 1), (c, mid, depth + 1)))
 
 
 def _ordered_angle(s: float, path: LagrangianPairPath, rank_tol: float, j: int) -> float:
@@ -694,8 +692,10 @@ def _ordered_angle(s: float, path: LagrangianPairPath, rank_tol: float, j: int) 
     return float(np.sort(_path_angles(path, s, rank_tol))[j])
 
 
-def _crossing_events(path: LagrangianPairPath, rank_tol: float) -> tuple[list[float], int]:
-    """Times where lam(s) meets mu(s), and how often an eigenvalue of W(s) arrives at 1.
+def _crossing_events(
+    path: LagrangianPairPath, rank_tol: float
+) -> list[tuple[float, float, int]]:
+    """The levels (lo, hi, z) of the number z of eigenvalues of W(s) at 1.
 
     Angles of the relative unitary W(s) (see :func:`_path_angles`)
     within 1e-8 of 0 count as 0, the snap winding applies to its end
@@ -706,7 +706,7 @@ def _crossing_events(path: LagrangianPairPath, rank_tol: float) -> tuple[list[fl
     Each sample gap is scanned by :func:`_scan_pieces` on
     f(s) = min |angle|, with the Hausdorff distance between the end
     spectra on the circle as the motion; pieces that will not clear are
-    split down to the floor width, never located early. A floor piece
+    split down to the floor depth, never located early. A floor piece
     whose end states differ is bisected where they differ, to brackets
     of 1e-10, dropping brackets that clear against 1e-8 (an angle
     passing pi changes p too). Where z = 0 at both ends and p differs
@@ -715,11 +715,13 @@ def _crossing_events(path: LagrangianPairPath, rank_tol: float) -> tuple[list[fl
     farther than 1e-6 from 0 is a jump of that order statistic (an
     angle passing pi), and bisection goes on.
 
-    Each interval where z > 0 gives one time: the end of the path it
-    holds, or else its midpoint. The arrivals are the rises of z. Two
-    crossings in one floor piece that leave its end states equal
-    (opposite crossings of two angles, or an angle that comes back) are
-    not seen, and add 0 to both counts.
+    The levels partition the path, in order, into stretches of constant
+    z = dim(lam(s) inter mu(s)): a transversal crossing is a level of
+    width at most 1e-10 between two levels of z = 0, a plateau a wide
+    one. The first and last levels hold z at the path ends, the
+    snapped count winding uses there. Two crossings in one floor piece
+    that leave its end states equal (opposite crossings of two angles,
+    or an angle that comes back) are not seen, and add 0 to both counts.
     """
 
     def distance(s: float) -> float:
@@ -736,7 +738,7 @@ def _crossing_events(path: LagrangianPairPath, rank_tol: float) -> tuple[list[fl
 
     changes = []  # (time, z before, z after)
     for smp_a, smp_b in zip(path.samples, path.samples[1:]):
-        for piece in _scan_pieces(smp_a.s, smp_b.s, distance, motion, 0.0, 0.0):
+        for piece in _scan_pieces(smp_a.s, smp_b.s, distance, motion):
             brackets = [piece]
             while brackets:
                 u, v = brackets.pop()
@@ -760,16 +762,11 @@ def _crossing_events(path: LagrangianPairPath, rank_tol: float) -> tuple[list[fl
                 brackets.extend(((mid, v), (u, mid)))
 
     s_start, s_end = path.samples[0].s, path.samples[-1].s
-    times, opened = [], s_start if state(s_start)[0] else None
-    for t, _, z in sorted(changes):
-        if opened is None and z:
-            opened = t
-        elif opened is not None and not z:
-            times.append(s_start if opened == s_start else 0.5 * (opened + t))
-            opened = None
-    if opened is not None:
-        times.extend((s_start, s_end) if opened == s_start else (s_end,))
-    return times, sum(max(0, z - z_u) for _, z_u, z in changes)
+    starts = [(s_start, state(s_start)[0])]
+    for t, _, z in sorted(changes) + [(s_end, 0, state(s_end)[0])]:
+        if z != starts[-1][1]:
+            starts.append((t, z))
+    return [(t, u, z) for (t, z), (u, _) in zip(starts, starts[1:] + [(s_end, 0)])]
 
 
 def maslov_crossings(
@@ -780,10 +777,13 @@ def maslov_crossings(
 ) -> MaslovResult:
     """Maslov counts by locating crossings and adding their signatures.
 
-    Crossing times are found by :func:`_crossing_events`, the piece
-    loop of the adequacy scan of ``maslov_reduced`` run on counts of the
-    relative unitary's eigenvalues near 1, so no eigenvalue branch of
-    the winding route is used. Crossings are located to 1e-10 in s.
+    Crossing times come from :func:`_crossing_events`, which reads
+    counts of the relative unitary's eigenvalues near 1, so no
+    eigenvalue branch of the winding route is used; ``maslov_reduced``
+    partitions the path at the same levels. Each span, a run of levels
+    where the pair intersects, gives one time at each path end it
+    holds, or else one at its midpoint. Crossings are located to 1e-10
+    in s.
     Every crossing must be regular. The counts follow the
     asymmetric endpoint convention
 
@@ -797,8 +797,16 @@ def maslov_crossings(
             "the crossing method needs a refinement callback to locate "
             "crossings between samples"
         )
+    levels = _crossing_events(path, rank_tol)
+    s_start, s_end = levels[0][0], levels[-1][1]
+    times = []
+    for intersected, run in itertools.groupby(levels, key=lambda level: level[2] > 0):
+        if intersected:
+            run = list(run)
+            span = (run[0][0], run[-1][1])
+            times += [s for s in span if s in (s_start, s_end)] or [0.5 * sum(span)]
     records = []
-    for t in _crossing_events(path, rank_tol)[0]:
+    for t in times:
         rec = crossing_form(path, t, fd_step, seed, rank_tol)
         if rec.signature[2] != 0:
             raise ValueError(
@@ -868,349 +876,69 @@ def maslov_semipositive(
                 f"path is not semi-positive at t={smp.s:.6f}: "
                 f"Q(lam, t) has eigenvalue {low:.3e}"
             )
-    return _crossing_events(path, rank_tol)[1]
+    levels = _crossing_events(path, rank_tol)
+    return sum(max(0, z - z_prev) for (*_, z_prev), (*_, z) in zip(levels, levels[1:]))
 
 
-class _SegmentFailure(Exception):
-    """Internal marker: a reduction anchor did not cover its segment.
-
-    ``new_time`` is set when the failure was located strictly between
-    existing nodes (by the continuous adequacy scan), so the partition
-    search can insert a node there and re-anchor.
-    """
-
-    def __init__(self, message: str, new_time: float | None = None):
-        super().__init__(message)
-        self.new_time = new_time
-
-
-class _Verdict(NamedTuple):
-    """A kept reduction failure, raised as a fresh ``_SegmentFailure(*verdict)``.
-
-    A kept exception object would gain the traceback of every raise,
-    and with it the frames that hold the reduction state.
-    """
-
-    message: str
-    new_time: float | None = None
-
-
-def _adequacy_scan(
+def _segment_counts(
     path: LagrangianPairPath,
-    anchor_v: Frame,
-    a: float,
-    b: float,
-) -> _Verdict | None:
-    """Check X = V + lam(s) + mu(s) across one gap between nodes.
-
-    The stacked matrix [V | lam(s) | mu(s)] must keep full row rank for
-    every s in the gap [a, b]. A smallest singular value sigma(s) at or
-    below 1e-6 is a parameter where the anchor's complement stops being
-    adequate (for a transversal anchor: a crossing of the pair), which
-    node-level checks cannot see. Returns the _Verdict carrying the time
-    of that minimum, found to about 1e-9 by a bounded Brent search, or
-    None when the gap is adequate.
-
-    The gap is scanned by :func:`_scan_pieces`, the piece loop that
-    :func:`_crossing_events` also runs, with threshold 1e-6. sigma is
-    invariant under right multiplication of the lam and mu blocks by
-    unitaries, so by Weyl's inequality
-    sigma(s) >= sigma(c) - rho_lam(c, s) - rho_mu(c, s) for every s, with
-    rho(m, n) = min over unitaries W of ||n W - m||_2 =
-    sqrt(2 - 2 sigma_min(m^H n)), the chord of the largest principal
-    angle: this bound is rigorous at each point. The motion of a piece is
-    rho_lam + rho_mu between its ends, both chords from one stacked SVD.
-    The gap's ends are nodes, which the path memoizes, so a gap cleared
-    at once costs no callback call.
-
-    A transversal crossing inside a piece keeps the sum of its end
-    values near its slope times the width, a fixed share of the motion,
-    so bisection would never clear it: a piece whose end values sum to
-    at most ``_LOCATE_RATIO`` of its motion, or one at the floor width,
-    goes to Brent at once, on a bracket one piece width wider on each
-    side. A search that ends on a bracket bound inside the gap is run
-    again on a bracket widened on that side, so the time returned is
-    always a located minimum, never a bisection point or a bracket edge
-    near it.
-    """
-    if b - a <= 1e-9:
-        return None
-
-    def smallest_sv(s: float) -> float:
-        _, lam, mu = path.evaluate(s)
-        stack = np.concatenate((anchor_v.matrix, lam.matrix, mu.matrix), axis=1)
-        return float(np.linalg.svd(stack, compute_uv=False)[-1])
-
-    def motion(c: float, d: float) -> float:
-        (_, lam_c, mu_c), (_, lam_d, mu_d) = path.evaluate(c), path.evaluate(d)
-        products = np.stack(
-            (lam_c.matrix.conj().T @ lam_d.matrix, mu_c.matrix.conj().T @ mu_d.matrix)
-        )
-        cosines = np.linalg.svd(products, compute_uv=False)[:, -1]
-        return float(np.sqrt(np.clip(2.0 - 2.0 * cosines, 0.0, None)).sum())
-
-    for c, d in _scan_pieces(a, b, smallest_sv, motion, _SCAN_ZERO, _LOCATE_RATIO):
-        width = d - c
-        lo, hi = max(a, c - width), min(b, d + width)
-        while True:
-            res = scipy.optimize.minimize_scalar(
-                smallest_sv, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
-            )
-            t_min, width = float(res.x), hi - lo
-            if lo > a and t_min - lo <= _EDGE_TOL:
-                lo = max(a, lo - width)
-            elif hi < b and hi - t_min <= _EDGE_TOL:
-                hi = min(b, hi + width)
-            elif res.fun <= _SCAN_ZERO:
-                return _Verdict(
-                    f"adequacy fails between nodes at s={t_min:.9f} "
-                    f"(smallest singular value {res.fun:.3e})",
-                    new_time=t_min,
-                )
-            else:
-                break
-    return None
-
-
-class _Anchor:
-    """Everything ``maslov_reduced`` derives from one anchor decomposition.
-
-    The anchor fixes lam0 and the isotropic complement V. The reduction
-    of the pair at each parameter onto X0 = lam0 + V and the adequacy
-    verdict on each gap are deterministic functions of (lam0, V) and
-    the path. They are kept, so trying the anchor again (on a
-    subsegment after a failed attempt, or in the refined-partition
-    pass) repeats no arithmetic. A gap's verdict comes from
-    :func:`_adequacy_scan`: the Weyl bound it clears pieces with is
-    rigorous at each point, while the motion of lam and mu inside a
-    piece is measured between its ends only, a heuristic.
-
-    Transversal anchors are interchangeable. At a node where
-    lam inter mu = 0, lam0 = 0, so V = 0 and X0 = 0; the reduction and
-    the scan read nothing of the anchor but these empty frames, so they
-    come out the same whichever transversal node was picked.
-    ``_Reduction`` therefore builds one _Anchor for all of them, and
-    each parameter is reduced and each gap scanned once for the whole
-    family.
-    """
-
-    def __init__(
-        self,
-        path: LagrangianPairPath,
-        dec: IntrinsicDecomposition,
-        rank_tol: float,
-    ):
-        self.path = path
-        self.dec = dec
-        self.rank_tol = rank_tol
-        self._reduced: dict = {}
-        self._gaps: dict = {}
-
-    @property
-    def transversal(self) -> bool:
-        return self.dec.lam0.dim == 0
-
-    def reduce(self, s: float, form: SymplecticForm, lam: Frame, mu: Frame):
-        """Reduced pair at s; raises _SegmentFailure with the failed gate."""
-        hit = self._reduced.get(s)
-        if hit is None:
-            rank_tol = self.rank_tol
-            try:
-                local = pair_decomposition(form, self.dec.lam0, self.dec.v, lam, mu, rank_tol)
-                hit = reduced_pair(form, local, lam, mu, rank_tol)
-            except (ValueError, ArithmeticError) as exc:
-                hit = _Verdict(str(exc))
-            self._reduced[s] = hit
-        if isinstance(hit, _Verdict):
-            raise _SegmentFailure(*hit)
-        return hit
-
-    def scan(self, node_times: list[float]) -> None:
-        """Adequacy scan over every gap of node_times, in order."""
-        for gap in zip(node_times, node_times[1:]):
-            if gap not in self._gaps:
-                self._gaps[gap] = _adequacy_scan(self.path, self.dec.v, *gap)
-            if self._gaps[gap] is not None:
-                raise _SegmentFailure(*self._gaps[gap])
-
-
-class _Reduction:
-    """Per-call state of ``maslov_reduced``: the anchor of each node tried.
-
-    Every transversal node shares one _Anchor (see there). A node whose
-    decomposition fails has no anchor.
-    """
-
-    def __init__(self, path: LagrangianPairPath, seed: int, rank_tol: float):
-        self.path = path
-        self.seed = seed
-        self.rank_tol = rank_tol
-        self._anchors: dict[float, _Anchor | None] = {}
-        self._transversal: _Anchor | None = None
-        self._cap_dims: dict[float, int] = {}
-
-    def anchor(self, node: PathSample) -> _Anchor | None:
-        """The anchor at a node, or None when its decomposition fails."""
-        if node.s not in self._anchors:
-            anchor = None
-            try:
-                dec = intrinsic_decomposition(
-                    node.form, node.lam, node.mu, seed=self.seed, rank_tol=self.rank_tol
-                )
-            except (ValueError, ArithmeticError):
-                pass
-            else:
-                if dec.lam0.dim > 0:
-                    anchor = _Anchor(self.path, dec, self.rank_tol)
-                else:
-                    if self._transversal is None:
-                        self._transversal = _Anchor(self.path, dec, self.rank_tol)
-                    anchor = self._transversal
-            self._anchors[node.s] = anchor
-        return self._anchors[node.s]
-
-    def cap_dim(self, node: PathSample) -> int:
-        if node.s not in self._cap_dims:
-            self._cap_dims[node.s] = intersect(node.lam, node.mu, self.rank_tol).dim
-        return self._cap_dims[node.s]
-
-
-def _reduced_segment_counts(
-    nodes: list[PathSample],
-    red: _Reduction,
-    anchor: _Anchor,
-    lo: int,
-    hi: int,
-) -> tuple[int, int]:
-    """Maslov counts of one reduced segment for a fixed anchor.
-
-    The anchor fixes lam0 = lam inter mu and an isotropic complement V
-    at one node of the segment; every node is then reduced onto
-    X0 = lam0 + V with the induced form and the winding count of the
-    reduced pair path is returned. Any gate failure (lost direct sum,
-    disagreeing induced forms, changed intersection dimension, a
-    reduced sample failing to be Lagrangian) raises _SegmentFailure,
-    which the partition search treats as "try another anchor or split".
-    """
-    path = red.path
-    s_lo, s_hi = nodes[lo].s, nodes[hi].s
-    width = s_hi - s_lo
-    node_times = [node.s for node in nodes[lo : hi + 1]]
-    if anchor.transversal:
-        for node in nodes[lo : hi + 1]:
-            anchor.reduce(node.s, node.form, node.lam, node.mu)
-        if path.callback is not None:
-            anchor.scan(node_times)
-        return 0, 0
-    try:
-        reduced_samples = []
-        for node in nodes[lo : hi + 1]:
-            form_r, lam_r, mu_r = anchor.reduce(node.s, node.form, node.lam, node.mu)
-            s01 = (node.s - s_lo) / width
-            reduced_samples.append(PathSample(min(max(s01, 0.0), 1.0), form_r, lam_r, mu_r))
-        reduced_callback = None
-        if path.callback is not None:
-            anchor.scan(node_times)
-
-            def reduced_callback(s01: float):
-                s = s_lo + s01 * width
-                return anchor.reduce(s, *path.evaluate(s))
-        reduced_path = LagrangianPairPath(tuple(reduced_samples), reduced_callback)
-        result = maslov_winding(reduced_path, red.rank_tol)
-    except (ValueError, ArithmeticError) as exc:
-        raise _SegmentFailure(str(exc))
-    return result.mas_plus, result.mas_minus
-
-
-def _solve_segment(
-    nodes: list[PathSample],
-    red: _Reduction,
-    lo: int,
-    hi: int,
-    depth: int,
+    t: float,
+    span: tuple[float, float],
+    lo: float,
+    hi: float,
+    seed: int,
+    rank_tol: float,
     max_depth: int,
 ) -> tuple[int, int]:
-    """Counts over nodes[lo..hi], re-anchoring and splitting as needed.
+    """Reduced winding counts of the segment [lo, hi] around one span.
 
-    Anchor candidates are the segment's nodes ordered by decreasing
-    intersection dimension (a crossing inside the segment can only be
-    covered by an anchor whose lam0 contains the crossing directions),
-    with ties broken toward the segment middle. The transversal
-    candidates come last and share one anchor, so once it has failed
-    the rest would fail the same way, at the same located time, and
-    are not tried.
+    The anchor is the intrinsic decomposition at t: each parameter is
+    reduced onto X0 = lam0 + V once, and the reduced path through lo, t
+    and hi, refined through the reduced callback, is counted by
+    :func:`maslov_winding`. A gate that fails moves both ends halfway
+    toward the span, and the ``max_depth + 1``-th failure raises. The
+    counts are taken once more with both ends halfway toward the span,
+    and must not change. A failing anchor raises as it is.
     """
-    dims = [red.cap_dim(nodes[i]) for i in range(lo, hi + 1)]
-    mid_position = 0.5 * (lo + hi)
-    order = sorted(
-        range(lo, hi + 1),
-        key=lambda i: (-dims[i - lo], abs(i - mid_position)),
-    )
-    located: float | None = None
-    for candidate in order:
-        anchor = red.anchor(nodes[candidate])
-        if anchor is None:
-            continue
+    form, lam, mu = path.evaluate(t)
+    dec = intrinsic_decomposition(form, lam, mu, seed=seed, rank_tol=rank_tol)
+    reduced: dict[float, tuple[SymplecticForm, Frame, Frame]] = {}
+
+    def reduce(s: float) -> tuple[SymplecticForm, Frame, Frame]:
+        if s not in reduced:
+            form_s, lam_s, mu_s = path.evaluate(s)
+            local = pair_decomposition(form_s, dec.lam0, dec.v, lam_s, mu_s, rank_tol)
+            reduced[s] = reduced_pair(form_s, local, lam_s, mu_s, rank_tol)
+        return reduced[s]
+
+    def counts(lo: float, hi: float) -> tuple[int, int]:
+        width = hi - lo
+        samples = [PathSample((s - lo) / width, *reduce(s)) for s in sorted({lo, t, hi})]
+        result = maslov_winding(
+            _refined_path(samples, lambda u: reduce(lo + u * width)), rank_tol
+        )
+        return result.mas_plus, result.mas_minus
+
+    a, b = span
+    found: list[tuple[int, int]] = []
+    failures = 0
+    while len(found) < 2:
         try:
-            return _reduced_segment_counts(nodes, red, anchor, lo, hi)
-        except _SegmentFailure as exc:
-            if located is None and exc.new_time is not None:
-                located = exc.new_time
-        if anchor.transversal:
-            break
-    if depth >= max_depth:
-        raise ValueError(
-            "no admissible reduction partition at the requested resolution "
-            f"(segment s={nodes[lo].s:.6f}..{nodes[hi].s:.6f})"
+            found.append(counts(lo, hi))
+        except (ValueError, ArithmeticError) as exc:
+            failures += 1
+            if failures > max_depth:
+                raise ValueError(
+                    "no admissible reduction partition at the requested resolution "
+                    f"(segment s={lo:.6f}..{hi:.6f}: {exc})"
+                ) from exc
+        lo, hi = 0.5 * (lo + a), 0.5 * (hi + b)
+    if found[0] != found[1]:
+        raise ArithmeticError(
+            f"reduced Maslov counts changed under partition refinement: "
+            f"{found[0]} vs {found[1]}"
         )
-    path = red.path
-    if (
-        located is not None
-        and path.callback is not None
-        and all(abs(located - node.s) > 1e-9 for node in nodes[lo : hi + 1])
-    ):
-        position = lo + 1
-        while nodes[position].s < located:
-            position += 1
-        form, lam, mu = path.evaluate(located)
-        nodes.insert(position, PathSample(located, form, lam, mu))
-        return _solve_segment(nodes, red, lo, hi + 1, depth + 1, max_depth)
-    if hi - lo >= 2:
-        mid = (lo + hi) // 2
-    elif path.callback is not None:
-        s_mid = 0.5 * (nodes[lo].s + nodes[hi].s)
-        form, lam, mu = path.evaluate(s_mid)
-        nodes.insert(lo + 1, PathSample(s_mid, form, lam, mu))
-        mid = lo + 1
-        hi = hi + 1
-    else:
-        raise ValueError(
-            "no admissible reduction partition at the requested resolution "
-            f"(segment s={nodes[lo].s:.6f}..{nodes[hi].s:.6f} cannot be split)"
-        )
-    return _solve_halves(nodes, red, lo, mid, hi, depth + 1, max_depth)
-
-
-def _solve_halves(
-    nodes: list[PathSample],
-    red: _Reduction,
-    lo: int,
-    mid: int,
-    hi: int,
-    depth: int,
-    max_depth: int,
-) -> tuple[int, int]:
-    """Summed counts over nodes[lo..mid] and nodes[mid..hi].
-
-    Solving the left half may insert nodes into it; the right half's
-    indices are shifted by their number, so it still runs from the node
-    that was at ``mid`` to the node that was at ``hi``.
-    """
-    size = len(nodes)
-    left = _solve_segment(nodes, red, lo, mid, depth, max_depth)
-    shift = len(nodes) - size
-    right = _solve_segment(nodes, red, mid + shift, hi + shift, depth, max_depth)
-    return left[0] + right[0], left[1] + right[1]
+    return found[0]
 
 
 def maslov_reduced(
@@ -1219,41 +947,60 @@ def maslov_reduced(
     rank_tol: float = RANK_TOL,
     max_depth: int = 10,
 ) -> MaslovResult:
-    """Maslov counts through segmental symplectic reduction.
+    """Maslov counts through segmental symplectic reduction at the crossings.
 
-    The interval is partitioned so that on each segment one anchor node
-    provides a complement V of lam + mu valid across the whole segment;
-    each node of the segment is reduced onto the small space
-    X0 = (lam inter mu) + V with the induced form, and the winding
-    counts of the reduced paths are summed. Catenation makes the result
-    independent of the admissible partition; this is re-checked by
-    recomputing on a refined partition, and a disagreement raises.
+    The levels of :func:`_crossing_events`, the scan ``maslov_crossings``
+    uses, partition the interval. Each peak, a level where z =
+    dim(lam inter mu) is higher than on both neighbours, gets one
+    segment, anchored at the peak's midpoint by :func:`_segment_counts`,
+    so its lam0 holds every direction that meets between the valleys,
+    the lowest levels, on either side. The segment's span runs from the
+    valley before it to the valley after it. The segment runs from the
+    last sample before its span to the first sample after it, clipped
+    to the midpoints of those valleys, or to the path ends; the
+    stretches between segments lie inside one valley each and count 0.
+    A crossing, a plateau, or an intersection at a path end is one
+    peak; a crossing on top of a plateau is a peak of its own.
+    Catenation makes the counts independent of the partition; each
+    segment is counted again with both ends halfway toward its span,
+    and a disagreement raises.
 
-    Between nodes, V + lam(s) + mu(s) = X is checked by
-    :func:`_adequacy_scan`, which clears most gaps from their node
-    values by Weyl's inequality and runs a Brent search only where the
-    smallest singular value can dip to 1e-6. The bound is rigorous at
-    each point; that lam and mu move inside a piece by at most twice
-    their motion between its ends is a measured heuristic, so a pair
-    that leaves and comes back between two scan points is not seen.
+    The direct sum lam0 + V + lam1(s) + mu1(s) = X is checked only at
+    the reduced samples and at the points where the reduced winding
+    refines, a heuristic: a segment reaches at most one sample gap past
+    its span. This route shares event detection with
+    ``maslov_crossings``; the winding route shares neither, and every
+    consumer checks this route against it. The intersection dimensions
+    at the ends are z there, the numbers of angles winding snaps to 0.
     """
-    red = _Reduction(path, seed, rank_tol)
-    nodes = list(path.samples)
-    counts = _solve_segment(nodes, red, 0, len(nodes) - 1, 0, max_depth)
-    refined_nodes = list(path.samples)
-    if len(refined_nodes) >= 3:
-        cut = len(refined_nodes) // 2
-        last = len(refined_nodes) - 1
-        refined = _solve_halves(refined_nodes, red, 0, cut, last, 1, max_depth)
-        if refined != counts:
-            raise ArithmeticError(
-                f"reduced Maslov counts changed under partition refinement: "
-                f"{counts} vs {refined}"
-            )
-    first, last = path.samples[0], path.samples[-1]
-    dim0 = red.cap_dim(first)
-    dim1 = red.cap_dim(last)
-    return _checked_result(counts[0], counts[1], dim0, dim1, "reduced")
+    if path.callback is None:
+        raise ValueError(
+            "the reduction method needs a refinement callback to locate "
+            "crossings between samples"
+        )
+    times = [smp.s for smp in path.samples]
+    levels = _crossing_events(path, rank_tol)
+    zs = [0] + [z for *_, z in levels] + [0]
+    peaks = [k for k in range(len(levels)) if zs[k + 1] > max(zs[k], zs[k + 2])]
+    bounds = [-1] + peaks + [len(levels)]
+    valleys = [
+        min(range(p + 1, q), key=lambda j: levels[j][2], default=None)
+        for p, q in zip(bounds, bounds[1:])
+    ]
+    cuts = [times[0]] + [0.5 * sum(levels[v][:2]) for v in valleys[1:-1]] + [times[-1]]
+    mas_plus = mas_minus = 0
+    for k, p in enumerate(peaks):
+        left, right = valleys[k], valleys[k + 1]
+        a = times[0] if left is None else levels[left][1]
+        b = times[-1] if right is None else levels[right][0]
+        lo = max(times[max(bisect.bisect_left(times, a) - 1, 0)], cuts[k])
+        hi = min(times[min(bisect.bisect_right(times, b), len(times) - 1)], cuts[k + 1])
+        plus, minus = _segment_counts(
+            path, 0.5 * sum(levels[p][:2]), (a, b), lo, hi, seed, rank_tol, max_depth
+        )
+        mas_plus += plus
+        mas_minus += minus
+    return _checked_result(mas_plus, mas_minus, levels[0][2], levels[-1][2], "reduced")
 
 
 def _connecting_path(

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from maslovlab.frames import (
+    RANK_TOL,
     Frame,
     fredholm_pair_index,
     gap_hat,
@@ -20,8 +21,9 @@ from maslovlab import maslov
 from maslovlab.maslov import (
     LagrangianPairPath,
     PathSample,
-    _adequacy_scan,
+    _crossing_events,
     _hermitize_derivative,
+    _scan_pieces,
     benchmark_pair_path,
     counting_function_E,
     crossing_form,
@@ -33,11 +35,7 @@ from maslovlab.maslov import (
     maslov_winding,
     one_sided_form,
 )
-from maslovlab.reduction import (
-    intrinsic_decomposition,
-    pair_decomposition,
-    reduced_pair,
-)
+from maslovlab.reduction import intrinsic_decomposition, pair_decomposition
 from maslovlab.sampling import (
     form_deformation,
     lagrangian_rotation,
@@ -572,60 +570,100 @@ def test_a_tighter_rank_tol_checks_the_samples_again():
 def test_adequacy_scan_finds_failure_strictly_between_nodes():
     """The pair crosses at s=0.7, between the nodes 0.6 and 0.8.
 
-    Every node is transversal, so an anchor at any node has V = 0 and
-    reduces every node without a gate firing; only the continuous scan
-    of [V | lam(s) | mu(s)] sees the crossing inside the gap. Without
-    it the reduced count would be (0, 0).
+    Every node is transversal, so only the crossing scan, which also
+    decides where a reduction is needed, sees the crossing inside the
+    gap; the reduced segment is anchored there. Without it the reduced
+    count would be (0, 0). The name is older than the crossing scan; it
+    is kept so that the test keeps its id.
     """
     path = line_path(lambda s: 2.0 * (s - 0.7), num_samples=6)
-    base = path.samples[0]
-    dec = intrinsic_decomposition(base.form, base.lam, base.mu)
-    assert dec.lam0.dim == 0 and dec.v.dim == 0
-    for smp in path.samples:
-        local = pair_decomposition(smp.form, dec.lam0, dec.v, smp.lam, smp.mu)
-        reduced_pair(smp.form, local, smp.lam, smp.mu)
-    times = [smp.s for smp in path.samples]
-    for a, b in zip(times, times[1:]):
-        failure = _adequacy_scan(path, dec.v, a, b)
-        if a < 0.7 < b:
-            assert failure is not None
-            assert a < failure.new_time < b
-            assert failure.new_time == pytest.approx(0.7, abs=1e-8)
-        else:
-            assert failure is None
+    levels = _crossing_events(path, RANK_TOL)
+    assert [z for *_, z in levels] == [0, 1, 0]
+    assert levels[1][:2] == pytest.approx((0.7, 0.7), abs=1e-8)
+    assert all(abs(smp.s - 0.7) > 0.05 for smp in path.samples)
     wind = maslov_winding(path)
     red = maslov_reduced(path)
     assert (wind.mas_plus, wind.mas_minus) == (red.mas_plus, red.mas_minus) == (1, 1)
 
 
-def test_adequacy_scan_locates_one_of_two_opposite_crossings_in_one_gap():
+def test_reduced_counts_two_opposite_crossings_in_one_gap():
     """The line rises through the horizontal at s=0.44 and falls back at
     s=0.51, both inside the gap [0.4, 0.6] between transversal nodes.
 
-    The two crossings cancel, so a scan that saw neither would still
-    give the right total; the scan must locate one of them all the same,
-    and the reduction, inserting nodes there, must match the winding.
+    The two crossings cancel, so a route that saw neither would still
+    give the right total; the scan must locate both all the same, and
+    the two reduced segments must match the winding.
     """
     path = line_path(lambda s: 0.01225 - 10.0 * (s - 0.475) ** 2, num_samples=6)
-    times = [smp.s for smp in path.samples]
-    a, b = next((a, b) for a, b in zip(times, times[1:]) if a < 0.44 and 0.51 < b)
-    dec = intrinsic_decomposition(path.samples[0].form, path.samples[0].lam, path.samples[0].mu)
-    failure = _adequacy_scan(path, dec.v, a, b)
-    assert failure is not None
-    assert min(abs(failure.new_time - 0.44), abs(failure.new_time - 0.51)) < 1e-8
+    levels = _crossing_events(path, RANK_TOL)
+    assert [z for *_, z in levels] == [0, 1, 0, 1, 0]
+    assert [lo for lo, _, z in levels if z] == [
+        pytest.approx(0.44, abs=1e-8), pytest.approx(0.51, abs=1e-8)
+    ]
     wind = maslov_winding(path)
     red = maslov_reduced(path)
     assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (0, 0)
 
 
-def test_reduced_on_c16_path_whose_crossing_sits_near_a_bisection_point():
-    """Criterion 04's family at (0xAC04, 109, 0).
+def test_reduced_needs_a_callback():
+    """Without a callback nothing between samples can be scanned or reduced.
 
-    A located time taken from a bisection point or a Brent bracket edge
-    near the crossing, rather than the located minimum, puts a
-    transversal node there, and the partition search then finds no
-    admissible reduction.
+    The crossing at s=0.7 lies strictly between the samples; reduced
+    raises where it used to return (0, 0), and winding still counts it.
     """
+    path = LagrangianPairPath(line_path(lambda s: 2.0 * (s - 0.7), num_samples=6).samples)
+    with pytest.raises(ValueError, match="needs a refinement callback"):
+        maslov_reduced(path)
+    wind = maslov_winding(path)
+    assert (wind.mas_plus, wind.mas_minus) == (1, 1)
+
+
+def test_reduced_with_max_depth_below_zero_counts_without_retries():
+    """max_depth < 0 allows no failed segment, as max_depth = 0 does; a
+    path whose segments all pass still counts."""
+    path = line_path(lambda s: 2.0 * (s - 0.7), num_samples=6)
+    red = maslov_reduced(path, max_depth=-1)
+    assert (red.mas_plus, red.mas_minus) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "angle_fn, num_samples, expected",
+    [
+        (lambda s: min(0.0, s - 0.3) + max(0.0, s - 0.6), 21, (1, 1)),
+        (lambda s: min(0.0, s - 0.5), 21, (0, 1)),
+        (lambda s: 9.5 * np.pi * s - 0.3, 9, (10, 10)),
+    ],
+    ids=["plateau in the middle", "plateau to the end", "fast line"],
+)
+def test_reduced_matches_winding_on_plateaus_and_a_fast_line(angle_fn, num_samples, expected):
+    """A plateau is one span, anchored inside it; a line turning 9.5 pi
+    over 9 samples crosses ten times, once in most sample gaps."""
+    path = line_path(angle_fn, num_samples=num_samples)
+    wind = maslov_winding(path)
+    red = maslov_reduced(path)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == expected
+
+
+@pytest.mark.parametrize(
+    "trial, expected", [((116, 6), (0, 0)), ((22, 2), (-1, -1))], ids=["116-6", "22-2"]
+)
+def test_reduced_on_criterion_04_family_draws(trial, expected):
+    """Criterion 04's family at (0xAC04, i, j) with seed=j.
+
+    (116, 6) crosses at s = 0.670 (signature -1) and 0.887 (+1); an
+    anchor search over the nodes gave (-1, -1) there.
+    """
+    i, j = trial
+    path = rotating_pair_path(rng_from_seed((0xAC04, i, j)), dim=16, num_samples=25,
+                              scale_lam=3.0, scale_mu=0.8)
+    wind = maslov_winding(path)
+    red = maslov_reduced(path, seed=j)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == expected
+
+
+def test_reduced_on_c16_path_whose_crossing_sits_near_a_bisection_point():
+    """Criterion 04's family at (0xAC04, 109, 0): its crossing sits near
+    a point where a bisection of its sample gap lands."""
     path = rotating_pair_path(rng_from_seed((0xAC04, 109, 0)), dim=16, num_samples=25,
                               scale_lam=3.0, scale_mu=0.8)
     wind = maslov_winding(path)
@@ -634,10 +672,9 @@ def test_reduced_on_c16_path_whose_crossing_sits_near_a_bisection_point():
 
 
 def test_winding_and_reduction_of_a_transversal_c16_path_stay_cheap():
-    """Criterion 04 trial 0 has no crossing, so the adequacy scan clears
-    its gaps from node values and a few bisections; counted through the
+    """Criterion 04 trial 0 has no crossing; counted through the
     callback, building the path, its winding and its reduction take at
-    most 200 evaluations (768 with one Brent search per gap)."""
+    most 200 evaluations."""
     base = rotating_pair_path(rng_from_seed((0xAC04, 0, 0)), dim=16, num_samples=25,
                               scale_lam=3.0, scale_mu=0.8)
     calls = []
@@ -653,13 +690,31 @@ def test_winding_and_reduction_of_a_transversal_c16_path_stay_cheap():
     assert len(calls) <= 200
 
 
+def test_reduction_of_a_transversal_c16_path_makes_no_callback_call():
+    """Criterion 04 trial 0 has no crossing: the crossing scan clears
+    every gap from its sample values, and no segment is reduced, so
+    maslov_reduced evaluates the path nowhere between samples."""
+    base = rotating_pair_path(rng_from_seed((0xAC04, 0, 0)), dim=16, num_samples=25,
+                              scale_lam=3.0, scale_mu=0.8)
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return base.callback(s)
+
+    path = LagrangianPairPath(base.samples, counted)
+    red = maslov_reduced(path, seed=0)
+    assert (red.mas_plus, red.mas_minus) == (0, 0)
+    assert calls == []
+
+
 REDUCTION_CASES = ["crossing between nodes", "criterion 04 trial 1"]
 
 
 def reduction_case(case: str) -> tuple[LagrangianPairPath, int]:
     """(path, seed) for maslov_reduced: the crossing strictly between
     nodes of the scan test, or trial 1 of acceptance criterion 04, a
-    rotating pair in C^16 whose anchors also fail on the reduction."""
+    rotating pair in C^16."""
     if case == "crossing between nodes":
         return line_path(lambda s: 2.0 * (s - 0.7), num_samples=6), 0
     path = rotation_pair_path((0xAC04, 0, 1), dim=16, num_samples=25,
@@ -669,43 +724,39 @@ def reduction_case(case: str) -> tuple[LagrangianPairPath, int]:
 
 @pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkeypatch, case):
-    """Every transversal anchor has lam0 = V = 0, so one reduction per
-    parameter and one scan per gap serve all of them, and each solved
-    segment builds at most one transversal anchor."""
+    """Anchors sit only at crossing events, so none is transversal; each
+    anchor reduces each parameter once, and the crossing scan that
+    places the segments scans each sample gap once."""
     path, seed = reduction_case(case)
     reductions, scans = Counter(), Counter()
-    built = {"transversal anchors": 0, "segments solved": 0}
+    built = {"transversal anchors": 0, "anchors": 0}
 
     def counted_decomposition(form, lam0, v, lam, mu, *args, **kwargs):
-        if lam0.dim == 0:
-            reductions[lam.matrix.tobytes() + mu.matrix.tobytes()] += 1
+        key = (lam0.matrix.tobytes(), v.matrix.tobytes(), lam.matrix.tobytes(), mu.matrix.tobytes())
+        reductions[key] += 1
         return pair_decomposition(form, lam0, v, lam, mu, *args, **kwargs)
 
-    def counted_scan(scan_path, anchor_v, a, b):
-        if anchor_v.dim == 0:
-            scans[(a, b)] += 1
-        return _adequacy_scan(scan_path, anchor_v, a, b)
+    def counted_scan(a, b, value, motion):
+        scans[(a, b)] += 1
+        return scan_pieces(a, b, value, motion)
 
     def counted_anchor(form, lam, mu, *args, **kwargs):
         dec = intrinsic_decomposition(form, lam, mu, *args, **kwargs)
         built["transversal anchors"] += dec.lam0.dim == 0
+        built["anchors"] += 1
         return dec
 
-    def counted_solve(*args):
-        built["segments solved"] += 1
-        return solve_segment(*args)
-
-    solve_segment = maslov._solve_segment
+    scan_pieces = maslov._scan_pieces
     monkeypatch.setattr(maslov, "pair_decomposition", counted_decomposition)
-    monkeypatch.setattr(maslov, "_adequacy_scan", counted_scan)
+    monkeypatch.setattr(maslov, "_scan_pieces", counted_scan)
     monkeypatch.setattr(maslov, "intrinsic_decomposition", counted_anchor)
-    monkeypatch.setattr(maslov, "_solve_segment", counted_solve)
     red = maslov_reduced(path, seed=seed)
     wind = maslov_winding(path)
-    assert reductions and scans
-    assert max(reductions.values()) == 1
+    times = [smp.s for smp in path.samples]
+    assert reductions and max(reductions.values()) == 1
+    assert sorted(scans) == list(zip(times, times[1:]))
     assert max(scans.values()) == 1
-    assert 0 < built["transversal anchors"] <= built["segments solved"]
+    assert built["anchors"] > 0 and built["transversal anchors"] == 0
     assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus)
 
 
@@ -713,17 +764,23 @@ def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkey
 def test_reduced_leaves_no_cyclic_garbage(monkeypatch, case):
     """With the cyclic collector paused, the reduction state is freed on return.
 
-    Anchors fail on the scan and on the reduction, and nodes are
-    inserted; nothing of that may keep the state alive.
+    Every anchor decomposition and every reduced path, with the reduced
+    pairs its callback keeps, must be gone once maslov_reduced returns.
     """
     path, seed = reduction_case(case)
     refs = []
-    for cls in (maslov._Reduction, maslov._Anchor):
-        def tracked_init(self, *args, _init=cls.__init__, **kwargs):
-            _init(self, *args, **kwargs)
-            refs.append(weakref.ref(self))
 
-        monkeypatch.setattr(cls, "__init__", tracked_init)
+    def tracked_decomposition(*args, **kwargs):
+        dec = intrinsic_decomposition(*args, **kwargs)
+        refs.append(weakref.ref(dec))
+        return dec
+
+    def tracked_winding(reduced_path, *args, **kwargs):
+        refs.append(weakref.ref(reduced_path))
+        return maslov_winding(reduced_path, *args, **kwargs)
+
+    monkeypatch.setattr(maslov, "intrinsic_decomposition", tracked_decomposition)
+    monkeypatch.setattr(maslov, "maslov_winding", tracked_winding)
     gc.disable()
     try:
         result = maslov_reduced(path, seed=seed)
@@ -732,7 +789,7 @@ def test_reduced_leaves_no_cyclic_garbage(monkeypatch, case):
         gc.enable()
     wind = maslov_winding(path)
     assert (result.mas_plus, result.mas_minus) == (wind.mas_plus, wind.mas_minus)
-    assert len(refs) >= 2
+    assert len(refs) >= 3
     assert not alive
 
 
@@ -750,11 +807,10 @@ def test_hermitize_derivative_gate_scales_with_the_norm(defect, passes):
 
 @pytest.mark.parametrize("num_samples", [6, 8])
 def test_reduced_counts_when_the_left_half_gains_a_node(num_samples):
-    """A crossing strictly inside the left half of the refined partition.
+    """A crossing at s=0.5, between samples, is counted once.
 
-    Solving that half inserts a node at the crossing; the right half
-    must still start at the cut node, not at the inserted one, or the
-    crossing is counted again as a start-point crossing.
+    The name is older than the crossing scan; it is kept so that the
+    test keeps its id.
     """
     path = line_path(lambda s: -np.pi / 4 + np.pi / 2 * s, num_samples=num_samples)
     wind = maslov_winding(path)
@@ -831,13 +887,17 @@ def close_crossings_path(case) -> LagrangianPairPath:
     """
     if case == OPPOSITE_CROSSINGS_C4:
         return line_sum_path(lambda s: [s - 0.52, -1.5 * (s - 0.56)], [0.0, 0.0], np.eye(4), 9)
-    rng = np.random.default_rng((0x5041, case))
-    k = 1 + case % 4
+    return drawn_lines_path((0x5041, case), 1 + case % 4, 65)
+
+
+def drawn_lines_path(key, k, num_samples) -> LagrangianPairPath:
+    """k lines drawn from ``numpy.random.default_rng(key)``, see close_crossings_path."""
+    rng = np.random.default_rng(key)
     a = rng.uniform(0.0, np.pi, k)
     b = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, k)
     c = rng.uniform(0.0, np.pi, k)
     p = (random_unitary(rng, 2 * k) * rng.uniform(0.5, 2.0, 2 * k)) @ random_unitary(rng, 2 * k)
-    return line_sum_path(lambda s: a + b * s, c, p, 65)
+    return line_sum_path(lambda s: a + b * s, c, p, num_samples)
 
 
 @pytest.mark.parametrize(
@@ -862,6 +922,73 @@ def test_crossings_count_close_crossings_of_different_lines(case, expected):
     """
     result = maslov_crossings(close_crossings_path(case))
     assert (result.mas_plus, result.mas_minus) == expected
+
+
+@pytest.mark.parametrize("draw, expected", [(1, (1, 1)), (32, (0, 0))])
+def test_reduced_under_a_general_change_of_coordinates(draw, expected):
+    """Four lines in C^8 under P = U diag(d) V, drawn from (0x4ED1, draw), 49 samples.
+
+    An anchor search over the nodes gave (0, 0) and (2, 2) here: draw
+    32's segment anchored at one crossing held crossings of other lines.
+    """
+    path = drawn_lines_path((0x4ED1, draw), 4, 49)
+    wind = maslov_winding(path)
+    red = maslov_reduced(path, seed=draw)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == expected
+
+
+@pytest.mark.parametrize(
+    "angles_fn, expected",
+    [
+        (lambda s: [0.0 * s, s - 0.5], (1, 1)),
+        (lambda s: [0.0 * s, 2.2 * np.pi * s - 0.3], (3, 3)),
+        (lambda s: [max(0.0, s - 0.6), s - 0.3], (2, 1)),
+        (lambda s: [min(0.0, s - 0.2) + max(0.0, s - 0.8), 2.2 * np.pi * s - 0.3], (4, 4)),
+    ],
+    ids=["one on a plateau", "three on a plateau", "one as a plateau ends", "three across a plateau"],
+)
+def test_reduced_anchors_crossings_on_top_of_a_plateau(angles_fn, expected):
+    """Line 1 stays on its partner over a plateau while line 2 rises
+    through its partner, in C^4 at 9 samples.
+
+    The pair stays intersected across line 2's crossings, so an anchor
+    placed anywhere on the plateau misses line 2's direction there; the
+    reduced pair then stays constant and counts nothing. Each crossing
+    is a level of higher z and must anchor a segment of its own.
+    """
+    path = line_sum_path(angles_fn, [0.0, 0.0], np.eye(4), 9)
+    wind = maslov_winding(path)
+    red = maslov_reduced(path)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == expected
+
+
+def test_reduced_takes_end_dimensions_from_the_angle_snap():
+    """Draw (0x5041, 90) ends with an angle of about -1.3e-5: intersect
+    counts that direction as shared, the 1e-8 snap of winding does not.
+
+    The flipping identity must use the snap, as winding does, or it
+    fails where the counts are (2, 2).
+    """
+    path = close_crossings_path(90)
+    end = path.samples[-1]
+    angles = maslov._path_angles(path, end.s, RANK_TOL)
+    assert intersect(end.lam, end.mu).dim == 1
+    assert 1e-8 < np.min(np.abs(angles)) < 1e-4
+    red = maslov_reduced(path, seed=90)
+    wind = maslov_winding(path)
+    assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (2, 2)
+
+
+@pytest.mark.parametrize("num_samples", [21, 25])
+def test_scan_pieces_halve_every_gap_six_times(num_samples):
+    """A piece that never clears is halved six times, to 1/64 of its gap,
+    whether or not the gap is a dyadic fraction."""
+    grid = np.linspace(0.0, 1.0, num_samples)
+    for a, b in zip(grid, grid[1:]):
+        pieces = list(_scan_pieces(a, b, lambda s: 1.0, lambda c, d: 1.0))
+        assert len(pieces) == 64
+        assert pieces[0][0] == a and pieces[-1][1] == b
+        assert all(d - c == pytest.approx((b - a) / 64, rel=1e-9) for c, d in pieces)
 
 
 @pytest.mark.parametrize(
