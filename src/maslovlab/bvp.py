@@ -453,8 +453,10 @@ def discretize(
     unitary commuting with J0 (on ``grid`` nodes, bumped to ``grid + 1``
     for even counts to keep the difference symbol injective), and the
     compressed summation-by-parts realization on ``grid + 1`` nodes
-    otherwise. The path carries a refinement callback, so downstream
-    eigenvalue bookkeeping can subdivide.
+    otherwise. The path also carries the assembler as its callback, so
+    the operator can be built at any s; the eigenvalue curves are the
+    sorted spectra at the samples, and the spectral flow reads the end
+    samples only.
     """
     _check_boundary(fam, bc)
     build = _assembler(fam, _boundary_callable(bc), grid, (bc,))

@@ -25,7 +25,8 @@ from configs and flags.
 CSV contracts: theta_curves.csv has columns (s, branch_index, theta)
 listing the continued eigenvalue-angle branches of the relative
 unitary; eigenvalue_curves.csv has columns (s, eig_index, value)
-listing continued eigenvalue branches of a Hermitian path. Rows are
+listing the sorted spectrum of a Hermitian path at each of its samples,
+whose spectral flow is the difference of the end Morse indices. Rows are
 ordered by s, so the s column is non-decreasing. Located crossings are
 embedded in the JSON report, not exported as CSV.
 """

@@ -256,9 +256,16 @@ def intrinsic_decomposition(
         kind = classify(form, sub, rank_tol)
         if kind != "lagrangian":
             raise ValueError(f"{name} is {kind}, not lagrangian")
-    _, _, index = fredholm_pair_index(lam, mu, rank_tol)
+    # Two Lagrangians in finite dimensions always have index 0; a nonzero
+    # count only means the two rank tests disagree about a direction.
+    cap, codim, index = fredholm_pair_index(lam, mu, rank_tol)
     if index != 0:
-        raise ArithmeticError(f"Lagrangian pair has nonzero index {index}")
+        raise ArithmeticError(
+            f"intersect finds dim(lam cap mu) = {cap} but subspace_sum finds "
+            f"codim(lam + mu) = {codim}: a principal angle of the pair lies "
+            "between intersect's cosine threshold 1 - rank_tol and "
+            "subspace_sum's singular-value threshold rank_tol"
+        )
     lam0 = intersect(lam, mu, rank_tol)
     r = lam0.dim
     span = subspace_sum(lam, mu)

@@ -1,9 +1,10 @@
-"""Evaluation and refinement shared by the sampled path classes.
+"""Evaluation and refinement of sampled Lagrangian pair paths.
 
 :class:`Memo` evaluates a path from its samples or by one callback call
 per parameter. :func:`refine` halves steps until the caller's step test
-accepts them; path construction, angle-branch continuation and
-eigenvalue curves all use it, with one depth cap and one error.
+accepts them; path construction and angle-branch continuation use it,
+with one depth cap and one error. Hermitian paths need neither: their
+eigenvalue curves are the spectra at the samples.
 """
 
 from __future__ import annotations

@@ -7,15 +7,17 @@ between X and Y induces a symplectic form on the product under which
 self-adjoint relations are exactly the Lagrangian subspaces and X x {0}
 is a distinguished Lagrangian. The spectral flow of a path of
 self-adjoint relations is defined as the lower Maslov count of the pair
-path (A(s), X x {0}); for paths of honest Hermitian matrices the same
-number is recovered directly from the eigenvalue curves, and the two
-routes are kept comparable down to the endpoint snapping rule.
+path (A(s), X x {0}). For paths of honest Hermitian matrices the same
+number is the difference n_-(A(0)) - n_-(A(1)) of the end Morse indices
+(Phillips, Canad. Math. Bull. 39, 1996); the eigenvalue curves are the
+sorted spectra at the samples, and the two routes share the endpoint
+zero rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +34,6 @@ from .frames import (
     orthonormalize,
 )
 from .maslov import LagrangianPairPath, PathSample, _refined_path, maslov_winding
-from .refinement import MOVEMENT_GATE, Memo, refine
 from .symplectic import SymplecticForm, annihilator
 
 __all__ = [
@@ -57,7 +58,10 @@ __all__ = [
 
 _UNITARY_TOL = 1e-10
 _SPECTRAL_MAP_TOL = 1e-9
-_TURN_SNAP = 1e-8 / (2.0 * math.pi)
+# Winding's 1e-8 rad endpoint snap on the graph angle 2 arctan(lam), read
+# as an eigenvalue threshold. It is absolute, not relative to the matrix
+# scale, and sf_relation applies the same snap (ROADMAP direction 4).
+_MORSE_ZERO = math.tan(0.5e-8)
 
 
 def product_form(tau: np.ndarray) -> SymplecticForm:
@@ -279,19 +283,22 @@ class HermitianPath:
 
     ``samples`` is an ordered tuple of (s, HermitianMatrix) pairs with
     s strictly increasing from 0 to 1 and a fixed matrix dimension. An
-    optional ``callback`` evaluates the path off-grid. Construction
-    neither evaluates nor refines; :func:`eigenvalue_curves` refines
-    through :meth:`evaluate` where the spectrum moves quickly, and
-    :meth:`evaluate` calls the callback at most once per parameter.
+    optional ``callback`` assembles the matrix at any s; the spectral
+    flow and the eigenvalue curves read the samples only and never call
+    it.
     """
 
     samples: tuple
     callback: Callable[[float], HermitianMatrix] | None = None
-    _memo: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        memo = Memo([s for s, _ in self.samples], [mat for _, mat in self.samples])
-        object.__setattr__(self, "_memo", memo)
+        times = [s for s, _ in self.samples]
+        if len(times) < 2:
+            raise ValueError("a path needs at least two samples")
+        if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
+            raise ValueError("path samples must start at s=0 and end at s=1")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("sample times must be strictly increasing")
         if len({mat.dim for _, mat in self.samples}) != 1:
             raise ValueError("all samples must share one matrix dimension")
 
@@ -306,77 +313,42 @@ class HermitianPath:
     def dim(self) -> int:
         return self.samples[0][1].dim
 
-    def evaluate(self, s: float) -> HermitianMatrix:
-        """The matrix at s: a sample within 1e-13, else the callback, memoized."""
-        return _as_hermitian(self._memo.evaluate(s, self.callback))
-
-
-def _eigen_step(s_a, lam_a: np.ndarray, s_b, lam_b: np.ndarray) -> np.ndarray | str:
-    """lam_b, unless some sorted eigenvalue moves by pi/2 or more on the scale 2 arctan.
-
-    That scale is the eigenvalue angle of the corresponding graph
-    Lagrangian, so a spectral step is acceptable exactly when the
-    matching Maslov winding step would be.
-    """
-    theta_step = np.max(np.abs(2.0 * np.arctan(lam_b) - 2.0 * np.arctan(lam_a)))
-    if theta_step < MOVEMENT_GATE:
-        return lam_b
-    return f"spectral movement {theta_step:.3f} rad in {s_a:.6f}..{s_b:.6f} exceeds pi/2"
-
-
-def _interior_eigenvalues(mat: HermitianMatrix) -> np.ndarray:
-    """Sorted eigenvalues of a matrix that only feeds the movement gate."""
-    return np.sort(scipy.linalg.eigvalsh(mat.matrix))
-
 
 def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
-    """Sorted eigenvalue curves as rows [s, lam_1 .. lam_n].
-
-    Sorted rows are the canonical continuous branch choice for
-    Hermitian families. Between samples, :func:`refinement.refine`
-    halves every step that fails the movement gate of Maslov winding,
-    evaluating the path through its callback; without a callback such
-    a step raises. The path's samples themselves are never changed.
+    """Sorted spectra at the path's samples, as rows [s, lam_1 .. lam_n].
 
     The first and last rows, which decide the spectral flow, come from
     :func:`hermitian_eig` with its residual check. Interior rows only
-    feed the movement gate and come from eigenvalues alone.
+    feed the CSV export and come from eigenvalues alone.
     """
-    first_s, first_mat = path.samples[0]
-    rows = [(first_s, np.sort(first_mat.eigenvalues()))]
-    eigenvalues_at = None
-    if path.callback is not None:
-        eigenvalues_at = lambda s: _interior_eigenvalues(path.evaluate(s))
     last = len(path.samples) - 1
-    for i, ((s_a, _), (s_b, mat_b)) in enumerate(zip(path.samples, path.samples[1:]), 1):
-        lam_b = np.sort(mat_b.eigenvalues()) if i == last else _interior_eigenvalues(mat_b)
-        rows.extend(refine(s_a, rows[-1][1], s_b, lam_b, _eigen_step, eigenvalues_at))
-    return np.array([[s, *lams] for s, lams in rows])
+    rows = []
+    for i, (s, mat) in enumerate(path.samples):
+        lams = mat.eigenvalues() if i in (0, last) else scipy.linalg.eigvalsh(mat.matrix)
+        rows.append([s, *np.sort(lams)])
+    return np.array(rows)
 
 
-def _floor_turns(lams: np.ndarray) -> int:
-    """Sum of floor(arctan(lam)/pi) with the endpoint snapping rule."""
-    turns = np.arctan(lams) / math.pi
-    snapped = np.where(np.abs(turns - np.round(turns)) <= _TURN_SNAP,
-                       np.round(turns), turns)
-    return int(sum(math.floor(u) for u in snapped))
+def _morse_index(lams: np.ndarray) -> int:
+    """Number of eigenvalues below -_MORSE_ZERO."""
+    return int(np.count_nonzero(lams < -_MORSE_ZERO))
 
 
 def sf_eigen(path: HermitianPath) -> int:
-    """Spectral flow of a Hermitian path from its eigenvalue curves.
+    """Spectral flow of a Hermitian path: n_-(A(0)) - n_-(A(1)).
 
-    Counts the net number of eigenvalues moving from negative to
-    nonnegative, with the same floor-of-turns bookkeeping that the
-    lower Maslov count applies to the graph path against X x {0}; the
-    two are the same number by construction and the relation route can
-    be used as an independent check.
+    In finite dimensions the spectral flow is the difference of the end
+    Morse indices, so only the first and last samples matter. An end
+    eigenvalue within the endpoint snap of zero counts as zero, as the
+    lower Maslov count of the graph path against X x {0} counts it;
+    :func:`sf_relation` follows the path and gives the same number.
     """
     return flow_of_curves(eigenvalue_curves(path))
 
 
 def flow_of_curves(curves: np.ndarray) -> int:
     """Spectral flow read off the end rows of :func:`eigenvalue_curves`."""
-    return _floor_turns(curves[-1, 1:]) - _floor_turns(curves[0, 1:])
+    return _morse_index(curves[0, 1:]) - _morse_index(curves[-1, 1:])
 
 
 def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:

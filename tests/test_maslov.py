@@ -979,6 +979,23 @@ def test_reduced_takes_end_dimensions_from_the_angle_snap():
     assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (2, 2)
 
 
+def test_rank_test_disagreement_is_named_not_reported_as_an_index():
+    """Two lines rise through their partners at s = 0.53005 and 0.53015.
+
+    Near s = 0.53005 one principal angle lies between intersect's and
+    subspace_sum's thresholds, so the two disagree about it. Two
+    Lagrangians always have index 0; the decomposition must name the
+    disagreement instead of a "nonzero index".
+    """
+    path = line_sum_path(lambda s: [s - 0.53005, s - 0.53015], [0.0, 0.0], np.eye(4), 21)
+    wind = maslov_winding(path)
+    assert (wind.mas_plus, wind.mas_minus) == (2, 2)
+    for route in (maslov_crossings, maslov_reduced):
+        with pytest.raises(ArithmeticError, match="subspace_sum finds codim") as err:
+            route(path)
+        assert "nonzero index" not in str(err.value)
+
+
 @pytest.mark.parametrize("num_samples", [21, 25])
 def test_scan_pieces_halve_every_gap_six_times(num_samples):
     """A piece that never clears is halved six times, to 1/64 of its gap,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maslovlab.frames import HermitianMatrix, gap_hat, hermitian_eig
-from maslovlab.sampling import rng_from_seed
+from maslovlab.sampling import random_unitary, rng_from_seed
 from maslovlab.spectral import (
     HermitianPath,
     LinearRelation,
@@ -200,17 +202,31 @@ def test_sf_eigen_unitary_conjugation_invariance():
     assert sf_eigen(HermitianPath.from_callable(conjugated, num_samples=21)) == sf_eigen(path)
 
 
-def test_sf_resolution_error_without_callback():
+def test_sf_eigen_counts_a_coarse_path_without_callback():
+    """20(s - 1/2) on 3 samples: the spectral flow needs only the ends."""
     def fn(s: float) -> HermitianMatrix:
         return HermitianMatrix(np.array([[20.0 * (s - 0.5)]], dtype=complex))
 
     grid = np.linspace(0.0, 1.0, 3)
     samples = tuple((float(s), fn(float(s))) for s in grid)
-    sampled_only = HermitianPath(samples, None)
-    with pytest.raises(ValueError, match="refinement callback"):
-        sf_eigen(sampled_only)
-    with_callback = HermitianPath(samples, fn)
-    assert sf_eigen(with_callback) == 1
+    assert sf_eigen(HermitianPath(samples, None)) == 1
+    assert sf_eigen(HermitianPath(samples, fn)) == 1
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ((0.0,), "at least two samples"),
+        ((0.1, 1.0), "start at s=0 and end at s=1"),
+        ((0.0, 0.9), "start at s=0 and end at s=1"),
+        ((0.0, 0.5, 0.5, 1.0), "strictly increasing"),
+        ((0.0, 0.6, 0.4, 1.0), "strictly increasing"),
+    ],
+)
+def test_hermitian_path_checks_its_sample_times(times, message):
+    mat = HermitianMatrix(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match=message):
+        HermitianPath(tuple((s, mat) for s in times))
 
 
 def test_sf_relation_refines_a_steep_graph_path_it_has_a_callback_for():
@@ -233,34 +249,30 @@ def test_sf_relation_refines_a_steep_graph_path_it_has_a_callback_for():
         sf_relation(entries)
 
 
-def test_hermitian_path_calls_its_callback_once_per_parameter():
+def test_hermitian_path_calls_its_callback_only_for_its_samples():
     calls = []
-
-    def matrix(s: float) -> np.ndarray:
-        return np.diag([10.0 * (s - 0.3), 0.5]).astype(complex)
 
     def fn(s: float) -> np.ndarray:
         calls.append(s)
-        return matrix(s)
+        return np.diag([10.0 * (s - 0.3), 0.5]).astype(complex)
 
-    grid = np.linspace(0.0, 1.0, 5)
-    path = HermitianPath(tuple((float(s), HermitianMatrix(matrix(s))) for s in grid), fn)
+    path = HermitianPath.from_callable(fn, num_samples=5)
+    assert calls == np.linspace(0.0, 1.0, 5).tolist()
     first = eigenvalue_curves(path)
     assert eigenvalue_curves(path).tobytes() == first.tobytes()
-    for s in first[:, 0]:
-        assert np.array_equal(path.evaluate(s).matrix, matrix(s))
-    assert calls and not set(calls) & set(grid.tolist())
-    assert len(calls) == len(set(calls)) == len(first) - len(grid)
+    assert sf_eigen(path) == 1
+    assert len(calls) == 5
 
 
-def test_eigenvalue_curves_are_refined_and_ordered():
+def test_eigenvalue_curves_have_one_row_per_sample():
     path = HermitianPath.from_callable(
         lambda s: np.diag([10.0 * (s - 0.3), 0.5]), num_samples=5
     )
     curves = eigenvalue_curves(path)
-    assert curves.shape[1] == 3
+    assert curves.shape == (5, 3)
+    assert curves[:, 0].tolist() == [s for s, _ in path.samples]
     assert np.all(np.diff(curves[:, 0]) > 0)
-    assert len(curves) > 5
+    assert np.all(np.diff(curves[:, 1:], axis=1) >= 0)
 
 
 def test_eigenvalue_curves_end_rows_are_the_checked_spectra():
@@ -269,9 +281,31 @@ def test_eigenvalue_curves_end_rows_are_the_checked_spectra():
     a1 = 6.0 * random_hermitian(rng, 5)
     path = HermitianPath.from_callable(lambda s: (1.0 - s) * a0 + s * a1, num_samples=5)
     curves = eigenvalue_curves(path)
-    assert len(curves) > 5
     for row, (_, mat) in ((curves[0], path.samples[0]), (curves[-1], path.samples[-1])):
         assert row[1:].tobytes() == np.sort(hermitian_eig(mat.matrix)[0]).tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_sf_eigen_of_a_linear_path_is_the_end_morse_index_difference(seed, n):
+    """Any sample count, conjugation by a unitary path and s -> s^2 keep the count."""
+    rng = rng_from_seed(seed)
+    a0 = 3.0 * random_hermitian(rng, n)
+    a1 = 3.0 * random_hermitian(rng, n)
+    lam0, lam1 = np.linalg.eigvalsh(a0), np.linalg.eigvalsh(a1)
+    assume(np.min(np.abs(np.concatenate([lam0, lam1]))) > 1e-6)
+    expected = int(np.sum(lam0 < 0) - np.sum(lam1 < 0))
+    line = lambda s: (1.0 - s) * a0 + s * a1
+    for num_samples in (2, 3, 5, 33):
+        assert sf_eigen(HermitianPath.from_callable(line, num_samples)) == expected
+    u0, generator = random_unitary(rng, n), random_hermitian(rng, n)
+
+    def conjugated(s: float) -> np.ndarray:
+        u = u0 @ scipy.linalg.expm(1j * s * generator)
+        return u.conj().T @ line(s) @ u
+
+    assert sf_eigen(HermitianPath.from_callable(conjugated, 5)) == expected
+    assert sf_eigen(HermitianPath.from_callable(lambda s: line(s * s), 5)) == expected
 
 
 def test_multivalued_relation_path():
