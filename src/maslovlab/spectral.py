@@ -341,9 +341,12 @@ def sf_eigen(path: HermitianPath) -> int:
     Morse indices, so only the first and last samples matter. An end
     eigenvalue within the endpoint snap of zero counts as zero, as the
     lower Maslov count of the graph path against X x {0} counts it;
-    :func:`sf_relation` follows the path and gives the same number.
+    :func:`sf_relation` follows the path and gives the same number. The
+    end spectra are the end rows of :func:`eigenvalue_curves`, and the
+    interior samples are never eigen-solved.
     """
-    return flow_of_curves(eigenvalue_curves(path))
+    (_, first), (_, last) = path.samples[0], path.samples[-1]
+    return _morse_index(first.eigenvalues()) - _morse_index(last.eigenvalues())
 
 
 def flow_of_curves(curves: np.ndarray) -> int:

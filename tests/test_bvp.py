@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maslovlab import bvp
+from maslovlab import bvp, cli
 from maslovlab.bvp import (
     BoundaryCondition,
     HamiltonianFamily,
@@ -24,7 +27,7 @@ from maslovlab.frames import (
     gap_hat,
     intersect,
 )
-from maslovlab.sampling import rng_from_seed
+from maslovlab.sampling import random_unitary, rng_from_seed
 from maslovlab.symplectic import classify
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -241,14 +244,60 @@ def test_propagator_backward_inverts_forward():
 
 
 def test_propagator_reports_pairing_drift():
+    # u' = -i 60 cos(60 t) u, so Phi(1 <- 0) = exp(-i sin 60). Gauss
+    # collocation keeps the pairing at any tolerance; only a monodromy
+    # too large for double precision (here ||Phi|| = 4.9e6, where even
+    # the rounded expm drifts by 1e-3) trips the gate.
     osc = HamiltonianFamily(
         1, np.array([[-1j]]), lambda s, t: np.array([[60.0 * np.cos(60.0 * t)]])
     )
-    assert np.allclose(
-        np.abs(propagator(osc, 0.5, 0.0, 1.0)[0, 0]), 1.0, atol=1e-8
-    )
+    exact = np.exp(-1j * np.sin(60.0))
+    for tol in (bvp._DEFAULT_ODE_TOL, 1e-3):
+        assert abs(propagator(osc, 0.5, 0.0, 1.0, ode_tol=tol)[0, 0] - exact) <= tol
+    stretch = planar_family(lambda s, t: 20.0 * np.array([[1.0, 0.3], [0.3, -0.5]]))
     with pytest.raises(ArithmeticError, match="pairing"):
-        propagator(osc, 0.5, 0.0, 1.0, ode_tol=1e-3)
+        propagator(stretch, 0.5, 0.0, 1.0)
+
+
+def test_propagator_reports_a_singular_monodromy():
+    # Phi(t) = diag(exp(-10 t), exp(10 t)): singular values e^10, e^-10.
+    fam = planar_family(lambda s, t: np.array([[0.0, 10.0], [10.0, 0.0]]))
+    with pytest.raises(ArithmeticError, match="numerically singular"):
+        propagator(fam, 0.5, 0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    size=st.floats(0.0, 6.0),
+)
+def test_propagator_is_the_exponential_and_keeps_the_pairing(seed, k, size):
+    """Constant C: Phi = expm(-J0^{-1} C) with ||J0^{-1} C|| = size.
+
+    The pairing bound carries ||Phi||^2: rounding the entries of a
+    J0-unitary Phi alone moves Phi^H J0 Phi by eps ||J0|| ||Phi||^2,
+    and ||Phi|| reaches e^6 here.
+    """
+    rng = rng_from_seed((0x6B7650, seed))
+    u = random_unitary(rng, k)
+    spectrum = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k)
+    j0 = 1j * (u * spectrum) @ u.conj().T
+    c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    c = (c + c.conj().T) / 2.0
+    c *= size / np.linalg.norm(np.linalg.solve(j0, c), 2)
+    eye = np.eye(k)
+    constant = HamiltonianFamily(k, j0, lambda s, t: c)
+    oscillating = HamiltonianFamily(k, j0, lambda s, t: np.cos(3.0 * t) * c)
+    exact = scipy.linalg.expm(-np.linalg.solve(j0, c))
+    for fam in (constant, oscillating):
+        phi = propagator(fam, 0.0, 0.0, 1.0)
+        drift = np.linalg.norm(phi.conj().T @ j0 @ phi - j0, 2)
+        assert drift <= 1e-12 * np.linalg.norm(j0, 2) * max(1.0, np.linalg.norm(phi, 2)) ** 2
+        back = propagator(fam, 0.0, 1.0, 0.0)
+        assert np.linalg.norm(back @ phi - eye, 2) <= 1e-10
+        if fam is constant:
+            assert np.linalg.norm(phi - exact, 2) <= 1e-8 * np.linalg.norm(exact, 2)
 
 
 def test_discretize_periodic_spectrum_accuracy():
@@ -367,3 +416,50 @@ def test_boundary_cauchy_pair_has_index_zero():
         )
         assert index == 0
         assert cap == codim
+
+
+def counted(fam):
+    """The family with a coefficient that logs each (s, t) it is called at."""
+    calls = []
+
+    def coeff(s, t):
+        calls.append((s, t))
+        return fam.c(s, t)
+
+    return HamiltonianFamily(fam.dim, fam.j0, coeff, fam.t_end), calls
+
+
+def assembled_samples(calls):
+    # Both realizations put a node at t = 0; the Gauss stages of the
+    # propagator lie strictly inside each step and never reach it.
+    return sorted({s for s, t in calls if t == 0.0})
+
+
+@pytest.mark.parametrize(
+    "family, seed", [("scalar_periodic", 0), ("planar_periodic", 0), ("seeded", 1)]
+)
+def test_desuspension_check_is_the_cli_route_on_two_samples(family, seed):
+    fam, calls = counted(cli._bvp_desuspension_ingredients(family, seed)[0])
+    bc = periodic_condition(fam)
+    triple = desuspension_check(fam, bc)
+    assert assembled_samples(calls) == [0.0, 1.0]
+    calls.clear()
+    full, curves = bvp._desuspension(fam, bc)
+    assert full == triple
+    assert assembled_samples(calls) == list(curves[:, 0]) and len(curves) == 33
+
+
+@pytest.mark.parametrize("cut", [0.5, 0.3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_splitting_check_is_the_cli_route_on_two_samples(dim, cut):
+    base = scalar_family() if dim == 1 else planar_family(
+        lambda s, t: (2.0 * s - 1.0) * np.eye(2)
+    )
+    fam, calls = counted(base)
+    triple = splitting_check(fam, cut)
+    assert triple == (dim, dim, True)
+    assert assembled_samples(calls) == [0.0, 1.0]
+    calls.clear()
+    full, curves = bvp._splitting(fam, cut)
+    assert full == triple
+    assert assembled_samples(calls) == list(curves[:, 0]) and len(curves) == 33
