@@ -21,12 +21,15 @@ closed by a Lagrangian boundary condition in the trace space of values
 
 Both checks return the two integers side by side together with an
 agreement flag; they are computed by independent routes and their
-equality is the point of the exercise.
+equality is the point of the exercise. Their spectral flow is
+``sf_eigen`` of the two end operators. A family keeps its Green form, and
+a constant boundary condition is checked and classified once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -34,7 +37,7 @@ from numpy.polynomial import legendre
 
 from .frames import Frame, HermitianMatrix, exceeds_scaled_tol, orthonormalize
 from .maslov import LagrangianPairPath, maslov_winding
-from .spectral import HermitianPath, eigenvalue_curves, flow_of_curves
+from .spectral import HermitianPath, sf_eigen
 from .symplectic import SymplecticForm, classify, direct_sum
 
 __all__ = [
@@ -114,6 +117,12 @@ class HamiltonianFamily:
             raise ValueError("t_end must be positive")
         object.__setattr__(self, "j0", j0)
 
+    @cached_property
+    def _green_form(self) -> SymplecticForm:
+        """:func:`green_form`, built on first use and kept."""
+        j0 = SymplecticForm(self.j0)
+        return direct_sum(j0, j0, signs=(-1, 1))
+
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -184,22 +193,34 @@ def green_form(fam: HamiltonianFamily) -> SymplecticForm:
         omega((x0, x1), (y0, y1)) = <J0 x1, y1> - <J0 x0, y0>,
 
     whose matrix is blockdiag(-J0, +J0) in the convention
-    omega(x, y) = y^H J x used throughout.
+    omega(x, y) = y^H J x used throughout. It is built once per family.
     """
-    j0 = SymplecticForm(fam.j0)
-    return direct_sum(j0, j0, signs=(-1, 1))
+    return fam._green_form
 
 
-def _c_matrix(fam: HamiltonianFamily, s: float, t: float) -> np.ndarray:
-    c = np.asarray(fam.c(s, t), dtype=complex)
-    if c.shape != (fam.dim, fam.dim):
-        raise ValueError(
-            f"coefficient C({s}, {t}) has shape {c.shape}, "
-            f"expected ({fam.dim}, {fam.dim})"
-        )
-    if exceeds_scaled_tol(np.max(np.abs(c - c.conj().T)), c, _HERMITICITY_TOL):
-        raise ValueError(f"coefficient C({s}, {t}) is not Hermitian")
-    return (c + c.conj().T) / 2.0
+def _coefficients(fam: HamiltonianFamily, s: float, times) -> np.ndarray:
+    """C(s, t) at each t of ``times``, checked and symmetrized as one stack.
+
+    Every matrix must have shape (k, k) and be Hermitian to 1e-10
+    relative to max(1, ||C||_2); the first t that fails, in the order
+    given, is named in the error.
+    """
+    k = fam.dim
+    times = [float(t) for t in times]
+    cs = np.empty((len(times), k, k), dtype=complex)
+    for i, t in enumerate(times):
+        c = np.asarray(fam.c(s, t), dtype=complex)
+        if c.shape != (k, k):
+            raise ValueError(
+                f"coefficient C({s}, {t}) has shape {c.shape}, expected ({k}, {k})"
+            )
+        cs[i] = c
+    adjoints = cs.conj().transpose(0, 2, 1)
+    defects = np.max(np.abs(cs - adjoints), axis=(1, 2))
+    for i in np.flatnonzero(~(defects <= _HERMITICITY_TOL)):
+        if exceeds_scaled_tol(defects[i], cs[i], _HERMITICITY_TOL):
+            raise ValueError(f"coefficient C({s}, {times[i]}) is not Hermitian")
+    return (cs + adjoints) / 2.0
 
 
 def _check_boundary(fam: HamiltonianFamily, bc: BoundaryCondition) -> None:
@@ -248,7 +269,7 @@ def _gauss_step(fam: HamiltonianFamily, s: float, start: float, end: float) -> n
     """
     k = fam.dim
     h = end - start
-    cs = np.array([_c_matrix(fam, s, float(t)) for t in start + h * _GAUSS_NODES])
+    cs = _coefficients(fam, s, start + h * _GAUSS_NODES)
     blocks = h * _GAUSS_A[:, :, None, None] * cs[:, None]
     stages = np.arange(_GAUSS_STAGES)
     blocks[stages, stages] += fam.j0
@@ -393,7 +414,7 @@ def _fold_matrix(
     # block receives one term and the sum matches any assembly order.
     blocks = np.zeros((grid, grid, k, k), dtype=complex)
     nodes = np.arange(grid)
-    blocks[nodes, nodes] += [_c_matrix(fam, s, j * h) for j in range(grid)]
+    blocks[nodes, nodes] += _coefficients(fam, s, nodes * h)
     gh = g.conj().T
     for r, w in _STENCIL6:
         for sign in (1, -1):
@@ -458,9 +479,10 @@ def _sbp_matrix(
     a = np.kron(_sbp_matrix_core(grid), fam.j0)
     weights = np.full(nodes, h)
     weights[0] = weights[-1] = h / 2.0
+    cs = _coefficients(fam, s, np.arange(nodes) * h)
     for j in range(nodes):
         rows = slice(j * k, (j + 1) * k)
-        a[rows, rows] += weights[j] * _c_matrix(fam, s, j * h)
+        a[rows, rows] += weights[j] * cs[j]
     p = _trace_basis(bc, k, nodes)
     a_c = p.conj().T @ a @ p
     metric = np.concatenate(
@@ -482,33 +504,37 @@ def _gated_hermitian(a: np.ndarray) -> HermitianMatrix:
 BoundaryPath = Union[BoundaryCondition, Callable[[float], BoundaryCondition]]
 
 
-def _boundary_callable(bc: BoundaryPath) -> Callable[[float], BoundaryCondition]:
-    if isinstance(bc, BoundaryCondition):
-        return lambda s: bc
-    return bc
-
-
 def _assembler(
-    fam: HamiltonianFamily,
-    bc_path: Callable[[float], BoundaryCondition],
-    grid: int,
-    probe: tuple[BoundaryCondition, ...],
+    fam: HamiltonianFamily, bc: BoundaryPath, grid: int, num_samples: int
 ) -> Callable[[float], HermitianMatrix]:
-    """Pick one realization for the whole path and return its builder."""
+    """Check bc, pick one realization for the whole path, and return its builder.
+
+    A constant bc is checked and classified once; a callable one at
+    ``num_samples`` evenly spaced parameters, and again at each assembly.
+    """
     if grid < 7:
         raise ValueError("grid must be at least 7 for the difference stencils")
-    if all(_unitary_graph(c, fam) is not None for c in probe):
+    if isinstance(bc, BoundaryCondition):
+        _check_boundary(fam, bc)
+        g = _unitary_graph(bc, fam)
+        if g is None:
+            return lambda s: _sbp_matrix(fam, bc, grid, s)
+        return lambda s: _fold_matrix(fam, g, grid, s)
+    probe = [bc(float(s)) for s in np.linspace(0.0, 1.0, num_samples)]
+    for cond in probe:
+        _check_boundary(fam, cond)
+    if any(_unitary_graph(cond, fam) is None for cond in probe):
+        return lambda s: _sbp_matrix(fam, bc(s), grid, s)
 
-        def build(s: float) -> HermitianMatrix:
-            g = _unitary_graph(bc_path(s), fam)
-            if g is None:
-                raise ValueError(
-                    "boundary path left the unitary-graph class between samples"
-                )
-            return _fold_matrix(fam, g, grid, s)
+    def build(s: float) -> HermitianMatrix:
+        g = _unitary_graph(bc(s), fam)
+        if g is None:
+            raise ValueError(
+                "boundary path left the unitary-graph class between samples"
+            )
+        return _fold_matrix(fam, g, grid, s)
 
-        return build
-    return lambda s: _sbp_matrix(fam, bc_path(s), grid, s)
+    return build
 
 
 def discretize(
@@ -528,9 +554,7 @@ def discretize(
     sorted spectra at the samples, and the spectral flow reads the end
     samples only.
     """
-    _check_boundary(fam, bc)
-    build = _assembler(fam, _boundary_callable(bc), grid, (bc,))
-    return HermitianPath.from_callable(build, num_samples)
+    return HermitianPath.from_callable(_assembler(fam, bc, grid, num_samples), num_samples)
 
 
 def desuspension_check(
@@ -551,10 +575,13 @@ def desuspension_check(
     and returns (sf, neg_mas, sf == neg_mas). The two integers agree for
     families satisfying the stated invariants; the flag reports it.
 
-    The spectral flow is n_-(A(0)) - n_-(A(1)), so only the two end
-    operators are assembled and eigen-solved. ``num_samples`` drives
-    the Maslov route (its sample grid) and the boundary probe, which
-    checks bc(s) at every sample.
+    The spectral flow is :func:`~maslovlab.spectral.sf_eigen`,
+    n_-(A(0)) - n_-(A(1)), so only the two end operators are assembled
+    and eigen-solved. ``num_samples`` is the sample grid of the Maslov
+    route. A constant bc is checked once; a callable bc(s) is checked at
+    every sample of that grid. The spectra at ``num_samples`` parameters,
+    as the CLI exports them, are
+    ``eigenvalue_curves(discretize(fam, bc, grid, num_samples))``.
 
     Notes
     -----
@@ -579,41 +606,15 @@ def desuspension_check(
       sf is first wrong at c = 2.75 for T = 1 and at c = 1.5 for T = 2,
       on grids of 33 and 129 nodes alike. Keep |C| T below about 2.7.
     """
-    return _desuspension(fam, bc, grid, num_samples, ode_tol, curve_samples=2)[0]
-
-
-def _desuspension(
-    fam: HamiltonianFamily,
-    bc: BoundaryPath,
-    grid: int = 64,
-    num_samples: int = 33,
-    ode_tol: float = _DEFAULT_ODE_TOL,
-    curve_samples: int | None = None,
-) -> tuple[tuple[int, int, bool], np.ndarray]:
-    """:func:`desuspension_check` and the eigenvalue curves its flow came from.
-
-    The curves are the spectra at ``curve_samples`` evenly spaced
-    parameters (``num_samples`` by default); the flow reads their end
-    rows only, so any count of at least two gives the same integer.
-    """
-    bc_path = _boundary_callable(bc)
-    grid_s = np.linspace(0.0, 1.0, num_samples)
-    probe = tuple(bc_path(float(t)) for t in grid_s)
-    for cond in probe:
-        _check_boundary(fam, cond)
-    build = _assembler(fam, bc_path, grid, probe)
-    curves = eigenvalue_curves(
-        HermitianPath.from_callable(build, curve_samples or num_samples)
-    )
-    sf = flow_of_curves(curves)
-
+    sf = sf_eigen(HermitianPath.from_callable(_assembler(fam, bc, grid, num_samples), 2))
+    bc_path = (lambda s: bc) if isinstance(bc, BoundaryCondition) else bc
     form = green_form(fam)
 
     def pair(t: float):
         return form, bc_path(t).lagrangian, cauchy_data(fam, t, ode_tol)
 
     neg_mas = -maslov_winding(LagrangianPairPath.from_callable(pair, num_samples)).mas_plus
-    return (sf, neg_mas, sf == neg_mas), curves
+    return sf, neg_mas, sf == neg_mas
 
 
 def splitting_check(
@@ -637,31 +638,14 @@ def splitting_check(
     the periodic family equals minus their Maslov index. Returns
     (sf_whole, neg_mas_cut, agree).
 
-    As in :func:`desuspension_check`, the spectral flow reads the two
-    end operators only, and ``num_samples`` is the sample grid of the
-    Maslov route.
-    """
-    return _splitting(fam, cut, grid, num_samples, ode_tol, curve_samples=2)[0]
-
-
-def _splitting(
-    fam: HamiltonianFamily,
-    cut: float,
-    grid: int = 64,
-    num_samples: int = 33,
-    ode_tol: float = _DEFAULT_ODE_TOL,
-    curve_samples: int | None = None,
-) -> tuple[tuple[int, int, bool], np.ndarray]:
-    """:func:`splitting_check` and the eigenvalue curves of the periodic problem.
-
-    ``curve_samples`` is as in :func:`_desuspension`.
+    As in :func:`desuspension_check`, the spectral flow is
+    :func:`~maslovlab.spectral.sf_eigen` of the two end operators of
+    ``discretize(fam, periodic_condition(fam), grid)``, and
+    ``num_samples`` is the sample grid of the Maslov route.
     """
     if not 0.0 < cut < fam.t_end:
         raise ValueError(f"cut must lie inside (0, {fam.t_end})")
-    curves = eigenvalue_curves(
-        discretize(fam, periodic_condition(fam), grid, curve_samples or num_samples)
-    )
-    sf_whole = flow_of_curves(curves)
+    sf_whole = sf_eigen(discretize(fam, periodic_condition(fam), grid, 2))
 
     k = fam.dim
     eye = np.eye(k, dtype=complex)
@@ -675,4 +659,4 @@ def _splitting(
         return form, lam, mu
 
     neg_mas_cut = -maslov_winding(LagrangianPairPath.from_callable(pair, num_samples)).mas_plus
-    return (sf_whole, neg_mas_cut, sf_whole == neg_mas_cut), curves
+    return sf_whole, neg_mas_cut, sf_whole == neg_mas_cut

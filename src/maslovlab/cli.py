@@ -14,10 +14,14 @@ same config with the same seed reproduces the report byte for byte.
 checked identity and prints a table row (identity, anchor, trials,
 failures). Available suites are the keys of SUITES.
 
-Exit codes: 0 success; 1 config or usage error, with a message naming
-the offending field; 2 numerical gate failure (sampling resolution,
-conditioning, or integration tolerances); 3 violation of a checked
-identity, with a message naming the identity.
+The bvp scenarios take their integers from the public
+``desuspension_check`` and ``splitting_check`` and export the spectra of
+``discretize(fam, bc, grid, num_samples)`` as eigenvalue_curves.csv.
+
+Exit codes: 0 success or ``--help``; 1 config or usage error, with a
+message naming the offending field; 2 numerical gate failure (sampling
+resolution, conditioning, or integration tolerances); 3 violation of a
+checked identity, with a message naming the identity.
 
 The environment variable MASLOVLAB_SEED, when set, overrides the seed
 from configs and flags.
@@ -46,10 +50,11 @@ import scipy.linalg
 
 from .bvp import (
     HamiltonianFamily,
-    _desuspension,
-    _splitting,
+    desuspension_check,
+    discretize,
     periodic_condition,
     separated_condition,
+    splitting_check,
 )
 from .frames import RANK_TOL, gap_delta, intersect, orthonormalize
 from .maslov import (
@@ -73,12 +78,13 @@ from .sampling import (
     rotating_pair_path,
 )
 from .spectral import (
+    _MORSE_ZERO,
     HermitianPath,
     canonical_product_form,
     cayley,
     eigenvalue_curves,
-    flow_of_curves,
     graph_relation,
+    sf_eigen,
     sf_relation,
 )
 from .symplectic import SymplecticForm, direct_sum
@@ -97,8 +103,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-DEFAULT_ZERO_TOL = 1e-9
-
 
 class ConfigError(Exception):
     """A scenario config violates the schema."""
@@ -112,13 +116,10 @@ class InvariantViolation(Exception):
 class Tolerances:
     """Numerical knobs shared by all scenarios.
 
-    ``rank`` is the relative singular-value cutoff for rank decisions,
-    ``zero`` the absolute threshold below which a reported eigenvalue
-    counts as zero.
+    ``rank`` is the relative singular-value cutoff for rank decisions.
     """
 
     rank: float = RANK_TOL
-    zero: float = DEFAULT_ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -358,17 +359,17 @@ def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
 
 
 def _linear_flow_routes(a_start, a_end, num_samples: int, rank_tol: float):
-    """Eigenvalue curves of A(s) = (1 - s) a_start + s a_end and sf_relation of its graphs."""
+    """Hermitian path A(s) = (1 - s) a_start + s a_end and sf_relation of its graphs."""
 
     def matrix(s: float) -> np.ndarray:
         return (1.0 - s) * a_start + s * a_end
 
-    curves = eigenvalue_curves(HermitianPath.from_callable(matrix, num_samples=num_samples))
+    path = HermitianPath.from_callable(matrix, num_samples=num_samples)
     form = canonical_product_form(a_start.shape[0])
     grid = np.linspace(0.0, 1.0, num_samples)
     entries = [(float(s), form, graph_relation(matrix(float(s)))) for s in grid]
     sf_rel = sf_relation(entries, lambda s: (form, graph_relation(matrix(s))), rank_tol=rank_tol)
-    return curves, sf_rel
+    return path, sf_rel
 
 
 def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
@@ -376,8 +377,8 @@ def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
     rng = rng_from_seed((0x5F10, seed))
     a_start = random_hermitian(rng, dim)
     a_end = random_hermitian(rng, dim)
-    eig_curves, sf_rel = _linear_flow_routes(a_start, a_end, params["num_samples"], tols.rank)
-    sf = flow_of_curves(eig_curves)
+    path, sf_rel = _linear_flow_routes(a_start, a_end, params["num_samples"], tols.rank)
+    sf = sf_eigen(path)
     if sf_rel != sf:
         raise InvariantViolation(
             "spectral flow must equal the Maslov count of the graph path "
@@ -394,11 +395,11 @@ def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
             "end": [float(v) for v in eigs_end],
         },
         "endpoint_kernel_dims": {
-            "start": int(np.sum(np.abs(eigs_start) < tols.zero)),
-            "end": int(np.sum(np.abs(eigs_end) < tols.zero)),
+            "start": int(np.sum(np.abs(eigs_start) <= _MORSE_ZERO)),
+            "end": int(np.sum(np.abs(eigs_end) <= _MORSE_ZERO)),
         },
     }
-    curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
+    curves = {"eigenvalue_curves.csv": _curve_rows(eigenvalue_curves(path), _EIGEN_HEADER)}
     return results, curves
 
 
@@ -430,7 +431,8 @@ def _run_reduction_demo(params: dict, seed: int, tols: Tolerances):
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _bvp_desuspension_ingredients(family: str, seed: int):
+def _bvp_ingredients(family: str, seed: int):
+    """Family and boundary condition of a bvp scenario, for both scenario kinds."""
     if family == "scalar_periodic":
         fam = HamiltonianFamily(
             1, np.array([[-1j]]), lambda s, t: np.array([[2.0 * s - 1.0]])
@@ -439,7 +441,7 @@ def _bvp_desuspension_ingredients(family: str, seed: int):
     if family == "separated_lines":
         fam = HamiltonianFamily(2, _J2, lambda s, t: s * np.eye(2))
         return fam, separated_condition(fam, _line(0.0), _line(0.5))
-    if family == "planar_periodic":
+    if family in ("planar_periodic", "planar_double"):
         fam = HamiltonianFamily(2, _J2, lambda s, t: (2.0 * s - 1.0) * np.eye(2))
         return fam, periodic_condition(fam)
     rng = rng_from_seed((0xB4B0, seed))
@@ -459,10 +461,9 @@ def _bvp_desuspension_ingredients(family: str, seed: int):
 
 
 def _run_bvp_desuspension(params: dict, seed: int, tols: Tolerances):
-    fam, bc = _bvp_desuspension_ingredients(params["family"], seed)
-    (sf, neg_mas, agree), eig_curves = _desuspension(
-        fam, bc, grid=params["grid"], num_samples=params["num_samples"]
-    )
+    fam, bc = _bvp_ingredients(params["family"], seed)
+    grid, num_samples = params["grid"], params["num_samples"]
+    sf, neg_mas, agree = desuspension_check(fam, bc, grid, num_samples)
     if not agree:
         raise InvariantViolation(
             "desuspension identity violated: the spectral flow of the "
@@ -472,25 +473,19 @@ def _run_bvp_desuspension(params: dict, seed: int, tols: Tolerances):
         )
     results = {
         "family": params["family"],
-        "grid": params["grid"],
+        "grid": grid,
         "sf": int(sf),
         "neg_mas": int(neg_mas),
         "agree": True,
     }
+    eig_curves = eigenvalue_curves(discretize(fam, bc, grid, num_samples))
     curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 
 
 def _run_bvp_splitting(params: dict, seed: int, tols: Tolerances):
-    if params["family"] == "scalar_periodic":
-        fam = HamiltonianFamily(
-            1, np.array([[-1j]]), lambda s, t: np.array([[2.0 * s - 1.0]])
-        )
-    else:
-        fam = HamiltonianFamily(2, _J2, lambda s, t: (2.0 * s - 1.0) * np.eye(2))
-    (sf_whole, neg_mas_cut, agree), eig_curves = _splitting(
-        fam, params["cut"], grid=params["grid"]
-    )
+    fam, bc = _bvp_ingredients(params["family"], seed)
+    sf_whole, neg_mas_cut, agree = splitting_check(fam, params["cut"], params["grid"])
     if not agree:
         raise InvariantViolation(
             "splitting identity violated: the spectral flow over the whole "
@@ -505,6 +500,7 @@ def _run_bvp_splitting(params: dict, seed: int, tols: Tolerances):
         "neg_mas_cut": int(neg_mas_cut),
         "agree": True,
     }
+    eig_curves = eigenvalue_curves(discretize(fam, bc, params["grid"]))
     curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 
@@ -687,8 +683,8 @@ def _suite_sf_mas(trials: int, seed: int, tols: Tolerances) -> int:
         dim = 2 + trial % 3
         a_start = random_hermitian(rng, dim)
         a_end = random_hermitian(rng, dim)
-        curves, sf_rel = _linear_flow_routes(a_start, a_end, 33, tols.rank)
-        if flow_of_curves(curves) != sf_rel:
+        path, sf_rel = _linear_flow_routes(a_start, a_end, 33, tols.rank)
+        if sf_eigen(path) != sf_rel:
             failures += 1
     return failures
 
@@ -820,8 +816,7 @@ def _write_curves(out_dir: str, curves: dict) -> dict:
 
 
 def run_config(config_path: str, out_dir: str = ".",
-               tol_rank: float = RANK_TOL, tol_zero: float = DEFAULT_ZERO_TOL,
-               seed_override: int | None = None):
+               tol_rank: float = RANK_TOL, seed_override: int | None = None):
     """Validate and execute one scenario config.
 
     Returns (payload, report_path) where payload is the dict written to
@@ -830,7 +825,7 @@ def run_config(config_path: str, out_dir: str = ".",
     """
     cfg = _load_config(config_path)
     seed = cfg["seed"] if seed_override is None else seed_override
-    tols = Tolerances(rank=tol_rank, zero=tol_zero)
+    tols = Tolerances(rank=tol_rank)
     results, curves = _SCENARIOS[cfg["kind"]](cfg["parameters"], seed, tols)
     os.makedirs(out_dir, exist_ok=True)
     files = _write_curves(out_dir, curves)
@@ -874,7 +869,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.config,
             out_dir=args.out_dir,
             tol_rank=args.tol_rank,
-            tol_zero=args.tol_zero,
             seed_override=_env_seed(),
         )
     except ConfigError as exc:
@@ -913,7 +907,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("config error: --trials must be a positive integer", file=sys.stderr)
         return 1
     identity, runner = SUITES[args.suite]
-    tols = Tolerances(rank=args.tol_rank, zero=args.tol_zero)
+    tols = Tolerances(rank=args.tol_rank)
     try:
         failures = runner(args.trials, seed, tols)
     except (ValueError, ArithmeticError) as exc:
@@ -925,6 +919,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, not 2, the gate-failure code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -934,11 +936,7 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "--tol-rank", type=float, default=RANK_TOL,
         help="relative singular-value cutoff for rank decisions",
     )
-    common.add_argument(
-        "--tol-zero", type=float, default=DEFAULT_ZERO_TOL,
-        help="threshold below which a reported eigenvalue counts as zero",
-    )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maslovlab",
         description="Scenario runs and identity checks for Maslov index, "
         "symplectic reduction, and spectral flow computations.",

@@ -4,7 +4,8 @@
 per parameter. :func:`refine` halves steps until the caller's step test
 accepts them; path construction and angle-branch continuation use it,
 with one depth cap and one error. Hermitian paths need neither: their
-eigenvalue curves are the spectra at the samples.
+eigenvalue curves are the spectra at the samples. Both kinds of path
+check their sample times with :func:`check_sample_times`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,22 @@ MOVEMENT_GATE = math.pi / 2
 MAX_REFINE_DEPTH = 40
 
 
+def check_sample_times(times) -> list[float]:
+    """The sample times as floats, checked to run from 0 to 1 and to increase strictly."""
+    times = [float(s) for s in times]
+    if len(times) < 2:
+        raise ValueError("a path needs at least two samples")
+    if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
+        raise ValueError("path samples must start at s=0 and end at s=1")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must be strictly increasing")
+    return times
+
+
 class Memo:
     """Values of a path by parameter: its samples, then every callback value.
 
-    The sample times must run from 0 to 1 and increase strictly. A
+    The sample times must pass :func:`check_sample_times`. A
     parameter within 1e-13 of a sample reads that sample. Any other
     parameter is passed to the callback once and its value is kept, so
     refinement, bisection, finite differences and scans never evaluate
@@ -27,13 +40,7 @@ class Memo:
     """
 
     def __init__(self, times, values):
-        self.times = [float(s) for s in times]
-        if len(self.times) < 2:
-            raise ValueError("a path needs at least two samples")
-        if abs(self.times[0]) > 1e-12 or abs(self.times[-1] - 1.0) > 1e-12:
-            raise ValueError("path samples must start at s=0 and end at s=1")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("sample times must be strictly increasing")
+        self.times = check_sample_times(times)
         self.values = dict(zip(self.times, values))
 
     def evaluate(self, s: float, callback):

@@ -34,6 +34,7 @@ from .frames import (
     orthonormalize,
 )
 from .maslov import LagrangianPairPath, PathSample, _refined_path, maslov_winding
+from .refinement import check_sample_times
 from .symplectic import SymplecticForm, annihilator
 
 __all__ = [
@@ -292,13 +293,7 @@ class HermitianPath:
     callback: Callable[[float], HermitianMatrix] | None = None
 
     def __post_init__(self):
-        times = [s for s, _ in self.samples]
-        if len(times) < 2:
-            raise ValueError("a path needs at least two samples")
-        if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
-            raise ValueError("path samples must start at s=0 and end at s=1")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("sample times must be strictly increasing")
+        check_sample_times(s for s, _ in self.samples)
         if len({mat.dim for _, mat in self.samples}) != 1:
             raise ValueError("all samples must share one matrix dimension")
 
@@ -347,11 +342,6 @@ def sf_eigen(path: HermitianPath) -> int:
     """
     (_, first), (_, last) = path.samples[0], path.samples[-1]
     return _morse_index(first.eigenvalues()) - _morse_index(last.eigenvalues())
-
-
-def flow_of_curves(curves: np.ndarray) -> int:
-    """Spectral flow read off the end rows of :func:`eigenvalue_curves`."""
-    return _morse_index(curves[0, 1:]) - _morse_index(curves[-1, 1:])
 
 
 def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:

@@ -1,5 +1,9 @@
 """Tests for discretized Hamiltonian boundary value problems."""
 
+import csv
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,9 +109,26 @@ def skewed(defect):
 
 def test_coefficient_hermiticity_gate_is_relative():
     # Gate: max|C - C^H| > 1e-10 * max(1, ||C||_2), i.e. 1e-4 here.
-    bvp._c_matrix(planar_family(lambda s, t: skewed(0.9e-4)), 0.0, 0.0)
-    with pytest.raises(ValueError, match=r"coefficient C\(0.0, 0.0\) is not Hermitian"):
-        bvp._c_matrix(planar_family(lambda s, t: skewed(1.1e-4)), 0.0, 0.0)
+    bvp._coefficients(planar_family(lambda s, t: skewed(0.9e-4)), 0.0, [0.0, 0.5])
+    with pytest.raises(ValueError, match=r"coefficient C\(0.0, 0.5\) is not Hermitian"):
+        bvp._coefficients(
+            planar_family(lambda s, t: skewed(1.1e-4 if t > 0.0 else 0.9e-4)),
+            0.0,
+            [0.0, 0.5],
+        )
+
+
+def test_propagator_names_the_one_non_hermitian_gauss_stage():
+    """C is Hermitian except at the fourth stage of the first step over [0, 1]."""
+    stage = float(0.0 + 1.0 * bvp._GAUSS_NODES[3])
+
+    def coeff(s, t):
+        return skewed(1.0) if t == stage else np.zeros((2, 2))
+
+    with pytest.raises(
+        ValueError, match=re.escape(f"coefficient C(0.4, {stage}) is not Hermitian")
+    ):
+        propagator(planar_family(coeff), 0.4, 0.0, 1.0)
 
 
 def test_operator_hermiticity_gate_is_relative():
@@ -125,7 +146,7 @@ def blockwise_fold_matrix(fam, g, grid, s):
     gh = g.conj().T
     for j in range(grid):
         rows = slice(j * k, (j + 1) * k)
-        a[rows, rows] += bvp._c_matrix(fam, s, j * h)
+        a[rows, rows] += bvp._coefficients(fam, s, [j * h])[0]
         for r, w in bvp._STENCIL6:
             for sign in (1, -1):
                 target = j + sign * r
@@ -435,31 +456,58 @@ def assembled_samples(calls):
     return sorted({s for s, t in calls if t == 0.0})
 
 
+def cli_run(tmp_path, kind, seed, parameters):
+    """Results and eigenvalue-curve s values of one ``maslovlab run`` scenario."""
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        json.dumps({"schema": 1, "kind": kind, "seed": seed, "parameters": parameters})
+    )
+    payload, _ = cli.run_config(str(config), out_dir=str(tmp_path / "out"))
+    with open(tmp_path / "out" / "eigenvalue_curves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return payload["results"], sorted({float(row[0]) for row in rows})
+
+
 @pytest.mark.parametrize(
     "family, seed", [("scalar_periodic", 0), ("planar_periodic", 0), ("seeded", 1)]
 )
-def test_desuspension_check_is_the_cli_route_on_two_samples(family, seed):
-    fam, calls = counted(cli._bvp_desuspension_ingredients(family, seed)[0])
-    bc = periodic_condition(fam)
-    triple = desuspension_check(fam, bc)
+def test_desuspension_check_is_the_cli_route_on_two_samples(tmp_path, family, seed):
+    fam, calls = counted(cli._bvp_ingredients(family, seed)[0])
+    triple = desuspension_check(fam, periodic_condition(fam))
     assert assembled_samples(calls) == [0.0, 1.0]
-    calls.clear()
-    full, curves = bvp._desuspension(fam, bc)
-    assert full == triple
-    assert assembled_samples(calls) == list(curves[:, 0]) and len(curves) == 33
+    results, samples = cli_run(tmp_path, "bvp_desuspension", seed, {"family": family})
+    assert (results["sf"], results["neg_mas"], results["agree"]) == triple
+    assert samples == np.linspace(0.0, 1.0, 33).tolist()
 
 
 @pytest.mark.parametrize("cut", [0.5, 0.3])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_splitting_check_is_the_cli_route_on_two_samples(dim, cut):
-    base = scalar_family() if dim == 1 else planar_family(
-        lambda s, t: (2.0 * s - 1.0) * np.eye(2)
-    )
-    fam, calls = counted(base)
+def test_splitting_check_is_the_cli_route_on_two_samples(tmp_path, dim, cut):
+    family = "scalar_periodic" if dim == 1 else "planar_double"
+    fam, calls = counted(cli._bvp_ingredients(family, 0)[0])
     triple = splitting_check(fam, cut)
     assert triple == (dim, dim, True)
     assert assembled_samples(calls) == [0.0, 1.0]
-    calls.clear()
-    full, curves = bvp._splitting(fam, cut)
-    assert full == triple
-    assert assembled_samples(calls) == list(curves[:, 0]) and len(curves) == 33
+    results, samples = cli_run(
+        tmp_path, "bvp_splitting", 0, {"family": family, "cut": cut}
+    )
+    assert (results["sf"], results["neg_mas_cut"], results["agree"]) == triple
+    assert samples == np.linspace(0.0, 1.0, 33).tolist()
+
+
+def test_desuspension_check_builds_one_green_form_per_family(monkeypatch):
+    built = []
+    direct_sum = bvp.direct_sum
+
+    def counting_direct_sum(*forms, **kwargs):
+        built.append(forms)
+        return direct_sum(*forms, **kwargs)
+
+    monkeypatch.setattr(bvp, "direct_sum", counting_direct_sum)
+    scalar = scalar_family()
+    for fam, bc in (separated_lines_family(), (scalar, periodic_condition(scalar))):
+        built.clear()
+        first = desuspension_check(fam, bc, num_samples=9)
+        assert desuspension_check(fam, bc, num_samples=9) == first
+        assert len(built) == 1
+        assert green_form(fam) is green_form(fam)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from maslovlab import cli
@@ -165,6 +166,21 @@ def test_spectral_flow_run(tmp_path):
     start = results["endpoint_eigenvalues"]["start"]
     assert start == sorted(start)
     assert len(start) == 3
+
+
+def test_spectral_flow_kernel_dims_use_the_flow_zero_rule(tmp_path, monkeypatch):
+    """An end eigenvalue of -3e-9 is zero for sf and for the reported kernel."""
+    ends = iter([np.diag([-3e-9, 1.0]), np.diag([-1.0, 1.0])])
+    monkeypatch.setattr(cli, "random_hermitian", lambda rng, dim: next(ends))
+    cfg = write_config(
+        tmp_path,
+        {"schema": 1, "kind": "spectral_flow", "parameters": {"dim": 2}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    results = read_report(out)["results"]
+    assert results["sf"] == -1
+    assert results["endpoint_kernel_dims"] == {"start": 1, "end": 0}
 
 
 def test_reduction_demo_run(tmp_path):
@@ -344,6 +360,25 @@ def test_verify_seed_changes_trials_not_outcome(capsys):
 def test_verify_rejects_nonpositive_trials(capsys):
     assert main(["verify", "flipping", "--trials", "0"]) == 1
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["verify", "flipping", "--trials", "x"], ["nosuch"], []],
+    ids=["run_without_config", "non_integer_trials", "unknown_command", "no_command"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "config" in capsys.readouterr().out
 
 
 def test_verify_failures_exit_3(monkeypatch, capsys):
