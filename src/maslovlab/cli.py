@@ -56,7 +56,7 @@ from .bvp import (
     separated_condition,
     splitting_check,
 )
-from .frames import RANK_TOL, gap_delta, intersect, orthonormalize
+from .frames import gap_delta, intersect, orthonormalize
 from .maslov import (
     LagrangianPairPath,
     benchmark_pair_path,
@@ -78,12 +78,12 @@ from .sampling import (
     rotating_pair_path,
 )
 from .spectral import (
-    _MORSE_ZERO,
     HermitianPath,
     canonical_product_form,
     cayley,
     eigenvalue_curves,
     graph_relation,
+    kernel_dim,
     sf_eigen,
     sf_relation,
 )
@@ -110,16 +110,6 @@ class ConfigError(Exception):
 
 class InvariantViolation(Exception):
     """A mathematical identity the scenario checks failed to hold."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical knobs shared by all scenarios.
-
-    ``rank`` is the relative singular-value cutoff for rank decisions.
-    """
-
-    rank: float = RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,7 @@ def _curve_rows(curves: np.ndarray, header: tuple[str, str, str]):
 # a checked identity fails, and let numerical gates propagate.
 
 
-def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
+def _run_maslov_path(params: dict, seed: int):
     path = _pair_path_for(params["family"], params["dim"], params["num_samples"], seed)
     results = {
         "family": params["family"],
@@ -332,13 +322,13 @@ def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
     curves = {}
     counts = {}
     if params["method"] in ("winding", "both"):
-        res = maslov_winding(path, rank_tol=tols.rank)
+        res = maslov_winding(path)
         counts["winding"] = _counts(res)
         results["mas_plus"] = res.mas_plus
         results["mas_minus"] = res.mas_minus
         curves["theta_curves.csv"] = _curve_rows(res.theta_curves, _THETA_HEADER)
     if params["method"] in ("crossing", "both"):
-        res = maslov_crossings(path, seed=seed, rank_tol=tols.rank)
+        res = maslov_crossings(path, seed=seed)
         counts["crossing"] = _counts(res)
         results.setdefault("mas_plus", res.mas_plus)
         results.setdefault("mas_minus", res.mas_minus)
@@ -358,7 +348,7 @@ def _run_maslov_path(params: dict, seed: int, tols: Tolerances):
     return results, curves
 
 
-def _linear_flow_routes(a_start, a_end, num_samples: int, rank_tol: float):
+def _linear_flow_routes(a_start, a_end, num_samples: int):
     """Hermitian path A(s) = (1 - s) a_start + s a_end and sf_relation of its graphs."""
 
     def matrix(s: float) -> np.ndarray:
@@ -368,16 +358,16 @@ def _linear_flow_routes(a_start, a_end, num_samples: int, rank_tol: float):
     form = canonical_product_form(a_start.shape[0])
     grid = np.linspace(0.0, 1.0, num_samples)
     entries = [(float(s), form, graph_relation(matrix(float(s)))) for s in grid]
-    sf_rel = sf_relation(entries, lambda s: (form, graph_relation(matrix(s))), rank_tol=rank_tol)
+    sf_rel = sf_relation(entries, lambda s: (form, graph_relation(matrix(s))))
     return path, sf_rel
 
 
-def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
+def _run_spectral_flow(params: dict, seed: int):
     dim = params["dim"]
     rng = rng_from_seed((0x5F10, seed))
     a_start = random_hermitian(rng, dim)
     a_end = random_hermitian(rng, dim)
-    path, sf_rel = _linear_flow_routes(a_start, a_end, params["num_samples"], tols.rank)
+    path, sf_rel = _linear_flow_routes(a_start, a_end, params["num_samples"])
     sf = sf_eigen(path)
     if sf_rel != sf:
         raise InvariantViolation(
@@ -395,19 +385,19 @@ def _run_spectral_flow(params: dict, seed: int, tols: Tolerances):
             "end": [float(v) for v in eigs_end],
         },
         "endpoint_kernel_dims": {
-            "start": int(np.sum(np.abs(eigs_start) <= _MORSE_ZERO)),
-            "end": int(np.sum(np.abs(eigs_end) <= _MORSE_ZERO)),
+            "start": kernel_dim(eigs_start),
+            "end": kernel_dim(eigs_end),
         },
     }
     curves = {"eigenvalue_curves.csv": _curve_rows(eigenvalue_curves(path), _EIGEN_HEADER)}
     return results, curves
 
 
-def _run_reduction_demo(params: dict, seed: int, tols: Tolerances):
+def _run_reduction_demo(params: dict, seed: int):
     path = _pair_path_for("seeded", params["dim"], params["num_samples"], seed)
-    direct = maslov_winding(path, rank_tol=tols.rank)
+    direct = maslov_winding(path)
     try:
-        reduced = maslov_reduced(path, seed=seed, rank_tol=tols.rank)
+        reduced = maslov_reduced(path, seed=seed)
     except ArithmeticError as exc:
         raise InvariantViolation(
             f"partition independence of segmental reduction failed: {exc}"
@@ -460,7 +450,7 @@ def _bvp_ingredients(family: str, seed: int):
     return fam, periodic_condition(fam)
 
 
-def _run_bvp_desuspension(params: dict, seed: int, tols: Tolerances):
+def _run_bvp_desuspension(params: dict, seed: int):
     fam, bc = _bvp_ingredients(params["family"], seed)
     grid, num_samples = params["grid"], params["num_samples"]
     sf, neg_mas, agree = desuspension_check(fam, bc, grid, num_samples)
@@ -483,7 +473,7 @@ def _run_bvp_desuspension(params: dict, seed: int, tols: Tolerances):
     return results, curves
 
 
-def _run_bvp_splitting(params: dict, seed: int, tols: Tolerances):
+def _run_bvp_splitting(params: dict, seed: int):
     fam, bc = _bvp_ingredients(params["family"], seed)
     sf_whole, neg_mas_cut, agree = splitting_check(fam, params["cut"], params["grid"])
     if not agree:
@@ -505,10 +495,10 @@ def _run_bvp_splitting(params: dict, seed: int, tols: Tolerances):
     return results, curves
 
 
-def _run_property_suite(params: dict, seed: int, tols: Tolerances):
+def _run_property_suite(params: dict, seed: int):
     name = params["suite"]
     identity, runner = SUITES[name]
-    failures = runner(params["trials"], seed, tols)
+    failures = runner(params["trials"], seed)
     if failures:
         raise InvariantViolation(
             f"suite '{name}' violated its identity ({identity}) in "
@@ -539,7 +529,7 @@ _SCENARIOS = {
 # is itself the checked property.
 
 
-def _suite_flipping(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_flipping(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         path = rotating_pair_path(rng_from_seed((0xF119, seed, trial)))
@@ -549,17 +539,17 @@ def _suite_flipping(trials: int, seed: int, tols: Tolerances) -> int:
             return form, mu, lam
 
         swapped = LagrangianPairPath.from_callable(swapped_fn, num_samples=33)
-        res = maslov_winding(path, rank_tol=tols.rank)
-        res_swapped = maslov_winding(swapped, rank_tol=tols.rank)
+        res = maslov_winding(path)
+        res_swapped = maslov_winding(swapped)
         first, last = path.samples[0], path.samples[-1]
-        dim0 = intersect(first.lam, first.mu, tols.rank).dim
-        dim1 = intersect(last.lam, last.mu, tols.rank).dim
+        dim0 = intersect(first.lam, first.mu).dim
+        dim1 = intersect(last.lam, last.mu).dim
         if res.mas_plus + res_swapped.mas_plus != dim0 - dim1:
             failures += 1
     return failures
 
 
-def _suite_catenation(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_catenation(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0xCA7E, seed, trial))
@@ -571,16 +561,16 @@ def _suite_catenation(trials: int, seed: int, tols: Tolerances) -> int:
         right = LagrangianPairPath.from_callable(
             lambda s: path.callback(split + (1.0 - split) * s), num_samples=17
         )
-        whole = maslov_winding(path, rank_tol=tols.rank)
-        res_left = maslov_winding(left, rank_tol=tols.rank)
-        res_right = maslov_winding(right, rank_tol=tols.rank)
+        whole = maslov_winding(path)
+        res_left = maslov_winding(left)
+        res_right = maslov_winding(right)
         (left_plus, left_minus), (right_plus, right_minus) = _counts(res_left), _counts(res_right)
         if _counts(whole) != (left_plus + right_plus, left_minus + right_minus):
             failures += 1
     return failures
 
 
-def _suite_direct_sum(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_direct_sum(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         path_a = rotating_pair_path(rng_from_seed((0xD5A0, seed, trial)), dim=2)
@@ -597,16 +587,16 @@ def _suite_direct_sum(trials: int, seed: int, tols: Tolerances) -> int:
             return form, lam, mu
 
         summed_path = LagrangianPairPath.from_callable(summed_fn, num_samples=33)
-        res_a = maslov_winding(path_a, rank_tol=tols.rank)
-        res_b = maslov_winding(path_b, rank_tol=tols.rank)
-        res_sum = maslov_winding(summed_path, rank_tol=tols.rank)
+        res_a = maslov_winding(path_a)
+        res_b = maslov_winding(path_b)
+        res_sum = maslov_winding(summed_path)
         (a_plus, a_minus), (b_plus, b_minus) = _counts(res_a), _counts(res_b)
         if _counts(res_sum) != (a_plus + b_plus, a_minus + b_minus):
             failures += 1
     return failures
 
 
-def _suite_naturality(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_naturality(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0xA701, seed, trial))
@@ -628,14 +618,14 @@ def _suite_naturality(trials: int, seed: int, tols: Tolerances) -> int:
             )
 
         pushed = LagrangianPairPath.from_callable(pushed_fn, num_samples=65)
-        res_fixed = maslov_winding(fixed, rank_tol=tols.rank)
-        res_pushed = maslov_winding(pushed, rank_tol=tols.rank)
+        res_fixed = maslov_winding(fixed)
+        res_pushed = maslov_winding(pushed)
         if _counts(res_fixed) != _counts(res_pushed):
             failures += 1
     return failures
 
 
-def _suite_constancy(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_constancy(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0xC057, seed, trial))
@@ -644,19 +634,19 @@ def _suite_constancy(trials: int, seed: int, tols: Tolerances) -> int:
         path = LagrangianPairPath.from_callable(
             lambda s: (form, lam, mu), num_samples=5
         )
-        res = maslov_winding(path, rank_tol=tols.rank)
+        res = maslov_winding(path)
         if _counts(res) != (0, 0):
             failures += 1
     return failures
 
 
-def _suite_reduction(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_reduction(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         path = rotating_pair_path(rng_from_seed((0x12ED, seed, trial)))
-        direct = maslov_winding(path, rank_tol=tols.rank)
+        direct = maslov_winding(path)
         try:
-            reduced = maslov_reduced(path, seed=trial, rank_tol=tols.rank)
+            reduced = maslov_reduced(path, seed=trial)
         except ArithmeticError:
             failures += 1
             continue
@@ -665,31 +655,31 @@ def _suite_reduction(trials: int, seed: int, tols: Tolerances) -> int:
     return failures
 
 
-def _suite_diagonal(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_diagonal(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         path = rotating_pair_path(rng_from_seed((0xD1A6, seed, trial)))
-        direct = maslov_winding(path, rank_tol=tols.rank)
-        lifted = diagonal_lift(path, rank_tol=tols.rank)
+        direct = maslov_winding(path)
+        lifted = diagonal_lift(path)
         if _counts(direct) != _counts(lifted):
             failures += 1
     return failures
 
 
-def _suite_sf_mas(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_sf_mas(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0x5F3A, seed, trial))
         dim = 2 + trial % 3
         a_start = random_hermitian(rng, dim)
         a_end = random_hermitian(rng, dim)
-        path, sf_rel = _linear_flow_routes(a_start, a_end, 33, tols.rank)
+        path, sf_rel = _linear_flow_routes(a_start, a_end, 33)
         if sf_eigen(path) != sf_rel:
             failures += 1
     return failures
 
 
-def _suite_hormander(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_hormander(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0x8030, seed, trial))
@@ -699,10 +689,8 @@ def _suite_hormander(trials: int, seed: int, tols: Tolerances) -> int:
         mu1 = random_lagrangian(rng, form)
         mu2 = random_lagrangian(rng, form)
         try:
-            forward = hormander(form, lam1, lam2, mu1, mu2, seed=trial,
-                                rank_tol=tols.rank)
-            swapped = hormander(form, lam1, lam2, mu2, mu1, seed=trial + 1,
-                                rank_tol=tols.rank)
+            forward = hormander(form, lam1, lam2, mu1, mu2, seed=trial)
+            swapped = hormander(form, lam1, lam2, mu2, mu1, seed=trial + 1)
         except ArithmeticError:
             failures += 1
             continue
@@ -711,7 +699,7 @@ def _suite_hormander(trials: int, seed: int, tols: Tolerances) -> int:
     return failures
 
 
-def _suite_cayley(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_cayley(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0xCA1E, seed, trial))
@@ -724,7 +712,7 @@ def _suite_cayley(trials: int, seed: int, tols: Tolerances) -> int:
     return failures
 
 
-def _suite_gap_bound(trials: int, seed: int, tols: Tolerances) -> int:
+def _suite_gap_bound(trials: int, seed: int) -> int:
     failures = 0
     for trial in range(trials):
         rng = rng_from_seed((0x6A90, seed, trial))
@@ -741,7 +729,7 @@ def _suite_gap_bound(trials: int, seed: int, tols: Tolerances) -> int:
     return failures
 
 
-SUITES: dict[str, tuple[str, Callable[[int, int, Tolerances], int]]] = {
+SUITES: dict[str, tuple[str, Callable[[int, int], int]]] = {
     "flipping": (
         "Mas+{lam,mu} + Mas+{mu,lam} = dim cap(0) - dim cap(1)",
         _suite_flipping,
@@ -789,15 +777,14 @@ SUITES: dict[str, tuple[str, Callable[[int, int, Tolerances], int]]] = {
 }
 
 
-def run_suite(name: str, trials: int, seed: int,
-              tols: Tolerances | None = None) -> int:
+def run_suite(name: str, trials: int, seed: int) -> int:
     """Run one verification suite and return the number of failed trials."""
     if name not in SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
     _, runner = SUITES[name]
-    return runner(trials, seed, tols or Tolerances())
+    return runner(trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +802,7 @@ def _write_curves(out_dir: str, curves: dict) -> dict:
     return files
 
 
-def run_config(config_path: str, out_dir: str = ".",
-               tol_rank: float = RANK_TOL, seed_override: int | None = None):
+def run_config(config_path: str, out_dir: str = ".", seed_override: int | None = None):
     """Validate and execute one scenario config.
 
     Returns (payload, report_path) where payload is the dict written to
@@ -825,8 +811,7 @@ def run_config(config_path: str, out_dir: str = ".",
     """
     cfg = _load_config(config_path)
     seed = cfg["seed"] if seed_override is None else seed_override
-    tols = Tolerances(rank=tol_rank)
-    results, curves = _SCENARIOS[cfg["kind"]](cfg["parameters"], seed, tols)
+    results, curves = _SCENARIOS[cfg["kind"]](cfg["parameters"], seed)
     os.makedirs(out_dir, exist_ok=True)
     files = _write_curves(out_dir, curves)
     payload = {
@@ -868,7 +853,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload, report_path = run_config(
             args.config,
             out_dir=args.out_dir,
-            tol_rank=args.tol_rank,
             seed_override=_env_seed(),
         )
     except ConfigError as exc:
@@ -907,9 +891,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("config error: --trials must be a positive integer", file=sys.stderr)
         return 1
     identity, runner = SUITES[args.suite]
-    tols = Tolerances(rank=args.tol_rank)
     try:
-        failures = runner(args.trials, seed, tols)
+        failures = runner(args.trials, seed)
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical gate failure: {exc}", file=sys.stderr)
         return 2
@@ -931,10 +914,6 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--out-dir", default=".", help="directory for reports and CSV files"
-    )
-    common.add_argument(
-        "--tol-rank", type=float, default=RANK_TOL,
-        help="relative singular-value cutoff for rank decisions",
     )
     parser = _Parser(
         prog="maslovlab",

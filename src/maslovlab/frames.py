@@ -155,12 +155,12 @@ class Projection:
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def range(self, rank_tol: float = RANK_TOL) -> Frame:
-        return orthonormalize(self.matrix, rank_tol)
+    def range(self) -> Frame:
+        return orthonormalize(self.matrix)
 
-    def kernel(self, rank_tol: float = RANK_TOL) -> Frame:
+    def kernel(self) -> Frame:
         n = self.ambient_dim
-        return orthonormalize(np.eye(n) - self.matrix, rank_tol)
+        return orthonormalize(np.eye(n) - self.matrix)
 
 
 @dataclass(frozen=True)
@@ -228,18 +228,16 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-def orthonormalize(matrix, rank_tol: float = RANK_TOL, scale_floor: float | None = None) -> Frame:
+def orthonormalize(matrix, scale_floor: float | None = None) -> Frame:
     """Orthonormal frame for the column span of ``matrix``.
 
-    Singular values below ``rank_tol`` times the largest singular value
+    Singular values below ``RANK_TOL`` times the largest singular value
     are discarded. A zero or empty matrix yields the empty frame.
 
     Parameters
     ----------
     matrix : ndarray
         N x m complex matrix (m may be 0).
-    rank_tol : float
-        Relative rank cutoff.
     scale_floor : float, optional
         Lower bound on the reference scale for the cutoff. Pass 1.0 when
         the columns are coordinates of unit vectors and the whole matrix
@@ -260,7 +258,7 @@ def orthonormalize(matrix, rank_tol: float = RANK_TOL, scale_floor: float | None
     if s.size == 0 or s[0] == 0.0:
         return Frame.empty(n)
     reference = s[0] if scale_floor is None else max(s[0], scale_floor)
-    keep = s > rank_tol * reference
+    keep = s > RANK_TOL * reference
     return Frame._of_orthonormal(u[:, keep])
 
 
@@ -292,10 +290,10 @@ def _gesvd(m: np.ndarray):
     return u, s
 
 
-def intersect(a: Frame, b: Frame, rank_tol: float = RANK_TOL) -> Frame:
+def intersect(a: Frame, b: Frame) -> Frame:
     """Intersection of two subspaces via principal vectors.
 
-    Principal directions whose cosine exceeds 1 - rank_tol are taken to
+    Principal directions whose cosine exceeds 1 - RANK_TOL are taken to
     lie in the intersection; the strict inequality resolves ties toward
     the smaller intersection.
     """
@@ -306,17 +304,17 @@ def intersect(a: Frame, b: Frame, rank_tol: float = RANK_TOL) -> Frame:
     m = a.matrix.conj().T @ b.matrix
     u, s, _ = scipy.linalg.svd(m, full_matrices=False)
     s = np.clip(s, 0.0, 1.0)
-    keep = s > 1.0 - rank_tol
+    keep = s > 1.0 - RANK_TOL
     if not np.any(keep):
         return Frame.empty(a.ambient_dim)
-    return orthonormalize(a.matrix @ u[:, keep], rank_tol)
+    return orthonormalize(a.matrix @ u[:, keep])
 
 
-def subspace_sum(a: Frame, b: Frame, rank_tol: float = RANK_TOL) -> Frame:
+def subspace_sum(a: Frame, b: Frame) -> Frame:
     """Frame for the sum a + b."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return orthonormalize(np.hstack([a.matrix, b.matrix]), rank_tol)
+    return orthonormalize(np.hstack([a.matrix, b.matrix]))
 
 
 def orth_complement(a: Frame) -> Frame:
@@ -357,53 +355,53 @@ def gap_hat(m: Frame, n: Frame) -> float:
     return max(gap_delta(m, n), gap_delta(n, m))
 
 
-def minimum_gap(m: Frame, n: Frame, rank_tol: float = RANK_TOL) -> float:
+def minimum_gap(m: Frame, n: Frame) -> float:
     """Minimum gap gamma(m, n) = inf_{u in m, u not in n} dist(u, n) / dist(u, m cap n).
 
     Returns 1.0 when m is contained in n (including m = {0}). Positive
     whenever m + n is closed, which in finite dimensions is always.
     """
-    cap = intersect(m, n, rank_tol)
+    cap = intersect(m, n)
     if cap.dim == m.dim:
         return 1.0
     # Part of m orthogonal to the intersection; for u = u0 + u1 with
     # u0 in m cap n and u1 in this part, dist(u, n) depends only on u1
     # and dist(u, m cap n) = |u1|.
-    rest = intersect(m, orth_complement(cap), rank_tol)
+    rest = intersect(m, orth_complement(cap))
     r = rest.matrix - n.matrix @ (n.matrix.conj().T @ rest.matrix)
     s = scipy.linalg.svd(r, compute_uv=False)
     val = float(s[-1]) if s.size else 1.0
     return float(np.clip(val, 0.0, 1.0))
 
 
-def minimum_gap_hat(m: Frame, n: Frame, rank_tol: float = RANK_TOL) -> float:
+def minimum_gap_hat(m: Frame, n: Frame) -> float:
     """Symmetrized minimum gap: min of the two one-sided values."""
-    return min(minimum_gap(m, n, rank_tol), minimum_gap(n, m, rank_tol))
+    return min(minimum_gap(m, n), minimum_gap(n, m))
 
 
-def relative_index(p: Projection, q: Projection, rank_tol: float = RANK_TOL) -> int:
+def relative_index(p: Projection, q: Projection) -> int:
     """Relative index [P - Q] = Index(Q P : ran P -> ran Q).
 
     Computed as dim ker(QP restricted to ran P) minus the codimension of
-    its range in ran Q, with all ranks decided at ``rank_tol``.
+    its range in ran Q, with all ranks decided at ``RANK_TOL``.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    fp = p.range(rank_tol)
-    fq = q.range(rank_tol)
+    fp = p.range()
+    fq = q.range()
     if fp.dim == 0:
         return -fq.dim
     if fq.dim == 0:
         return fp.dim
     t = fq.matrix.conj().T @ (q.matrix @ fp.matrix)
     s = scipy.linalg.svd(t, compute_uv=False)
-    rank = int(np.sum(s > rank_tol * max(s[0], 1.0))) if s.size else 0
+    rank = int(np.sum(s > RANK_TOL * max(s[0], 1.0))) if s.size else 0
     ker = fp.dim - rank
     coker = fq.dim - rank
     return ker - coker
 
 
-def fredholm_pair_index(m: Frame, n: Frame, rank_tol: float = RANK_TOL):
+def fredholm_pair_index(m: Frame, n: Frame):
     """Intersection dimension, codimension of the sum, and their difference.
 
     Returns
@@ -411,8 +409,8 @@ def fredholm_pair_index(m: Frame, n: Frame, rank_tol: float = RANK_TOL):
     (int, int, int)
         (dim(m cap n), dim X / (m + n), index).
     """
-    cap = intersect(m, n, rank_tol)
-    total = subspace_sum(m, n, rank_tol)
+    cap = intersect(m, n)
+    total = subspace_sum(m, n)
     codim = m.ambient_dim - total.dim
     return cap.dim, codim, cap.dim - codim
 

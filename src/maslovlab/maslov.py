@@ -95,6 +95,12 @@ _GATE_DELTA = 0.5
 _SCAN_ZERO = 1e-6
 _MOTION_FACTOR = 2.0
 _PIECE_DEPTH = 6
+# Finite-difference step of the crossing and one-sided forms; each is
+# also taken at half this step, and the two signatures must agree.
+_FD_STEP = 1e-5
+# Failed reduced-segment counts allowed before maslov_reduced gives up;
+# each failure moves the segment ends halfway toward its span.
+_MAX_DEPTH = 10
 
 
 def counting_function_E(a: float) -> int:
@@ -220,8 +226,8 @@ class LagrangianPairPath:
     in one call of :func:`symplectic.lagrangian_generators`, lam and mu
     of each sample in turn, so the error names the first failing sample
     along the path and its member. The relative angles of every checked
-    (s, rank_tol) are kept on the path (see :func:`_path_angles`), so no
-    route checks a parameter twice.
+    s are kept on the path (see :func:`_path_angles`), so no route
+    checks a parameter twice.
 
     The callback, when given, must evaluate the same path at arbitrary
     s; the counting routes use it to refine between samples. Being a
@@ -232,7 +238,7 @@ class LagrangianPairPath:
     samples: tuple[PathSample, ...]
     callback: PathCallback | None = None
     # Every evaluated (form, lam, mu) by parameter, and the relative
-    # angles of every (s, rank_tol) whose lam and mu passed the check.
+    # angles of every s whose lam and mu passed the check.
     _memo: Memo = field(init=False, repr=False, compare=False)
     _angles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -253,7 +259,7 @@ class LagrangianPairPath:
                 f"sample at s={smp.s:.6f}: {name} is {err.kind}, not lagrangian"
             ) from None
         for smp, angles in zip(samples, _generator_angles(u[0::2], u[1::2])):
-            self._angles[(smp.s, RANK_TOL)] = angles
+            self._angles[smp.s] = angles
         if gated:
             return
         failure = next((f for f in _sampling_failures(samples) if f is not None), None)
@@ -360,7 +366,7 @@ def _generator_angles(u_lam: np.ndarray, u_mu: np.ndarray) -> np.ndarray:
     return np.angle(vals / np.abs(vals))
 
 
-def _path_angles(path: LagrangianPairPath, s: float, rank_tol: float) -> np.ndarray:
+def _path_angles(path: LagrangianPairPath, s: float) -> np.ndarray:
     """Eigenvalue angles of the relative unitary of the pair on X^+ at s.
 
     Both Lagrangians are written as graphs of metric unitaries
@@ -371,16 +377,15 @@ def _path_angles(path: LagrangianPairPath, s: float, rank_tol: float) -> np.ndar
     the splitting, so W is an ordinary unitary matrix, which keeps the
     eigenvalue computation stable.
 
-    The angles of each (s, rank_tol) are computed once and kept on the
-    path. A pair not seen before is checked as Lagrangian at
-    ``rank_tol``, lam and mu in one call of
+    The angles of each s are computed once and kept on the path. A pair
+    not seen before is checked as Lagrangian, lam and mu in one call of
     :func:`symplectic.lagrangian_generators`.
     """
-    key = (float(s), rank_tol)
+    key = float(s)
     angles = path._angles.get(key)
     if angles is None:
         form, lam, mu = path.evaluate(s)
-        u = lagrangian_generators([form], [lam, mu], rank_tol)
+        u = lagrangian_generators([form], [lam, mu])
         angles = path._angles[key] = _generator_angles(u[:1], u[1:])[0]
     return angles
 
@@ -406,13 +411,11 @@ def _branch_step(s_a, theta_a: np.ndarray, s_b, raw_b: np.ndarray) -> np.ndarray
     return f"spectral movement {movement:.3f} rad in {s_a:.6f}..{s_b:.6f} exceeds pi/2"
 
 
-def _winding_rows(
-    path: LagrangianPairPath, rank_tol: float
-) -> list[tuple[float, np.ndarray]]:
+def _winding_rows(path: LagrangianPairPath) -> list[tuple[float, np.ndarray]]:
     """Continuous angle branches along the path, one row per parameter value."""
-    angles = (_path_angles(path, smp.s, rank_tol) for smp in path.samples)
+    angles = (_path_angles(path, smp.s) for smp in path.samples)
     rows = [(path.samples[0].s, np.sort(next(angles)))]
-    angles_at = None if path.callback is None else (lambda s: _path_angles(path, s, rank_tol))
+    angles_at = None if path.callback is None else (lambda s: _path_angles(path, s))
     for smp, raw in zip(path.samples[1:], angles):
         s_prev, theta_prev = rows[-1]
         rows.extend(refine(s_prev, theta_prev, smp.s, raw, _branch_step, angles_at))
@@ -428,7 +431,7 @@ def _snap_turns(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def maslov_winding(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> MaslovResult:
+def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
     """Maslov counts of a path by eigenvalue winding.
 
     Continuous eigenvalue-angle branches theta_j(s) of the relative
@@ -443,7 +446,7 @@ def maslov_winding(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> Masl
     with E the upper counting function. Endpoint angles within 1e-8 rad
     of a multiple of 2pi are snapped onto it before counting.
     """
-    rows = _winding_rows(path, rank_tol)
+    rows = _winding_rows(path)
     u_start = _snap_turns(rows[0][1] / _TWO_PI)
     u_end = _snap_turns(rows[-1][1] / _TWO_PI)
     mas_plus = sum(counting_function_E(b) - counting_function_E(a) for a, b in zip(u_start, u_end))
@@ -460,7 +463,6 @@ def _pair_coefficient_matrix(
     anchor_v: Frame,
     lam: Frame,
     mu: Frame,
-    rank_tol: float,
 ) -> np.ndarray:
     """Raw pairing matrix omega(x, (A1 - B1) y) on the anchor coordinates.
 
@@ -470,8 +472,8 @@ def _pair_coefficient_matrix(
     is. The graph coefficients are taken in the fixed anchor frames, so
     matrices at nearby parameters are directly comparable.
     """
-    dec = pair_decomposition(form, anchor_lam0, anchor_v, lam, mu, rank_tol)
-    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu, rank_tol)
+    dec = pair_decomposition(form, anchor_lam0, anchor_v, lam, mu)
+    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu)
     diff = anchor_v.matrix @ (a1 - b1)
     return diff.conj().T @ form.j @ anchor_lam0.matrix
 
@@ -518,13 +520,7 @@ def _signature(q: HermitianMatrix, form: SymplecticForm) -> tuple[int, int, int]
     return morse_counts(q.matrix, zero_tol=1e-7 * _data_scale(q, form))
 
 
-def crossing_form(
-    path: LagrangianPairPath,
-    t: float,
-    fd_step: float = 1e-5,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-) -> CrossingRecord:
+def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> CrossingRecord:
     """Crossing form of the path at a time where the pair intersects.
 
     The form lives on lam(t) inter mu(t) and is the derivative
@@ -533,7 +529,7 @@ def crossing_form(
 
     of the graph-coefficient pairing taken over the intrinsic
     decomposition anchored at t. Central finite differences with step
-    ``fd_step`` are used in the interior, second-order one-sided
+    ``_FD_STEP`` are used in the interior, second-order one-sided
     stencils at the endpoints; the step and half-step results must
     agree in signature and the Richardson combination is returned. The
     whole computation is repeated with a second complement V and both
@@ -551,25 +547,23 @@ def crossing_form(
         the choice of complement.
     """
     form_t, lam_t, mu_t = path.evaluate(t)
-    if intersect(lam_t, mu_t, rank_tol).dim == 0:
+    if intersect(lam_t, mu_t).dim == 0:
         raise ValueError(f"no crossing at t={t}: the pair is transversal there")
 
     def gamma_with_seed(v_seed: int) -> tuple[HermitianMatrix, Frame]:
-        dec = intrinsic_decomposition(form_t, lam_t, mu_t, seed=v_seed, rank_tol=rank_tol)
+        dec = intrinsic_decomposition(form_t, lam_t, mu_t, seed=v_seed)
 
         def qfun(s: float) -> np.ndarray:
             form_s, lam_s, mu_s = path.evaluate(s)
-            return _pair_coefficient_matrix(
-                form_s, dec.lam0, dec.v, lam_s, mu_s, rank_tol
-            )
+            return _pair_coefficient_matrix(form_s, dec.lam0, dec.v, lam_s, mu_s)
 
-        coarse, fine, combined = _matrix_derivative(qfun, t, fd_step)
+        coarse, fine, combined = _matrix_derivative(qfun, t, _FD_STEP)
         g_coarse = _hermitize_derivative(coarse, "crossing form")
         g_fine = _hermitize_derivative(fine, "crossing form")
         if _signature(g_coarse, form_t) != _signature(g_fine, form_t):
             raise ArithmeticError(
-                f"crossing form signature at t={t} is not stable under "
-                "finite-difference step halving; decrease fd_step"
+                f"crossing form signature at t={t} changed under "
+                "finite-difference step halving"
             )
         return _hermitize_derivative(combined, "crossing form"), dec.lam0
 
@@ -593,9 +587,7 @@ def one_sided_form(
     path: LagrangianPairPath,
     t: float,
     member: str = "lam",
-    fd_step: float = 1e-5,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> tuple[HermitianMatrix, Frame]:
     """Derivative form Q of one member of the pair against a fixed complement.
 
@@ -612,7 +604,7 @@ def one_sided_form(
         raise ValueError("member must be 'lam' or 'mu'")
     form_t, lam_t, mu_t = path.evaluate(t)
     base = lam_t if member == "lam" else mu_t
-    w = complementary_lagrangian(form_t, base, base, seed=seed, rank_tol=rank_tol)
+    w = complementary_lagrangian(form_t, base, base, seed=seed)
     frame_matrix = np.hstack([base.matrix, w.matrix])
     jscale = np.linalg.norm(form_t.j, 2)
 
@@ -627,7 +619,7 @@ def one_sided_form(
         n = base.dim
         c0, cw = coords[:n], coords[n:]
         sv = np.linalg.svd(c0, compute_uv=False)
-        if sv[-1] <= rank_tol * max(1.0, sv[0]):
+        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
             raise ArithmeticError(
                 f"the {member} member is not a graph over its position at t={t}"
             )
@@ -640,13 +632,13 @@ def one_sided_form(
             )
         return (q + q.conj().T) / 2.0
 
-    coarse, fine, combined = _matrix_derivative(qfun, t, fd_step)
+    coarse, fine, combined = _matrix_derivative(qfun, t, _FD_STEP)
     g_coarse = _hermitize_derivative(coarse, "one-sided form")
     g_fine = _hermitize_derivative(fine, "one-sided form")
     if _signature(g_coarse, form_t) != _signature(g_fine, form_t):
         raise ArithmeticError(
-            f"one-sided form signature at t={t} is not stable under "
-            "finite-difference step halving; decrease fd_step"
+            f"one-sided form signature at t={t} changed under "
+            "finite-difference step halving"
         )
     return _hermitize_derivative(combined, "one-sided form"), base
 
@@ -681,7 +673,7 @@ def _scan_pieces(a: float, b: float, value, motion) -> Iterator[tuple[float, flo
         pieces.extend(((mid, d, depth + 1), (c, mid, depth + 1)))
 
 
-def _ordered_angle(s: float, path: LagrangianPairPath, rank_tol: float, j: int) -> float:
+def _ordered_angle(s: float, path: LagrangianPairPath, j: int) -> float:
     """The j-th smallest angle of W(s) (see :func:`_path_angles`).
 
     A module function, not a closure over the path: ``scipy.optimize.brentq``
@@ -689,12 +681,10 @@ def _ordered_angle(s: float, path: LagrangianPairPath, rank_tol: float, j: int) 
     and through a closure over the path that cycle would keep the path
     alive until the cyclic collector runs.
     """
-    return float(np.sort(_path_angles(path, s, rank_tol))[j])
+    return float(np.sort(_path_angles(path, s))[j])
 
 
-def _crossing_events(
-    path: LagrangianPairPath, rank_tol: float
-) -> list[tuple[float, float, int]]:
+def _crossing_events(path: LagrangianPairPath) -> list[tuple[float, float, int]]:
     """The levels (lo, hi, z) of the number z of eigenvalues of W(s) at 1.
 
     Angles of the relative unitary W(s) (see :func:`_path_angles`)
@@ -725,15 +715,15 @@ def _crossing_events(
     """
 
     def distance(s: float) -> float:
-        return float(np.min(np.abs(_path_angles(path, s, rank_tol))))
+        return float(np.min(np.abs(_path_angles(path, s))))
 
     def motion(c: float, d: float) -> float:
-        theta_c, theta_d = _path_angles(path, c, rank_tol), _path_angles(path, d, rank_tol)
+        theta_c, theta_d = _path_angles(path, c), _path_angles(path, d)
         delta = np.abs(_circular_delta(theta_c[:, None], theta_d[None, :]))
         return float(max(delta.min(axis=1).max(), delta.min(axis=0).max()))
 
     def state(s: float) -> tuple[int, int]:
-        theta = _path_angles(path, s, rank_tol)
+        theta = _path_angles(path, s)
         return int(np.sum(np.abs(theta) <= _ANGLE_SNAP)), int(np.sum(theta > _ANGLE_SNAP))
 
     changes = []  # (time, z before, z after)
@@ -751,11 +741,11 @@ def _crossing_events(
                         changes.append((0.5 * (u + v), z_u, z_v))
                     continue
                 if z_u == z_v == 0 and abs(p_u - p_v) == 1:
-                    j = len(_path_angles(path, u, rank_tol)) - max(p_u, p_v)
+                    j = len(_path_angles(path, u)) - max(p_u, p_v)
                     t = scipy.optimize.brentq(
-                        _ordered_angle, u, v, args=(path, rank_tol, j), xtol=_BISECT_TOL
+                        _ordered_angle, u, v, args=(path, j), xtol=_BISECT_TOL
                     )
-                    if abs(_ordered_angle(t, path, rank_tol, j)) <= _SCAN_ZERO:
+                    if abs(_ordered_angle(t, path, j)) <= _SCAN_ZERO:
                         changes.extend(((t, 0, 1), (t, 1, 0)))
                         continue
                 mid = 0.5 * (u + v)
@@ -769,12 +759,7 @@ def _crossing_events(
     return [(t, u, z) for (t, z), (u, _) in zip(starts, starts[1:] + [(s_end, 0)])]
 
 
-def maslov_crossings(
-    path: LagrangianPairPath,
-    fd_step: float = 1e-5,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-) -> MaslovResult:
+def maslov_crossings(path: LagrangianPairPath, seed: int = 0) -> MaslovResult:
     """Maslov counts by locating crossings and adding their signatures.
 
     Crossing times come from :func:`_crossing_events`, which reads
@@ -797,7 +782,7 @@ def maslov_crossings(
             "the crossing method needs a refinement callback to locate "
             "crossings between samples"
         )
-    levels = _crossing_events(path, rank_tol)
+    levels = _crossing_events(path)
     s_start, s_end = levels[0][0], levels[-1][1]
     times = []
     for intersected, run in itertools.groupby(levels, key=lambda level: level[2] > 0):
@@ -807,7 +792,7 @@ def maslov_crossings(
             times += [s for s in span if s in (s_start, s_end)] or [0.5 * sum(span)]
     records = []
     for t in times:
-        rec = crossing_form(path, t, fd_step, seed, rank_tol)
+        rec = crossing_form(path, t, seed)
         if rec.signature[2] != 0:
             raise ValueError(
                 f"degenerate crossing at t={t:.12f} (kernel dimension "
@@ -832,13 +817,7 @@ def maslov_crossings(
     )
 
 
-def maslov_semipositive(
-    path: LagrangianPairPath,
-    fd_step: float = 1e-5,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-    zero_tol: float = 1e-7,
-) -> int:
+def maslov_semipositive(path: LagrangianPairPath, seed: int = 0, zero_tol: float = 1e-7) -> int:
     """Maslov index of a semi-positive path by counting intersection jumps.
 
     For a path with fixed form and constant mu whose one-sided form
@@ -869,14 +848,14 @@ def maslov_semipositive(
         if gap_hat(smp.mu, base.mu) > 1e-9:
             raise ValueError("the jump-count method requires a constant mu")
     for smp in path.samples:
-        q, _ = one_sided_form(path, smp.s, "lam", fd_step, seed, rank_tol)
+        q, _ = one_sided_form(path, smp.s, "lam", seed)
         low = float(np.min(q.eigenvalues(), initial=0.0))
         if low < -zero_tol * max(1.0, np.linalg.norm(q.matrix, 2)):
             raise ValueError(
                 f"path is not semi-positive at t={smp.s:.6f}: "
                 f"Q(lam, t) has eigenvalue {low:.3e}"
             )
-    levels = _crossing_events(path, rank_tol)
+    levels = _crossing_events(path)
     return sum(max(0, z - z_prev) for (*_, z_prev), (*_, z) in zip(levels, levels[1:]))
 
 
@@ -887,8 +866,6 @@ def _segment_counts(
     lo: float,
     hi: float,
     seed: int,
-    rank_tol: float,
-    max_depth: int,
 ) -> tuple[int, int]:
     """Reduced winding counts of the segment [lo, hi] around one span.
 
@@ -896,27 +873,25 @@ def _segment_counts(
     reduced onto X0 = lam0 + V once, and the reduced path through lo, t
     and hi, refined through the reduced callback, is counted by
     :func:`maslov_winding`. A gate that fails moves both ends halfway
-    toward the span, and the ``max_depth + 1``-th failure raises. The
+    toward the span, and the ``_MAX_DEPTH + 1``-th failure raises. The
     counts are taken once more with both ends halfway toward the span,
     and must not change. A failing anchor raises as it is.
     """
     form, lam, mu = path.evaluate(t)
-    dec = intrinsic_decomposition(form, lam, mu, seed=seed, rank_tol=rank_tol)
+    dec = intrinsic_decomposition(form, lam, mu, seed=seed)
     reduced: dict[float, tuple[SymplecticForm, Frame, Frame]] = {}
 
     def reduce(s: float) -> tuple[SymplecticForm, Frame, Frame]:
         if s not in reduced:
             form_s, lam_s, mu_s = path.evaluate(s)
-            local = pair_decomposition(form_s, dec.lam0, dec.v, lam_s, mu_s, rank_tol)
-            reduced[s] = reduced_pair(form_s, local, lam_s, mu_s, rank_tol)
+            local = pair_decomposition(form_s, dec.lam0, dec.v, lam_s, mu_s)
+            reduced[s] = reduced_pair(form_s, local, lam_s, mu_s)
         return reduced[s]
 
     def counts(lo: float, hi: float) -> tuple[int, int]:
         width = hi - lo
         samples = [PathSample((s - lo) / width, *reduce(s)) for s in sorted({lo, t, hi})]
-        result = maslov_winding(
-            _refined_path(samples, lambda u: reduce(lo + u * width)), rank_tol
-        )
+        result = maslov_winding(_refined_path(samples, lambda u: reduce(lo + u * width)))
         return result.mas_plus, result.mas_minus
 
     a, b = span
@@ -927,7 +902,7 @@ def _segment_counts(
             found.append(counts(lo, hi))
         except (ValueError, ArithmeticError) as exc:
             failures += 1
-            if failures > max_depth:
+            if failures > _MAX_DEPTH:
                 raise ValueError(
                     "no admissible reduction partition at the requested resolution "
                     f"(segment s={lo:.6f}..{hi:.6f}: {exc})"
@@ -941,12 +916,7 @@ def _segment_counts(
     return found[0]
 
 
-def maslov_reduced(
-    path: LagrangianPairPath,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
-    max_depth: int = 10,
-) -> MaslovResult:
+def maslov_reduced(path: LagrangianPairPath, seed: int = 0) -> MaslovResult:
     """Maslov counts through segmental symplectic reduction at the crossings.
 
     The levels of :func:`_crossing_events`, the scan ``maslov_crossings``
@@ -979,7 +949,7 @@ def maslov_reduced(
             "crossings between samples"
         )
     times = [smp.s for smp in path.samples]
-    levels = _crossing_events(path, rank_tol)
+    levels = _crossing_events(path)
     zs = [0] + [z for *_, z in levels] + [0]
     peaks = [k for k in range(len(levels)) if zs[k + 1] > max(zs[k], zs[k + 2])]
     bounds = [-1] + peaks + [len(levels)]
@@ -995,9 +965,7 @@ def maslov_reduced(
         b = times[-1] if right is None else levels[right][0]
         lo = max(times[max(bisect.bisect_left(times, a) - 1, 0)], cuts[k])
         hi = min(times[min(bisect.bisect_right(times, b), len(times) - 1)], cuts[k + 1])
-        plus, minus = _segment_counts(
-            path, 0.5 * sum(levels[p][:2]), (a, b), lo, hi, seed, rank_tol, max_depth
-        )
+        plus, minus = _segment_counts(path, 0.5 * sum(levels[p][:2]), (a, b), lo, hi, seed)
         mas_plus += plus
         mas_minus += minus
     return _checked_result(mas_plus, mas_minus, levels[0][2], levels[-1][2], "reduced")
@@ -1009,7 +977,6 @@ def _connecting_path(
     end: Frame,
     mu: Frame,
     seed: int,
-    rank_tol: float,
     num_samples: int,
 ) -> LagrangianPairPath:
     """Path of Lagrangians from start to end, paired with a fixed mu.
@@ -1029,10 +996,7 @@ def _connecting_path(
     w = None
     for _ in range(50):
         candidate = random_lagrangian(rng, form)
-        if (
-            intersect(candidate, start, rank_tol).dim == 0
-            and intersect(candidate, end, rank_tol).dim == 0
-        ):
+        if intersect(candidate, start).dim == 0 and intersect(candidate, end).dim == 0:
             w = candidate
             break
     if w is None:
@@ -1044,7 +1008,7 @@ def _connecting_path(
     t2 = cw @ np.linalg.inv(c0)
 
     def fn(s: float):
-        lam_s = orthonormalize(start.matrix + w.matrix @ (s * t2), rank_tol)
+        lam_s = orthonormalize(start.matrix + w.matrix @ (s * t2))
         return form, lam_s, mu
 
     return LagrangianPairPath.from_callable(fn, num_samples)
@@ -1057,7 +1021,6 @@ def hormander(
     mu1: Frame,
     mu2: Frame,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
     num_samples: int = 25,
 ) -> int:
     """Hormander index of two Lagrangian pairs.
@@ -1068,17 +1031,14 @@ def hormander(
     second seeded path and both runs must agree.
     """
     for name, sub in (("lam1", lam1), ("lam2", lam2), ("mu1", mu1), ("mu2", mu2)):
-        kind = classify(form, sub, rank_tol)
+        kind = classify(form, sub)
         if kind != "lagrangian":
             raise ValueError(f"{name} is {kind}, not lagrangian")
 
     def one_run(path_seed: int) -> int:
-        with_mu2 = _connecting_path(form, lam1, lam2, mu2, path_seed, rank_tol, num_samples)
-        with_mu1 = _connecting_path(form, lam1, lam2, mu1, path_seed, rank_tol, num_samples)
-        return (
-            maslov_winding(with_mu2, rank_tol).mas_plus
-            - maslov_winding(with_mu1, rank_tol).mas_plus
-        )
+        with_mu2 = _connecting_path(form, lam1, lam2, mu2, path_seed, num_samples)
+        with_mu1 = _connecting_path(form, lam1, lam2, mu1, path_seed, num_samples)
+        return maslov_winding(with_mu2).mas_plus - maslov_winding(with_mu1).mas_plus
 
     value = one_run(seed)
     check = one_run(seed + 37)
@@ -1103,7 +1063,7 @@ def _doubled_sample(
     return direct_sum(form, form, signs=(sign, -sign)), pair
 
 
-def diagonal_lift(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> MaslovResult:
+def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     """Maslov counts of the pair path moved against the diagonal.
 
     The pair (lam, mu) in (X, omega) is lifted to the single Lagrangian
@@ -1124,9 +1084,9 @@ def diagonal_lift(path: LagrangianPairPath, rank_tol: float = RANK_TOL) -> Maslo
         samples = tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)
         return LagrangianPairPath(samples, fn if path.callback is not None else None)
 
-    direct = maslov_winding(path, rank_tol)
-    lift = maslov_winding(lifted(flip_first=False, swap=False), rank_tol)
-    lift_swapped = maslov_winding(lifted(flip_first=True, swap=True), rank_tol)
+    direct = maslov_winding(path)
+    lift = maslov_winding(lifted(flip_first=False, swap=False))
+    lift_swapped = maslov_winding(lifted(flip_first=True, swap=True))
     values = {
         (res.mas_plus, res.mas_minus) for res in (direct, lift, lift_swapped)
     }

@@ -88,14 +88,14 @@ class ReducedSpace:
         return self.representative.dim
 
 
-def reduce_space(form: SymplecticForm, w: Frame, rank_tol: float = RANK_TOL) -> ReducedSpace:
+def reduce_space(form: SymplecticForm, w: Frame) -> ReducedSpace:
     """Reduce the ambient space by a co-isotropic subspace W.
 
     The induced form omega~([x], [y]) = omega(x, y) is well defined
     because W^omega annihilates W; on representative coordinates it is
     the compression R^H J R, re-verified invertible on construction.
     """
-    kind = classify(form, w, rank_tol)
+    kind = classify(form, w)
     if kind not in ("coisotropic", "lagrangian"):
         raise ValueError(f"reduction requires a co-isotropic subspace, got {kind}")
     w_ann = annihilator(form, w)
@@ -103,7 +103,7 @@ def reduce_space(form: SymplecticForm, w: Frame, rank_tol: float = RANK_TOL) -> 
         shaved = w.matrix - w_ann.matrix @ (w_ann.matrix.conj().T @ w.matrix)
     else:
         shaved = w.matrix
-    rep = orthonormalize(shaved, rank_tol, scale_floor=1.0)
+    rep = orthonormalize(shaved, scale_floor=1.0)
     if rep.dim != w.dim - w_ann.dim:
         raise ArithmeticError(
             "representative of W/W^omega has unexpected dimension "
@@ -113,9 +113,7 @@ def reduce_space(form: SymplecticForm, w: Frame, rank_tol: float = RANK_TOL) -> 
     return ReducedSpace(rep, SymplecticForm((jr - jr.conj().T) / 2.0))
 
 
-def reduce_subspace(
-    form: SymplecticForm, w: Frame, lam: Frame, rank_tol: float = RANK_TOL
-) -> Frame:
+def reduce_subspace(form: SymplecticForm, w: Frame, lam: Frame) -> Frame:
     """Image of a subspace in the reduction by W, in reduced coordinates.
 
     Computes both expressions ((lam + W^omega) inter W) / W^omega and
@@ -123,15 +121,15 @@ def reduce_subspace(
     W^omega inside W the two are equal by the modular law, so a
     discrepancy flags a rank decision gone wrong.
     """
-    red = reduce_space(form, w, rank_tol)
+    red = reduce_space(form, w)
     w_ann = annihilator(form, w)
-    outer = intersect(subspace_sum(lam, w_ann), w, rank_tol)
-    inner = subspace_sum(intersect(lam, w, rank_tol), w_ann)
+    outer = intersect(subspace_sum(lam, w_ann), w)
+    inner = subspace_sum(intersect(lam, w), w_ann)
     first = orthonormalize(
-        red.representative.matrix.conj().T @ outer.matrix, rank_tol, scale_floor=1.0
+        red.representative.matrix.conj().T @ outer.matrix, scale_floor=1.0
     )
     second = orthonormalize(
-        red.representative.matrix.conj().T @ inner.matrix, rank_tol, scale_floor=1.0
+        red.representative.matrix.conj().T @ inner.matrix, scale_floor=1.0
     )
     if first.dim != second.dim or gap_hat(first, second) > _IDENTITY_TOL:
         raise ArithmeticError(
@@ -170,7 +168,6 @@ def decomposition_from_parts(
     v: Frame,
     lam1: Frame,
     mu1: Frame,
-    rank_tol: float = RANK_TOL,
     require_annihilator: bool = True,
 ) -> IntrinsicDecomposition:
     """Assemble and validate the four-block container from explicit frames.
@@ -186,7 +183,7 @@ def decomposition_from_parts(
         )
     if t.shape[1]:
         s = np.linalg.svd(t, compute_uv=False)
-        if s[-1] <= rank_tol * s[0]:
+        if s[-1] <= RANK_TOL * s[0]:
             raise ArithmeticError("the four blocks do not form a direct sum")
     x0 = subspace_sum(lam0, v)
     x1 = subspace_sum(lam1, mu1)
@@ -215,7 +212,6 @@ def pair_decomposition(
     v: Frame,
     lam: Frame,
     mu: Frame,
-    rank_tol: float = RANK_TOL,
     require_annihilator: bool = False,
 ) -> IntrinsicDecomposition:
     """Decomposition adapted to (lam, mu) with prescribed anchors (lam0, V).
@@ -227,10 +223,10 @@ def pair_decomposition(
     of X0, which is fine: the graph calculus only needs the direct sum.
     """
     v_ann = annihilator(form, v)
-    lam1 = intersect(v_ann, lam, rank_tol)
-    mu1 = intersect(v_ann, mu, rank_tol)
+    lam1 = intersect(v_ann, lam)
+    mu1 = intersect(v_ann, mu)
     return decomposition_from_parts(
-        form, lam0, v, lam1, mu1, rank_tol, require_annihilator=require_annihilator
+        form, lam0, v, lam1, mu1, require_annihilator=require_annihilator
     )
 
 
@@ -240,7 +236,6 @@ def intrinsic_decomposition(
     mu: Frame,
     v_choice: Frame | None = None,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> IntrinsicDecomposition:
     """Decomposition induced by a Lagrangian pair, anchored at lam0 = lam inter mu.
 
@@ -253,20 +248,20 @@ def intrinsic_decomposition(
     omega and the intersection form Hermitian.
     """
     for name, sub in (("lam", lam), ("mu", mu)):
-        kind = classify(form, sub, rank_tol)
+        kind = classify(form, sub)
         if kind != "lagrangian":
             raise ValueError(f"{name} is {kind}, not lagrangian")
     # Two Lagrangians in finite dimensions always have index 0; a nonzero
     # count only means the two rank tests disagree about a direction.
-    cap, codim, index = fredholm_pair_index(lam, mu, rank_tol)
+    cap, codim, index = fredholm_pair_index(lam, mu)
     if index != 0:
         raise ArithmeticError(
             f"intersect finds dim(lam cap mu) = {cap} but subspace_sum finds "
             f"codim(lam + mu) = {codim}: a principal angle of the pair lies "
-            "between intersect's cosine threshold 1 - rank_tol and "
-            "subspace_sum's singular-value threshold rank_tol"
+            "between intersect's cosine threshold 1 - RANK_TOL and "
+            "subspace_sum's singular-value threshold RANK_TOL"
         )
-    lam0 = intersect(lam, mu, rank_tol)
+    lam0 = intersect(lam, mu)
     r = lam0.dim
     span = subspace_sum(lam, mu)
     if v_choice is not None:
@@ -278,7 +273,7 @@ def intrinsic_decomposition(
         if r:
             stack = np.hstack([v.matrix, span.matrix])
             s = np.linalg.svd(stack, compute_uv=False)
-            if stack.shape[1] != form.dim or s[-1] <= rank_tol * s[0]:
+            if stack.shape[1] != form.dim or s[-1] <= RANK_TOL * s[0]:
                 raise ValueError("v_choice is not a complement of lam + mu")
     elif r == 0:
         v = Frame.empty(form.dim)
@@ -289,14 +284,14 @@ def intrinsic_decomposition(
         pairing = z.conj().T @ form.j @ lam0.matrix
         gram = z.conj().T @ form.j @ z
         shear = -0.5 * np.linalg.solve(pairing, gram)
-        v = orthonormalize(z + lam0.matrix @ shear, rank_tol)
+        v = orthonormalize(z + lam0.matrix @ shear)
         if v.dim != r:
             raise ArithmeticError("isotropic shear collapsed the complement")
         if np.max(np.abs(omega_matrix(form, v, v))) > _IDENTITY_TOL * max(
             1.0, np.linalg.norm(form.j, 2)
         ):
             raise ArithmeticError("sheared complement failed to become isotropic")
-    dec = pair_decomposition(form, lam0, v, lam, mu, rank_tol, require_annihilator=True)
+    dec = pair_decomposition(form, lam0, v, lam, mu, require_annihilator=True)
     n = lam.dim
     if dec.lam1.dim != n - r or dec.mu1.dim != n - r:
         raise ArithmeticError(
@@ -315,7 +310,6 @@ def check_transitivity(
     w1: Frame,
     w2: Frame,
     lam: Frame,
-    rank_tol: float = RANK_TOL,
 ) -> bool:
     """Reducing by W2 and then by the image of W1 matches reducing by W1.
 
@@ -328,27 +322,25 @@ def check_transitivity(
     """
     if gap_delta(w1, w2) > _IDENTITY_TOL:
         raise ValueError("w1 is not contained in w2")
-    red1 = reduce_space(form, w1, rank_tol)
-    red2 = reduce_space(form, w2, rank_tol)
+    red1 = reduce_space(form, w1)
+    red2 = reduce_space(form, w2)
     r1 = red1.representative.matrix
     r2 = red2.representative.matrix
-    w1_image = orthonormalize(r2.conj().T @ w1.matrix, rank_tol, scale_floor=1.0)
-    kind = classify(red2.induced_form, w1_image, rank_tol)
+    w1_image = orthonormalize(r2.conj().T @ w1.matrix, scale_floor=1.0)
+    kind = classify(red2.induced_form, w1_image)
     if kind not in ("coisotropic", "lagrangian"):
         raise ArithmeticError(f"image of w1 is {kind}, not co-isotropic")
-    red_d = reduce_space(red2.induced_form, w1_image, rank_tol)
+    red_d = reduce_space(red2.induced_form, w1_image)
     rd = red_d.representative.matrix
     iso = rd.conj().T @ r2.conj().T @ r1
     induced = iso.conj().T @ red_d.induced_form.j @ iso
     scale = max(1.0, np.linalg.norm(red1.induced_form.j, 2))
     if np.max(np.abs(induced - red1.induced_form.j), initial=0.0) > _IDENTITY_TOL * scale:
         raise ArithmeticError("natural isomorphism between quotients is not symplectic")
-    twice = reduce_subspace(
-        red2.induced_form, w1_image, reduce_subspace(form, w2, lam, rank_tol), rank_tol
-    )
-    once = reduce_subspace(form, w1, lam, rank_tol)
-    transported = orthonormalize(iso @ once.matrix, rank_tol)
-    return twice.dim == transported.dim and gap_hat(twice, transported) <= rank_tol
+    twice = reduce_subspace(red2.induced_form, w1_image, reduce_subspace(form, w2, lam))
+    once = reduce_subspace(form, w1, lam)
+    transported = orthonormalize(iso @ once.matrix)
+    return twice.dim == transported.dim and gap_hat(twice, transported) <= RANK_TOL
 
 
 def _graph_block(
@@ -357,7 +349,6 @@ def _graph_block(
     free_index: int,
     coef_indices: tuple[int, int],
     label: str,
-    rank_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve for the two coefficient blocks of one graph representation.
 
@@ -380,7 +371,7 @@ def _graph_block(
         sol = np.zeros((k, 0), dtype=complex)
     else:
         s = np.linalg.svd(blocks[0], compute_uv=False)
-        if s[-1] <= rank_tol * max(1.0, s[0]):
+        if s[-1] <= RANK_TOL * max(1.0, s[0]):
             raise ArithmeticError(
                 f"{label} is not a graph over the anchor block "
                 "(transversality to the complementary blocks fails)"
@@ -408,7 +399,6 @@ def graph_coefficients_in_bases(
     mu1_basis: np.ndarray,
     lam: Frame,
     mu: Frame,
-    rank_tol: float = RANK_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Graph coefficients of a pair in explicit (possibly oblique) bases.
 
@@ -429,18 +419,14 @@ def graph_coefficients_in_bases(
     )
     if form.dim:
         s = np.linalg.svd(ts, compute_uv=False)
-        if s[-1] <= rank_tol * max(1.0, s[0]):
+        if s[-1] <= RANK_TOL * max(1.0, s[0]):
             raise ArithmeticError("block bases are numerically dependent")
     c = np.linalg.solve(ts, lam.matrix) if form.dim else np.zeros((0, 0), dtype=complex)
     d = np.linalg.solve(ts, mu.matrix) if form.dim else np.zeros((0, 0), dtype=complex)
-    a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam", rank_tol)
-    b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu", rank_tol)
-    lam_rb = orthonormalize(
-        np.hstack([lam0_basis + v_basis @ a1 + mu1_basis @ a2, lam1_basis]), rank_tol
-    )
-    mu_rb = orthonormalize(
-        np.hstack([lam0_basis + v_basis @ b1 + lam1_basis @ b2, mu1_basis]), rank_tol
-    )
+    a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam")
+    b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu")
+    lam_rb = orthonormalize(np.hstack([lam0_basis + v_basis @ a1 + mu1_basis @ a2, lam1_basis]))
+    mu_rb = orthonormalize(np.hstack([lam0_basis + v_basis @ b1 + lam1_basis @ b2, mu1_basis]))
     if lam_rb.dim != lam.dim or gap_hat(lam_rb, lam) > 1e-9:
         raise ArithmeticError("reassembled graph representation misses lam")
     if mu_rb.dim != mu.dim or gap_hat(mu_rb, mu) > 1e-9:
@@ -453,7 +439,6 @@ def graph_coefficients(
     dec: IntrinsicDecomposition,
     lam: Frame,
     mu: Frame,
-    rank_tol: float = RANK_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Graph coefficients of (lam, mu) in the frames of a decomposition."""
     return graph_coefficients_in_bases(
@@ -464,7 +449,6 @@ def graph_coefficients(
         dec.mu1.matrix,
         lam,
         mu,
-        rank_tol,
     )
 
 
@@ -473,7 +457,6 @@ def composite_coefficients(
     dec: IntrinsicDecomposition,
     lam: Frame,
     mu: Frame,
-    rank_tol: float = RANK_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pair coefficients over the anchor transported by mu's graph.
 
@@ -500,7 +483,7 @@ def composite_coefficients(
         raise ValueError("composite route expects blocks sized (r, r, q, q)")
     ts = np.hstack([dec.lam0.matrix, dec.v.matrix, dec.lam1.matrix, dec.mu1.matrix])
     s = np.linalg.svd(ts, compute_uv=False)
-    if s[-1] <= rank_tol * max(1.0, s[0]):
+    if s[-1] <= RANK_TOL * max(1.0, s[0]):
         raise ArithmeticError("block bases are numerically dependent")
     c = np.linalg.solve(ts, lam.matrix)
     d = np.linalg.solve(ts, mu.matrix)
@@ -510,7 +493,7 @@ def composite_coefficients(
     ddom = np.vstack([d0, dm])
     for label, dom in (("lam", cdom), ("mu", ddom)):
         sv = np.linalg.svd(dom, compute_uv=False)
-        if dom.shape[0] != dom.shape[1] or sv[-1] <= rank_tol * max(1.0, sv[0]):
+        if dom.shape[0] != dom.shape[1] or sv[-1] <= RANK_TOL * max(1.0, sv[0]):
             raise ArithmeticError(f"{label} is not a graph over its domain blocks")
     a = np.vstack([cv, cm]) @ np.linalg.inv(cdom)
     b = np.vstack([dv, dl]) @ np.linalg.inv(ddom)
@@ -519,7 +502,7 @@ def composite_coefficients(
     core = np.eye(q, dtype=complex) - a22 @ b22
     if q:
         sv = np.linalg.svd(core, compute_uv=False)
-        if sv[-1] <= rank_tol * max(1.0, sv[0]):
+        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
             raise ArithmeticError(
                 "composite route not applicable: I - A22 B22 is singular"
             )
@@ -535,7 +518,6 @@ def reduced_pair(
     dec: IntrinsicDecomposition,
     lam: Frame,
     mu: Frame,
-    rank_tol: float = RANK_TOL,
 ) -> tuple[SymplecticForm, Frame, Frame]:
     """Project a pair onto X0 with the induced symplectic form.
 
@@ -551,7 +533,7 @@ def reduced_pair(
     the orthonormal frame of X0: the induced form, P0(lam) and P0(mu).
     The projected pair keeps the intersection dimension of the original.
     """
-    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu, rank_tol)
+    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu)
     l0b, vb = dec.lam0.matrix, dec.v.matrix
     r, rv = dec.lam0.dim, dec.v.dim
     d0 = r + rv
@@ -585,18 +567,13 @@ def reduced_pair(
                 "but does not"
             )
     lam_red = orthonormalize(
-        dec.x0.matrix.conj().T @ (dec.p0 @ lam.matrix), rank_tol, scale_floor=1.0
+        dec.x0.matrix.conj().T @ (dec.p0 @ lam.matrix), scale_floor=1.0
     )
     mu_red = orthonormalize(
-        dec.x0.matrix.conj().T @ (dec.p0 @ mu.matrix), rank_tol, scale_floor=1.0
+        dec.x0.matrix.conj().T @ (dec.p0 @ mu.matrix), scale_floor=1.0
     )
-    if (
-        intersect(lam_red, mu_red, rank_tol).dim
-        != intersect(lam, mu, rank_tol).dim
-    ):
-        raise ArithmeticError(
-            "projection onto X0 changed the intersection dimension"
-        )
+    if intersect(lam_red, mu_red).dim != intersect(lam, mu).dim:
+        raise ArithmeticError("projection onto X0 changed the intersection dimension")
     return x0_form, lam_red, mu_red
 
 
@@ -605,7 +582,6 @@ def intersection_form(
     dec: IntrinsicDecomposition,
     lam: Frame,
     mu: Frame,
-    rank_tol: float = RANK_TOL,
 ) -> HermitianMatrix:
     """Hermitian form Q(x, y) = omega(x, (A1 - B1) y) on lam0 coordinates.
 
@@ -617,7 +593,7 @@ def intersection_form(
     jscale = max(1.0, np.linalg.norm(form.j, 2))
     if dec.v.dim and np.max(np.abs(omega_matrix(form, dec.v, dec.v))) > 1e-10 * jscale:
         raise ValueError("intersection form requires isotropic V")
-    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu, rank_tol)
+    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu)
     diff = dec.v.matrix @ (a1 - b1)
     q = diff.conj().T @ form.j @ dec.lam0.matrix
     residual = np.max(np.abs(q - q.conj().T), initial=0.0)
@@ -633,7 +609,6 @@ def complementary_lagrangian(
     lam: Frame,
     mu: Frame,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> Frame:
     """Lagrangian transversal to lam that moves mu as little as possible.
 
@@ -641,14 +616,14 @@ def complementary_lagrangian(
     with isotropic V: then X = lam (+) mu~ and mu/(mu inter mu~) has
     exactly the dimension of lam inter mu.
     """
-    dec = intrinsic_decomposition(form, lam, mu, seed=seed, rank_tol=rank_tol)
+    dec = intrinsic_decomposition(form, lam, mu, seed=seed)
     result = subspace_sum(dec.v, dec.mu1)
-    kind = classify(form, result, rank_tol)
+    kind = classify(form, result)
     if kind != "lagrangian":
         raise ArithmeticError(f"complementary candidate is {kind}, not lagrangian")
-    if intersect(lam, result, rank_tol).dim != 0:
+    if intersect(lam, result).dim != 0:
         raise ArithmeticError("complementary candidate still meets lam")
-    moved = mu.dim - intersect(mu, result, rank_tol).dim
+    moved = mu.dim - intersect(mu, result).dim
     if moved != dec.lam0.dim:
         raise ArithmeticError(
             f"complementary candidate moves mu by {moved}, expected {dec.lam0.dim}"

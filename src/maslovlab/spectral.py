@@ -53,6 +53,7 @@ __all__ = [
     "relation_adjoint",
     "cayley",
     "eigenvalue_curves",
+    "kernel_dim",
     "sf_eigen",
     "sf_relation",
 ]
@@ -138,9 +139,7 @@ def vertical_relation(dim_x: int, dim_y: int) -> LinearRelation:
     return LinearRelation(dim_x, dim_y, orthonormalize(stacked))
 
 
-def relation_parts(
-    r: LinearRelation, rank_tol: float = RANK_TOL
-) -> tuple[Frame, Frame, Frame, Frame]:
+def relation_parts(r: LinearRelation) -> tuple[Frame, Frame, Frame, Frame]:
     """Domain, range, kernel and indeterminate part of a relation.
 
     The domain and range are the coordinate projections of the
@@ -149,14 +148,14 @@ def relation_parts(
     are frames in X, range and indeterminate part are frames in Y.
     """
     mat = r.subspace.matrix
-    domain = orthonormalize(mat[: r.dim_x, :], rank_tol)
-    rng = orthonormalize(mat[r.dim_x :, :], rank_tol)
+    domain = orthonormalize(mat[: r.dim_x, :])
+    rng = orthonormalize(mat[r.dim_x :, :])
     horizontal = horizontal_relation(r.dim_x, r.dim_y).subspace
     vertical = vertical_relation(r.dim_x, r.dim_y).subspace
-    ker_pairs = intersect(r.subspace, horizontal, rank_tol)
-    indet_pairs = intersect(r.subspace, vertical, rank_tol)
-    kernel = orthonormalize(ker_pairs.matrix[: r.dim_x, :], rank_tol)
-    indeterminate = orthonormalize(indet_pairs.matrix[r.dim_x :, :], rank_tol)
+    ker_pairs = intersect(r.subspace, horizontal)
+    indet_pairs = intersect(r.subspace, vertical)
+    kernel = orthonormalize(ker_pairs.matrix[: r.dim_x, :])
+    indeterminate = orthonormalize(indet_pairs.matrix[r.dim_x :, :])
     return domain, rng, kernel, indeterminate
 
 
@@ -167,21 +166,19 @@ def relation_inverse(r: LinearRelation) -> LinearRelation:
     return LinearRelation(r.dim_y, r.dim_x, Frame(swapped))
 
 
-def _fiber_nullspace(a: np.ndarray, b: np.ndarray, rank_tol: float) -> np.ndarray:
+def _fiber_nullspace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {(u, v) : a u = b v} as stacked coefficients."""
     if a.shape[1] + b.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    return scipy.linalg.null_space(np.hstack([a, -b]), rcond=rank_tol)
+    return scipy.linalg.null_space(np.hstack([a, -b]), rcond=RANK_TOL)
 
 
-def relation_sum(
-    a: LinearRelation, b: LinearRelation, rank_tol: float = RANK_TOL
-) -> LinearRelation:
+def relation_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     """Pointwise sum {(x, y + z) : (x, y) in A, (x, z) in B}."""
     if (a.dim_x, a.dim_y) != (b.dim_x, b.dim_y):
         raise ValueError("relation ambients differ")
     mat_a, mat_b = a.subspace.matrix, b.subspace.matrix
-    coeffs = _fiber_nullspace(mat_a[: a.dim_x, :], mat_b[: b.dim_x, :], rank_tol)
+    coeffs = _fiber_nullspace(mat_a[: a.dim_x, :], mat_b[: b.dim_x, :])
     n_a = coeffs[: mat_a.shape[1], :]
     n_b = coeffs[mat_a.shape[1] :, :]
     stacked = np.vstack(
@@ -192,17 +189,15 @@ def relation_sum(
     )
     if stacked.size == 0:
         stacked = np.zeros((a.dim_x + a.dim_y, 0), dtype=complex)
-    return LinearRelation(a.dim_x, a.dim_y, orthonormalize(stacked, rank_tol))
+    return LinearRelation(a.dim_x, a.dim_y, orthonormalize(stacked))
 
 
-def relation_compose(
-    outer: LinearRelation, inner: LinearRelation, rank_tol: float = RANK_TOL
-) -> LinearRelation:
+def relation_compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     """Composite {(x, z) : (x, y) in inner, (y, z) in outer for some y}."""
     if inner.dim_y != outer.dim_x:
         raise ValueError("inner range space and outer domain space differ")
     mat_i, mat_o = inner.subspace.matrix, outer.subspace.matrix
-    coeffs = _fiber_nullspace(mat_i[inner.dim_x :, :], mat_o[: outer.dim_x, :], rank_tol)
+    coeffs = _fiber_nullspace(mat_i[inner.dim_x :, :], mat_o[: outer.dim_x, :])
     n_i = coeffs[: mat_i.shape[1], :]
     n_o = coeffs[mat_i.shape[1] :, :]
     stacked = np.vstack(
@@ -210,20 +205,20 @@ def relation_compose(
     )
     if stacked.size == 0:
         stacked = np.zeros((inner.dim_x + outer.dim_y, 0), dtype=complex)
-    return LinearRelation(inner.dim_x, outer.dim_y, orthonormalize(stacked, rank_tol))
+    return LinearRelation(inner.dim_x, outer.dim_y, orthonormalize(stacked))
 
 
-def relation_index(r: LinearRelation, rank_tol: float = RANK_TOL) -> int:
+def relation_index(r: LinearRelation) -> int:
     """Fredholm index dim ker - dim coker, checked by a second route.
 
     The direct count uses the kernel and range; independently the index
     of the subspace pair (A, X x {0}) in the product must give the same
     number, and a disagreement raises.
     """
-    _, rng, kernel, _ = relation_parts(r, rank_tol)
+    _, rng, kernel, _ = relation_parts(r)
     direct = kernel.dim - (r.dim_y - rng.dim)
     horizontal = horizontal_relation(r.dim_x, r.dim_y).subspace
-    _, _, paired = fredholm_pair_index(r.subspace, horizontal, rank_tol)
+    _, _, paired = fredholm_pair_index(r.subspace, horizontal)
     if direct != paired:
         raise ArithmeticError(
             f"relation index routes disagree: kernel/cokernel count {direct}, "
@@ -329,6 +324,15 @@ def _morse_index(lams: np.ndarray) -> int:
     return int(np.count_nonzero(lams < -_MORSE_ZERO))
 
 
+def kernel_dim(lams: np.ndarray) -> int:
+    """Number of eigenvalues within _MORSE_ZERO of zero: the kernel at an endpoint.
+
+    The eigenvalues :func:`sf_eigen` counts neither as negative nor as
+    positive, by the same endpoint zero rule as :func:`_morse_index`.
+    """
+    return int(np.sum(np.abs(lams) <= _MORSE_ZERO))
+
+
 def sf_eigen(path: HermitianPath) -> int:
     """Spectral flow of a Hermitian path: n_-(A(0)) - n_-(A(1)).
 
@@ -344,7 +348,7 @@ def sf_eigen(path: HermitianPath) -> int:
     return _morse_index(first.eigenvalues()) - _morse_index(last.eigenvalues())
 
 
-def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:
+def sf_relation(entries, callback=None) -> int:
     """Spectral flow of a path of self-adjoint linear relations.
 
     ``entries`` is an ordered list of (s, SymplecticForm, LinearRelation)
@@ -380,4 +384,4 @@ def sf_relation(entries, callback=None, rank_tol: float = RANK_TOL) -> int:
             return form, rel.subspace, horizontal
 
         path = _refined_path(samples, pair_callback)
-    return maslov_winding(path, rank_tol).mas_minus
+    return maslov_winding(path).mas_minus

@@ -189,14 +189,14 @@ def isotropy_residuals(j: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, n
     return np.minimum(overlap[..., 0], 1.0), keep.sum(axis=-1)
 
 
-def lagrangian_mask(j: np.ndarray, frames: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def lagrangian_mask(j: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Which frames of a stack :func:`classify` reports as 'lagrangian'."""
     residual, rank = isotropy_residuals(j, frames)
     n, k = frames.shape[-2:]
-    return (residual <= 10 * rank_tol) & (k + rank == n)
+    return (residual <= 10 * RANK_TOL) & (k + rank == n)
 
 
-def classify(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_TOL) -> str:
+def classify(form: SymplecticForm, lam: Frame) -> str:
     """Position of a subspace relative to its annihilator.
 
     Returns one of 'lagrangian', 'isotropic', 'coisotropic', 'symplectic',
@@ -212,7 +212,7 @@ def classify(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_TOL) -> st
     """
     if lam.dim == 0:
         return "lagrangian" if form.dim == 0 else "isotropic"
-    tol = 10 * rank_tol
+    tol = 10 * RANK_TOL
     residual, rank = isotropy_residuals(form.j, lam.matrix[None])
     iso = residual[0] <= tol
     if iso and lam.dim + rank[0] == form.dim:
@@ -225,7 +225,7 @@ def classify(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_TOL) -> st
         return "isotropic"
     if coiso:
         return "coisotropic"
-    if intersect(lam, ann, rank_tol).dim == 0:
+    if intersect(lam, ann).dim == 0:
         return "symplectic"
     return "generic"
 
@@ -277,7 +277,7 @@ def normalize_strong(form: SymplecticForm):
     return SymplecticForm(jn), t
 
 
-def unitary_generator(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_TOL) -> np.ndarray:
+def unitary_generator(form: SymplecticForm, lam: Frame) -> np.ndarray:
     """Coordinate matrix of the generator U: X^- -> X^+ of a Lagrangian.
 
     The matrix is taken in the metric-orthonormal bases of the splitting:
@@ -288,7 +288,7 @@ def unitary_generator(form: SymplecticForm, lam: Frame, rank_tol: float = RANK_T
     one-frame call to :func:`lagrangian_generators`, with its checks
     and errors.
     """
-    return lagrangian_generators([form], [lam], rank_tol)[0]
+    return lagrangian_generators([form], [lam])[0]
 
 
 class _NotLagrangian(ValueError):
@@ -299,7 +299,7 @@ class _NotLagrangian(ValueError):
         self.index, self.kind = index, kind
 
 
-def lagrangian_generators(forms, frames, rank_tol: float = RANK_TOL) -> np.ndarray:
+def lagrangian_generators(forms, frames) -> np.ndarray:
     """The Lagrangian check: generators (m, n, n) of m frames, each verified Lagrangian.
 
     ``forms`` holds one form per frame, or one form shared by all of
@@ -330,11 +330,11 @@ def lagrangian_generators(forms, frames, rank_tol: float = RANK_TOL) -> np.ndarr
     n, k = mats[0].shape
     if k and all(m.shape == (n, k) for m in mats) and all(f.dim == n for f in forms):
         mats = np.stack(mats)
-        passed = lagrangian_mask(np.stack([f.j for f in forms]), mats, rank_tol)
+        passed = lagrangian_mask(np.stack([f.j for f in forms]), mats)
     else:
         passed = np.zeros(len(frames), dtype=bool)
     for i in np.flatnonzero(~passed):
-        kind = classify(forms[i if len(forms) > 1 else 0], frames[i], rank_tol)
+        kind = classify(forms[i if len(forms) > 1 else 0], frames[i])
         if kind != "lagrangian":
             raise _NotLagrangian(int(i), kind)
     mats = np.asarray(mats)

@@ -306,7 +306,7 @@ def test_report_references_curve_files(tmp_path):
 
 
 def test_numerical_gate_maps_to_exit_2(tmp_path, monkeypatch, capsys):
-    def gate_failure(params, seed, tols):
+    def gate_failure(params, seed):
         raise ValueError("sampling resolution exhausted")
 
     monkeypatch.setitem(cli._SCENARIOS, "maslov_path", gate_failure)
@@ -317,7 +317,7 @@ def test_numerical_gate_maps_to_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
-        cli.SUITES, "flipping", ("anchor text", lambda trials, seed, tols: 2)
+        cli.SUITES, "flipping", ("anchor text", lambda trials, seed: 2)
     )
     cfg = write_config(
         tmp_path,
@@ -374,6 +374,17 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_tol_rank_flag_is_a_usage_error(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema": 1, "kind": "maslov_path"})
+    target = cfg if command == "run" else "flipping"
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--tol-rank", "1e-8"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --tol-rank 1e-8" in err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
@@ -383,7 +394,7 @@ def test_help_exits_0(capsys):
 
 def test_verify_failures_exit_3(monkeypatch, capsys):
     monkeypatch.setitem(
-        cli.SUITES, "flipping", ("anchor text", lambda trials, seed, tols: 1)
+        cli.SUITES, "flipping", ("anchor text", lambda trials, seed: 1)
     )
     assert main(["verify", "flipping", "--trials", "2"]) == 3
     assert capsys.readouterr().out.strip().splitlines()[1].split()[-1] == "1"

@@ -1,6 +1,7 @@
 """Tests for the Maslov index engines and their cross-checks."""
 
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -9,7 +10,6 @@ import pytest
 import scipy.linalg
 
 from maslovlab.frames import (
-    RANK_TOL,
     Frame,
     fredholm_pair_index,
     gap_hat,
@@ -175,6 +175,25 @@ def test_crossing_form_requires_a_crossing():
     path = benchmark_pair_path()
     with pytest.raises(ValueError, match="no crossing"):
         crossing_form(path, 0.1)
+
+
+@pytest.mark.parametrize(
+    "label, route",
+    [
+        ("crossing form", lambda path: crossing_form(path, 0.5)),
+        ("one-sided form", lambda path: one_sided_form(path, 0.5, "lam")),
+    ],
+    ids=["crossing_form", "one_sided_form"],
+)
+def test_signature_change_under_step_halving_is_named(label, route, monkeypatch):
+    """A signature that differs between the step and the half step raises, naming both."""
+    calls = itertools.count()
+    monkeypatch.setattr(maslov, "_signature", lambda q, form: (next(calls), 0, 0))
+    with pytest.raises(
+        ArithmeticError,
+        match=f"^{label} signature at t=0.5 changed under finite-difference step halving$",
+    ):
+        route(benchmark_pair_path())
 
 
 def test_fixed_form_crossing_equals_one_sided_difference():
@@ -493,8 +512,8 @@ def test_complement_dependence_is_caught_at_small_form_scale(monkeypatch):
     pair_coefficient_matrix = maslov._pair_coefficient_matrix
     complements = {}
 
-    def complement_dependent(form, anchor_lam0, anchor_v, lam, mu, rank_tol):
-        q = pair_coefficient_matrix(form, anchor_lam0, anchor_v, lam, mu, rank_tol)
+    def complement_dependent(form, anchor_lam0, anchor_v, lam, mu):
+        q = pair_coefficient_matrix(form, anchor_lam0, anchor_v, lam, mu)
         index = complements.setdefault(anchor_v.matrix.tobytes(), len(complements))
         return (1.0 + 1e-3 * index) * q
 
@@ -547,26 +566,6 @@ def test_each_parameter_is_checked_as_lagrangian_once(monkeypatch):
     assert 0 < sum(checked) <= 2 * len(path._memo.values)
 
 
-def test_a_tighter_rank_tol_checks_the_samples_again():
-    """Samples pass the default check at construction; rank_tol=1e-12 re-checks them.
-
-    At s=0.5 lam is span{(cos a, sin a + 1e-11 i)}, whose isotropy
-    residual 2e-11 cos a lies between the two thresholds 10 rank_tol.
-    """
-
-    def fn(s: float):
-        angle = 0.3 + s
-        lam = line(angle)
-        if s == 0.5:
-            lam = Frame.span(np.array([np.cos(angle), np.sin(angle) + 1e-11j]))
-        return FORM2, lam, MU_HORIZONTAL
-
-    path = LagrangianPairPath.from_callable(fn, num_samples=5)
-    maslov_winding(path)
-    with pytest.raises(ValueError, match="not lagrangian"):
-        maslov_winding(path, rank_tol=1e-12)
-
-
 def test_adequacy_scan_finds_failure_strictly_between_nodes():
     """The pair crosses at s=0.7, between the nodes 0.6 and 0.8.
 
@@ -577,7 +576,7 @@ def test_adequacy_scan_finds_failure_strictly_between_nodes():
     is kept so that the test keeps its id.
     """
     path = line_path(lambda s: 2.0 * (s - 0.7), num_samples=6)
-    levels = _crossing_events(path, RANK_TOL)
+    levels = _crossing_events(path)
     assert [z for *_, z in levels] == [0, 1, 0]
     assert levels[1][:2] == pytest.approx((0.7, 0.7), abs=1e-8)
     assert all(abs(smp.s - 0.7) > 0.05 for smp in path.samples)
@@ -595,7 +594,7 @@ def test_reduced_counts_two_opposite_crossings_in_one_gap():
     the two reduced segments must match the winding.
     """
     path = line_path(lambda s: 0.01225 - 10.0 * (s - 0.475) ** 2, num_samples=6)
-    levels = _crossing_events(path, RANK_TOL)
+    levels = _crossing_events(path)
     assert [z for *_, z in levels] == [0, 1, 0, 1, 0]
     assert [lo for lo, _, z in levels if z] == [
         pytest.approx(0.44, abs=1e-8), pytest.approx(0.51, abs=1e-8)
@@ -616,14 +615,6 @@ def test_reduced_needs_a_callback():
         maslov_reduced(path)
     wind = maslov_winding(path)
     assert (wind.mas_plus, wind.mas_minus) == (1, 1)
-
-
-def test_reduced_with_max_depth_below_zero_counts_without_retries():
-    """max_depth < 0 allows no failed segment, as max_depth = 0 does; a
-    path whose segments all pass still counts."""
-    path = line_path(lambda s: 2.0 * (s - 0.7), num_samples=6)
-    red = maslov_reduced(path, max_depth=-1)
-    assert (red.mas_plus, red.mas_minus) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -971,7 +962,7 @@ def test_reduced_takes_end_dimensions_from_the_angle_snap():
     """
     path = close_crossings_path(90)
     end = path.samples[-1]
-    angles = maslov._path_angles(path, end.s, RANK_TOL)
+    angles = maslov._path_angles(path, end.s)
     assert intersect(end.lam, end.mu).dim == 1
     assert 1e-8 < np.min(np.abs(angles)) < 1e-4
     red = maslov_reduced(path, seed=90)

@@ -1,0 +1,45 @@
+"""No function of maslovlab takes a tolerance knob as a parameter.
+
+Rank decisions read ``frames.RANK_TOL``, the crossing and one-sided
+forms step by ``maslov._FD_STEP`` and reduced segments retry at most
+``maslov._MAX_DEPTH`` times. Each threshold has one definition, so a
+change to it is one edit; a parameter that carries a copy of it would
+let callers drift apart.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import maslovlab
+
+KNOBS = {"rank_tol", "fd_step", "max_depth", "tols", "tol_rank"}
+
+
+def _functions():
+    """Every function and method defined in a maslovlab module, by qualified name."""
+    for info in pkgutil.iter_modules(maslovlab.__path__):
+        module = importlib.import_module(f"maslovlab.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{obj.__qualname__}", obj
+            elif inspect.isclass(obj):
+                for member in vars(obj).values():
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{member.__qualname__}", member
+
+
+def test_no_function_takes_a_tolerance_knob():
+    functions = dict(_functions())
+    assert "maslovlab.maslov.maslov_reduced" in functions
+    assert "maslovlab.frames.Projection.range" in functions
+    offenders = sorted(
+        f"{name}({param})"
+        for name, fn in functions.items()
+        for param in inspect.signature(fn).parameters
+        if param in KNOBS
+    )
+    assert offenders == []
