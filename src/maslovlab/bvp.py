@@ -58,7 +58,7 @@ _SKEW_TOL = 1e-12
 _HERMITICITY_TOL = 1e-10
 _GRAPH_TOL = 1e-10
 _PAIRING_DRIFT_TOL = 1e-7
-_DEFAULT_ODE_TOL = 1e-10
+_ODE_TOL = 1e-10
 # Propagator. Of 4 to 12 Gauss-Legendre stages, 8 (order 16) took the
 # fewest coefficient evaluations on constant coefficients up to |C| = 6
 # and on a t-periodic planar family. A step shorter than _MIN_STEP of the
@@ -285,22 +285,21 @@ def propagator(
     s: float,
     t_from: float,
     t_to: float,
-    ode_tol: float = _DEFAULT_ODE_TOL,
 ) -> np.ndarray:
     """Propagator Phi(t_to <- t_from) of J0 u' + C(s, t) u = 0.
 
     Integrates Phi' = -J0^{-1} C(s, t) Phi by 8-stage Gauss-Legendre
     collocation, a method of order 16, and allows backward propagation
     (t_to < t_from). Each step over [a, b] is checked against the two
-    steps over its halves, whose product is kept: ``ode_tol`` is the
-    local tolerance on the difference of the two transfers R, relative
-    to max(1, max|R|). A step that misses it is halved; after one that
-    meets it, the next step grows with the margin.
+    steps over its halves, whose product is kept: ``_ODE_TOL`` = 1e-10 is
+    the local tolerance on the difference of the two transfers R,
+    relative to max(1, max|R|). A step that misses it is halved; after
+    one that meets it, the next step grows with the margin.
 
     A Gauss method preserves quadratic invariants, so Phi^H J0 Phi = J0
-    holds to roundoff, about eps ||J0|| ||Phi||^2, whatever ``ode_tol``
-    is. Drift beyond 1e-7 ||J0||, which only a very ill-conditioned
-    monodromy reaches, a loss of invertibility, or a step shorter than
+    holds to roundoff, about eps ||J0|| ||Phi||^2, whatever the step
+    tolerance. Drift beyond 1e-7 ||J0||, which only a very
+    ill-conditioned monodromy reaches, a loss of invertibility, or a step shorter than
     1e-10 of the interval raises ArithmeticError.
     """
     phi = np.eye(fam.dim, dtype=complex)
@@ -320,10 +319,10 @@ def propagator(
         second = _gauss_step(fam, s, mid, end)
         halves = second @ first
         err = np.max(np.abs(whole - halves)) / max(1.0, np.max(np.abs(halves)))
-        if err <= ode_tol:
+        if err <= _ODE_TOL:
             phi = halves @ phi
             t = end
-            factor = _STEP_SAFETY * (ode_tol / err) ** _STEP_EXPONENT if err > 0.0 else np.inf
+            factor = _STEP_SAFETY * (_ODE_TOL / err) ** _STEP_EXPONENT if err > 0.0 else np.inf
             h = (end - start) * min(_STEP_GROWTH, factor)
         elif abs(end - start) <= _MIN_STEP * abs(t_to - t_from):
             raise ArithmeticError(
@@ -344,16 +343,14 @@ def propagator(
     return phi
 
 
-def cauchy_data(
-    fam: HamiltonianFamily, s: float, ode_tol: float = _DEFAULT_ODE_TOL
-) -> Frame:
+def cauchy_data(fam: HamiltonianFamily, s: float) -> Frame:
     """Cauchy data space {(v, Phi_s(T) v)} as a frame in C^{2k}.
 
     The space collects the boundary traces of all solutions of
     J0 u' + C(s, t) u = 0; it is the graph of the monodromy and is
     Lagrangian for the Green form, which is asserted.
     """
-    phi = propagator(fam, s, 0.0, fam.t_end, ode_tol)
+    phi = propagator(fam, s, 0.0, fam.t_end)
     frame = orthonormalize(np.vstack([np.eye(fam.dim, dtype=complex), phi]))
     kind = classify(green_form(fam), frame)
     if kind != "lagrangian":
@@ -562,7 +559,6 @@ def desuspension_check(
     bc: BoundaryPath,
     grid: int = 64,
     num_samples: int = 33,
-    ode_tol: float = _DEFAULT_ODE_TOL,
 ) -> tuple[int, int, bool]:
     """Spectral flow against minus the boundary Maslov index.
 
@@ -611,7 +607,7 @@ def desuspension_check(
     form = green_form(fam)
 
     def pair(t: float):
-        return form, bc_path(t).lagrangian, cauchy_data(fam, t, ode_tol)
+        return form, bc_path(t).lagrangian, cauchy_data(fam, t)
 
     neg_mas = -maslov_winding(LagrangianPairPath.from_callable(pair, num_samples)).mas_plus
     return sf, neg_mas, sf == neg_mas
@@ -622,7 +618,6 @@ def splitting_check(
     cut: float,
     grid: int = 64,
     num_samples: int = 33,
-    ode_tol: float = _DEFAULT_ODE_TOL,
 ) -> tuple[int, int, bool]:
     """Whole-interval spectral flow against the cut Maslov index.
 
@@ -652,8 +647,8 @@ def splitting_check(
     form = green_form(fam)
 
     def pair(t: float):
-        minus = propagator(fam, t, 0.0, cut, ode_tol)
-        plus = propagator(fam, t, fam.t_end, cut, ode_tol)
+        minus = propagator(fam, t, 0.0, cut)
+        plus = propagator(fam, t, fam.t_end, cut)
         lam = orthonormalize(np.vstack([minus, eye]))
         mu = orthonormalize(np.vstack([plus, eye]))
         return form, lam, mu

@@ -29,7 +29,6 @@ __all__ = [
     "Frame",
     "Projection",
     "HermitianMatrix",
-    "default_zero_tol",
     "orthonormalize",
     "intersect",
     "subspace_sum",
@@ -48,18 +47,6 @@ __all__ = [
 RANK_TOL = 1e-8
 
 _ORTHO_TOL = 1e-12
-
-
-def default_zero_tol(a) -> float:
-    """Zero threshold for eigenvalues of the matrix ``a``.
-
-    Scales with the matrix norm but never shrinks below the absolute
-    floor 1e-9, so that near-zero spectra of small matrices are still
-    classified sensibly.
-    """
-    a = np.asarray(a)
-    scale = np.linalg.norm(a, 2) if a.size else 0.0
-    return 1e-9 * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -254,7 +241,7 @@ def orthonormalize(matrix, scale_floor: float | None = None) -> Frame:
     n = m.shape[0]
     if m.shape[1] == 0:
         return Frame.empty(n)
-    u, s = _gesvd(m)
+    u, s, _ = _gesvd(m)
     if s.size == 0 or s[0] == 0.0:
         return Frame.empty(n)
     reference = s[0] if scale_floor is None else max(s[0], scale_floor)
@@ -274,7 +261,7 @@ def _gesvd_lwork(rows: int, cols: int) -> int:
 
 
 def _gesvd(m: np.ndarray):
-    """U and singular values of a complex matrix by LAPACK gesvd.
+    """Thin SVD (U, singular values, V^H) of a complex matrix by LAPACK gesvd.
 
     The same routine and optimal workspace that
     ``scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")``
@@ -283,38 +270,53 @@ def _gesvd(m: np.ndarray):
     through scipy for its checks and errors.
     """
     if m.size and np.isfinite(m).all():
-        u, s, _, info = _GESVD(m, compute_uv=1, full_matrices=0, lwork=_gesvd_lwork(*m.shape))
+        u, s, vh, info = _GESVD(m, compute_uv=1, full_matrices=0, lwork=_gesvd_lwork(*m.shape))
         if info == 0:
-            return u, s
-    u, s, _ = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    return u, s
+            return u, s, vh
+    return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+
+
+def _residual_svd(a: Frame, b: Frame):
+    """SVD (U, sines, V^H) of a - P_b a, the part of a off b.
+
+    Its dim a singular values are the sines of the principal angles of
+    a against b, with a sine of 1 for each direction of a beyond dim b.
+    Sines resolve the small angles whose cosines round to 1 (Bjorck and
+    Golub, Math. Comp. 27, 1973), so every decision whether two
+    subspaces share a direction reads them, against ``RANK_TOL``.
+    """
+    return _gesvd(a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix))
 
 
 def intersect(a: Frame, b: Frame) -> Frame:
-    """Intersection of two subspaces via principal vectors.
+    """Intersection of two subspaces: a V for the right singular vectors V
+    of a - P_b a whose sine is at most ``RANK_TOL``.
 
-    Principal directions whose cosine exceeds 1 - RANK_TOL are taken to
-    lie in the intersection; the strict inequality resolves ties toward
-    the smaller intersection.
+    The frame lies in a and is orthonormal by construction.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Frame.empty(a.ambient_dim)
-    m = a.matrix.conj().T @ b.matrix
-    u, s, _ = scipy.linalg.svd(m, full_matrices=False)
-    s = np.clip(s, 0.0, 1.0)
-    keep = s > 1.0 - RANK_TOL
-    if not np.any(keep):
-        return Frame.empty(a.ambient_dim)
-    return orthonormalize(a.matrix @ u[:, keep])
+    _, sines, vh = _residual_svd(a, b)
+    return Frame._of_orthonormal(a.matrix @ vh[sines <= RANK_TOL].conj().T)
 
 
 def subspace_sum(a: Frame, b: Frame) -> Frame:
-    """Frame for the sum a + b."""
+    """Sum a + b: a, then the left singular vectors of b - P_a b whose
+    sine exceeds ``RANK_TOL``, so dim (a + b) = dim a + dim b - dim (a cap b).
+
+    Those columns are projected off a once more: a singular vector of
+    sine s carries roundoff of order eps / s along a.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return orthonormalize(np.hstack([a.matrix, b.matrix]))
+    if b.dim == 0:
+        return a
+    u, sines, _ = _residual_svd(b, a)
+    extra = u[:, sines > RANK_TOL]
+    extra = extra - a.matrix @ (a.matrix.conj().T @ extra)
+    return Frame._of_orthonormal(np.hstack([a.matrix, extra]))
 
 
 def orth_complement(a: Frame) -> Frame:
@@ -404,15 +406,18 @@ def relative_index(p: Projection, q: Projection) -> int:
 def fredholm_pair_index(m: Frame, n: Frame):
     """Intersection dimension, codimension of the sum, and their difference.
 
+    The one rank decision is :func:`intersect`; the codimension of the
+    sum is N - dim m - dim n + dim (m cap n), so the index is
+    dim m + dim n - N, as it is for every pair in finite dimension.
+
     Returns
     -------
     (int, int, int)
         (dim(m cap n), dim X / (m + n), index).
     """
-    cap = intersect(m, n)
-    total = subspace_sum(m, n)
-    codim = m.ambient_dim - total.dim
-    return cap.dim, codim, cap.dim - codim
+    cap = intersect(m, n).dim
+    codim = m.ambient_dim - m.dim - n.dim + cap
+    return cap, codim, cap - codim
 
 
 def hermitian_eig(a):
@@ -436,13 +441,14 @@ def morse_counts(q, zero_tol: float | None = None):
     """Inertia (m_plus, m_minus, m_zero) of a Hermitian matrix.
 
     Eigenvalues within ``zero_tol`` of zero count as zero. The default
-    tolerance scales with the matrix norm, see :func:`default_zero_tol`.
+    1e-9 max(1, ||q||_2) scales with the matrix norm but never shrinks
+    below 1e-9, so near-zero spectra of small matrices still classify.
     """
     if isinstance(q, HermitianMatrix):
         q = q.matrix
     q = np.asarray(q, dtype=complex)
     if zero_tol is None:
-        zero_tol = default_zero_tol(q)
+        zero_tol = 1e-9 * max(1.0, np.linalg.norm(q, 2) if q.size else 0.0)
     vals, _ = hermitian_eig(q)
     plus = int(np.sum(vals > zero_tol))
     minus = int(np.sum(vals < -zero_tol))

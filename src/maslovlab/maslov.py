@@ -98,6 +98,8 @@ _PIECE_DEPTH = 6
 # Finite-difference step of the crossing and one-sided forms; each is
 # also taken at half this step, and the two signatures must agree.
 _FD_STEP = 1e-5
+# Relative zero test of the eigenvalues of a crossing or one-sided form.
+_FORM_ZERO = 1e-7
 # Failed reduced-segment counts allowed before maslov_reduced gives up;
 # each failure moves the segment ends halfway toward its span.
 _MAX_DEPTH = 10
@@ -516,8 +518,8 @@ def _data_scale(q: HermitianMatrix, form: SymplecticForm) -> float:
 
 
 def _signature(q: HermitianMatrix, form: SymplecticForm) -> tuple[int, int, int]:
-    """Inertia of q, counting eigenvalues below 1e-7 max(||J||_2, ||q||_2) as zero."""
-    return morse_counts(q.matrix, zero_tol=1e-7 * _data_scale(q, form))
+    """Inertia of q, counting eigenvalues below _FORM_ZERO max(||J||_2, ||q||_2) as zero."""
+    return morse_counts(q.matrix, zero_tol=_FORM_ZERO * _data_scale(q, form))
 
 
 def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> CrossingRecord:
@@ -817,7 +819,7 @@ def maslov_crossings(path: LagrangianPairPath, seed: int = 0) -> MaslovResult:
     )
 
 
-def maslov_semipositive(path: LagrangianPairPath, seed: int = 0, zero_tol: float = 1e-7) -> int:
+def maslov_semipositive(path: LagrangianPairPath, seed: int = 0) -> int:
     """Maslov index of a semi-positive path by counting intersection jumps.
 
     For a path with fixed form and constant mu whose one-sided form
@@ -827,7 +829,8 @@ def maslov_semipositive(path: LagrangianPairPath, seed: int = 0, zero_tol: float
 
     the total upward jump of the intersection dimension, counted at the
     jump time. Semi-positivity is verified by sampling the eigenvalues
-    of Q(lam, t) at every grid point; a violation raises with the
+    of Q(lam, t) at every grid point; an eigenvalue below
+    -_FORM_ZERO max(1, ||Q||_2), with _FORM_ZERO = 1e-7, raises with the
     offending t. The jumps are the rises, over 0 < t <= 1, of the number
     of eigenvalues of the relative unitary within 1e-8 of 1, read off
     :func:`_crossing_events`, the scan ``maslov_crossings`` uses. A
@@ -850,7 +853,7 @@ def maslov_semipositive(path: LagrangianPairPath, seed: int = 0, zero_tol: float
     for smp in path.samples:
         q, _ = one_sided_form(path, smp.s, "lam", seed)
         low = float(np.min(q.eigenvalues(), initial=0.0))
-        if low < -zero_tol * max(1.0, np.linalg.norm(q.matrix, 2)):
+        if low < -_FORM_ZERO * max(1.0, np.linalg.norm(q.matrix, 2)):
             raise ValueError(
                 f"path is not semi-positive at t={smp.s:.6f}: "
                 f"Q(lam, t) has eigenvalue {low:.3e}"

@@ -36,7 +36,6 @@ from .frames import (
     Frame,
     HermitianMatrix,
     Projection,
-    fredholm_pair_index,
     gap_delta,
     gap_hat,
     intersect,
@@ -251,16 +250,6 @@ def intrinsic_decomposition(
         kind = classify(form, sub)
         if kind != "lagrangian":
             raise ValueError(f"{name} is {kind}, not lagrangian")
-    # Two Lagrangians in finite dimensions always have index 0; a nonzero
-    # count only means the two rank tests disagree about a direction.
-    cap, codim, index = fredholm_pair_index(lam, mu)
-    if index != 0:
-        raise ArithmeticError(
-            f"intersect finds dim(lam cap mu) = {cap} but subspace_sum finds "
-            f"codim(lam + mu) = {codim}: a principal angle of the pair lies "
-            "between intersect's cosine threshold 1 - RANK_TOL and "
-            "subspace_sum's singular-value threshold RANK_TOL"
-        )
     lam0 = intersect(lam, mu)
     r = lam0.dim
     span = subspace_sum(lam, mu)

@@ -28,7 +28,6 @@ from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
-    fredholm_pair_index,
     hermitian_eig,
     intersect,
     orthonormalize,
@@ -209,20 +208,20 @@ def relation_compose(outer: LinearRelation, inner: LinearRelation) -> LinearRela
 
 
 def relation_index(r: LinearRelation) -> int:
-    """Fredholm index dim ker - dim coker, checked by a second route.
+    """Fredholm index dim ker - dim coker, checked against rank-nullity.
 
-    The direct count uses the kernel and range; independently the index
-    of the subspace pair (A, X x {0}) in the product must give the same
-    number, and a disagreement raises.
+    The count uses the kernel and range of :func:`relation_parts`. The
+    projection (x, y) -> y maps A onto its range with the kernel pairs
+    as its kernel, so in finite dimension the index is dim A - dim Y;
+    a count that differs means the kernel and range rank decisions
+    disagree about a direction, and raises.
     """
     _, rng, kernel, _ = relation_parts(r)
     direct = kernel.dim - (r.dim_y - rng.dim)
-    horizontal = horizontal_relation(r.dim_x, r.dim_y).subspace
-    _, _, paired = fredholm_pair_index(r.subspace, horizontal)
-    if direct != paired:
+    if direct != r.dim - r.dim_y:
         raise ArithmeticError(
-            f"relation index routes disagree: kernel/cokernel count {direct}, "
-            f"pair index {paired}"
+            f"relation index: kernel/cokernel count {direct}, but rank-nullity "
+            f"gives dim A - dim Y = {r.dim - r.dim_y}"
         )
     return direct
 

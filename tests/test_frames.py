@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from maslovlab.frames import (
+    RANK_TOL,
     Frame,
     HermitianMatrix,
     Projection,
@@ -23,6 +26,7 @@ from maslovlab.frames import (
     subspace_sum,
 )
 from maslovlab.sampling import random_subspace, random_unitary, rng_from_seed
+from maslovlab.spectral import graph_relation, relation_index
 
 
 def _line(theta):
@@ -224,6 +228,80 @@ def test_fredholm_pair_index_and_basis_invariance():
     ub = random_unitary(rng, 2)
     cap2, codim2, index2 = fredholm_pair_index(Frame(a.matrix @ ua), Frame(b.matrix @ ub))
     assert (cap2, codim2, index2) == (cap, codim, index)
+
+
+# Kinds of planted principal angle: log-uniform in [1e-12, 1e-1], drawn
+# from the seeded generator so that the exponents spread evenly, or
+# exactly 0 or pi/2.
+ANGLE_KINDS = st.sampled_from(["log-uniform", "zero", "right"])
+
+
+def _planted_angle(rng, kind: str) -> float:
+    if kind == "log-uniform":
+        return 10.0 ** rng.uniform(-12.0, -1.0)
+    return 0.0 if kind == "zero" else np.pi / 2
+
+
+def _off_threshold(sines) -> bool:
+    """No sine within 1e-6 relative of RANK_TOL, where roundoff of order
+    eps in a computed sine could decide either way."""
+    return all(abs(x / RANK_TOL - 1.0) > 1e-6 for x in sines)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data())
+def test_intersect_sum_and_index_read_one_set_of_sines(seed, n, data):
+    """Subspaces a, b of C^n with planted principal angles.
+
+    Each planted angle pairs a direction of a with one of b in a plane
+    of its own; the rest of C^n holds directions in both, in a only and
+    in b only, so dim a and dim b range over 0..n. intersect keeps
+    exactly the directions whose sine is at most RANK_TOL, the sum
+    loses exactly those, and the pair index is dim a + dim b - n.
+    """
+    planted = data.draw(st.integers(0, n // 2), label="planted")
+    rest = n - 2 * planted
+    both = data.draw(st.integers(0, rest), label="both")
+    only_a = data.draw(st.integers(0, rest - both), label="only_a")
+    only_b = data.draw(st.integers(0, rest - both - only_a), label="only_b")
+    kinds = data.draw(st.lists(ANGLE_KINDS, min_size=planted, max_size=planted))
+    rng = rng_from_seed((0xF4A3, seed))
+    theta = np.array([_planted_angle(rng, kind) for kind in kinds])
+    assume(_off_threshold(np.sin(theta)))
+    cols = np.split(random_unitary(rng, n), np.cumsum([planted, planted, both, only_a, only_b]), 1)
+    first, partner, common, a_part, b_part = cols[:5]
+    a = np.hstack([first, common, a_part])
+    b = np.hstack([first * np.cos(theta) + partner * np.sin(theta), common, b_part])
+    k, m = a.shape[1], b.shape[1]
+    fa = Frame(a @ random_unitary(rng, k))
+    fb = Frame(b @ random_unitary(rng, m))
+    shared = both + int(np.sum(np.sin(theta) <= RANK_TOL))
+    assert intersect(fa, fb).dim == intersect(fb, fa).dim == shared
+    assert subspace_sum(fa, fb).dim == subspace_sum(fb, fa).dim == k + m - shared
+    assert fredholm_pair_index(fa, fb) == (shared, n - k - m + shared, k + m - n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    zeros=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_relation_index_of_a_graph_is_its_index_or_raises(seed, shape, zeros):
+    """graph(M) of a p x q matrix has index q - p.
+
+    Each planted singular value of M is 0 or log-uniform in [1e-12, 10].
+    The kernel and range are two rank decisions; where they disagree
+    about a direction, the rank-nullity check raises instead of
+    returning another integer.
+    """
+    p, q = shape
+    rng = rng_from_seed((0xF4A4, seed))
+    r = min(p, q)
+    values = np.where(zeros[:r], 0.0, 10.0 ** rng.uniform(-12.0, 1.0, r))
+    m = random_unitary(rng, p)[:, :r] @ np.diag(values) @ random_unitary(rng, q)[:r, :]
+    try:
+        assert relation_index(graph_relation(m)) == q - p
+    except ArithmeticError as err:
+        assert "rank-nullity" in str(err)
 
 
 def test_hermitian_eig_sorted_with_residual_gate():

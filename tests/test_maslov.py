@@ -954,37 +954,36 @@ def test_reduced_anchors_crossings_on_top_of_a_plateau(angles_fn, expected):
 
 
 def test_reduced_takes_end_dimensions_from_the_angle_snap():
-    """Draw (0x5041, 90) ends with an angle of about -1.3e-5: intersect
-    counts that direction as shared, the 1e-8 snap of winding does not.
+    """Draw (0x5041, 90) ends with an angle of about -1.3e-5.
 
-    The flipping identity must use the snap, as winding does, or it
-    fails where the counts are (2, 2).
+    Neither the 1e-8 snap of winding nor intersect, whose sine test
+    resolves that angle, counts the direction as shared, so the end
+    dimensions of the flipping identity are the same whichever it
+    reads, and the counts are (2, 2).
     """
     path = close_crossings_path(90)
     end = path.samples[-1]
     angles = maslov._path_angles(path, end.s)
-    assert intersect(end.lam, end.mu).dim == 1
     assert 1e-8 < np.min(np.abs(angles)) < 1e-4
+    snapped = int(np.sum(np.abs(angles) <= maslov._ANGLE_SNAP))
+    assert intersect(end.lam, end.mu).dim == snapped == 0
     red = maslov_reduced(path, seed=90)
     wind = maslov_winding(path)
     assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == (2, 2)
 
 
-def test_rank_test_disagreement_is_named_not_reported_as_an_index():
+def test_crossings_a_ten_thousandth_apart_count_by_every_route():
     """Two lines rise through their partners at s = 0.53005 and 0.53015.
 
-    Near s = 0.53005 one principal angle lies between intersect's and
-    subspace_sum's thresholds, so the two disagree about it. Two
-    Lagrangians always have index 0; the decomposition must name the
-    disagreement instead of a "nonzero index".
+    At the first crossing the other line is 1e-4 from its partner: a
+    cosine test counted that direction as shared while the sum kept it,
+    and the decomposition raised. With one sine test for both, all
+    three routes count (2, 2).
     """
     path = line_sum_path(lambda s: [s - 0.53005, s - 0.53015], [0.0, 0.0], np.eye(4), 21)
-    wind = maslov_winding(path)
-    assert (wind.mas_plus, wind.mas_minus) == (2, 2)
-    for route in (maslov_crossings, maslov_reduced):
-        with pytest.raises(ArithmeticError, match="subspace_sum finds codim") as err:
-            route(path)
-        assert "nonzero index" not in str(err.value)
+    for route in (maslov_winding, maslov_crossings, maslov_reduced):
+        result = route(path)
+        assert (result.mas_plus, result.mas_minus) == (2, 2), route.__name__
 
 
 @pytest.mark.parametrize("num_samples", [21, 25])

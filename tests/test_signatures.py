@@ -1,10 +1,11 @@
 """No function of maslovlab takes a tolerance knob as a parameter.
 
 Rank decisions read ``frames.RANK_TOL``, the crossing and one-sided
-forms step by ``maslov._FD_STEP`` and reduced segments retry at most
-``maslov._MAX_DEPTH`` times. Each threshold has one definition, so a
-change to it is one edit; a parameter that carries a copy of it would
-let callers drift apart.
+forms step by ``maslov._FD_STEP`` and test zero against
+``maslov._FORM_ZERO``, the propagator steps against ``bvp._ODE_TOL``,
+and reduced segments retry at most ``maslov._MAX_DEPTH`` times. Each
+threshold has one definition, so a change to it is one edit; a
+parameter that carries a copy of it would let callers drift apart.
 """
 
 import importlib
@@ -12,8 +13,9 @@ import inspect
 import pkgutil
 
 import maslovlab
+from maslovlab.maslov import maslov_semipositive
 
-KNOBS = {"rank_tol", "fd_step", "max_depth", "tols", "tol_rank"}
+KNOBS = {"rank_tol", "fd_step", "max_depth", "tols", "tol_rank", "ode_tol"}
 
 
 def _functions():
@@ -43,3 +45,7 @@ def test_no_function_takes_a_tolerance_knob():
         if param in KNOBS
     )
     assert offenders == []
+
+
+def test_semipositive_takes_the_path_and_a_seed_only():
+    assert list(inspect.signature(maslov_semipositive).parameters) == ["path", "seed"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from maslovlab.frames import HermitianMatrix, gap_hat, hermitian_eig
@@ -285,7 +285,6 @@ def test_eigenvalue_curves_end_rows_are_the_checked_spectra():
         assert row[1:].tobytes() == np.sort(hermitian_eig(mat.matrix)[0]).tobytes()
 
 
-@settings(derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
 def test_sf_eigen_of_a_linear_path_is_the_end_morse_index_difference(seed, n):
     """Any sample count, conjugation by a unitary path and s -> s^2 keep the count."""
