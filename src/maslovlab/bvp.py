@@ -35,7 +35,13 @@ from typing import Callable, Union
 import numpy as np
 from numpy.polynomial import legendre
 
-from .frames import Frame, HermitianMatrix, exceeds_scaled_tol, orthonormalize
+from .frames import (
+    Frame,
+    HermitianMatrix,
+    exceeds_scaled_tol,
+    orthonormalize,
+    well_conditioned,
+)
 from .maslov import LagrangianPairPath, maslov_winding
 from .spectral import HermitianPath, sf_eigen
 from .symplectic import SymplecticForm, classify, direct_sum
@@ -54,7 +60,6 @@ __all__ = [
     "splitting_check",
 ]
 
-_SKEW_TOL = 1e-12
 _HERMITICITY_TOL = 1e-10
 _GRAPH_TOL = 1e-10
 _PAIRING_DRIFT_TOL = 1e-7
@@ -86,7 +91,10 @@ class HamiltonianFamily:
     dim : int
         Fiber dimension k; states are curves in C^k.
     j0 : ndarray
-        Constant invertible skew-Hermitian k x k matrix.
+        Constant invertible skew-Hermitian k x k matrix. It is checked
+        by building ``SymplecticForm(j0)``, with that form's gates and
+        messages; the form is kept, and :func:`green_form` is built
+        from it.
     c : callable
         ``c(s, t)`` returning a Hermitian k x k matrix; s is the family
         parameter in [0, 1], t the interval variable in [0, t_end].
@@ -107,21 +115,16 @@ class HamiltonianFamily:
             raise ValueError(
                 f"j0 has shape {j0.shape}, expected ({self.dim}, {self.dim})"
             )
-        scale = max(1.0, np.linalg.norm(j0, 2))
-        if np.max(np.abs(j0 + j0.conj().T)) > _SKEW_TOL * scale:
-            raise ValueError("j0 must be skew-Hermitian")
-        sv = np.linalg.svd(j0, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise ValueError("j0 must be invertible")
+        form = SymplecticForm(j0)
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
         object.__setattr__(self, "j0", j0)
+        object.__setattr__(self, "_j0_form", form)
 
     @cached_property
     def _green_form(self) -> SymplecticForm:
         """:func:`green_form`, built on first use and kept."""
-        j0 = SymplecticForm(self.j0)
-        return direct_sum(j0, j0, signs=(-1, 1))
+        return direct_sum(self._j0_form, self._j0_form, signs=(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -337,8 +340,7 @@ def propagator(
             f"propagator lost the J0 pairing (drift {drift:.3e}); "
             "the monodromy is too ill-conditioned for double precision"
         )
-    sv = np.linalg.svd(phi, compute_uv=False)
-    if sv[-1] <= 1e-8 * sv[0]:
+    if not well_conditioned(phi):
         raise ArithmeticError("propagator is numerically singular")
     return phi
 
@@ -372,8 +374,7 @@ def _unitary_graph(
     k = fam.dim
     m = bc.lagrangian.matrix
     x0, x1 = m[:k], m[k:]
-    sv = np.linalg.svd(x0, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-8 * max(sv[0], 1.0):
+    if not well_conditioned(x0):
         return None
     g = np.linalg.solve(x0.conj().T, x1.conj().T).conj().T
     if np.linalg.norm(g.conj().T @ g - np.eye(k), 2) > _GRAPH_TOL:

@@ -56,7 +56,7 @@ from .bvp import (
     separated_condition,
     splitting_check,
 )
-from .frames import gap_delta, intersect, orthonormalize
+from .frames import gap_delta, orthonormalize
 from .maslov import (
     LagrangianPairPath,
     benchmark_pair_path,
@@ -541,10 +541,9 @@ def _suite_flipping(trials: int, seed: int) -> int:
         swapped = LagrangianPairPath.from_callable(swapped_fn, num_samples=33)
         res = maslov_winding(path)
         res_swapped = maslov_winding(swapped)
-        first, last = path.samples[0], path.samples[-1]
-        dim0 = intersect(first.lam, first.mu).dim
-        dim1 = intersect(last.lam, last.mu).dim
-        if res.mas_plus + res_swapped.mas_plus != dim0 - dim1:
+        # Winding has checked Mas+ - Mas- = dim cap(0) - dim cap(1) at its
+        # endpoint snap, so the difference carries the end dimensions.
+        if res.mas_plus + res_swapped.mas_plus != res.mas_plus - res.mas_minus:
             failures += 1
     return failures
 
@@ -876,26 +875,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         env = _env_seed()
+        if args.trials < 1:
+            raise ConfigError("--trials must be a positive integer")
+        failures = run_suite(args.suite, args.trials, args.seed if env is None else env)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    seed = args.seed if env is None else env
-    if args.suite not in SUITES:
-        print(
-            f"unknown suite {args.suite!r}; available: "
-            f"{', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.trials < 1:
-        print("config error: --trials must be a positive integer", file=sys.stderr)
-        return 1
-    identity, runner = SUITES[args.suite]
-    try:
-        failures = runner(args.trials, seed)
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical gate failure: {exc}", file=sys.stderr)
         return 2
+    identity = SUITES[args.suite][0]
     width = max(len(identity), len("anchor"))
     print(f"{'identity':<12} {'anchor':<{width}} {'trials':>6} {'failures':>8}")
     print(f"{args.suite:<12} {identity:<{width}} {args.trials:>6} {failures:>8}")
@@ -911,23 +900,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--out-dir", default=".", help="directory for reports and CSV files"
-    )
     parser = _Parser(
         prog="maslovlab",
         description="Scenario runs and identity checks for Maslov index, "
         "symplectic reduction, and spectral flow computations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser(
-        "run", parents=[common], help="execute one scenario described by a JSON config"
-    )
+    p_run = sub.add_parser("run", help="execute one scenario described by a JSON config")
     p_run.add_argument("config", help="path to the scenario config file")
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a seeded identity suite"
+    p_run.add_argument(
+        "--out-dir", default=".", help="directory for reports and CSV files"
     )
+    p_verify = sub.add_parser("verify", help="run a seeded identity suite")
     p_verify.add_argument(
         "suite", help=f"one of: {', '.join(sorted(SUITES))}"
     )

@@ -38,6 +38,7 @@ __all__ = [
     "minimum_gap",
     "relative_index",
     "fredholm_pair_index",
+    "well_conditioned",
     "hermitian_eig",
     "morse_counts",
 ]
@@ -132,9 +133,8 @@ class Projection:
         p = np.asarray(self.matrix, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("projection must be a square matrix")
-        scale = max(1.0, np.linalg.norm(p, 2))
         res = np.max(np.abs(p @ p - p))
-        if res > 1e-10 * scale:
+        if exceeds_scaled_tol(res, p, 1e-10):
             raise ValueError(f"matrix is not idempotent (residual {res:.3e})")
         object.__setattr__(self, "matrix", p)
 
@@ -197,6 +197,16 @@ def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:
     non-finite input.
     """
     return not defect <= tol and defect > tol * max(1.0, np.linalg.norm(a, 2))
+
+
+def well_conditioned(m: np.ndarray) -> bool:
+    """Whether ``sigma_min(m) > RANK_TOL * max(1, sigma_max(m))``: the invertibility gate.
+
+    For a non-square matrix this asks for full rank. An empty matrix is
+    not well conditioned.
+    """
+    s = np.linalg.svd(m, compute_uv=False)
+    return s.size > 0 and bool(s[-1] > RANK_TOL * max(1.0, s[0]))
 
 
 def _block_diag(blocks) -> np.ndarray:

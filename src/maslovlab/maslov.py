@@ -52,6 +52,7 @@ from .frames import (
     intersect,
     morse_counts,
     orthonormalize,
+    well_conditioned,
 )
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
@@ -620,15 +621,14 @@ def one_sided_form(
         coords = np.linalg.solve(frame_matrix, sub.matrix)
         n = base.dim
         c0, cw = coords[:n], coords[n:]
-        sv = np.linalg.svd(c0, compute_uv=False)
-        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
+        if not well_conditioned(c0):
             raise ArithmeticError(
                 f"the {member} member is not a graph over its position at t={t}"
             )
         amat = cw @ np.linalg.inv(c0)
         q = (w.matrix @ amat).conj().T @ form_t.j @ base.matrix
         residual = np.max(np.abs(q - q.conj().T), initial=0.0)
-        if residual > 1e-8 * max(1.0, np.linalg.norm(q, 2)):
+        if exceeds_scaled_tol(residual, q, RANK_TOL):
             raise ArithmeticError(
                 f"graph pairing is not Hermitian (residual {residual:.3e})"
             )
@@ -828,11 +828,12 @@ def maslov_semipositive(path: LagrangianPairPath, seed: int = 0) -> int:
         sum over 0 < t <= 1 of (dim(lam(t) inter mu) - left limit),
 
     the total upward jump of the intersection dimension, counted at the
-    jump time. Semi-positivity is verified by sampling the eigenvalues
-    of Q(lam, t) at every grid point; an eigenvalue below
-    -_FORM_ZERO max(1, ||Q||_2), with _FORM_ZERO = 1e-7, raises with the
-    offending t. The jumps are the rises, over 0 < t <= 1, of the number
-    of eigenvalues of the relative unitary within 1e-8 of 1, read off
+    jump time. Semi-positivity is verified at every grid point by the
+    zero rule of the crossing-form signatures: an eigenvalue of Q(lam, t)
+    below -_FORM_ZERO max(||J||_2, ||Q||_2) raises with the offending t.
+    The rule scales with the data, so it holds under J -> cJ. The jumps
+    are the rises, over 0 < t <= 1, of the number of eigenvalues of the
+    relative unitary within 1e-8 of 1, read off
     :func:`_crossing_events`, the scan ``maslov_crossings`` uses. A
     plateau where the pair stays intersected counts once, at its start.
     The result agrees with the lower winding count, and with the upper
@@ -852,11 +853,10 @@ def maslov_semipositive(path: LagrangianPairPath, seed: int = 0) -> int:
             raise ValueError("the jump-count method requires a constant mu")
     for smp in path.samples:
         q, _ = one_sided_form(path, smp.s, "lam", seed)
-        low = float(np.min(q.eigenvalues(), initial=0.0))
-        if low < -_FORM_ZERO * max(1.0, np.linalg.norm(q.matrix, 2)):
+        if _signature(q, smp.form)[1]:
             raise ValueError(
                 f"path is not semi-positive at t={smp.s:.6f}: "
-                f"Q(lam, t) has eigenvalue {low:.3e}"
+                f"Q(lam, t) has eigenvalue {q.eigenvalues()[0]:.3e}"
             )
     levels = _crossing_events(path)
     return sum(max(0, z - z_prev) for (*_, z_prev), (*_, z) in zip(levels, levels[1:]))

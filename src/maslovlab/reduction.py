@@ -36,12 +36,14 @@ from .frames import (
     Frame,
     HermitianMatrix,
     Projection,
+    exceeds_scaled_tol,
     gap_delta,
     gap_hat,
     intersect,
     orth_complement,
     orthonormalize,
     subspace_sum,
+    well_conditioned,
 )
 from .sampling import random_unitary, rng_from_seed
 from .symplectic import SymplecticForm, annihilator, classify, omega_matrix
@@ -180,10 +182,8 @@ def decomposition_from_parts(
         raise ValueError(
             f"block dimensions sum to {t.shape[1]}, ambient dimension is {form.dim}"
         )
-    if t.shape[1]:
-        s = np.linalg.svd(t, compute_uv=False)
-        if s[-1] <= RANK_TOL * s[0]:
-            raise ArithmeticError("the four blocks do not form a direct sum")
+    if t.shape[1] and not well_conditioned(t):
+        raise ArithmeticError("the four blocks do not form a direct sum")
     x0 = subspace_sum(lam0, v)
     x1 = subspace_sum(lam1, mu1)
     if x0.dim != lam0.dim + v.dim or x1.dim != lam1.dim + mu1.dim:
@@ -261,8 +261,7 @@ def intrinsic_decomposition(
             )
         if r:
             stack = np.hstack([v.matrix, span.matrix])
-            s = np.linalg.svd(stack, compute_uv=False)
-            if stack.shape[1] != form.dim or s[-1] <= RANK_TOL * s[0]:
+            if stack.shape[1] != form.dim or not well_conditioned(stack):
                 raise ValueError("v_choice is not a complement of lam + mu")
     elif r == 0:
         v = Frame.empty(form.dim)
@@ -359,8 +358,7 @@ def _graph_block(
     if r == 0:
         sol = np.zeros((k, 0), dtype=complex)
     else:
-        s = np.linalg.svd(blocks[0], compute_uv=False)
-        if s[-1] <= RANK_TOL * max(1.0, s[0]):
+        if not well_conditioned(blocks[0]):
             raise ArithmeticError(
                 f"{label} is not a graph over the anchor block "
                 "(transversality to the complementary blocks fails)"
@@ -406,10 +404,8 @@ def graph_coefficients_in_bases(
         lam1_basis.shape[1],
         mu1_basis.shape[1],
     )
-    if form.dim:
-        s = np.linalg.svd(ts, compute_uv=False)
-        if s[-1] <= RANK_TOL * max(1.0, s[0]):
-            raise ArithmeticError("block bases are numerically dependent")
+    if form.dim and not well_conditioned(ts):
+        raise ArithmeticError("block bases are numerically dependent")
     c = np.linalg.solve(ts, lam.matrix) if form.dim else np.zeros((0, 0), dtype=complex)
     d = np.linalg.solve(ts, mu.matrix) if form.dim else np.zeros((0, 0), dtype=complex)
     a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam")
@@ -471,8 +467,7 @@ def composite_coefficients(
     if dec.v.dim != r or dec.mu1.dim != q:
         raise ValueError("composite route expects blocks sized (r, r, q, q)")
     ts = np.hstack([dec.lam0.matrix, dec.v.matrix, dec.lam1.matrix, dec.mu1.matrix])
-    s = np.linalg.svd(ts, compute_uv=False)
-    if s[-1] <= RANK_TOL * max(1.0, s[0]):
+    if not well_conditioned(ts):
         raise ArithmeticError("block bases are numerically dependent")
     c = np.linalg.solve(ts, lam.matrix)
     d = np.linalg.solve(ts, mu.matrix)
@@ -481,20 +476,15 @@ def composite_coefficients(
     cdom = np.vstack([c0, cl])
     ddom = np.vstack([d0, dm])
     for label, dom in (("lam", cdom), ("mu", ddom)):
-        sv = np.linalg.svd(dom, compute_uv=False)
-        if dom.shape[0] != dom.shape[1] or sv[-1] <= RANK_TOL * max(1.0, sv[0]):
+        if dom.shape[0] != dom.shape[1] or not well_conditioned(dom):
             raise ArithmeticError(f"{label} is not a graph over its domain blocks")
     a = np.vstack([cv, cm]) @ np.linalg.inv(cdom)
     b = np.vstack([dv, dl]) @ np.linalg.inv(ddom)
     a11, a12, a21, a22 = a[:r, :r], a[:r, r:], a[r:, :r], a[r:, r:]
     b11, b12, b21, b22 = b[:r, :r], b[:r, r:], b[r:, :r], b[r:, r:]
     core = np.eye(q, dtype=complex) - a22 @ b22
-    if q:
-        sv = np.linalg.svd(core, compute_uv=False)
-        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-            raise ArithmeticError(
-                "composite route not applicable: I - A22 B22 is singular"
-            )
+    if q and not well_conditioned(core):
+        raise ArithmeticError("composite route not applicable: I - A22 B22 is singular")
     t1 = np.linalg.solve(core, a21 + a22 @ b21) if q else np.zeros((0, r), dtype=complex)
     a1f = a11 - b11 + a12 @ b21 - (b12 - a12 @ b22) @ t1
     f_basis = dec.lam0.matrix + dec.v.matrix @ b11 + dec.lam1.matrix @ b21
@@ -536,8 +526,7 @@ def reduced_pair(
     lift_b = np.hstack([l0b + vb @ b1, zero_pad])
     jl = base - lift_a.conj().T @ form.j @ lift_a
     jr = base - lift_b.conj().T @ form.j @ lift_b
-    scale = max(1.0, np.linalg.norm(jl, 2))
-    if np.max(np.abs(jl - jr)) > 1e-10 * scale:
+    if exceeds_scaled_tol(np.max(np.abs(jl - jr)), jl, 1e-10):
         raise ArithmeticError("left and right induced forms on X0 disagree")
     basis_change = dec.x0.matrix.conj().T @ f0
     ginv = np.linalg.inv(basis_change)
@@ -550,7 +539,7 @@ def reduced_pair(
     )
     if anchors_annihilate <= 1e-12 * jscale:
         restriction = dec.x0.matrix.conj().T @ form.j @ dec.x0.matrix
-        if np.max(np.abs(jl_x0 - restriction)) > 1e-10 * scale:
+        if exceeds_scaled_tol(np.max(np.abs(jl_x0 - restriction)), jl, 1e-10):
             raise ArithmeticError(
                 "induced form should equal the restriction of omega on X0 "
                 "but does not"

@@ -28,11 +28,11 @@ from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
+    _residual_svd,
     hermitian_eig,
-    intersect,
     orthonormalize,
 )
-from .maslov import LagrangianPairPath, PathSample, _refined_path, maslov_winding
+from .maslov import _ANGLE_SNAP, LagrangianPairPath, PathSample, _refined_path, maslov_winding
 from .refinement import check_sample_times
 from .symplectic import SymplecticForm, annihilator
 
@@ -59,10 +59,10 @@ __all__ = [
 
 _UNITARY_TOL = 1e-10
 _SPECTRAL_MAP_TOL = 1e-9
-# Winding's 1e-8 rad endpoint snap on the graph angle 2 arctan(lam), read
-# as an eigenvalue threshold. It is absolute, not relative to the matrix
-# scale, and sf_relation applies the same snap (ROADMAP direction 4).
-_MORSE_ZERO = math.tan(0.5e-8)
+# Winding's endpoint snap on the graph angle 2 arctan(lam), read as an
+# eigenvalue threshold. It is absolute, not relative to the matrix
+# scale, and sf_relation applies the same snap.
+_MORSE_ZERO = math.tan(0.5 * _ANGLE_SNAP)
 
 
 def product_form(tau: np.ndarray) -> SymplecticForm:
@@ -138,6 +138,22 @@ def vertical_relation(dim_x: int, dim_y: int) -> LinearRelation:
     return LinearRelation(dim_x, dim_y, orthonormalize(stacked))
 
 
+def _projection_parts(a: Frame, fibre: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """Image of a under the coordinate projection with kernel ``fibre``,
+    and a cap fibre, from the one SVD of a - P_fibre a that
+    :func:`intersect` reads.
+
+    Directions whose sine is at most ``RANK_TOL`` span a cap fibre; the
+    other left singular vectors span the image, so the two dimensions
+    add up to dim a.
+    """
+    if a.dim == 0:
+        return a.matrix, a.matrix
+    u, sines, vh = _residual_svd(a, fibre)
+    meets = sines <= RANK_TOL
+    return u[:, ~meets], a.matrix @ vh[meets].conj().T
+
+
 def relation_parts(r: LinearRelation) -> tuple[Frame, Frame, Frame, Frame]:
     """Domain, range, kernel and indeterminate part of a relation.
 
@@ -145,17 +161,21 @@ def relation_parts(r: LinearRelation) -> tuple[Frame, Frame, Frame, Frame]:
     subspace; the kernel collects x with (x, 0) in the relation and the
     indeterminate part collects y with (0, y) in it. Domain and kernel
     are frames in X, range and indeterminate part are frames in Y.
+
+    Each projection decides its image and its kernel pairs by one rank
+    decision, the principal-angle sines of the relation against the
+    projection's fibre, so dim domain + dim indeterminate and
+    dim range + dim kernel both equal dim A.
     """
-    mat = r.subspace.matrix
-    domain = orthonormalize(mat[: r.dim_x, :])
-    rng = orthonormalize(mat[r.dim_x :, :])
-    horizontal = horizontal_relation(r.dim_x, r.dim_y).subspace
-    vertical = vertical_relation(r.dim_x, r.dim_y).subspace
-    ker_pairs = intersect(r.subspace, horizontal)
-    indet_pairs = intersect(r.subspace, vertical)
-    kernel = orthonormalize(ker_pairs.matrix[: r.dim_x, :])
-    indeterminate = orthonormalize(indet_pairs.matrix[r.dim_x :, :])
-    return domain, rng, kernel, indeterminate
+    eye = np.eye(r.dim_x + r.dim_y, dtype=complex)
+    dom, indet_pairs = _projection_parts(r.subspace, Frame(eye[:, r.dim_x :]))
+    rng, ker_pairs = _projection_parts(r.subspace, Frame(eye[:, : r.dim_x]))
+    return (
+        Frame._of_orthonormal(dom[: r.dim_x]),
+        Frame._of_orthonormal(rng[r.dim_x :]),
+        orthonormalize(ker_pairs[: r.dim_x]),
+        orthonormalize(indet_pairs[r.dim_x :]),
+    )
 
 
 def relation_inverse(r: LinearRelation) -> LinearRelation:
@@ -208,22 +228,15 @@ def relation_compose(outer: LinearRelation, inner: LinearRelation) -> LinearRela
 
 
 def relation_index(r: LinearRelation) -> int:
-    """Fredholm index dim ker - dim coker, checked against rank-nullity.
+    """Fredholm index dim ker - dim coker.
 
     The count uses the kernel and range of :func:`relation_parts`. The
     projection (x, y) -> y maps A onto its range with the kernel pairs
-    as its kernel, so in finite dimension the index is dim A - dim Y;
-    a count that differs means the kernel and range rank decisions
-    disagree about a direction, and raises.
+    as its kernel, and one rank decision gives both, so the index is
+    dim A - dim Y by rank-nullity, for every relation.
     """
     _, rng, kernel, _ = relation_parts(r)
-    direct = kernel.dim - (r.dim_y - rng.dim)
-    if direct != r.dim - r.dim_y:
-        raise ArithmeticError(
-            f"relation index: kernel/cokernel count {direct}, but rank-nullity "
-            f"gives dim A - dim Y = {r.dim - r.dim_y}"
-        )
-    return direct
+    return kernel.dim - (r.dim_y - rng.dim)
 
 
 def relation_adjoint(form: SymplecticForm, r: LinearRelation) -> LinearRelation:

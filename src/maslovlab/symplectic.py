@@ -99,7 +99,7 @@ class SymplecticForm:
         moduli = np.abs(vals)
         sigma_min = float(moduli.min()) if moduli.size else 0.0
         if moduli.size and sigma_min <= 1e-10 * moduli.max():
-            raise ValueError("form matrix is numerically singular")
+            raise ValueError("form matrix is numerically singular (not invertible)")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "eig", (vals, vecs))
         object.__setattr__(self, "sigma_min", sigma_min)

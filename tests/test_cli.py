@@ -364,8 +364,10 @@ def test_verify_rejects_nonpositive_trials(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["run"], ["verify", "flipping", "--trials", "x"], ["nosuch"], []],
-    ids=["run_without_config", "non_integer_trials", "unknown_command", "no_command"],
+    [["run"], ["verify", "flipping", "--trials", "x"], ["nosuch"], [],
+     ["verify", "flipping", "--out-dir", "x"]],
+    ids=["run_without_config", "non_integer_trials", "unknown_command", "no_command",
+         "verify_out_dir"],
 )
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -24,9 +24,10 @@ from maslovlab.frames import (
     orthonormalize,
     relative_index,
     subspace_sum,
+    well_conditioned,
 )
 from maslovlab.sampling import random_subspace, random_unitary, rng_from_seed
-from maslovlab.spectral import graph_relation, relation_index
+from maslovlab.spectral import graph_relation, relation_index, relation_parts
 
 
 def _line(theta):
@@ -285,23 +286,30 @@ def test_intersect_sum_and_index_read_one_set_of_sines(seed, n, data):
     shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     zeros=st.lists(st.booleans(), min_size=4, max_size=4),
 )
-def test_relation_index_of_a_graph_is_its_index_or_raises(seed, shape, zeros):
-    """graph(M) of a p x q matrix has index q - p.
+def test_relation_index_of_a_graph_is_its_index(seed, shape, zeros):
+    """graph(M) of a p x q matrix has index q - p, on every draw.
 
     Each planted singular value of M is 0 or log-uniform in [1e-12, 10].
-    The kernel and range are two rank decisions; where they disagree
-    about a direction, the rank-nullity check raises instead of
-    returning another integer.
+    Each coordinate projection decides its image and its kernel pairs
+    by one rank decision, so both projections satisfy rank-nullity.
     """
     p, q = shape
     rng = rng_from_seed((0xF4A4, seed))
     r = min(p, q)
     values = np.where(zeros[:r], 0.0, 10.0 ** rng.uniform(-12.0, 1.0, r))
     m = random_unitary(rng, p)[:, :r] @ np.diag(values) @ random_unitary(rng, q)[:r, :]
-    try:
-        assert relation_index(graph_relation(m)) == q - p
-    except ArithmeticError as err:
-        assert "rank-nullity" in str(err)
+    rel = graph_relation(m)
+    domain, rng_frame, kernel, indeterminate = relation_parts(rel)
+    assert domain.dim + indeterminate.dim == rel.dim
+    assert rng_frame.dim + kernel.dim == rel.dim
+    assert relation_index(rel) == q - p
+
+
+def test_well_conditioned_is_relative_with_a_floor_of_one():
+    assert not well_conditioned(np.diag([1.0, 0.99e-8]))
+    assert well_conditioned(np.diag([1.0, 1.01e-8]))
+    assert not well_conditioned(np.diag([1e-9, 1e-18]))
+    assert not well_conditioned(np.zeros((0, 0)))
 
 
 def test_hermitian_eig_sorted_with_residual_gate():

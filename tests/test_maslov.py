@@ -56,10 +56,11 @@ def line(angle: float) -> Frame:
     return orthonormalize(np.array([[np.cos(angle)], [np.sin(angle)]], dtype=complex))
 
 
-def line_path(angle_fn, num_samples: int = 21) -> LagrangianPairPath:
-    """Pair path of a rotating line against the fixed horizontal line."""
+def line_path(angle_fn, num_samples: int = 21,
+              form: SymplecticForm = FORM2) -> LagrangianPairPath:
+    """Pair path of a rotating line against the fixed horizontal line under ``form``."""
     return LagrangianPairPath.from_callable(
-        lambda s: (FORM2, line(angle_fn(s)), MU_HORIZONTAL), num_samples=num_samples
+        lambda s: (form, line(angle_fn(s)), MU_HORIZONTAL), num_samples=num_samples
     )
 
 
@@ -813,8 +814,17 @@ def test_semipositive_benchmark_counts_one():
     assert maslov_semipositive(benchmark_pair_path()) == 1
 
 
-def test_semipositive_two_rotations_count_two():
-    path = line_path(lambda s: -np.pi / 4 + 1.5 * np.pi * s, num_samples=41)
+# J -> cJ is a symplectic isomorphism, so semi-positivity and the count
+# must not depend on c; the zero test scales with ||J||_2.
+FORM_SCALES = pytest.mark.parametrize(
+    "c", [1e-12, 1e-8, 1.0, 1e12], ids=["1e-12", "1e-8", "1", "1e12"]
+)
+
+
+@FORM_SCALES
+def test_semipositive_two_rotations_count_two(c):
+    path = line_path(lambda s: -np.pi / 4 + 1.5 * np.pi * s, num_samples=41,
+                     form=SymplecticForm(c * FORM2.j))
     assert maslov_semipositive(path) == 2
     result = maslov_winding(path)
     assert (result.mas_plus, result.mas_minus) == (2, 2)
@@ -825,8 +835,9 @@ def test_semipositive_matches_lower_index_at_endpoint_crossing():
     assert maslov_semipositive(path) == maslov_winding(path).mas_minus == 1
 
 
-def test_semipositive_rejects_negative_motion():
-    path = line_path(lambda s: 0.3 - 0.9 * s)
+@FORM_SCALES
+def test_semipositive_rejects_negative_motion(c):
+    path = line_path(lambda s: 0.3 - 0.9 * s, form=SymplecticForm(c * FORM2.j))
     with pytest.raises(ValueError, match="not semi-positive at t="):
         maslov_semipositive(path)
 
