@@ -196,7 +196,16 @@ def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:
     A non-finite defect still reaches the norm, which raises on
     non-finite input.
     """
-    return not defect <= tol and defect > tol * max(1.0, np.linalg.norm(a, 2))
+    return not defect <= tol and defect > tol * max(1.0, _norm2(a))
+
+
+def _norm2(a: np.ndarray) -> float:
+    """||a||_2, 0 for an empty matrix.
+
+    The same LAPACK call and reduction as ``np.linalg.norm(a, 2)``, so
+    the same bits, without its axis handling.
+    """
+    return np.linalg.svd(a, compute_uv=False).max(initial=0.0)
 
 
 def well_conditioned(m: np.ndarray) -> bool:
@@ -205,7 +214,11 @@ def well_conditioned(m: np.ndarray) -> bool:
     For a non-square matrix this asks for full rank. An empty matrix is
     not well conditioned.
     """
-    s = np.linalg.svd(m, compute_uv=False)
+    return _conditioned(np.linalg.svd(m, compute_uv=False))
+
+
+def _conditioned(s: np.ndarray) -> bool:
+    """The rule of :func:`well_conditioned` on singular values already at hand."""
     return s.size > 0 and bool(s[-1] > RANK_TOL * max(1.0, s[0]))
 
 
@@ -352,7 +365,7 @@ def gap_delta(m: Frame, n: Frame) -> float:
     if m.dim == 0:
         return 0.0
     r = m.matrix - n.matrix @ (n.matrix.conj().T @ m.matrix)
-    s = scipy.linalg.svd(r, compute_uv=False)
+    s = np.linalg.svd(r, compute_uv=False)
     return float(np.clip(s[0] if s.size else 0.0, 0.0, 1.0))
 
 
@@ -381,7 +394,7 @@ def minimum_gap(m: Frame, n: Frame) -> float:
     # and dist(u, m cap n) = |u1|.
     rest = intersect(m, orth_complement(cap))
     r = rest.matrix - n.matrix @ (n.matrix.conj().T @ rest.matrix)
-    s = scipy.linalg.svd(r, compute_uv=False)
+    s = np.linalg.svd(r, compute_uv=False)
     val = float(s[-1]) if s.size else 1.0
     return float(np.clip(val, 0.0, 1.0))
 
@@ -406,7 +419,7 @@ def relative_index(p: Projection, q: Projection) -> int:
     if fq.dim == 0:
         return fp.dim
     t = fq.matrix.conj().T @ (q.matrix @ fp.matrix)
-    s = scipy.linalg.svd(t, compute_uv=False)
+    s = np.linalg.svd(t, compute_uv=False)
     rank = int(np.sum(s > RANK_TOL * max(s[0], 1.0))) if s.size else 0
     ker = fp.dim - rank
     coker = fq.dim - rank
@@ -430,16 +443,44 @@ def fredholm_pair_index(m: Frame, n: Frame):
     return cap, codim, cap - codim
 
 
+_HEEVR, _HEEVR_LWORK = scipy.linalg.get_lapack_funcs(
+    ("heevr", "heevr_lwork"), (np.zeros(1, dtype=complex),)
+)
+
+
+@cache
+def _heevr_lwork(n: int) -> dict:
+    lwork, lrwork, liwork, info = _HEEVR_LWORK(n, lower=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return {"lwork": int(lwork.real), "lrwork": int(lrwork), "liwork": int(liwork)}
+
+
+def _heevr(a: np.ndarray):
+    """Eigenvalues and eigenvectors of a complex Hermitian matrix by LAPACK heevr.
+
+    The same routine, lower triangle and workspace that
+    ``scipy.linalg.eigh(a)`` uses, so the same bits, with the workspace
+    query done once per size. Non-square or non-finite input, or a
+    failed decomposition, goes through scipy for its checks and errors.
+    """
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and np.isfinite(a).all():
+        vals, vecs, _, _, info = _HEEVR(a, lower=1, **_heevr_lwork(a.shape[0]))
+        if info == 0:
+            return vals, vecs
+    return scipy.linalg.eigh(a)
+
+
 def hermitian_eig(a):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
-    Wraps scipy's ``eigh`` and verifies the residual ||A V - V diag|| is
-    below 1e-10 times ||A||.
+    Decomposes as scipy's ``eigh`` does and verifies the residual
+    ||A V - V diag|| is below 1e-10 times ||A||.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    vals, vecs = scipy.linalg.eigh(a)
+    vals, vecs = _heevr(a)
     scale = max(np.abs(vals).max(), 1.0)
     res = np.max(np.abs(a @ vecs - vecs * vals))
     if res > 1e-10 * scale:

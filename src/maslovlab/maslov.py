@@ -57,7 +57,7 @@ from .frames import (
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
     complementary_lagrangian,
-    graph_coefficients,
+    graph_coefficients_in_bases,
     intrinsic_decomposition,
     pair_decomposition,
     reduced_pair,
@@ -65,6 +65,7 @@ from .reduction import (
 from .symplectic import (
     SymplecticForm,
     _NotLagrangian,
+    annihilator,
     classify,
     direct_sum,
     lagrangian_generators,
@@ -462,8 +463,9 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
 
 def _pair_coefficient_matrix(
     form: SymplecticForm,
-    anchor_lam0: Frame,
-    anchor_v: Frame,
+    lam0: Frame,
+    v: Frame,
+    v_ann: Frame,
     lam: Frame,
     mu: Frame,
 ) -> np.ndarray:
@@ -473,12 +475,18 @@ def _pair_coefficient_matrix(
     symmetry or isotropy gates: along a path of forms the matrix is
     only Hermitian at the crossing itself, while its derivative there
     is. The graph coefficients are taken in the fixed anchor frames, so
-    matrices at nearby parameters are directly comparable.
+    matrices at nearby parameters are directly comparable. ``v_ann`` is
+    the annihilator of V under ``form``; the pair blocks are
+    lam1 = v_ann inter lam and mu1 = v_ann inter mu, and the direct sum
+    of the four blocks is gated where the coefficients are solved for.
     """
-    dec = pair_decomposition(form, anchor_lam0, anchor_v, lam, mu)
-    a1, _, b1, _ = graph_coefficients(form, dec, lam, mu)
-    diff = anchor_v.matrix @ (a1 - b1)
-    return diff.conj().T @ form.j @ anchor_lam0.matrix
+    lam1 = intersect(v_ann, lam)
+    mu1 = intersect(v_ann, mu)
+    a1, _, b1, _ = graph_coefficients_in_bases(
+        form, lam0.matrix, v.matrix, lam1.matrix, mu1.matrix, lam, mu
+    )
+    diff = v.matrix @ (a1 - b1)
+    return diff.conj().T @ form.j @ lam0.matrix
 
 
 def _matrix_derivative(qfun, t: float, h: float):
@@ -540,6 +548,14 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
     signature must agree, which exercises the independence of the form
     from that choice.
 
+    Each stencil point s computes only what the pairing reads: the pair
+    blocks lam1 = V^omega(s) inter lam(s) and mu1 = V^omega(s) inter
+    mu(s), then A1 and B1 from one solve against the four blocks, whose
+    direct sum is gated there. V^omega(t) is taken once per complement
+    and reused at every s whose form is the same object as at t; a form
+    that moves with s gets its own annihilator. No projection onto
+    lam0 + V is built, since the pairing does not read one.
+
     Raises
     ------
     ValueError
@@ -555,10 +571,12 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
 
     def gamma_with_seed(v_seed: int) -> tuple[HermitianMatrix, Frame]:
         dec = intrinsic_decomposition(form_t, lam_t, mu_t, seed=v_seed)
+        v_ann_t = annihilator(form_t, dec.v)
 
         def qfun(s: float) -> np.ndarray:
             form_s, lam_s, mu_s = path.evaluate(s)
-            return _pair_coefficient_matrix(form_s, dec.lam0, dec.v, lam_s, mu_s)
+            v_ann = v_ann_t if form_s is form_t else annihilator(form_s, dec.v)
+            return _pair_coefficient_matrix(form_s, dec.lam0, dec.v, v_ann, lam_s, mu_s)
 
         coarse, fine, combined = _matrix_derivative(qfun, t, _FD_STEP)
         g_coarse = _hermitize_derivative(coarse, "crossing form")

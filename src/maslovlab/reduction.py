@@ -29,13 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
     Projection,
+    _conditioned,
+    _norm2,
     exceeds_scaled_tol,
     gap_delta,
     gap_hat,
@@ -343,7 +344,10 @@ def _graph_block(
     ``coords`` holds the subspace basis in the stacked block basis; the
     rows split by ``dims``. The subspace must project onto block 0 with
     a kernel contained in the free block, which pins the coefficients
-    uniquely.
+    uniquely. One full SVD U S V^H of block 0 gives the invertibility
+    gate, the right inverse V S^-1 U^H (the minimum-norm solution that
+    ``lstsq`` returns) and the kernel, the last rows of V^H (the basis
+    ``scipy.linalg.null_space`` returns).
     """
     r = dims[0]
     k = coords.shape[1]
@@ -354,21 +358,21 @@ def _graph_block(
         )
     edges = np.cumsum((0,) + dims)
     blocks = [coords[edges[i] : edges[i + 1]] for i in range(4)]
-    scale = max(1.0, np.linalg.norm(coords, 2))
+    scale = max(1.0, _norm2(coords))
     if r == 0:
         sol = np.zeros((k, 0), dtype=complex)
+        kernel = np.eye(k, dtype=complex)
     else:
-        if not well_conditioned(blocks[0]):
+        u, s, vh = np.linalg.svd(blocks[0])
+        if not _conditioned(s):
             raise ArithmeticError(
                 f"{label} is not a graph over the anchor block "
                 "(transversality to the complementary blocks fails)"
             )
-        sol = np.linalg.lstsq(blocks[0], np.eye(r, dtype=complex), rcond=None)[0]
+        sol = (vh[:r].conj().T / s) @ u.conj().T
         if np.max(np.abs(blocks[0] @ sol - np.eye(r))) > _IDENTITY_TOL * scale:
             raise ArithmeticError(f"{label}: anchor block has no right inverse")
-    kernel = scipy.linalg.null_space(blocks[0]) if r else np.eye(k, dtype=complex)
-    if kernel.shape[1] != k - r:
-        raise ArithmeticError(f"{label}: anchor block has defective kernel")
+        kernel = vh[r:].conj().T
     for idx in coef_indices:
         if kernel.size and np.max(np.abs(blocks[idx] @ kernel), initial=0.0) > _IDENTITY_TOL * scale:
             raise ArithmeticError(
@@ -406,8 +410,10 @@ def graph_coefficients_in_bases(
     )
     if form.dim and not well_conditioned(ts):
         raise ArithmeticError("block bases are numerically dependent")
-    c = np.linalg.solve(ts, lam.matrix) if form.dim else np.zeros((0, 0), dtype=complex)
-    d = np.linalg.solve(ts, mu.matrix) if form.dim else np.zeros((0, 0), dtype=complex)
+    if form.dim:
+        c, d = np.hsplit(np.linalg.solve(ts, np.hstack([lam.matrix, mu.matrix])), [lam.dim])
+    else:
+        c = d = np.zeros((0, 0), dtype=complex)
     a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam")
     b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu")
     lam_rb = orthonormalize(np.hstack([lam0_basis + v_basis @ a1 + mu1_basis @ a2, lam1_basis]))

@@ -513,9 +513,9 @@ def test_complement_dependence_is_caught_at_small_form_scale(monkeypatch):
     pair_coefficient_matrix = maslov._pair_coefficient_matrix
     complements = {}
 
-    def complement_dependent(form, anchor_lam0, anchor_v, lam, mu):
-        q = pair_coefficient_matrix(form, anchor_lam0, anchor_v, lam, mu)
-        index = complements.setdefault(anchor_v.matrix.tobytes(), len(complements))
+    def complement_dependent(form, lam0, v, v_ann, lam, mu):
+        q = pair_coefficient_matrix(form, lam0, v, v_ann, lam, mu)
+        index = complements.setdefault(v.matrix.tobytes(), len(complements))
         return (1.0 + 1e-3 * index) * q
 
     monkeypatch.setattr(maslov, "_pair_coefficient_matrix", complement_dependent)
@@ -892,14 +892,68 @@ def close_crossings_path(case) -> LagrangianPairPath:
     return drawn_lines_path((0x5041, case), 1 + case % 4, 65)
 
 
-def drawn_lines_path(key, k, num_samples) -> LagrangianPairPath:
-    """k lines drawn from ``numpy.random.default_rng(key)``, see close_crossings_path."""
-    rng = np.random.default_rng(key)
+def draw_lines(rng, k):
+    """Start angles a, rates b and partner angles c of k lines, and a
+    change of coordinates P = U diag(d) V with d in [0.5, 2]."""
     a = rng.uniform(0.0, np.pi, k)
     b = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, k)
     c = rng.uniform(0.0, np.pi, k)
     p = (random_unitary(rng, 2 * k) * rng.uniform(0.5, 2.0, 2 * k)) @ random_unitary(rng, 2 * k)
+    return a, b, c, p
+
+
+def drawn_lines_path(key, k, num_samples) -> LagrangianPairPath:
+    """k lines drawn from ``numpy.random.default_rng(key)``, see close_crossings_path."""
+    a, b, c, p = draw_lines(np.random.default_rng(key), k)
     return line_sum_path(lambda s: a + b * s, c, p, num_samples)
+
+
+def moving_form_lines_path(k: int) -> LagrangianPairPath:
+    """k drawn lines moved by P(s) = expm(sK) P, so the form J(s) changes with s.
+
+    Line i turns from angle a_i at rate b_i against a line at c_i, as in
+    drawn_lines_path. K is mostly a rotation, with a little stretch.
+    """
+    rng = np.random.default_rng((0x7A14, k))
+    a, b, c, p = draw_lines(rng, k)
+    g = rng.standard_normal((2, 2 * k, 2 * k)) + 1j * rng.standard_normal((2, 2 * k, 2 * k))
+    h_rot, h_stretch = (h + h.conj().T for h in g)
+    generator = 1j * h_rot / np.linalg.norm(h_rot, 2) + 0.3 * h_stretch / np.linalg.norm(h_stretch, 2)
+    j0 = scipy.linalg.block_diag(*[J2] * k)
+
+    def fn(s: float):
+        ps = scipy.linalg.expm(s * generator) @ p
+        pinv = np.linalg.inv(ps)
+        return (
+            SymplecticForm(pinv.conj().T @ j0 @ pinv),
+            orthonormalize(ps @ lines_frame(a + b * s)),
+            orthonormalize(ps @ lines_frame(c)),
+        )
+
+    return LagrangianPairPath.from_callable(fn, 33)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_crossings_match_winding_when_the_form_moves(monkeypatch, k):
+    """Under a moving form every stencil point of a crossing form takes
+    the annihilator of V under its own form: the four interior points of
+    each of the two complements, on top of one at the crossing itself."""
+    path = moving_form_lines_path(k)
+    forms = []
+    annihilator = maslov.annihilator
+
+    def recorded(form, v):
+        forms.append(form)
+        return annihilator(form, v)
+
+    monkeypatch.setattr(maslov, "annihilator", recorded)
+    got = maslov_crossings(path)
+    want = maslov_winding(path)
+    assert (got.mas_plus, got.mas_minus) == (want.mas_plus, want.mas_minus)
+    at_crossings = [path.evaluate(rec.t)[0] for rec in got.crossings]
+    moved = [f for f in forms if all(f is not form_t for form_t in at_crossings)]
+    assert got.crossings and len(moved) == 8 * len(got.crossings)
+    assert len(forms) == 10 * len(got.crossings)
 
 
 @pytest.mark.parametrize(

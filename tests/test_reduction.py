@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from maslovlab.frames import (
     Frame,
@@ -34,6 +36,7 @@ from maslovlab.sampling import (
     random_lagrangian_containing,
     random_lagrangian_pair,
     random_symplectic_form,
+    random_unitary,
     rng_from_seed,
 )
 from maslovlab.symplectic import (
@@ -246,6 +249,36 @@ def test_graph_coefficients_near_reference_pair():
     x0_form, lam_red, mu_red = reduced_pair(f, dec_s, lam_s, mu_s)
     assert x0_form.dim == 4
     assert intersect(lam_red, mu_red).dim == intersect(lam_s, mu_s).dim
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(0, 4), q=st.integers(0, 4))
+def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
+    """Planted A1, A2, B1, B2 on an oblique block basis come back.
+
+    The blocks lam0, V (dimension r) and lam1, mu1 (dimension q) are the
+    columns of T = U diag(d) W with d in [0.5, 2], so the block basis is
+    well conditioned but not orthonormal. Tilting one direction of lam
+    off lam0 into V (+) mu1 leaves lam no graph over the anchor block.
+    """
+    assume(1 <= r + q <= 4)
+    rng = rng_from_seed((0x6C0F, seed))
+    n = 2 * (r + q)
+    t = (random_unitary(rng, n) * rng.uniform(0.5, 2.0, n)) @ random_unitary(rng, n)
+    l0, v, l1, m1 = np.split(t, np.cumsum([r, r, q]), axis=1)
+    a1, b1 = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    a2, b2 = rng.standard_normal((2, q, r)) + 1j * rng.standard_normal((2, q, r))
+    lam_graph = l0 + v @ a1 + m1 @ a2
+    lam = orthonormalize(np.hstack([lam_graph, l1]))
+    mu = orthonormalize(np.hstack([l0 + v @ b1 + l1 @ b2, m1]))
+    got = graph_coefficients_in_bases(standard_form(r + q), l0, v, l1, m1, lam, mu)
+    for planted, value in zip((a1, a2, b1, b2), got):
+        assert value.shape == planted.shape
+        assert np.max(np.abs(value - planted), initial=0.0) < 1e-9
+    if r:
+        lam_graph[:, 0] -= l0[:, 0] - v[:, 0]
+        tilted = orthonormalize(np.hstack([lam_graph, l1]))
+        with pytest.raises(ArithmeticError, match="lam is not a graph over the anchor block"):
+            graph_coefficients_in_bases(standard_form(r + q), l0, v, l1, m1, tilted, mu)
 
 
 def test_intersection_form_kernel_counts_intersection():
