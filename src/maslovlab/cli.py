@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .bvp import (
     HamiltonianFamily,
@@ -56,7 +55,7 @@ from .bvp import (
     separated_condition,
     splitting_check,
 )
-from .frames import gap_delta, orthonormalize
+from .frames import Frame, _block_diag, gap_delta, orthonormalize
 from .maslov import (
     LagrangianPairPath,
     benchmark_pair_path,
@@ -268,7 +267,8 @@ def _load_config(path: str) -> dict:
 # Path constructions shared by scenarios and suites
 
 
-_FORM2 = SymplecticForm(np.array([[0.0, -1.0], [1.0, 0.0]]))
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_FORM2 = SymplecticForm(_J2)
 
 
 def _line(angle: float):
@@ -416,9 +416,6 @@ def _run_reduction_demo(params: dict, seed: int):
     }
     curves = {"theta_curves.csv": _curve_rows(direct.theta_curves, _THETA_HEADER)}
     return results, curves
-
-
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _bvp_ingredients(family: str, seed: int):
@@ -575,14 +572,15 @@ def _suite_direct_sum(trials: int, seed: int) -> int:
         path_a = rotating_pair_path(rng_from_seed((0xD5A0, seed, trial)), dim=2)
         path_b = rotating_pair_path(rng_from_seed((0xD5A1, seed, trial)), dim=4)
         # Each summand carries one constant form, so the summed form is
-        # built from their eigendata and split once per trial.
+        # built from their eigendata and split once per trial; a
+        # block-diagonal array of two frames is orthonormal as it stands.
         form = direct_sum(path_a.samples[0].form, path_b.samples[0].form)
 
         def summed_fn(s: float):
             _, lam_a, mu_a = path_a.callback(s)
             _, lam_b, mu_b = path_b.callback(s)
-            lam = orthonormalize(scipy.linalg.block_diag(lam_a.matrix, lam_b.matrix))
-            mu = orthonormalize(scipy.linalg.block_diag(mu_a.matrix, mu_b.matrix))
+            lam = Frame._of_orthonormal(_block_diag([lam_a.matrix, lam_b.matrix]))
+            mu = Frame._of_orthonormal(_block_diag([mu_a.matrix, mu_b.matrix]))
             return form, lam, mu
 
         summed_path = LagrangianPairPath.from_callable(summed_fn, num_samples=33)

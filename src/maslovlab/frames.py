@@ -57,8 +57,8 @@ class Frame:
     Parameters
     ----------
     matrix : ndarray
-        Complex N x k matrix whose columns are orthonormal to 1e-12.
-        k = 0 encodes the zero subspace.
+        Complex N x k matrix of finite entries whose columns are
+        orthonormal to 1e-12. k = 0 encodes the zero subspace.
 
     Notes
     -----
@@ -76,12 +76,13 @@ class Frame:
         if k > n:
             raise ValueError(f"frame has {k} columns in ambient dimension {n}")
         if k > 0:
-            res = m.conj().T @ m - np.eye(k)
-            if np.max(np.abs(res)) > _ORTHO_TOL:
-                raise ValueError(
-                    "frame columns are not orthonormal "
-                    f"(residual {np.max(np.abs(res)):.3e})"
-                )
+            # A non-finite entry makes the residual non-finite, so only a
+            # frame that fails the test is scanned for one.
+            res = np.max(np.abs(m.conj().T @ m - np.eye(k)))
+            if not res <= _ORTHO_TOL:
+                if not np.isfinite(m).all():
+                    raise ValueError("frame matrix has non-finite entries")
+                raise ValueError(f"frame columns are not orthonormal (residual {res:.3e})")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -98,7 +99,7 @@ class Frame:
 
         Columns that come out of an SVD are orthonormal to roundoff, and
         so are the columns of a block-diagonal array of frames, so the
-        construction check is skipped.
+        construction checks are skipped.
         """
         frame = object.__new__(cls)
         object.__setattr__(frame, "matrix", m)
@@ -154,10 +155,10 @@ class Projection:
 class HermitianMatrix:
     """Hermitian matrix wrapper; symmetrizes (A + A^H)/2 at construction.
 
-    Construction fails if the anti-Hermitian part exceeds 1e-12 relative
-    to the norm; use :meth:`from_symmetrized` for matrices obtained from
-    finite differences, where larger symmetrization is expected and
-    harmless.
+    Construction fails on non-finite entries, and if the anti-Hermitian
+    part exceeds 1e-12 relative to the norm; use :meth:`from_symmetrized`
+    for matrices obtained from finite differences, where larger
+    symmetrization is expected and harmless.
     """
 
     matrix: np.ndarray
@@ -166,6 +167,8 @@ class HermitianMatrix:
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("Hermitian matrix must be square")
+        if not np.isfinite(a).all():
+            raise ValueError("Hermitian matrix has non-finite entries")
         sym = (a + a.conj().T) / 2.0
         defect = np.max(np.abs(a - sym)) if a.size else 0.0
         if exceeds_scaled_tol(defect, a, 1e-12):

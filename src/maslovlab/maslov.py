@@ -56,10 +56,10 @@ from .frames import (
 )
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
+    IntrinsicDecomposition,
     complementary_lagrangian,
-    graph_coefficients_in_bases,
+    graph_coefficients,
     intrinsic_decomposition,
-    pair_decomposition,
     reduced_pair,
 )
 from .symplectic import (
@@ -461,50 +461,27 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
     return _checked_result(mas_plus, mas_minus, dim0, dim1, "winding", theta_curves=theta)
 
 
-def _pair_coefficient_matrix(
-    form: SymplecticForm,
-    lam0: Frame,
-    v: Frame,
-    v_ann: Frame,
-    lam: Frame,
-    mu: Frame,
-) -> np.ndarray:
-    """Raw pairing matrix omega(x, (A1 - B1) y) on the anchor coordinates.
+def _anchored_sample(
+    path: LagrangianPairPath,
+    s: float,
+    form_t: SymplecticForm,
+    anchor: IntrinsicDecomposition,
+    v_ann_t: Frame,
+) -> tuple[SymplecticForm, Frame, Frame, IntrinsicDecomposition]:
+    """(form, lam, mu) at s, with their decomposition on the anchor's lam0 and V.
 
-    Unlike the Hermitian intersection form, this is computed without
-    symmetry or isotropy gates: along a path of forms the matrix is
-    only Hermitian at the crossing itself, while its derivative there
-    is. The graph coefficients are taken in the fixed anchor frames, so
-    matrices at nearby parameters are directly comparable. ``v_ann`` is
-    the annihilator of V under ``form``; the pair blocks are
-    lam1 = v_ann inter lam and mu1 = v_ann inter mu, and the direct sum
-    of the four blocks is gated where the coefficients are solved for.
+    ``anchor`` is the intrinsic decomposition at a t whose form is
+    ``form_t``, with ``v_ann_t`` = V^omega under that form, reused while
+    the form at s is the same object; a moving form gets its own. The
+    pair blocks are V^omega inter lam(s) and V^omega inter mu(s). Their
+    direct sum with lam0 and V is gated where the graph coefficients are
+    solved for. The stencil points of :func:`crossing_form` and the
+    reduced samples of :func:`_segment_counts` both come from here.
     """
-    lam1 = intersect(v_ann, lam)
-    mu1 = intersect(v_ann, mu)
-    a1, _, b1, _ = graph_coefficients_in_bases(
-        form, lam0.matrix, v.matrix, lam1.matrix, mu1.matrix, lam, mu
-    )
-    diff = v.matrix @ (a1 - b1)
-    return diff.conj().T @ form.j @ lam0.matrix
-
-
-def _matrix_derivative(qfun, t: float, h: float):
-    """Second-order derivative of a matrix function at t, one-sided at 0 and 1."""
-    if t - 2 * h >= 0.0 and t + 2 * h <= 1.0:
-        def stencil(step):
-            return (qfun(t + step) - qfun(t - step)) / (2 * step)
-    elif t + 2 * h <= 1.0:
-        def stencil(step):
-            return (-3 * qfun(t) + 4 * qfun(t + step) - qfun(t + 2 * step)) / (2 * step)
-    elif t - 2 * h >= 0.0:
-        def stencil(step):
-            return (3 * qfun(t) - 4 * qfun(t - step) + qfun(t - 2 * step)) / (2 * step)
-    else:
-        raise ValueError(f"finite-difference step {h} is too large for t={t}")
-    coarse = stencil(h)
-    fine = stencil(h / 2)
-    return coarse, fine, (4 * fine - coarse) / 3
+    form, lam, mu = path.evaluate(s)
+    v_ann = v_ann_t if form is form_t else annihilator(form, anchor.v)
+    local = IntrinsicDecomposition(anchor.lam0, anchor.v, intersect(v_ann, lam), intersect(v_ann, mu))
+    return form, lam, mu, local
 
 
 def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
@@ -515,6 +492,37 @@ def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
             "the parameter is probably not a crossing"
         )
     return HermitianMatrix.from_symmetrized(d)
+
+
+def _derivative_form(qfun, t: float, form: SymplecticForm, label: str) -> HermitianMatrix:
+    """The Hermitian derivative at t of the matrix function qfun, named ``label`` in errors.
+
+    Second-order central differences with step ``_FD_STEP`` in the
+    interior, one-sided stencils at 0 and 1. The derivative is also
+    taken at half the step; both must pass the Hermitian gate and have
+    one signature, and the Richardson combination of the two is
+    returned.
+    """
+    h = _FD_STEP
+    if t - 2 * h >= 0.0 and t + 2 * h <= 1.0:
+        offsets, weights = (1, -1), (1, -1)
+    elif t + 2 * h <= 1.0:
+        offsets, weights = (0, 1, 2), (-3, 4, -1)
+    elif t - 2 * h >= 0.0:
+        offsets, weights = (0, -1, -2), (3, -4, 1)
+    else:
+        raise ValueError(f"finite-difference step {h} is too large for t={t}")
+
+    def stencil(step):
+        return sum(w * qfun(t + k * step) for k, w in zip(offsets, weights)) / (2 * step)
+
+    coarse, fine = stencil(h), stencil(h / 2)
+    g_coarse, g_fine = (_hermitize_derivative(d, label) for d in (coarse, fine))
+    if _signature(g_coarse, form) != _signature(g_fine, form):
+        raise ArithmeticError(
+            f"{label} signature at t={t} changed under finite-difference step halving"
+        )
+    return _hermitize_derivative((4 * fine - coarse) / 3, label)
 
 
 def _data_scale(q: HermitianMatrix, form: SymplecticForm) -> float:
@@ -539,22 +547,22 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
         Gamma(x, y) = d/ds omega(s)(x, (A1(s) - B1(s)) y)
 
     of the graph-coefficient pairing taken over the intrinsic
-    decomposition anchored at t. Central finite differences with step
-    ``_FD_STEP`` are used in the interior, second-order one-sided
-    stencils at the endpoints; the step and half-step results must
-    agree in signature and the Richardson combination is returned. The
-    whole computation is repeated with a second complement V and both
-    the matrix, to within 1e-5 max(||J(t)||_2, ||Gamma||_2), and the
-    signature must agree, which exercises the independence of the form
-    from that choice.
+    decomposition anchored at t, by :func:`_derivative_form`: central
+    finite differences with step ``_FD_STEP`` in the interior,
+    second-order one-sided stencils at the endpoints, the step and
+    half-step results agreeing in signature, and their Richardson
+    combination returned. The whole computation is repeated with a
+    second complement V and both the matrix, to within
+    1e-5 max(||J(t)||_2, ||Gamma||_2), and the signature must agree,
+    which exercises the independence of the form from that choice. Both
+    complements anchor on the one frame lam0 = intersect(lam(t), mu(t)),
+    so the two matrices are in the same coordinates.
 
-    Each stencil point s computes only what the pairing reads: the pair
-    blocks lam1 = V^omega(s) inter lam(s) and mu1 = V^omega(s) inter
-    mu(s), then A1 and B1 from one solve against the four blocks, whose
-    direct sum is gated there. V^omega(t) is taken once per complement
-    and reused at every s whose form is the same object as at t; a form
-    that moves with s gets its own annihilator. No projection onto
-    lam0 + V is built, since the pairing does not read one.
+    Each stencil point s is one :func:`_anchored_sample`: the pair
+    blocks V^omega inter lam(s) and V^omega inter mu(s) on the anchor's
+    lam0 and V, then A1 and B1 from one solve against the four blocks,
+    whose direct sum is gated there. The pairing itself is not gated as
+    Hermitian: off the crossing it need not be, only its derivative is.
 
     Raises
     ------
@@ -566,36 +574,26 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
         the choice of complement.
     """
     form_t, lam_t, mu_t = path.evaluate(t)
-    if intersect(lam_t, mu_t).dim == 0:
+    frame = intersect(lam_t, mu_t)
+    if frame.dim == 0:
         raise ValueError(f"no crossing at t={t}: the pair is transversal there")
 
-    def gamma_with_seed(v_seed: int) -> tuple[HermitianMatrix, Frame]:
+    def gamma_with_seed(v_seed: int) -> HermitianMatrix:
         dec = intrinsic_decomposition(form_t, lam_t, mu_t, seed=v_seed)
         v_ann_t = annihilator(form_t, dec.v)
 
         def qfun(s: float) -> np.ndarray:
-            form_s, lam_s, mu_s = path.evaluate(s)
-            v_ann = v_ann_t if form_s is form_t else annihilator(form_s, dec.v)
-            return _pair_coefficient_matrix(form_s, dec.lam0, dec.v, v_ann, lam_s, mu_s)
+            form_s, lam_s, mu_s, local = _anchored_sample(path, s, form_t, dec, v_ann_t)
+            a1, _, b1, _ = graph_coefficients(form_s, local, lam_s, mu_s)
+            diff = local.v.matrix @ (a1 - b1)
+            return diff.conj().T @ form_s.j @ local.lam0.matrix
 
-        coarse, fine, combined = _matrix_derivative(qfun, t, _FD_STEP)
-        g_coarse = _hermitize_derivative(coarse, "crossing form")
-        g_fine = _hermitize_derivative(fine, "crossing form")
-        if _signature(g_coarse, form_t) != _signature(g_fine, form_t):
-            raise ArithmeticError(
-                f"crossing form signature at t={t} changed under "
-                "finite-difference step halving"
-            )
-        return _hermitize_derivative(combined, "crossing form"), dec.lam0
+        return _derivative_form(qfun, t, form_t, "crossing form")
 
-    gamma, frame = gamma_with_seed(seed)
-    gamma_alt, frame_alt = gamma_with_seed(seed + 101)
-    if gap_hat(frame, frame_alt) > 1e-9:
-        raise ArithmeticError("intersection frame changed between complement choices")
-    basis_change = frame_alt.matrix.conj().T @ frame.matrix
-    transported = basis_change.conj().T @ gamma_alt.matrix @ basis_change
+    gamma = gamma_with_seed(seed)
+    gamma_alt = gamma_with_seed(seed + 101)
     if _signature(gamma, form_t) != _signature(gamma_alt, form_t) or (
-        np.max(np.abs(gamma.matrix - transported), initial=0.0)
+        np.max(np.abs(gamma.matrix - gamma_alt.matrix), initial=0.0)
         > 1e-5 * _data_scale(gamma, form_t)
     ):
         raise ArithmeticError(
@@ -615,8 +613,10 @@ def one_sided_form(
     Writes the chosen member near t as the graph of A(s) from its
     position at t into a fixed Lagrangian complement W and returns the
     derivative at t of q(s)(x, y) = omega(x, A(s) y) on the coordinates
-    of the member's frame at t (also returned). Requires the symplectic
-    form to be constant near t. A path whose Q is positive
+    of the member's frame at t (also returned), by
+    :func:`_derivative_form`. Requires the symplectic form to be
+    constant near t: a stencil form that is not the form object at t
+    must lie within 1e-10 ||J(t)||_2 of it. A path whose Q is positive
     semi-definite for every t is semi-positive; for a fixed form the
     crossing form is the difference of the two one-sided forms
     restricted to the intersection.
@@ -627,11 +627,12 @@ def one_sided_form(
     base = lam_t if member == "lam" else mu_t
     w = complementary_lagrangian(form_t, base, base, seed=seed)
     frame_matrix = np.hstack([base.matrix, w.matrix])
-    jscale = np.linalg.norm(form_t.j, 2)
 
     def qfun(s: float) -> np.ndarray:
         form_s, lam_s, mu_s = path.evaluate(s)
-        if np.linalg.norm(form_s.j - form_t.j, 2) > 1e-10 * jscale:
+        if form_s is not form_t and (
+            np.linalg.norm(form_s.j - form_t.j, 2) > 1e-10 * np.linalg.norm(form_t.j, 2)
+        ):
             raise ValueError(
                 "one-sided form needs a locally constant symplectic form"
             )
@@ -652,15 +653,7 @@ def one_sided_form(
             )
         return (q + q.conj().T) / 2.0
 
-    coarse, fine, combined = _matrix_derivative(qfun, t, _FD_STEP)
-    g_coarse = _hermitize_derivative(coarse, "one-sided form")
-    g_fine = _hermitize_derivative(fine, "one-sided form")
-    if _signature(g_coarse, form_t) != _signature(g_fine, form_t):
-        raise ArithmeticError(
-            f"one-sided form signature at t={t} changed under "
-            "finite-difference step halving"
-        )
-    return _hermitize_derivative(combined, "one-sided form"), base
+    return _derivative_form(qfun, t, form_t, "one-sided form"), base
 
 
 def _scan_pieces(a: float, b: float, value, motion) -> Iterator[tuple[float, float]]:
@@ -891,7 +884,8 @@ def _segment_counts(
     """Reduced winding counts of the segment [lo, hi] around one span.
 
     The anchor is the intrinsic decomposition at t: each parameter is
-    reduced onto X0 = lam0 + V once, and the reduced path through lo, t
+    reduced onto X0 = lam0 + V once, by :func:`_anchored_sample` and
+    :func:`reduction.reduced_pair`, and the reduced path through lo, t
     and hi, refined through the reduced callback, is counted by
     :func:`maslov_winding`. A gate that fails moves both ends halfway
     toward the span, and the ``_MAX_DEPTH + 1``-th failure raises. The
@@ -900,12 +894,12 @@ def _segment_counts(
     """
     form, lam, mu = path.evaluate(t)
     dec = intrinsic_decomposition(form, lam, mu, seed=seed)
+    v_ann = annihilator(form, dec.v)
     reduced: dict[float, tuple[SymplecticForm, Frame, Frame]] = {}
 
     def reduce(s: float) -> tuple[SymplecticForm, Frame, Frame]:
         if s not in reduced:
-            form_s, lam_s, mu_s = path.evaluate(s)
-            local = pair_decomposition(form_s, dec.lam0, dec.v, lam_s, mu_s)
+            form_s, lam_s, mu_s, local = _anchored_sample(path, s, form, dec, v_ann)
             reduced[s] = reduced_pair(form_s, local, lam_s, mu_s)
         return reduced[s]
 

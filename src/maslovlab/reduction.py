@@ -27,6 +27,7 @@ what the localized Maslov counting in the maslov module runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,23 +146,38 @@ def reduce_subspace(form: SymplecticForm, w: Frame, lam: Frame) -> Frame:
 class IntrinsicDecomposition:
     """Four-block decomposition X = lam0 (+) V (+) lam1 (+) mu1.
 
-    ``x0`` and ``x1`` are frames for X0 = lam0 + V and X1 = lam1 + mu1,
-    and ``p0`` is the projection onto X0 along X1. A decomposition
-    anchored at its own generating pair (the output of
-    :func:`intrinsic_decomposition`) additionally has X1 equal to the
-    annihilator of X0, so the two are mutually annihilating symplectic
-    subspaces. A container adapted to a pair that has moved away from
-    the anchors (see :func:`pair_decomposition`) keeps the direct-sum
-    structure but not that extra identity.
+    Only the four blocks are stored. Frames ``x0`` of X0 = lam0 + V and
+    ``x1`` of X1 = lam1 + mu1, and ``p0``, the projection onto X0 along
+    X1 with its range and kernel checked against them, are worked out on
+    first read. The output of :func:`intrinsic_decomposition` also has
+    X1 = X0^omega, so the two are mutually annihilating symplectic
+    subspaces; a container tracking a pair away from its anchors (see
+    :func:`pair_decomposition`) keeps only the direct sum.
     """
 
     lam0: Frame
     v: Frame
     lam1: Frame
     mu1: Frame
-    x0: Frame
-    x1: Frame
-    p0: np.ndarray
+
+    @cached_property
+    def x0(self) -> Frame:
+        return subspace_sum(self.lam0, self.v)
+
+    @cached_property
+    def x1(self) -> Frame:
+        return subspace_sum(self.lam1, self.mu1)
+
+    @cached_property
+    def p0(self) -> np.ndarray:
+        t = np.hstack([self.lam0.matrix, self.v.matrix, self.lam1.matrix, self.mu1.matrix])
+        n, d0 = t.shape[0], self.lam0.dim + self.v.dim
+        if d0 == n:
+            return np.eye(n, dtype=complex)
+        proj = Projection(t[:, :d0] @ np.linalg.inv(t)[:d0, :])
+        if gap_hat(proj.range(), self.x0) > _IDENTITY_TOL or gap_hat(proj.kernel(), self.x1) > _IDENTITY_TOL:
+            raise ArithmeticError("projection onto X0 along X1 is inconsistent")
+        return proj.matrix
 
 
 def decomposition_from_parts(
@@ -174,9 +190,12 @@ def decomposition_from_parts(
 ) -> IntrinsicDecomposition:
     """Assemble and validate the four-block container from explicit frames.
 
-    With ``require_annihilator`` the blocks must satisfy X1 = X0^omega;
-    drop it only for containers tracking a pair away from its anchors,
-    where the direct sum is all the graph calculus needs.
+    T = [lam0 | V | lam1 | mu1] must be square and well conditioned;
+    sigma_min(T) bounds the sines between the blocks from below, so X0
+    and X1 then keep their dimensions. With ``require_annihilator`` X1
+    must also be X0^omega; drop it only for containers tracking a pair
+    away from its anchors, where the direct sum is all the graph
+    calculus needs.
     """
     t = np.hstack([lam0.matrix, v.matrix, lam1.matrix, mu1.matrix])
     if t.shape[1] != form.dim:
@@ -185,25 +204,10 @@ def decomposition_from_parts(
         )
     if t.shape[1] and not well_conditioned(t):
         raise ArithmeticError("the four blocks do not form a direct sum")
-    x0 = subspace_sum(lam0, v)
-    x1 = subspace_sum(lam1, mu1)
-    if x0.dim != lam0.dim + v.dim or x1.dim != lam1.dim + mu1.dim:
-        raise ArithmeticError("blocks overlap: X0 or X1 loses dimension")
-    d0 = x0.dim
-    if d0 == 0:
-        p0 = np.zeros((form.dim, form.dim), dtype=complex)
-    elif d0 == form.dim:
-        p0 = np.eye(form.dim, dtype=complex)
-    else:
-        tinv = np.linalg.inv(t)
-        p0 = t[:, :d0] @ tinv[:d0, :]
-        proj = Projection(p0)
-        if gap_hat(proj.range(), x0) > _IDENTITY_TOL or gap_hat(proj.kernel(), x1) > _IDENTITY_TOL:
-            raise ArithmeticError("projection onto X0 along X1 is inconsistent")
-        p0 = proj.matrix
-    if require_annihilator and gap_hat(annihilator(form, x0), x1) > _IDENTITY_TOL:
+    dec = IntrinsicDecomposition(lam0, v, lam1, mu1)
+    if require_annihilator and gap_hat(annihilator(form, dec.x0), dec.x1) > _IDENTITY_TOL:
         raise ArithmeticError("X1 is not the annihilator of X0")
-    return IntrinsicDecomposition(lam0, v, lam1, mu1, x0, x1, p0)
+    return dec
 
 
 def pair_decomposition(
@@ -516,6 +520,8 @@ def reduced_pair(
     lam0 annihilates either pair block they both collapse to the plain
     restriction of omega. Everything is returned in the coordinates of
     the orthonormal frame of X0: the induced form, P0(lam) and P0(mu).
+    P0 maps lam onto {x0 + A1 x0}, so P0(lam) and P0(mu) are the spans
+    of lam0 + V A1 and lam0 + V B1, from the coefficients solved here.
     The projected pair keeps the intersection dimension of the original.
     """
     a1, _, b1, _ = graph_coefficients(form, dec, lam, mu)
@@ -527,15 +533,16 @@ def reduced_pair(
         return SymplecticForm(np.zeros((0, 0))), empty, empty
     f0 = np.hstack([l0b, vb])
     base = f0.conj().T @ form.j @ f0
+    graph_a, graph_b = l0b + vb @ a1, l0b + vb @ b1
     zero_pad = np.zeros((form.dim, rv), dtype=complex)
-    lift_a = np.hstack([l0b + vb @ a1, zero_pad])
-    lift_b = np.hstack([l0b + vb @ b1, zero_pad])
+    lift_a = np.hstack([graph_a, zero_pad])
+    lift_b = np.hstack([graph_b, zero_pad])
     jl = base - lift_a.conj().T @ form.j @ lift_a
     jr = base - lift_b.conj().T @ form.j @ lift_b
     if exceeds_scaled_tol(np.max(np.abs(jl - jr)), jl, 1e-10):
         raise ArithmeticError("left and right induced forms on X0 disagree")
-    basis_change = dec.x0.matrix.conj().T @ f0
-    ginv = np.linalg.inv(basis_change)
+    x0h = dec.x0.matrix.conj().T
+    ginv = np.linalg.inv(x0h @ f0)
     jl_x0 = ginv.conj().T @ jl @ ginv
     x0_form = SymplecticForm((jl_x0 - jl_x0.conj().T) / 2.0)
     jscale = max(1.0, np.linalg.norm(form.j, 2))
@@ -544,18 +551,14 @@ def reduced_pair(
         np.max(np.abs(omega_matrix(form, dec.lam0, dec.mu1)), initial=0.0),
     )
     if anchors_annihilate <= 1e-12 * jscale:
-        restriction = dec.x0.matrix.conj().T @ form.j @ dec.x0.matrix
+        restriction = x0h @ form.j @ dec.x0.matrix
         if exceeds_scaled_tol(np.max(np.abs(jl_x0 - restriction)), jl, 1e-10):
             raise ArithmeticError(
                 "induced form should equal the restriction of omega on X0 "
                 "but does not"
             )
-    lam_red = orthonormalize(
-        dec.x0.matrix.conj().T @ (dec.p0 @ lam.matrix), scale_floor=1.0
-    )
-    mu_red = orthonormalize(
-        dec.x0.matrix.conj().T @ (dec.p0 @ mu.matrix), scale_floor=1.0
-    )
+    lam_red = orthonormalize(x0h @ graph_a, scale_floor=1.0)
+    mu_red = orthonormalize(x0h @ graph_b, scale_floor=1.0)
     if intersect(lam_red, mu_red).dim != intersect(lam, mu).dim:
         raise ArithmeticError("projection onto X0 changed the intersection dimension")
     return x0_form, lam_red, mu_red

@@ -11,6 +11,7 @@ import pytest
 
 from maslovlab import cli
 from maslovlab.cli import ConfigError, main, run_suite
+from maslovlab.frames import Frame, HermitianMatrix
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -313,6 +314,26 @@ def test_numerical_gate_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, {"schema": 1, "kind": "maslov_path"})
     assert main(["run", cfg]) == 2
     assert "numerical gate failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build, name",
+    [(lambda m: Frame(m[:, :1]), "frame matrix"), (HermitianMatrix, "Hermitian matrix")],
+)
+def test_non_finite_input_is_named_and_maps_to_exit_2(tmp_path, monkeypatch, capsys, bad, build, name):
+    matrix = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        build(matrix)
+
+    def scenario(params, seed):
+        build(matrix)
+
+    monkeypatch.setitem(cli._SCENARIOS, "maslov_path", scenario)
+    cfg = write_config(tmp_path, {"schema": 1, "kind": "maslov_path"})
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "numerical gate failure" in err and f"{name} has non-finite entries" in err
 
 
 def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Tests for the Maslov index engines and their cross-checks."""
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -11,6 +12,7 @@ import scipy.linalg
 
 from maslovlab.frames import (
     Frame,
+    Projection,
     fredholm_pair_index,
     gap_hat,
     intersect,
@@ -35,11 +37,12 @@ from maslovlab.maslov import (
     maslov_winding,
     one_sided_form,
 )
-from maslovlab.reduction import intrinsic_decomposition, pair_decomposition
+from maslovlab.reduction import intrinsic_decomposition, reduced_pair
 from maslovlab.sampling import (
     form_deformation,
     lagrangian_rotation,
     random_lagrangian,
+    random_lagrangian_pair,
     random_symplectic_form,
     random_unitary,
     rng_from_seed,
@@ -510,15 +513,18 @@ def test_complement_dependence_is_caught_at_small_form_scale(monkeypatch):
     max(||J||_2, ||Gamma||_2), not to max(1, ||Gamma||_2)."""
     path = _rescaled(benchmark_pair_path(), 1e-9)
     assert crossing_form(path, 0.5).signature == (1, 0, 0)
-    pair_coefficient_matrix = maslov._pair_coefficient_matrix
+    anchored_sample = maslov._anchored_sample
     complements = {}
 
-    def complement_dependent(form, lam0, v, v_ann, lam, mu):
-        q = pair_coefficient_matrix(form, lam0, v, v_ann, lam, mu)
-        index = complements.setdefault(v.matrix.tobytes(), len(complements))
-        return (1.0 + 1e-3 * index) * q
+    def complement_dependent(path, s, form_t, anchor, v_ann_t):
+        form, lam, mu, local = anchored_sample(path, s, form_t, anchor, v_ann_t)
+        index = complements.setdefault(anchor.v.matrix.tobytes(), len(complements))
+        # The pairing omega(x, (A1 - B1) y) on lam0 coordinates is
+        # quadratic in the scale of the lam0 basis.
+        lam0 = Frame._of_orthonormal(np.sqrt(1.0 + 1e-3 * index) * local.lam0.matrix)
+        return form, lam, mu, dataclasses.replace(local, lam0=lam0)
 
-    monkeypatch.setattr(maslov, "_pair_coefficient_matrix", complement_dependent)
+    monkeypatch.setattr(maslov, "_anchored_sample", complement_dependent)
     with pytest.raises(ArithmeticError, match="depends on the choice of complement"):
         crossing_form(path, 0.5)
     assert len(complements) == 2
@@ -723,10 +729,10 @@ def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkey
     reductions, scans = Counter(), Counter()
     built = {"transversal anchors": 0, "anchors": 0}
 
-    def counted_decomposition(form, lam0, v, lam, mu, *args, **kwargs):
-        key = (lam0.matrix.tobytes(), v.matrix.tobytes(), lam.matrix.tobytes(), mu.matrix.tobytes())
+    def counted_reduction(form, dec, lam, mu):
+        key = (dec.lam0.matrix.tobytes(), dec.v.matrix.tobytes(), lam.matrix.tobytes(), mu.matrix.tobytes())
         reductions[key] += 1
-        return pair_decomposition(form, lam0, v, lam, mu, *args, **kwargs)
+        return reduced_pair(form, dec, lam, mu)
 
     def counted_scan(a, b, value, motion):
         scans[(a, b)] += 1
@@ -739,7 +745,7 @@ def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkey
         return dec
 
     scan_pieces = maslov._scan_pieces
-    monkeypatch.setattr(maslov, "pair_decomposition", counted_decomposition)
+    monkeypatch.setattr(maslov, "reduced_pair", counted_reduction)
     monkeypatch.setattr(maslov, "_scan_pieces", counted_scan)
     monkeypatch.setattr(maslov, "intrinsic_decomposition", counted_anchor)
     red = maslov_reduced(path, seed=seed)
@@ -750,6 +756,26 @@ def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkey
     assert max(scans.values()) == 1
     assert built["anchors"] > 0 and built["transversal anchors"] == 0
     assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus)
+
+
+def test_maslov_routes_build_no_projection(monkeypatch):
+    """Crossing forms and reduced samples take P0 from the graph
+    coefficients, so neither route constructs a Projection."""
+    built = []
+    init = Projection.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Projection, "__init__", counted)
+    maslov_crossings(benchmark_pair_path())
+    maslov_reduced(*reduction_case("criterion 04 trial 1"))
+    assert built == []
+    rng = rng_from_seed(0x90)
+    form = random_symplectic_form(rng, 4)
+    intrinsic_decomposition(form, *random_lagrangian_pair(rng, form, intersection_dim=1)).p0
+    assert built == [1]
 
 
 @pytest.mark.parametrize("case", REDUCTION_CASES)

@@ -281,6 +281,29 @@ def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
             graph_coefficients_in_bases(standard_form(r + q), l0, v, l1, m1, tilted, mu)
 
 
+@given(seed=st.integers(0, 2**32 - 1), half_dim=st.integers(2, 5), cap=st.integers(0, 3))
+def test_reduced_pair_spans_the_projection_onto_x0(seed, half_dim, cap):
+    """reduced_pair's P0(lam) = span(lam0 + V A1) and P0(mu) = span(lam0 + V B1)
+    are x0^H p0 lam and x0^H p0 mu, with the derived p0 as reference.
+
+    The pair is drawn in C^4 to C^10 with an intersection of dimension
+    0 to 3 and anchored there, then moved by 0.05 on the same anchors.
+    """
+    assume(cap <= half_dim)
+    rng = rng_from_seed((0x5E0D, seed))
+    f = random_symplectic_form(rng, 2 * half_dim)
+    lam, mu = random_lagrangian_pair(rng, f, intersection_dim=cap)
+    dec = intrinsic_decomposition(f, lam, mu, seed=seed)
+    lam_s = perturb_lagrangian(rng, f, lam, 0.05)
+    mu_s = perturb_lagrangian(rng, f, mu, 0.05)
+    for local, pair in ((dec, (lam, mu)), (pair_decomposition(f, dec.lam0, dec.v, lam_s, mu_s), (lam_s, mu_s))):
+        reduced = reduced_pair(f, local, *pair)[1:]
+        for red, sub in zip(reduced, pair):
+            want = orthonormalize(local.x0.matrix.conj().T @ local.p0 @ sub.matrix, scale_floor=1.0)
+            assert red.dim == want.dim == local.lam0.dim
+            assert gap_hat(red, want) < 1e-9
+
+
 def test_intersection_form_kernel_counts_intersection():
     rng = rng_from_seed(14)
     f = random_symplectic_form(rng, 8)
