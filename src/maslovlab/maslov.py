@@ -20,10 +20,13 @@ The winding route is the most robust (it needs no regularity at the
 crossings) and serves as the reference implementation.
 
 One scan, :func:`_crossing_events`, finds where the pair intersects
-between samples: its piece loop, :func:`_scan_pieces`, bisects where
-the distance of the relative unitary's spectrum to 1 can reach 0, and
-counts of its eigenvalues near 1 cut the path into levels of constant
-intersection dimension, so no winding branch is shared.
+between samples: its piece scan, :func:`_scan_pieces`, halves all
+sample gaps together, one level at a time, where the distance of the
+relative unitary's spectrum to 1 can reach 0. Each level's new
+parameters are evaluated, then checked as Lagrangian in one stack by
+:func:`_check_pairs`. Counts of the eigenvalues near 1 cut the path
+into levels of constant intersection dimension, so no winding branch
+is shared.
 ``maslov_crossings`` takes crossing forms in the spans where the pair
 intersects, ``maslov_semipositive`` adds up the rises between levels,
 and ``maslov_reduced`` anchors one reduced segment at each peak level.
@@ -229,9 +232,11 @@ class LagrangianPairPath:
     Every sample's lam and mu are checked as Lagrangian at ``RANK_TOL``
     in one call of :func:`symplectic.lagrangian_generators`, lam and mu
     of each sample in turn, so the error names the first failing sample
-    along the path and its member. The relative angles of every checked
-    s are kept on the path (see :func:`_path_angles`), so no route
-    checks a parameter twice.
+    along the path and its member. That is :func:`_check_pairs`, the
+    one stacked check, which the crossing scan also runs once per level
+    and :func:`_path_angles` once per new parameter. The relative
+    angles of every checked s are kept on the path, so no route checks
+    a parameter twice.
 
     The callback, when given, must evaluate the same path at arbitrary
     s; the counting routes use it to refine between samples. Being a
@@ -254,16 +259,7 @@ class LagrangianPairPath:
         object.__setattr__(self, "_memo", memo)
         if any(smp.form.dim != samples[0].form.dim for smp in samples):
             raise ValueError("all samples must share one ambient dimension")
-        members = [sub for smp in samples for sub in (smp.lam, smp.mu)]
-        try:
-            u = lagrangian_generators([smp.form for smp in samples for _ in range(2)], members)
-        except _NotLagrangian as err:
-            smp, name = samples[err.index // 2], ("lam", "mu")[err.index % 2]
-            raise ValueError(
-                f"sample at s={smp.s:.6f}: {name} is {err.kind}, not lagrangian"
-            ) from None
-        for smp, angles in zip(samples, _generator_angles(u[0::2], u[1::2])):
-            self._angles[smp.s] = angles
+        _check_pairs(self, memo.times, _SAMPLE_FAILURE)
         if gated:
             return
         failure = next((f for f in _sampling_failures(samples) if f is not None), None)
@@ -370,6 +366,38 @@ def _generator_angles(u_lam: np.ndarray, u_mu: np.ndarray) -> np.ndarray:
     return np.angle(vals / np.abs(vals))
 
 
+# How the Lagrangian check names a failing pair: a sample of the path,
+# or a parameter that refinement or a scan reached.
+_SAMPLE_FAILURE = "sample at s={s:.6f}: {member} is {kind}, not lagrangian"
+_VALUE_FAILURE = "s={s:.6f}: {member} subspace is {kind}, not lagrangian"
+
+
+def _check_pairs(path: LagrangianPairPath, params, failure: str = _VALUE_FAILURE) -> None:
+    """Check the pairs at ``params`` as Lagrangian in one stack and keep their angles.
+
+    Parameters whose angles the path already keeps are skipped. The
+    others are evaluated, their lam and mu, each parameter in increasing
+    order, go through one call of :func:`symplectic.lagrangian_generators`,
+    and their angles (see :func:`_path_angles`) through one
+    :func:`_generator_angles`. A pair that is not Lagrangian raises
+    ValueError, worded by ``failure``, with the smallest such parameter
+    and its member.
+    """
+    params = sorted({float(s) for s in params} - path._angles.keys())
+    if not params:
+        return
+    values = [path.evaluate(s) for s in params]
+    try:
+        u = lagrangian_generators(
+            [form for form, _, _ in values for _ in range(2)],
+            [sub for _, lam, mu in values for sub in (lam, mu)],
+        )
+    except _NotLagrangian as err:
+        s, member = params[err.index // 2], ("lam", "mu")[err.index % 2]
+        raise ValueError(failure.format(s=s, member=member, kind=err.kind)) from None
+    path._angles.update(zip(params, _generator_angles(u[0::2], u[1::2])))
+
+
 def _path_angles(path: LagrangianPairPath, s: float) -> np.ndarray:
     """Eigenvalue angles of the relative unitary of the pair on X^+ at s.
 
@@ -382,16 +410,12 @@ def _path_angles(path: LagrangianPairPath, s: float) -> np.ndarray:
     eigenvalue computation stable.
 
     The angles of each s are computed once and kept on the path. A pair
-    not seen before is checked as Lagrangian, lam and mu in one call of
-    :func:`symplectic.lagrangian_generators`.
+    not seen before is checked as Lagrangian by :func:`_check_pairs`.
     """
     key = float(s)
-    angles = path._angles.get(key)
-    if angles is None:
-        form, lam, mu = path.evaluate(s)
-        u = lagrangian_generators([form], [lam, mu])
-        angles = path._angles[key] = _generator_angles(u[:1], u[1:])[0]
-    return angles
+    if key not in path._angles:
+        _check_pairs(path, [key])
+    return path._angles[key]
 
 
 def _circular_delta(from_angle, to_angle):
@@ -656,8 +680,8 @@ def one_sided_form(
     return _derivative_form(qfun, t, form_t, "one-sided form"), base
 
 
-def _scan_pieces(a: float, b: float, value, motion) -> Iterator[tuple[float, float]]:
-    """The pieces of [a, b] where a nonnegative value may reach 0, in order.
+def _scan_pieces(grid, values, motion) -> list[tuple[float, float]]:
+    """The pieces of the gaps of ``grid`` where a nonnegative value may reach 0, in order.
 
     A piece [c, d] is cleared when value(c) + value(d) exceeds
     ``_MOTION_FACTOR`` times motion(c, d). value moves by at most the
@@ -665,25 +689,33 @@ def _scan_pieces(a: float, b: float, value, motion) -> Iterator[tuple[float, flo
     inside it stays within that factor of the motion between its ends.
     That is a measured heuristic: a value that dips and comes back
     inside one piece is not seen. A piece that is not cleared is halved
-    ``_PIECE_DEPTH`` times, to 1/64 of [a, b]; a piece at that depth, or
-    one with value 0 at both ends, is yielded. value is taken once per
-    point.
+    ``_PIECE_DEPTH`` times, to 1/64 of its gap; a piece at that depth,
+    or one with value 0 at both ends, is kept.
+
+    All gaps are scanned together, one depth at a time, so there are at
+    most ``_PIECE_DEPTH + 1`` levels. ``values`` takes the new points of
+    a level, in increasing order, and returns their values; each point
+    is valued once. A piece's fate depends only on the values at its
+    ends and the motion between them, so the pieces are those of a
+    scan of one gap at a time.
     """
-    values: dict[float, float] = {}
-    pieces = [(a, b, 0)]
-    while pieces:
-        c, d, depth = pieces.pop()
-        for s in (c, d):
-            if s not in values:
-                values[s] = value(s)
-        excess = values[c] + values[d]
-        if excess > _MOTION_FACTOR * motion(c, d):
-            continue
-        if excess <= 0.0 or depth == _PIECE_DEPTH:
-            yield c, d
-            continue
-        mid = 0.5 * (c + d)
-        pieces.extend(((mid, d, depth + 1), (c, mid, depth + 1)))
+    known: dict[float, float] = {}
+    pieces = list(zip(grid, grid[1:]))
+    kept = []
+    for depth in range(_PIECE_DEPTH + 1):
+        new = sorted({s for piece in pieces for s in piece} - known.keys())
+        known.update(zip(new, values(new)))
+        level, pieces = pieces, []
+        for c, d in level:
+            excess = known[c] + known[d]
+            if excess > _MOTION_FACTOR * motion(c, d):
+                continue
+            if excess <= 0.0 or depth == _PIECE_DEPTH:
+                kept.append((c, d))
+            else:
+                mid = 0.5 * (c + d)
+                pieces += [(c, mid), (mid, d)]
+    return sorted(kept)
 
 
 def _ordered_angle(s: float, path: LagrangianPairPath, j: int) -> float:
@@ -706,10 +738,13 @@ def _crossing_events(path: LagrangianPairPath) -> list[tuple[float, float, int]]
     above it: a crossing changes p by one, whatever the other angles do.
     No angle is followed from one parameter to the next.
 
-    Each sample gap is scanned by :func:`_scan_pieces` on
-    f(s) = min |angle|, with the Hausdorff distance between the end
-    spectra on the circle as the motion; pieces that will not clear are
-    split down to the floor depth, never located early. A floor piece
+    All sample gaps are scanned together by :func:`_scan_pieces`, one
+    level of halving at a time, on f(s) = min |angle|, with the
+    Hausdorff distance between the end spectra on the circle as the
+    motion; each level's new parameters are evaluated, then checked as
+    Lagrangian in one stack by :func:`_check_pairs`. Pieces that will
+    not clear are split down to the floor depth, never located early.
+    The floor pieces are then searched one at a time. A floor piece
     whose end states differ is bisected where they differ, to brackets
     of 1e-10, dropping brackets that clear against 1e-8 (an angle
     passing pi changes p too). Where z = 0 at both ends and p differs
@@ -730,6 +765,10 @@ def _crossing_events(path: LagrangianPairPath) -> list[tuple[float, float, int]]
     def distance(s: float) -> float:
         return float(np.min(np.abs(_path_angles(path, s))))
 
+    def distances(params: list[float]) -> list[float]:
+        _check_pairs(path, params)
+        return [distance(s) for s in params]
+
     def motion(c: float, d: float) -> float:
         theta_c, theta_d = _path_angles(path, c), _path_angles(path, d)
         delta = np.abs(_circular_delta(theta_c[:, None], theta_d[None, :]))
@@ -740,29 +779,28 @@ def _crossing_events(path: LagrangianPairPath) -> list[tuple[float, float, int]]
         return int(np.sum(np.abs(theta) <= _ANGLE_SNAP)), int(np.sum(theta > _ANGLE_SNAP))
 
     changes = []  # (time, z before, z after)
-    for smp_a, smp_b in zip(path.samples, path.samples[1:]):
-        for piece in _scan_pieces(smp_a.s, smp_b.s, distance, motion):
-            brackets = [piece]
-            while brackets:
-                u, v = brackets.pop()
-                (z_u, p_u), (z_v, p_v) = state(u), state(v)
-                excess = distance(u) + distance(v) - 2.0 * _ANGLE_SNAP
-                if (z_u, p_u) == (z_v, p_v) or excess > _MOTION_FACTOR * motion(u, v):
+    for piece in _scan_pieces([smp.s for smp in path.samples], distances, motion):
+        brackets = [piece]
+        while brackets:
+            u, v = brackets.pop()
+            (z_u, p_u), (z_v, p_v) = state(u), state(v)
+            excess = distance(u) + distance(v) - 2.0 * _ANGLE_SNAP
+            if (z_u, p_u) == (z_v, p_v) or excess > _MOTION_FACTOR * motion(u, v):
+                continue
+            if v - u <= _BISECT_TOL:
+                if z_u != z_v:
+                    changes.append((0.5 * (u + v), z_u, z_v))
+                continue
+            if z_u == z_v == 0 and abs(p_u - p_v) == 1:
+                j = len(_path_angles(path, u)) - max(p_u, p_v)
+                t = scipy.optimize.brentq(
+                    _ordered_angle, u, v, args=(path, j), xtol=_BISECT_TOL
+                )
+                if abs(_ordered_angle(t, path, j)) <= _SCAN_ZERO:
+                    changes.extend(((t, 0, 1), (t, 1, 0)))
                     continue
-                if v - u <= _BISECT_TOL:
-                    if z_u != z_v:
-                        changes.append((0.5 * (u + v), z_u, z_v))
-                    continue
-                if z_u == z_v == 0 and abs(p_u - p_v) == 1:
-                    j = len(_path_angles(path, u)) - max(p_u, p_v)
-                    t = scipy.optimize.brentq(
-                        _ordered_angle, u, v, args=(path, j), xtol=_BISECT_TOL
-                    )
-                    if abs(_ordered_angle(t, path, j)) <= _SCAN_ZERO:
-                        changes.extend(((t, 0, 1), (t, 1, 0)))
-                        continue
-                mid = 0.5 * (u + v)
-                brackets.extend(((mid, v), (u, mid)))
+            mid = 0.5 * (u + v)
+            brackets.extend(((mid, v), (u, mid)))
 
     s_start, s_end = path.samples[0].s, path.samples[-1].s
     starts = [(s_start, state(s_start)[0])]

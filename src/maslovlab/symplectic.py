@@ -110,11 +110,16 @@ class SymplecticForm:
 
     @cached_property
     def _splitting(self) -> "SymplecticSplitting":
+        # Eigenvectors of the checked Hermitian decomposition, or blocks
+        # of them, are orthonormal to roundoff, as SVD columns are.
         vals, vecs = self.eig
         roots = np.sqrt(np.abs(vals))
         plus, minus = vals > 0, vals < 0
         return SymplecticSplitting(
-            Frame(vecs[:, plus]), Frame(vecs[:, minus]), roots[plus], roots[minus]
+            Frame._of_orthonormal(vecs[:, plus]),
+            Frame._of_orthonormal(vecs[:, minus]),
+            roots[plus],
+            roots[minus],
         )
 
 

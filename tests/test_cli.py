@@ -11,7 +11,9 @@ import pytest
 
 from maslovlab import cli
 from maslovlab.cli import ConfigError, main, run_suite
-from maslovlab.frames import Frame, HermitianMatrix
+from maslovlab.frames import Frame, HermitianMatrix, orthonormalize
+from maslovlab.maslov import LagrangianPairPath
+from maslovlab.symplectic import SymplecticForm
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -334,6 +336,27 @@ def test_non_finite_input_is_named_and_maps_to_exit_2(tmp_path, monkeypatch, cap
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "numerical gate failure" in err and f"{name} has non-finite entries" in err
+
+
+def test_off_grid_non_lagrangian_value_maps_to_exit_2(tmp_path, monkeypatch, capsys):
+    """The crossing of lam(s) = span{(1, s - 1/2)} against span{e1} lies
+    inside the sample gap [0.4, 0.6]; the scan halves that gap at
+    s = 0.5, where the callback hands back a symplectic line."""
+    form = SymplecticForm(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    mu = Frame.span([1.0, 0.0])
+
+    def fn(s: float):
+        column = [1.0, 1j] if abs(s - 0.5) < 1e-12 else [1.0, s - 0.5]
+        return form, orthonormalize(np.array(column)[:, None]), mu
+
+    monkeypatch.setattr(cli, "_pair_path_for", lambda *args: LagrangianPairPath.from_callable(fn, 6))
+    cfg = write_config(
+        tmp_path, {"schema": 1, "kind": "maslov_path", "parameters": {"method": "crossing"}}
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "numerical gate failure" in err
+    assert "s=0.500000: lam subspace is symplectic, not lagrangian" in err
 
 
 def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch, capsys):

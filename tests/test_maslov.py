@@ -5,10 +5,13 @@ import gc
 import itertools
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovlab.frames import (
     Frame,
@@ -549,6 +552,23 @@ def test_off_grid_non_lagrangian_value_is_rejected():
         maslov_winding(path)
 
 
+def test_off_grid_failure_of_the_crossing_scan_names_the_smallest_parameter():
+    """The line crosses at s=0.3 and 0.7, inside the sample gaps
+    [0.2, 0.4] and [0.6, 0.8], so one level of the scan reaches both
+    midpoints. There the callback hands back a symplectic lam and a
+    symplectic mu; the stacked check of that level names the smaller s.
+    """
+    symplectic_line = Frame.span(np.array([1.0, 1j]))
+
+    def fn(s: float):
+        lam = symplectic_line if abs(s - 0.3) < 1e-12 else line(3.0 * (s - 0.3) * (s - 0.7))
+        return FORM2, lam, symplectic_line if abs(s - 0.7) < 1e-12 else MU_HORIZONTAL
+
+    path = LagrangianPairPath.from_callable(fn, num_samples=6)
+    with pytest.raises(ValueError, match="^s=0.300000: lam subspace is symplectic, not lagrangian$"):
+        maslov_crossings(path)
+
+
 def test_each_parameter_is_checked_as_lagrangian_once(monkeypatch):
     """Winding then crossings check each path parameter's lam and mu once.
 
@@ -734,9 +754,9 @@ def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkey
         reductions[key] += 1
         return reduced_pair(form, dec, lam, mu)
 
-    def counted_scan(a, b, value, motion):
-        scans[(a, b)] += 1
-        return scan_pieces(a, b, value, motion)
+    def counted_scan(grid, values, motion):
+        scans.update(zip(grid, grid[1:]))
+        return scan_pieces(grid, values, motion)
 
     def counted_anchor(form, lam, mu, *args, **kwargs):
         dec = intrinsic_decomposition(form, lam, mu, *args, **kwargs)
@@ -1081,24 +1101,132 @@ def test_crossings_a_ten_thousandth_apart_count_by_every_route():
 def test_scan_pieces_halve_every_gap_six_times(num_samples):
     """A piece that never clears is halved six times, to 1/64 of its gap,
     whether or not the gap is a dyadic fraction."""
-    grid = np.linspace(0.0, 1.0, num_samples)
-    for a, b in zip(grid, grid[1:]):
-        pieces = list(_scan_pieces(a, b, lambda s: 1.0, lambda c, d: 1.0))
-        assert len(pieces) == 64
-        assert pieces[0][0] == a and pieces[-1][1] == b
-        assert all(d - c == pytest.approx((b - a) / 64, rel=1e-9) for c, d in pieces)
+    grid = list(np.linspace(0.0, 1.0, num_samples))
+    pieces = _scan_pieces(grid, lambda points: [1.0] * len(points), lambda c, d: 1.0)
+    assert len(pieces) == 64 * (num_samples - 1)
+    for k, (a, b) in enumerate(zip(grid, grid[1:])):
+        gap = pieces[64 * k : 64 * (k + 1)]
+        assert gap[0][0] == a and gap[-1][1] == b
+        assert all(d - c == pytest.approx((b - a) / 64, rel=1e-9) for c, d in gap)
 
 
-@pytest.mark.parametrize(
-    "first_line",
-    [
-        lambda s: 0.2 * (s - 0.53) ** 2,
-        lambda s: 0.2 * (s - 0.5302) ** 2,
-        lambda s: 2e-9 + 0.2 * (s - 0.5302) ** 2,
-    ],
-    ids=["touch", "touch mid-piece", "near miss"],
-)
-def test_touch_beside_a_fast_line_counts_nothing_or_raises(first_line):
+def depth_first_scan_pieces(a, b, value, motion):
+    """The pieces of one sample gap [a, b], scanned depth first.
+
+    The reference for the level scan of :func:`maslov._scan_pieces`:
+    one gap at a time, one point at a time, by the same rule.
+    """
+    values = {}
+    pieces = [(a, b, 0)]
+    while pieces:
+        c, d, depth = pieces.pop()
+        for s in (c, d):
+            if s not in values:
+                values[s] = value(s)
+        excess = values[c] + values[d]
+        if excess > maslov._MOTION_FACTOR * motion(c, d):
+            continue
+        if excess <= 0.0 or depth == maslov._PIECE_DEPTH:
+            yield c, d
+            continue
+        mid = 0.5 * (c + d)
+        pieces.extend(((mid, d, depth + 1), (c, mid, depth + 1)))
+
+
+def per_gap_scan(grid, values, motion):
+    """Every gap of the grid through :func:`depth_first_scan_pieces`, in order."""
+    return [
+        piece
+        for a, b in zip(grid, grid[1:])
+        for piece in depth_first_scan_pieces(a, b, lambda s: values([s])[0], motion)
+    ]
+
+
+def scan_record(base: LagrangianPairPath, scan):
+    """Pieces, callback parameters and levels of the crossing scan of
+    base's samples and callback, with ``scan`` as its piece scan."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return base.callback(s)
+
+    pieces = []
+
+    def recorded(grid, values, motion):
+        pieces.extend(scan(grid, values, motion))
+        return list(pieces)
+
+    with mock.patch.object(maslov, "_scan_pieces", recorded):
+        levels = _crossing_events(LagrangianPairPath(base.samples, counted))
+    return pieces, sorted(calls), levels
+
+
+def assert_level_scan_matches_depth_first(base: LagrangianPairPath):
+    pieces, calls, levels = scan_record(base, _scan_pieces)
+    want_pieces, want_calls, want_levels = scan_record(base, per_gap_scan)
+    assert pieces == want_pieces
+    assert calls == want_calls and len(set(calls)) == len(calls)
+    assert levels == want_levels
+
+
+TOUCH_LINES = {
+    "touch": lambda s: 0.2 * (s - 0.53) ** 2,
+    "touch mid-piece": lambda s: 0.2 * (s - 0.5302) ** 2,
+    "near miss": lambda s: 2e-9 + 0.2 * (s - 0.5302) ** 2,
+}
+
+
+def touch_path(case: str) -> LagrangianPairPath:
+    """Line 1 comes back from its partner between samples while line 2
+    turns fast, far from its partner, in C^4 at 21 samples."""
+    first_line = TOUCH_LINES[case]
+    return line_sum_path(lambda s: [first_line(s), 1.0 + 1.5 * s], [0.0, 0.0], np.eye(4), 21)
+
+
+@pytest.mark.parametrize("case", list(TOUCH_LINES))
+def test_level_scan_matches_the_depth_first_scan_near_a_touch(case):
+    """The level scan keeps the pieces, the callback parameters and the
+    levels of a depth-first scan of one gap at a time."""
+    assert_level_scan_matches_depth_first(touch_path(case))
+
+
+@settings(max_examples=20)
+@given(key=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_level_scan_matches_the_depth_first_scan_on_drawn_lines(key, k):
+    """Drawn lines in C^2 to C^8, as in close_crossings_path, at 33 samples."""
+    assert_level_scan_matches_depth_first(drawn_lines_path((0x5CA4, key), k, 33))
+
+
+@pytest.mark.parametrize("case", list(TOUCH_LINES))
+def test_piece_scan_checks_one_stack_per_level(case):
+    """Near a touch the pieces are split down to the floor depth; the
+    scan checks each level's new pairs in one call, at most
+    ``_PIECE_DEPTH + 1`` calls for all its pieces."""
+    path = touch_path(case)
+    stacks, pieces = [], []
+    checked = maslov.lagrangian_generators
+    scan = maslov._scan_pieces
+
+    def counted(forms, frames):
+        if not pieces:  # the scan has not returned yet
+            stacks.append(len(frames))
+        return checked(forms, frames)
+
+    def recorded(grid, values, motion):
+        pieces.extend(scan(grid, values, motion))
+        return list(pieces)
+
+    with mock.patch.object(maslov, "lagrangian_generators", counted), \
+            mock.patch.object(maslov, "_scan_pieces", recorded):
+        _crossing_events(path)
+    assert min(d - c for c, d in pieces) == pytest.approx(1.0 / (20 * 64))
+    assert 0 < len(stacks) <= maslov._PIECE_DEPTH + 1
+    assert all(n > 2 for n in stacks)
+
+
+@pytest.mark.parametrize("case", list(TOUCH_LINES))
+def test_touch_beside_a_fast_line_counts_nothing_or_raises(case):
     """A touch contributes 0 to both counts; the crossing route gives (0, 0) or refuses it.
 
     Line 1 comes back from its partner between samples. Line 2 turns
@@ -1108,7 +1236,7 @@ def test_touch_beside_a_fast_line_counts_nothing_or_raises(first_line):
     touch, is not a crossing: its crossing form has the sign of the
     offset and would count +-1.
     """
-    path = line_sum_path(lambda s: [first_line(s), 1.0 + 1.5 * s], [0.0, 0.0], np.eye(4), 21)
+    path = touch_path(case)
     wind = maslov_winding(path)
     assert (wind.mas_plus, wind.mas_minus) == (0, 0)
     try:

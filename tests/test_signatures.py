@@ -3,7 +3,9 @@
 Rank decisions read ``frames.RANK_TOL``, the crossing and one-sided
 forms step by ``maslov._FD_STEP`` and test zero against
 ``maslov._FORM_ZERO``, the propagator steps against ``bvp._ODE_TOL``,
-and reduced segments retry at most ``maslov._MAX_DEPTH`` times. Each
+and reduced segments retry at most ``maslov._MAX_DEPTH`` times. The
+crossing scan checks each level of its pieces as one stack, so no
+batch or chunk size is a setting either. Each
 threshold has one definition, so a change to it is one edit; a
 parameter that carries a copy of it would let callers drift apart.
 """
@@ -15,7 +17,9 @@ import pkgutil
 import maslovlab
 from maslovlab.maslov import maslov_semipositive
 
-KNOBS = {"rank_tol", "fd_step", "max_depth", "tols", "tol_rank", "ode_tol"}
+KNOBS = {
+    "rank_tol", "fd_step", "max_depth", "tols", "tol_rank", "ode_tol", "batch_size", "chunk_size",
+}
 
 
 def _functions():
