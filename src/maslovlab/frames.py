@@ -202,13 +202,13 @@ def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:
     return not defect <= tol and defect > tol * max(1.0, _norm2(a))
 
 
-def _norm2(a: np.ndarray) -> float:
-    """||a||_2, 0 for an empty matrix.
+def _norm2(a: np.ndarray):
+    """||a||_2, 0 for an empty matrix; one per matrix of a stack.
 
     The same LAPACK call and reduction as ``np.linalg.norm(a, 2)``, so
     the same bits, without its axis handling.
     """
-    return np.linalg.svd(a, compute_uv=False).max(initial=0.0)
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def well_conditioned(m: np.ndarray) -> bool:
@@ -217,12 +217,18 @@ def well_conditioned(m: np.ndarray) -> bool:
     For a non-square matrix this asks for full rank. An empty matrix is
     not well conditioned.
     """
-    return _conditioned(np.linalg.svd(m, compute_uv=False))
+    return bool(_conditioned(np.linalg.svd(m, compute_uv=False)))
 
 
-def _conditioned(s: np.ndarray) -> bool:
-    """The rule of :func:`well_conditioned` on singular values already at hand."""
-    return s.size > 0 and bool(s[-1] > RANK_TOL * max(1.0, s[0]))
+def _conditioned(s: np.ndarray):
+    """The rule of :func:`well_conditioned` on singular values already at hand.
+
+    On a stack of singular values, one answer per matrix along the last
+    axis.
+    """
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=bool)
+    return s[..., -1] > RANK_TOL * np.maximum(1.0, s[..., 0])
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -503,8 +509,11 @@ def morse_counts(q, zero_tol: float | None = None):
     q = np.asarray(q, dtype=complex)
     if zero_tol is None:
         zero_tol = 1e-9 * max(1.0, np.linalg.norm(q, 2) if q.size else 0.0)
-    vals, _ = hermitian_eig(q)
+    return _inertia(hermitian_eig(q)[0], zero_tol)
+
+
+def _inertia(vals: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
+    """(m_plus, m_minus, m_zero) of real eigenvalues, those within ``zero_tol`` of zero counting as zero."""
     plus = int(np.sum(vals > zero_tol))
     minus = int(np.sum(vals < -zero_tol))
-    zero = len(vals) - plus - minus
-    return plus, minus, zero
+    return plus, minus, len(vals) - plus - minus

@@ -50,19 +50,20 @@ from .frames import (
     Frame,
     HermitianMatrix,
     _block_diag,
+    _inertia,
     exceeds_scaled_tol,
     gap_hat,
     intersect,
-    morse_counts,
     orthonormalize,
     well_conditioned,
 )
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
     IntrinsicDecomposition,
+    _anchor_spaces,
+    _decompose,
+    _graph_coefficient_stack,
     complementary_lagrangian,
-    graph_coefficients,
-    intrinsic_decomposition,
     reduced_pair,
 )
 from .symplectic import (
@@ -487,25 +488,63 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
 
 def _anchored_sample(
     path: LagrangianPairPath,
-    s: float,
+    params: list[float],
     form_t: SymplecticForm,
     anchor: IntrinsicDecomposition,
     v_ann_t: Frame,
-) -> tuple[SymplecticForm, Frame, Frame, IntrinsicDecomposition]:
-    """(form, lam, mu) at s, with their decomposition on the anchor's lam0 and V.
+) -> list[tuple[SymplecticForm, Frame, Frame, IntrinsicDecomposition]]:
+    """(form, lam, mu) at each s of ``params``, with their decomposition on the anchor's lam0 and V.
 
     ``anchor`` is the intrinsic decomposition at a t whose form is
     ``form_t``, with ``v_ann_t`` = V^omega under that form, reused while
-    the form at s is the same object; a moving form gets its own. The
-    pair blocks are V^omega inter lam(s) and V^omega inter mu(s). Their
-    direct sum with lam0 and V is gated where the graph coefficients are
-    solved for. The stencil points of :func:`crossing_form` and the
-    reduced samples of :func:`_segment_counts` both come from here.
+    the form at s is the same object; a moving form gets its own at each
+    point. The pair blocks are V^omega inter lam(s) and V^omega inter
+    mu(s), each one :func:`intersect`. Their direct sum with lam0 and V
+    is gated where the graph coefficients are solved for, over all the
+    points at once (:func:`_pairings`). The stencil points of
+    :func:`crossing_form` and the reduced samples of
+    :func:`_segment_counts` both come from here.
     """
-    form, lam, mu = path.evaluate(s)
-    v_ann = v_ann_t if form is form_t else annihilator(form, anchor.v)
-    local = IntrinsicDecomposition(anchor.lam0, anchor.v, intersect(v_ann, lam), intersect(v_ann, mu))
-    return form, lam, mu, local
+    out = []
+    for s in params:
+        form, lam, mu = path.evaluate(s)
+        v_ann = v_ann_t if form is form_t else annihilator(form, anchor.v)
+        local = IntrinsicDecomposition(anchor.lam0, anchor.v, intersect(v_ann, lam), intersect(v_ann, mu))
+        out.append((form, lam, mu, local))
+    return out
+
+
+def _pairings(samples) -> tuple[np.ndarray, list]:
+    """The pairing omega(s)(x, (A1(s) - B1(s)) y) on lam0 coordinates at anchored samples.
+
+    ``samples`` are outputs of :func:`_anchored_sample` that share the
+    dimension of lam0. Samples whose pair blocks have one shape share one
+    stacked solve, :func:`reduction._graph_coefficient_stack`, so a
+    crossing whose blocks all have their expected dimensions makes one.
+    Returns the stacked pairings and each sample's failure, None where
+    it passed every gate. The pairing itself is not gated as Hermitian:
+    off the crossing it need not be, only its derivative is.
+    """
+    r = samples[0][3].lam0.dim
+    pairing = np.zeros((len(samples), r, r), dtype=complex)
+    errors: list = [None] * len(samples)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (*_, local) in enumerate(samples):
+        groups.setdefault((local.lam1.dim, local.mu1.dim), []).append(i)
+    for idx in groups.values():
+        part = [samples[i] for i in idx]
+        lam0, v, lam1, mu1 = (
+            np.stack([getattr(local, name).matrix for *_, local in part])
+            for name in ("lam0", "v", "lam1", "mu1")
+        )
+        lam, mu = (np.stack([sample[k].matrix for sample in part]) for k in (1, 2))
+        (a1, _, b1, _), failed = _graph_coefficient_stack(lam.shape[1], lam0, v, lam1, mu1, lam, mu)
+        diff = v @ (a1 - b1)
+        j = np.stack([form.j for form, *_ in part])
+        pairing[idx] = diff.conj().swapaxes(-1, -2) @ j @ lam0
+        for i, error in zip(idx, failed):
+            errors[i] = error
+    return pairing, errors
 
 
 def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
@@ -518,14 +557,22 @@ def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
     return HermitianMatrix.from_symmetrized(d)
 
 
-def _derivative_form(qfun, t: float, form: SymplecticForm, label: str) -> HermitianMatrix:
-    """The Hermitian derivative at t of the matrix function qfun, named ``label`` in errors.
+def _derivative_form(rows, t: float, form: SymplecticForm, label: str) -> list[HermitianMatrix]:
+    """Hermitian derivatives at t of matrix functions, one per row, named ``label`` in errors.
 
     Second-order central differences with step ``_FD_STEP`` in the
     interior, one-sided stencils at 0 and 1. The derivative is also
     taken at half the step; both must pass the Hermitian gate and have
     one signature, and the Richardson combination of the two is
     returned.
+
+    Each distinct stencil parameter is evaluated once: four in the
+    interior (t +- h, t +- h/2) and four at an endpoint (t, t + h,
+    t + 2h, t + h/2 at 0). ``rows`` takes these parameters, in the order
+    the coarse and then the fine stencil first uses them, and returns an
+    iterable that yields, row by row, the stack of that row's function
+    values at them. A row is reached only after the previous row passed
+    every gate here, so a row whose values failed raises then.
     """
     h = _FD_STEP
     if t - 2 * h >= 0.0 and t + 2 * h <= 1.0:
@@ -536,31 +583,41 @@ def _derivative_form(qfun, t: float, form: SymplecticForm, label: str) -> Hermit
         offsets, weights = (0, -1, -2), (3, -4, 1)
     else:
         raise ValueError(f"finite-difference step {h} is too large for t={t}")
-
-    def stencil(step):
-        return sum(w * qfun(t + k * step) for k, w in zip(offsets, weights)) / (2 * step)
-
-    coarse, fine = stencil(h), stencil(h / 2)
-    g_coarse, g_fine = (_hermitize_derivative(d, label) for d in (coarse, fine))
-    if _signature(g_coarse, form) != _signature(g_fine, form):
-        raise ArithmeticError(
-            f"{label} signature at t={t} changed under finite-difference step halving"
+    steps = (h, h / 2)
+    stencils = [[t + k * step for k in offsets] for step in steps]
+    params = list(dict.fromkeys(s for stencil in stencils for s in stencil))
+    where = {s: i for i, s in enumerate(params)}
+    forms = []
+    for q in rows(params):
+        coarse, fine = (
+            sum(w * q[where[s]] for s, w in zip(stencil, weights)) / (2 * step)
+            for stencil, step in zip(stencils, steps)
         )
-    return _hermitize_derivative((4 * fine - coarse) / 3, label)
+        g_coarse, g_fine = (_hermitize_derivative(d, label) for d in (coarse, fine))
+        if _signature(g_coarse, form) != _signature(g_fine, form):
+            raise ArithmeticError(
+                f"{label} signature at t={t} changed under finite-difference step halving"
+            )
+        forms.append(_hermitize_derivative((4 * fine - coarse) / 3, label))
+    return forms
 
 
-def _data_scale(q: HermitianMatrix, form: SymplecticForm) -> float:
-    """max(||J||_2, ||q||_2), the scale of the crossing-form tolerances.
+def _form_scale(q: HermitianMatrix, form: SymplecticForm) -> tuple[np.ndarray, float]:
+    """Eigenvalues of q and max(||J||_2, ||q||_2), the scale of the crossing-form tolerances.
 
-    ||J||_2 is the largest |eigenvalue| of -iJ, which the form keeps, so
-    tolerances relative to it follow the data under J -> cJ.
+    q is Hermitian, so ||q||_2 is its largest |eigenvalue| and one
+    eigensolve gives both. ||J||_2 is the largest |eigenvalue| of -iJ,
+    which the form keeps, so tolerances relative to it follow the data
+    under J -> cJ.
     """
-    return max(np.abs(form.eig[0]).max(), np.linalg.norm(q.matrix, 2))
+    vals = q.eigenvalues()
+    return vals, max(np.abs(form.eig[0]).max(), np.abs(vals).max(initial=0.0))
 
 
 def _signature(q: HermitianMatrix, form: SymplecticForm) -> tuple[int, int, int]:
     """Inertia of q, counting eigenvalues below _FORM_ZERO max(||J||_2, ||q||_2) as zero."""
-    return morse_counts(q.matrix, zero_tol=_FORM_ZERO * _data_scale(q, form))
+    vals, scale = _form_scale(q, form)
+    return _inertia(vals, _FORM_ZERO * scale)
 
 
 def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> CrossingRecord:
@@ -580,13 +637,20 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
     1e-5 max(||J(t)||_2, ||Gamma||_2), and the signature must agree,
     which exercises the independence of the form from that choice. Both
     complements anchor on the one frame lam0 = intersect(lam(t), mu(t)),
-    so the two matrices are in the same coordinates.
+    so the two matrices are in the same coordinates; the checks of lam(t)
+    and mu(t) and the spaces lam0, lam + mu and its orthogonal
+    complement are shared by the two (:func:`reduction._anchor_spaces`).
 
-    Each stencil point s is one :func:`_anchored_sample`: the pair
-    blocks V^omega inter lam(s) and V^omega inter mu(s) on the anchor's
-    lam0 and V, then A1 and B1 from one solve against the four blocks,
-    whose direct sum is gated there. The pairing itself is not gated as
-    Hermitian: off the crossing it need not be, only its derivative is.
+    The graph calculus runs once, over a stack indexed by complement and
+    distinct stencil parameter: the pair blocks of each complement come
+    from one :func:`_anchored_sample` over the four parameters, and the
+    graph coefficients of all eight elements from one stacked solve
+    (:func:`_pairings`), where every gate applies to each element. The
+    errors keep the order of a computation one complement at a time,
+    stencil point by stencil point, coarse before fine: the first
+    complement's failing points, the first in that order raising, then
+    its derivative gates, then the second complement's decomposition,
+    its points and its gates.
 
     Raises
     ------
@@ -601,29 +665,47 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
     frame = intersect(lam_t, mu_t)
     if frame.dim == 0:
         raise ValueError(f"no crossing at t={t}: the pair is transversal there")
+    spaces = _anchor_spaces(form_t, lam_t, mu_t)
+    anchors = [_decompose(form_t, lam_t, mu_t, spaces, None, seed)]
+    late = None
+    try:
+        anchors.append(_decompose(form_t, lam_t, mu_t, spaces, None, seed + 101))
+    except (ValueError, ArithmeticError) as exc:
+        # Raised once the first complement's form has passed its gates.
+        late = exc
 
-    def gamma_with_seed(v_seed: int) -> HermitianMatrix:
-        dec = intrinsic_decomposition(form_t, lam_t, mu_t, seed=v_seed)
-        v_ann_t = annihilator(form_t, dec.v)
+    def rows(params: list[float]) -> Iterator[np.ndarray]:
+        reached, failure = [], None
+        for s in params:
+            try:
+                path.evaluate(s)
+            except Exception as exc:  # re-raised below, after the failures that precede it
+                failure = exc
+                break
+            reached.append(s)
+        if not reached:
+            raise failure
+        samples = [smp for anchor in anchors for smp in _anchored_sample(path, reached, form_t, *anchor)]
+        pairing, errors = _pairings(samples)
+        n = len(reached)
+        for row in range(2):
+            if row == len(anchors):
+                raise late
+            first = next((e for e in errors[row * n : (row + 1) * n] if e is not None), failure)
+            if first is not None:
+                raise first
+            yield pairing[row * n : (row + 1) * n]
 
-        def qfun(s: float) -> np.ndarray:
-            form_s, lam_s, mu_s, local = _anchored_sample(path, s, form_t, dec, v_ann_t)
-            a1, _, b1, _ = graph_coefficients(form_s, local, lam_s, mu_s)
-            diff = local.v.matrix @ (a1 - b1)
-            return diff.conj().T @ form_s.j @ local.lam0.matrix
-
-        return _derivative_form(qfun, t, form_t, "crossing form")
-
-    gamma = gamma_with_seed(seed)
-    gamma_alt = gamma_with_seed(seed + 101)
-    if _signature(gamma, form_t) != _signature(gamma_alt, form_t) or (
-        np.max(np.abs(gamma.matrix - gamma_alt.matrix), initial=0.0)
-        > 1e-5 * _data_scale(gamma, form_t)
+    gamma, gamma_alt = _derivative_form(rows, t, form_t, "crossing form")
+    vals, scale = _form_scale(gamma, form_t)
+    signature = _inertia(vals, _FORM_ZERO * scale)
+    if _signature(gamma_alt, form_t) != signature or (
+        np.max(np.abs(gamma.matrix - gamma_alt.matrix), initial=0.0) > 1e-5 * scale
     ):
         raise ArithmeticError(
             f"crossing form at t={t} depends on the choice of complement"
         )
-    return CrossingRecord(float(t), frame, gamma, _signature(gamma, form_t))
+    return CrossingRecord(float(t), frame, gamma, signature)
 
 
 def one_sided_form(
@@ -677,7 +759,11 @@ def one_sided_form(
             )
         return (q + q.conj().T) / 2.0
 
-    return _derivative_form(qfun, t, form_t, "one-sided form"), base
+    def rows(params: list[float]) -> Iterator[np.ndarray]:
+        yield np.stack([qfun(s) for s in params])
+
+    (q,) = _derivative_form(rows, t, form_t, "one-sided form")
+    return q, base
 
 
 def _scan_pieces(grid, values, motion) -> list[tuple[float, float]]:
@@ -931,13 +1017,12 @@ def _segment_counts(
     and must not change. A failing anchor raises as it is.
     """
     form, lam, mu = path.evaluate(t)
-    dec = intrinsic_decomposition(form, lam, mu, seed=seed)
-    v_ann = annihilator(form, dec.v)
+    dec, v_ann = _decompose(form, lam, mu, _anchor_spaces(form, lam, mu), None, seed)
     reduced: dict[float, tuple[SymplecticForm, Frame, Frame]] = {}
 
     def reduce(s: float) -> tuple[SymplecticForm, Frame, Frame]:
         if s not in reduced:
-            form_s, lam_s, mu_s, local = _anchored_sample(path, s, form, dec, v_ann)
+            ((form_s, lam_s, mu_s, local),) = _anchored_sample(path, [s], form, dec, v_ann)
             reduced[s] = reduced_pair(form_s, local, lam_s, mu_s)
         return reduced[s]
 

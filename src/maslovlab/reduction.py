@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -226,12 +227,25 @@ def pair_decomposition(
     pair leaves the anchors, X1 = lam1 + mu1 stops being the annihilator
     of X0, which is fine: the graph calculus only needs the direct sum.
     """
+    return _pair_decomposition(form, lam0, v, lam, mu, require_annihilator)[0]
+
+
+def _pair_decomposition(
+    form: SymplecticForm,
+    lam0: Frame,
+    v: Frame,
+    lam: Frame,
+    mu: Frame,
+    require_annihilator: bool,
+) -> tuple[IntrinsicDecomposition, Frame]:
+    """:func:`pair_decomposition` and the V^omega it was built with."""
     v_ann = annihilator(form, v)
     lam1 = intersect(v_ann, lam)
     mu1 = intersect(v_ann, mu)
-    return decomposition_from_parts(
+    dec = decomposition_from_parts(
         form, lam0, v, lam1, mu1, require_annihilator=require_annihilator
     )
+    return dec, v_ann
 
 
 def intrinsic_decomposition(
@@ -251,13 +265,40 @@ def intrinsic_decomposition(
     isotropic V makes the induced form on X0 the plain restriction of
     omega and the intersection form Hermitian.
     """
+    return _decompose(form, lam, mu, _anchor_spaces(form, lam, mu), v_choice, seed)[0]
+
+
+def _anchor_spaces(form: SymplecticForm, lam: Frame, mu: Frame) -> tuple[Frame, Frame, Frame | None]:
+    """The part of an intrinsic decomposition that no complement V depends on.
+
+    Checks lam and mu as Lagrangian and returns lam0 = lam inter mu,
+    lam + mu and, when lam0 is not zero, the orthogonal complement of
+    lam + mu, where the seeded complements are drawn.
+    """
     for name, sub in (("lam", lam), ("mu", mu)):
         kind = classify(form, sub)
         if kind != "lagrangian":
             raise ValueError(f"{name} is {kind}, not lagrangian")
     lam0 = intersect(lam, mu)
-    r = lam0.dim
     span = subspace_sum(lam, mu)
+    return lam0, span, orth_complement(span) if lam0.dim else None
+
+
+def _decompose(
+    form: SymplecticForm,
+    lam: Frame,
+    mu: Frame,
+    spaces: tuple[Frame, Frame, Frame | None],
+    v_choice: Frame | None,
+    seed: int,
+) -> tuple[IntrinsicDecomposition, Frame]:
+    """:func:`intrinsic_decomposition` on the output of :func:`_anchor_spaces` for the pair.
+
+    Returns the decomposition and V^omega, built once on the way, so that
+    the maslov anchors need not build it again.
+    """
+    lam0, span, comp = spaces
+    r = lam0.dim
     if v_choice is not None:
         v = v_choice
         if v.dim != r:
@@ -271,7 +312,6 @@ def intrinsic_decomposition(
     elif r == 0:
         v = Frame.empty(form.dim)
     else:
-        comp = orth_complement(span)
         rng = rng_from_seed(seed)
         z = comp.matrix @ random_unitary(rng, r)
         pairing = z.conj().T @ form.j @ lam0.matrix
@@ -284,7 +324,7 @@ def intrinsic_decomposition(
             1.0, np.linalg.norm(form.j, 2)
         ):
             raise ArithmeticError("sheared complement failed to become isotropic")
-    dec = pair_decomposition(form, lam0, v, lam, mu, require_annihilator=True)
+    dec, v_ann = _pair_decomposition(form, lam0, v, lam, mu, require_annihilator=True)
     n = lam.dim
     if dec.lam1.dim != n - r or dec.mu1.dim != n - r:
         raise ArithmeticError(
@@ -295,7 +335,7 @@ def intrinsic_decomposition(
         raise ArithmeticError("lam does not split as lam0 (+) lam1")
     if gap_hat(subspace_sum(lam0, dec.mu1), mu) > _IDENTITY_TOL:
         raise ArithmeticError("mu does not split as lam0 (+) mu1")
-    return dec
+    return dec, v_ann
 
 
 def check_transitivity(
@@ -336,54 +376,130 @@ def check_transitivity(
     return twice.dim == transported.dim and gap_hat(twice, transported) <= RANK_TOL
 
 
+def _flag(errors: list, failed: np.ndarray, error: Exception) -> None:
+    """Record ``error`` for each failed element of a stack that has no earlier failure."""
+    if failed.any():
+        for i in np.flatnonzero(failed):
+            if errors[i] is None:
+                errors[i] = error
+
+
 def _graph_block(
     coords: np.ndarray,
     dims: tuple[int, int, int, int],
     free_index: int,
     coef_indices: tuple[int, int],
     label: str,
+    errors: list,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for the two coefficient blocks of one graph representation.
+    """Solve for the two coefficient blocks of one graph representation, for a stack.
 
-    ``coords`` holds the subspace basis in the stacked block basis; the
-    rows split by ``dims``. The subspace must project onto block 0 with
-    a kernel contained in the free block, which pins the coefficients
-    uniquely. One full SVD U S V^H of block 0 gives the invertibility
-    gate, the right inverse V S^-1 U^H (the minimum-norm solution that
-    ``lstsq`` returns) and the kernel, the last rows of V^H (the basis
-    ``scipy.linalg.null_space`` returns).
+    ``coords`` holds, for each of m elements, the subspace basis in the
+    stacked block basis; the rows split by ``dims``. The subspace must
+    project onto block 0 with a kernel contained in the free block,
+    which pins the coefficients uniquely. One full SVD U S V^H of block
+    0 gives the invertibility gate, the right inverse V S^-1 U^H (the
+    minimum-norm solution that ``lstsq`` returns) and the kernel, the
+    last rows of V^H (the basis ``scipy.linalg.null_space`` returns).
+
+    Each gate applies to each element; an element that fails is recorded
+    in ``errors`` (see :func:`_flag`) and computed on with safe values.
     """
+    m, _, k = coords.shape
     r = dims[0]
-    k = coords.shape[1]
     if k != r + dims[free_index]:
-        raise ValueError(
+        _flag(errors, np.ones(m, dtype=bool), ValueError(
             f"{label} has dimension {k}, the graph representation needs "
             f"{r + dims[free_index]}"
-        )
+        ))
+        return tuple(np.zeros((m, dims[i], r), dtype=complex) for i in coef_indices)
     edges = np.cumsum((0,) + dims)
-    blocks = [coords[edges[i] : edges[i + 1]] for i in range(4)]
-    scale = max(1.0, _norm2(coords))
+    blocks = [coords[:, edges[i] : edges[i + 1]] for i in range(4)]
+    scale = np.maximum(1.0, _norm2(coords))
     if r == 0:
-        sol = np.zeros((k, 0), dtype=complex)
-        kernel = np.eye(k, dtype=complex)
+        sol = np.zeros((m, k, 0), dtype=complex)
+        kernel = np.broadcast_to(np.eye(k, dtype=complex), (m, k, k))
     else:
         u, s, vh = np.linalg.svd(blocks[0])
-        if not _conditioned(s):
-            raise ArithmeticError(
-                f"{label} is not a graph over the anchor block "
-                "(transversality to the complementary blocks fails)"
-            )
-        sol = (vh[:r].conj().T / s) @ u.conj().T
-        if np.max(np.abs(blocks[0] @ sol - np.eye(r))) > _IDENTITY_TOL * scale:
-            raise ArithmeticError(f"{label}: anchor block has no right inverse")
-        kernel = vh[r:].conj().T
+        graph = _conditioned(s)
+        _flag(errors, ~graph, ArithmeticError(
+            f"{label} is not a graph over the anchor block "
+            "(transversality to the complementary blocks fails)"
+        ))
+        if not graph.all():
+            s = np.where(graph[:, None], s, 1.0)
+        sol = (vh[:, :r].conj().swapaxes(-1, -2) / s[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        residual = np.abs(blocks[0] @ sol - np.eye(r)).max(axis=(-2, -1))
+        _flag(errors, residual > _IDENTITY_TOL * scale, ArithmeticError(
+            f"{label}: anchor block has no right inverse"
+        ))
+        kernel = vh[:, r:].conj().swapaxes(-1, -2)
     for idx in coef_indices:
-        if kernel.size and np.max(np.abs(blocks[idx] @ kernel), initial=0.0) > _IDENTITY_TOL * scale:
-            raise ArithmeticError(
-                f"{label}: free directions leak outside the free block; "
-                "the decomposition is not adapted to this subspace"
-            )
+        leak = np.abs(blocks[idx] @ kernel).max(axis=(-2, -1), initial=0.0)
+        _flag(errors, leak > _IDENTITY_TOL * scale, ArithmeticError(
+            f"{label}: free directions leak outside the free block; "
+            "the decomposition is not adapted to this subspace"
+        ))
     return blocks[coef_indices[0]] @ sol, blocks[coef_indices[1]] @ sol
+
+
+def _misses(basis: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Which elements of a stack of bases do not span their subspace ``sub``.
+
+    The rank of each basis is that of :func:`orthonormalize`; the gap of
+    :func:`gap_hat` between the frames of full rank and their subspaces
+    comes from one stacked SVD and is held to 1e-9.
+    """
+    k = sub.shape[-1]
+    spans = [orthonormalize(b) for b in basis]
+    short = np.array([f.dim != k for f in spans])
+    u = np.stack([sub_i if f.dim != k else f.matrix for f, sub_i in zip(spans, sub)])
+    gap = np.linalg.svd(u - sub @ (sub.conj().swapaxes(-1, -2) @ u), compute_uv=False)
+    return short | (gap.max(axis=-1, initial=0.0) > 1e-9)
+
+
+def _graph_coefficient_stack(
+    dim: int,
+    lam0_basis: np.ndarray,
+    v_basis: np.ndarray,
+    lam1_basis: np.ndarray,
+    mu1_basis: np.ndarray,
+    lam: np.ndarray,
+    mu: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], list]:
+    """:func:`graph_coefficients_in_bases` for stacks, with each element's failure.
+
+    Every argument is a stack of m matrices, the block bases with one
+    shape each and ``lam`` and ``mu`` frame matrices; ``dim`` is the
+    ambient dimension. Returns the stacked (A1, A2, B1, B2) and a list
+    of m entries: None for an element that passed every gate, else the
+    error of the first gate it failed, in the order the gates run.
+    """
+    ts = np.concatenate([lam0_basis, v_basis, lam1_basis, mu1_basis], axis=-1).astype(complex)
+    m, rows, cols = ts.shape
+    dims = (
+        lam0_basis.shape[-1],
+        v_basis.shape[-1],
+        lam1_basis.shape[-1],
+        mu1_basis.shape[-1],
+    )
+    if rows != cols or cols != dim:
+        r = dims[0]
+        zeros = [np.zeros((m, d, r), dtype=complex) for d in (dims[1], dims[3], dims[1], dims[2])]
+        return tuple(zeros), [ValueError("block bases do not fill the ambient space")] * m
+    errors: list = [None] * m
+    invertible = _conditioned(np.linalg.svd(ts, compute_uv=False)) | (dim == 0)
+    _flag(errors, ~invertible, ArithmeticError("block bases are numerically dependent"))
+    if not invertible.all():
+        ts = np.where(invertible[:, None, None], ts, np.eye(dim))
+    c, d = np.split(np.linalg.solve(ts, np.concatenate([lam, mu], axis=-1)), [lam.shape[-1]], axis=-1)
+    a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam", errors)
+    b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu", errors)
+    lam_rb = np.concatenate([lam0_basis + v_basis @ a1 + mu1_basis @ a2, lam1_basis], axis=-1)
+    mu_rb = np.concatenate([lam0_basis + v_basis @ b1 + lam1_basis @ b2, mu1_basis], axis=-1)
+    _flag(errors, _misses(lam_rb, lam), ArithmeticError("reassembled graph representation misses lam"))
+    _flag(errors, _misses(mu_rb, mu), ArithmeticError("reassembled graph representation misses mu"))
+    return (a1, a2, b1, b2), errors
 
 
 def graph_coefficients_in_bases(
@@ -392,8 +508,8 @@ def graph_coefficients_in_bases(
     v_basis: np.ndarray,
     lam1_basis: np.ndarray,
     mu1_basis: np.ndarray,
-    lam: Frame,
-    mu: Frame,
+    lam: Frame | Sequence[Frame],
+    mu: Frame | Sequence[Frame],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Graph coefficients of a pair in explicit (possibly oblique) bases.
 
@@ -402,31 +518,30 @@ def graph_coefficients_in_bases(
     such that lam is spanned by x0 + A1 x0 + x1 + A2 x0 and mu by
     y0 + B1 y0 + B2 y0 + y1. Both representations are reassembled and
     compared against the inputs before returning.
+
+    The solve runs on a stack. Block bases with a leading axis of m, and
+    ``lam`` and ``mu`` as sequences of m frames, give the m sets of
+    coefficients stacked; 2-D bases with frames are a stack of one and
+    give 2-D coefficients. ``lam`` and ``mu`` must be frames: the
+    reassembly gap projects onto them as orthonormal bases. Every gate applies to each element: the
+    block basis square and well conditioned, the anchor-block SVD gate,
+    the right-inverse and kernel-leak checks, and the reassembly rank
+    and gap. An element that fails raises the error of its first failed
+    gate; where several fail, the one earliest in the stack raises.
     """
-    ts = np.hstack([lam0_basis, v_basis, lam1_basis, mu1_basis]).astype(complex)
-    if ts.shape[0] != ts.shape[1] or ts.shape[0] != form.dim:
-        raise ValueError("block bases do not fill the ambient space")
-    dims = (
-        lam0_basis.shape[1],
-        v_basis.shape[1],
-        lam1_basis.shape[1],
-        mu1_basis.shape[1],
-    )
-    if form.dim and not well_conditioned(ts):
-        raise ArithmeticError("block bases are numerically dependent")
-    if form.dim:
-        c, d = np.hsplit(np.linalg.solve(ts, np.hstack([lam.matrix, mu.matrix])), [lam.dim])
-    else:
-        c = d = np.zeros((0, 0), dtype=complex)
-    a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam")
-    b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu")
-    lam_rb = orthonormalize(np.hstack([lam0_basis + v_basis @ a1 + mu1_basis @ a2, lam1_basis]))
-    mu_rb = orthonormalize(np.hstack([lam0_basis + v_basis @ b1 + lam1_basis @ b2, mu1_basis]))
-    if lam_rb.dim != lam.dim or gap_hat(lam_rb, lam) > 1e-9:
-        raise ArithmeticError("reassembled graph representation misses lam")
-    if mu_rb.dim != mu.dim or gap_hat(mu_rb, mu) > 1e-9:
-        raise ArithmeticError("reassembled graph representation misses mu")
-    return a1, a2, b1, b2
+    bases = [np.asarray(b) for b in (lam0_basis, v_basis, lam1_basis, mu1_basis)]
+    single = bases[0].ndim == 2
+    pair = [[lam], [mu]] if single else [list(lam), list(mu)]
+    if not all(isinstance(sub, Frame) for subs in pair for sub in subs):
+        raise TypeError("lam and mu must be frames, one per element of stacked bases")
+    if single:
+        bases = [b[None] for b in bases]
+    stacks = (np.stack([sub.matrix for sub in subs]) for subs in pair)
+    coefs, errors = _graph_coefficient_stack(form.dim, *bases, *stacks)
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        raise first
+    return tuple(c[0] for c in coefs) if single else coefs
 
 
 def graph_coefficients(

@@ -40,7 +40,12 @@ from maslovlab.maslov import (
     maslov_winding,
     one_sided_form,
 )
-from maslovlab.reduction import intrinsic_decomposition, reduced_pair
+from maslovlab.reduction import (
+    IntrinsicDecomposition,
+    graph_coefficients,
+    intrinsic_decomposition,
+    reduced_pair,
+)
 from maslovlab.sampling import (
     form_deformation,
     lagrangian_rotation,
@@ -51,7 +56,7 @@ from maslovlab.sampling import (
     rng_from_seed,
     rotating_pair_path,
 )
-from maslovlab.symplectic import SymplecticForm, standard_form
+from maslovlab.symplectic import SymplecticForm, annihilator, standard_form
 
 FORM2 = standard_form(1)
 MU_HORIZONTAL = Frame.span(np.array([1.0, 0.0], dtype=complex))
@@ -519,13 +524,15 @@ def test_complement_dependence_is_caught_at_small_form_scale(monkeypatch):
     anchored_sample = maslov._anchored_sample
     complements = {}
 
-    def complement_dependent(path, s, form_t, anchor, v_ann_t):
-        form, lam, mu, local = anchored_sample(path, s, form_t, anchor, v_ann_t)
+    def complement_dependent(path, params, form_t, anchor, v_ann_t):
         index = complements.setdefault(anchor.v.matrix.tobytes(), len(complements))
-        # The pairing omega(x, (A1 - B1) y) on lam0 coordinates is
-        # quadratic in the scale of the lam0 basis.
-        lam0 = Frame._of_orthonormal(np.sqrt(1.0 + 1e-3 * index) * local.lam0.matrix)
-        return form, lam, mu, dataclasses.replace(local, lam0=lam0)
+        out = []
+        for form, lam, mu, local in anchored_sample(path, params, form_t, anchor, v_ann_t):
+            # The pairing omega(x, (A1 - B1) y) on lam0 coordinates is
+            # quadratic in the scale of the lam0 basis.
+            lam0 = Frame._of_orthonormal(np.sqrt(1.0 + 1e-3 * index) * local.lam0.matrix)
+            out.append((form, lam, mu, dataclasses.replace(local, lam0=lam0)))
+        return out
 
     monkeypatch.setattr(maslov, "_anchored_sample", complement_dependent)
     with pytest.raises(ArithmeticError, match="depends on the choice of complement"):
@@ -758,16 +765,16 @@ def test_transversal_anchors_reduce_each_parameter_and_scan_each_gap_once(monkey
         scans.update(zip(grid, grid[1:]))
         return scan_pieces(grid, values, motion)
 
-    def counted_anchor(form, lam, mu, *args, **kwargs):
-        dec = intrinsic_decomposition(form, lam, mu, *args, **kwargs)
+    def counted_anchor(*args):
+        dec, v_ann = decompose(*args)
         built["transversal anchors"] += dec.lam0.dim == 0
         built["anchors"] += 1
-        return dec
+        return dec, v_ann
 
-    scan_pieces = maslov._scan_pieces
+    scan_pieces, decompose = maslov._scan_pieces, maslov._decompose
     monkeypatch.setattr(maslov, "reduced_pair", counted_reduction)
     monkeypatch.setattr(maslov, "_scan_pieces", counted_scan)
-    monkeypatch.setattr(maslov, "intrinsic_decomposition", counted_anchor)
+    monkeypatch.setattr(maslov, "_decompose", counted_anchor)
     red = maslov_reduced(path, seed=seed)
     wind = maslov_winding(path)
     times = [smp.s for smp in path.samples]
@@ -807,17 +814,18 @@ def test_reduced_leaves_no_cyclic_garbage(monkeypatch, case):
     """
     path, seed = reduction_case(case)
     refs = []
+    decompose = maslov._decompose
 
-    def tracked_decomposition(*args, **kwargs):
-        dec = intrinsic_decomposition(*args, **kwargs)
+    def tracked_decomposition(*args):
+        dec, v_ann = decompose(*args)
         refs.append(weakref.ref(dec))
-        return dec
+        return dec, v_ann
 
     def tracked_winding(reduced_path, *args, **kwargs):
         refs.append(weakref.ref(reduced_path))
         return maslov_winding(reduced_path, *args, **kwargs)
 
-    monkeypatch.setattr(maslov, "intrinsic_decomposition", tracked_decomposition)
+    monkeypatch.setattr(maslov, "_decompose", tracked_decomposition)
     monkeypatch.setattr(maslov, "maslov_winding", tracked_winding)
     gc.disable()
     try:
@@ -983,7 +991,8 @@ def moving_form_lines_path(k: int) -> LagrangianPairPath:
 def test_crossings_match_winding_when_the_form_moves(monkeypatch, k):
     """Under a moving form every stencil point of a crossing form takes
     the annihilator of V under its own form: the four interior points of
-    each of the two complements, on top of one at the crossing itself."""
+    each of the two complements. At the crossing itself each complement
+    reuses the V^omega its decomposition built, so none is taken there."""
     path = moving_form_lines_path(k)
     forms = []
     annihilator = maslov.annihilator
@@ -999,7 +1008,204 @@ def test_crossings_match_winding_when_the_form_moves(monkeypatch, k):
     at_crossings = [path.evaluate(rec.t)[0] for rec in got.crossings]
     moved = [f for f in forms if all(f is not form_t for form_t in at_crossings)]
     assert got.crossings and len(moved) == 8 * len(got.crossings)
-    assert len(forms) == 10 * len(got.crossings)
+    assert len(forms) == len(moved)
+
+
+def reference_crossing_form(path: LagrangianPairPath, t: float, seed: int = 0):
+    """The crossing form one complement and one stencil point at a time.
+
+    Each complement is its own intrinsic decomposition; each point of
+    the coarse stencil and then of the fine one is evaluated, anchored
+    and solved for its graph coefficients on its own, and a repeated
+    point is solved again. Returns the intersection frame, Gamma, its
+    signature and the scale max(||J||_2, ||Gamma||_2).
+    """
+    form_t, lam_t, mu_t = path.evaluate(t)
+    frame = intersect(lam_t, mu_t)
+    h = maslov._FD_STEP
+    if t - 2 * h >= 0.0 and t + 2 * h <= 1.0:
+        offsets, weights = (1, -1), (1, -1)
+    elif t + 2 * h <= 1.0:
+        offsets, weights = (0, 1, 2), (-3, 4, -1)
+    else:
+        offsets, weights = (0, -1, -2), (3, -4, 1)
+
+    def scale(q):
+        return max(np.abs(form_t.eig[0]).max(), np.linalg.norm(q.matrix, 2))
+
+    def signature(q):
+        return morse_counts(q.matrix, zero_tol=maslov._FORM_ZERO * scale(q))
+
+    def gamma_with_seed(v_seed):
+        dec = intrinsic_decomposition(form_t, lam_t, mu_t, seed=v_seed)
+        v_ann_t = annihilator(form_t, dec.v)
+
+        def qfun(s):
+            form_s, lam_s, mu_s = path.evaluate(s)
+            v_ann = v_ann_t if form_s is form_t else annihilator(form_s, dec.v)
+            local = IntrinsicDecomposition(dec.lam0, dec.v, intersect(v_ann, lam_s), intersect(v_ann, mu_s))
+            a1, _, b1, _ = graph_coefficients(form_s, local, lam_s, mu_s)
+            diff = local.v.matrix @ (a1 - b1)
+            return diff.conj().T @ form_s.j @ local.lam0.matrix
+
+        def stencil(step):
+            return sum(w * qfun(t + k * step) for k, w in zip(offsets, weights)) / (2 * step)
+
+        coarse, fine = stencil(h), stencil(h / 2)
+        g_coarse, g_fine = (_hermitize_derivative(d, "crossing form") for d in (coarse, fine))
+        assert signature(g_coarse) == signature(g_fine)
+        return _hermitize_derivative((4 * fine - coarse) / 3, "crossing form")
+
+    gamma, gamma_alt = gamma_with_seed(seed), gamma_with_seed(seed + 101)
+    assert signature(gamma) == signature(gamma_alt)
+    assert np.max(np.abs(gamma.matrix - gamma_alt.matrix)) <= 1e-5 * scale(gamma)
+    return frame, gamma, signature(gamma), scale(gamma)
+
+
+REFERENCE_PATHS = {
+    "benchmark": benchmark_pair_path,
+    "crossings at both ends": lambda: line_path(lambda s: np.pi * s),
+    "falling through both ends": lambda: line_path(lambda s: -2.0 * np.pi * s, num_samples=33),
+    **{f"moving form, {k} lines": (lambda k=k: moving_form_lines_path(k)) for k in (1, 2, 3, 4)},
+    **{f"drawn lines {i}": (lambda i=i: drawn_lines_path((0x5041, i), 1 + i % 4, 65)) for i in (1, 2, 3, 7)},
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_PATHS)
+def test_stacked_crossing_forms_match_the_point_by_point_reference(case):
+    """One stacked pass per crossing gives what the point-by-point
+    computation gives: the same intersection frame and signature, and
+    Gamma within 1e-9 of the data's scale, at interior crossings, at
+    crossings on both path ends and under a moving form."""
+    path = REFERENCE_PATHS[case]()
+    result = maslov_crossings(path)
+    assert result.crossings
+    if case.startswith(("crossings at", "falling")):
+        assert {0.0, 1.0} <= {rec.t for rec in result.crossings}
+    for rec in result.crossings:
+        frame, gamma, signature, scale = reference_crossing_form(path, rec.t)
+        assert rec.intersection.matrix.tobytes() == frame.matrix.tobytes()
+        assert rec.signature == signature
+        assert np.max(np.abs(rec.gamma.matrix - gamma.matrix)) <= 1e-9 * scale
+
+
+INTERIOR_POINTS = [0.5 + 1e-5, 0.5 - 1e-5, 0.5 + 5e-6, 0.5 - 5e-6]
+
+
+def _failing_points(monkeypatch, failures) -> LagrangianPairPath:
+    """The benchmark path, with chosen stencil points of chosen complements failing.
+
+    ``failures`` maps (complement, point) to "evaluate", a callback that
+    raises at the point (for both complements), "blocks", lam1 replaced
+    by lam, one block too many, or "graph", lam replaced by V, which is
+    no graph over the anchor block. Complements count in the order they
+    are anchored, points in the order the coarse and then the fine
+    stencil of t = 0.5 first use them.
+    """
+    anchored_sample = maslov._anchored_sample
+    complements = {}
+    missing = [INTERIOR_POINTS[point] for (_, point), kind in failures.items() if kind == "evaluate"]
+    benchmark = benchmark_pair_path()
+
+    def fn(s):
+        if s in missing:
+            raise ValueError(f"no value at stencil point {INTERIOR_POINTS.index(s)}")
+        return benchmark.callback(s)
+
+    def failing(path, params, form_t, anchor, v_ann_t):
+        index = complements.setdefault(anchor.v.matrix.tobytes(), len(complements))
+        out = anchored_sample(path, params, form_t, anchor, v_ann_t)
+        for (complement, point), kind in failures.items():
+            if complement == index and kind != "evaluate" and point < len(out):
+                form, lam, mu, local = out[point]
+                if kind == "blocks":
+                    local = dataclasses.replace(local, lam1=lam)
+                else:
+                    lam = local.v
+                out[point] = (form, lam, mu, local)
+        return out
+
+    monkeypatch.setattr(maslov, "_anchored_sample", failing)
+    return LagrangianPairPath.from_callable(fn, 21)
+
+
+BLOCKS = (ValueError, "block bases do not fill the ambient space")
+GRAPH = (
+    ArithmeticError,
+    "lam is not a graph over the anchor block (transversality to the complementary blocks fails)",
+)
+HALVING = (ArithmeticError, "crossing form signature at t=0.5 changed under finite-difference step halving")
+
+
+@pytest.mark.parametrize(
+    "failures, halving, expected",
+    [
+        ({(0, 2): "blocks", (0, 1): "graph"}, False, GRAPH),
+        ({(0, 1): "blocks", (0, 2): "graph"}, False, BLOCKS),
+        ({(0, 3): "graph", (0, 0): "blocks"}, False, BLOCKS),
+        ({(1, 0): "blocks", (0, 3): "graph"}, False, GRAPH),
+        ({(1, 0): "graph", (1, 2): "blocks"}, False, GRAPH),
+        ({(1, 0): "blocks"}, True, HALVING),
+        ({(0, 2): "evaluate", (0, 1): "graph"}, False, GRAPH),
+        ({(0, 1): "evaluate", (0, 2): "graph"}, False, (ValueError, "no value at stencil point 1")),
+        ({(0, 0): "evaluate"}, False, (ValueError, "no value at stencil point 0")),
+    ],
+    ids=["coarse before fine", "coarse before fine 2", "first point", "first complement",
+         "second complement", "first complement's gates", "graph before callback",
+         "callback before graph", "first callback"],
+)
+def test_failing_stencil_points_raise_in_point_by_point_order(monkeypatch, failures, halving, expected):
+    """With several stencil points failing, the stacked pass raises what a
+    computation one complement and one point at a time raises first: the
+    first complement's points, coarse before fine, then that
+    complement's derivative gates, then the second complement."""
+    path = _failing_points(monkeypatch, failures)
+    if halving:
+        calls = itertools.count()
+        monkeypatch.setattr(maslov, "_signature", lambda q, form: (next(calls), 0, 0))
+    error, message = expected
+    with pytest.raises(error) as raised:
+        crossing_form(path, 0.5)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "t, points",
+    [(0.5, INTERIOR_POINTS), (0.0, [0.0, 1e-5, 2e-5, 5e-6]),
+     (1.0, [1.0, 1.0 - 1e-5, 1.0 - 2e-5, 1.0 - 5e-6])],
+    ids=["interior", "start", "end"],
+)
+def test_one_stacked_solve_per_crossing(monkeypatch, t, points):
+    """Each crossing form solves its graph coefficients once, over both
+    complements and the four distinct stencil parameters, and takes one
+    eigensolve per signature: the step and half step of each complement,
+    then Gamma and its second-complement twin."""
+    from maslovlab import frames
+
+    path = line_path(lambda s: np.pi * (s - 0.5) if t == 0.5 else np.pi * s)
+    stacks, anchored, eigs = [], [], []
+    solve, anchored_sample, eig = maslov._graph_coefficient_stack, maslov._anchored_sample, frames.hermitian_eig
+
+    def counted_solve(dim, lam0, *args):
+        stacks.append(len(lam0))
+        return solve(dim, lam0, *args)
+
+    def counted_sample(path, params, *args):
+        anchored.append(list(params))
+        return anchored_sample(path, params, *args)
+
+    def counted_eig(a):
+        eigs.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(maslov, "_graph_coefficient_stack", counted_solve)
+    monkeypatch.setattr(maslov, "_anchored_sample", counted_sample)
+    monkeypatch.setattr(frames, "hermitian_eig", counted_eig)
+    rec = crossing_form(path, t)
+    assert rec.signature in ((1, 0, 0), (0, 1, 0))
+    assert stacks == [8]
+    assert len(anchored) == 2 and all(np.allclose(params, points, rtol=0, atol=1e-15) for params in anchored)
+    assert len(eigs) == 6
 
 
 @pytest.mark.parametrize(

@@ -251,17 +251,15 @@ def test_graph_coefficients_near_reference_pair():
     assert intersect(lam_red, mu_red).dim == intersect(lam_s, mu_s).dim
 
 
-@given(seed=st.integers(0, 2**32 - 1), r=st.integers(0, 4), q=st.integers(0, 4))
-def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
-    """Planted A1, A2, B1, B2 on an oblique block basis come back.
+def planted_pair(rng, r: int, q: int):
+    """Oblique block bases and a pair with planted graph coefficients.
 
     The blocks lam0, V (dimension r) and lam1, mu1 (dimension q) are the
     columns of T = U diag(d) W with d in [0.5, 2], so the block basis is
-    well conditioned but not orthonormal. Tilting one direction of lam
-    off lam0 into V (+) mu1 leaves lam no graph over the anchor block.
+    well conditioned but not orthonormal. Returns the four bases, the
+    planted (A1, A2, B1, B2), lam's graph part lam0 + V A1 + mu1 A2, and
+    lam and mu.
     """
-    assume(1 <= r + q <= 4)
-    rng = rng_from_seed((0x6C0F, seed))
     n = 2 * (r + q)
     t = (random_unitary(rng, n) * rng.uniform(0.5, 2.0, n)) @ random_unitary(rng, n)
     l0, v, l1, m1 = np.split(t, np.cumsum([r, r, q]), axis=1)
@@ -270,8 +268,21 @@ def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
     lam_graph = l0 + v @ a1 + m1 @ a2
     lam = orthonormalize(np.hstack([lam_graph, l1]))
     mu = orthonormalize(np.hstack([l0 + v @ b1 + l1 @ b2, m1]))
+    return (l0, v, l1, m1), (a1, a2, b1, b2), lam_graph, lam, mu
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(0, 4), q=st.integers(0, 4))
+def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
+    """Planted A1, A2, B1, B2 on an oblique block basis come back.
+
+    Tilting one direction of lam off lam0 into V (+) mu1 leaves lam no
+    graph over the anchor block.
+    """
+    assume(1 <= r + q <= 4)
+    rng = rng_from_seed((0x6C0F, seed))
+    (l0, v, l1, m1), planted_coefs, lam_graph, lam, mu = planted_pair(rng, r, q)
     got = graph_coefficients_in_bases(standard_form(r + q), l0, v, l1, m1, lam, mu)
-    for planted, value in zip((a1, a2, b1, b2), got):
+    for planted, value in zip(planted_coefs, got):
         assert value.shape == planted.shape
         assert np.max(np.abs(value - planted), initial=0.0) < 1e-9
     if r:
@@ -279,6 +290,68 @@ def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
         tilted = orthonormalize(np.hstack([lam_graph, l1]))
         with pytest.raises(ArithmeticError, match="lam is not a graph over the anchor block"):
             graph_coefficients_in_bases(standard_form(r + q), l0, v, l1, m1, tilted, mu)
+
+
+@pytest.mark.parametrize("r, q", [(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (2, 1), (1, 2)])
+def test_stacked_graph_coefficients_equal_single_calls(r, q):
+    """A stack of m block bases and pairs gives, element by element, what
+    m calls with one each give: r = 0 (no anchor block) and r = n (no pair
+    blocks) included. A stack with failing elements raises the error of
+    the earliest one, as a run of single calls would."""
+    rng = rng_from_seed((0x57AC, r, q))
+    form = standard_form(r + q)
+    drawn = [planted_pair(rng, r, q) for _ in range(4)]
+    bases = [np.stack([d[0][i] for d in drawn]) for i in range(4)]
+    pairs = [[d[k] for d in drawn] for k in (3, 4)]
+    stacked = graph_coefficients_in_bases(form, *bases, *pairs)
+    for i, (basis, _, _, lam, mu) in enumerate(drawn):
+        single = graph_coefficients_in_bases(form, *basis, lam, mu)
+        for value, want in zip(stacked, single):
+            assert value[i].shape == want.shape
+            assert np.max(np.abs(value[i] - want), initial=0.0) <= 1e-12
+    # Element 1: lam swapped for mu, whose free directions leak out of
+    # lam1 when there are pair blocks; element 2: lam spanned by V and
+    # lam1, no graph over the anchor block when there is one.
+    pairs[0][1] = pairs[1][1]
+    if r:
+        pairs[0][2] = orthonormalize(np.hstack([bases[1][2], bases[2][2]]))
+    failures = {}
+    for i in range(4):
+        try:
+            graph_coefficients_in_bases(form, *(b[i] for b in bases), pairs[0][i], pairs[1][i])
+        except (ValueError, ArithmeticError) as exc:
+            failures[i] = exc
+    assert failures
+    for first in range(4):
+        later = [i for i in failures if i >= first]
+        tail = [b[first:] for b in bases] + [p[first:] for p in pairs]
+        if not later:
+            graph_coefficients_in_bases(form, *tail)
+            continue
+        with pytest.raises(type(failures[later[0]])) as raised:
+            graph_coefficients_in_bases(form, *tail)
+        assert str(raised.value) == str(failures[later[0]])
+
+
+def test_graph_coefficients_in_bases_take_lam_and_mu_as_frames():
+    """lam and mu enter the reassembly gap as orthonormal bases, so they
+    must come as frames: a raw basis, orthonormal or not, single or
+    stacked, is refused rather than misread, and the frame of a rescaled
+    basis gives the planted coefficients."""
+    rng = rng_from_seed((0x0F2A, 0))
+    form = standard_form(3)
+    basis, planted, _, lam, mu = planted_pair(rng, 2, 1)
+    doubled = 2.0 * lam.matrix
+    for raw in (doubled, lam.matrix):
+        with pytest.raises(TypeError, match="must be frames"):
+            graph_coefficients_in_bases(form, *basis, raw, mu)
+        with pytest.raises(TypeError, match="must be frames"):
+            graph_coefficients_in_bases(form, *(b[None] for b in basis), raw[None], [mu])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Frame(doubled)
+    got = graph_coefficients_in_bases(form, *basis, orthonormalize(doubled), mu)
+    for want, value in zip(planted, got):
+        assert np.max(np.abs(value - want), initial=0.0) < 1e-9
 
 
 @given(seed=st.integers(0, 2**32 - 1), half_dim=st.integers(2, 5), cap=st.integers(0, 3))

@@ -5,7 +5,9 @@ forms step by ``maslov._FD_STEP`` and test zero against
 ``maslov._FORM_ZERO``, the propagator steps against ``bvp._ODE_TOL``,
 and reduced segments retry at most ``maslov._MAX_DEPTH`` times. The
 crossing scan checks each level of its pieces as one stack, so no
-batch or chunk size is a setting either. Each
+batch or chunk size is a setting either; a crossing form runs its two
+complements in one stack, so neither the seeds nor the stack is a
+setting. Each
 threshold has one definition, so a change to it is one edit; a
 parameter that carries a copy of it would let callers drift apart.
 """
@@ -19,6 +21,7 @@ from maslovlab.maslov import maslov_semipositive
 
 KNOBS = {
     "rank_tol", "fd_step", "max_depth", "tols", "tol_rank", "ode_tol", "batch_size", "chunk_size",
+    "seeds", "stack",
 }
 
 
