@@ -19,7 +19,7 @@ With this convention a form is Hermitian exactly when its matrix is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -188,7 +188,18 @@ class HermitianMatrix:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return hermitian_eig(self.matrix)[0]
+        """Eigenvalues (ascending) of the checked :func:`hermitian_eig`, read-only.
+
+        The matrix is decomposed on the first call and the values are
+        kept on the object, so each matrix object is solved once.
+        """
+        return self._eigenvalues
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        vals = hermitian_eig(self.matrix)[0]
+        vals.flags.writeable = False
+        return vals
 
 
 def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:

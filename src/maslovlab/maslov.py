@@ -1187,20 +1187,6 @@ def hormander(
     return value
 
 
-def _doubled_sample(
-    form: SymplecticForm, lam: Frame, mu: Frame, flip_first: bool
-) -> tuple[SymplecticForm, Frame]:
-    """The doubled form J (+) -J (or -J (+) J) and the lifted pair lam (+) mu.
-
-    The form comes from ``form``'s eigendata (:func:`direct_sum`), and
-    a block-diagonal frame of two orthonormal frames is orthonormal, so
-    nothing here decomposes or re-checks a 2N x 2N matrix.
-    """
-    sign = -1 if flip_first else 1
-    pair = Frame._of_orthonormal(_block_diag([lam.matrix, mu.matrix]))
-    return direct_sum(form, form, signs=(sign, -sign)), pair
-
-
 def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     """Maslov counts of the pair path moved against the diagonal.
 
@@ -1210,13 +1196,32 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     against the diagonal, the original path, and the diagonal against
     the lift in the oppositely doubled form. The lifted evaluation is
     returned.
+
+    The doubled forms J (+) -J and -J (+) J come from ``form``'s
+    eigendata (:func:`direct_sum`), one per form object and sign, and
+    a block-diagonal frame of two orthonormal frames is orthonormal, so
+    nothing here decomposes or re-checks a 2N x 2N matrix. Both lifts
+    share one pair frame lam (+) mu per parameter, and a path with one
+    form object lifts to paths with one form object each.
     """
     eye = np.eye(path.dim)
     diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
+    pairs: dict[float, Frame] = {}
+    # Keyed by the id of a form the entry keeps alive, and the sign.
+    doubled: dict[tuple[int, int], tuple[SymplecticForm, SymplecticForm]] = {}
+
+    def lifted_sample(s: float, sign: int) -> tuple[SymplecticForm, Frame]:
+        form, lam, mu = path.evaluate(s)
+        if s not in pairs:
+            pairs[s] = Frame._of_orthonormal(_block_diag([lam.matrix, mu.matrix]))
+        key = (id(form), sign)
+        if key not in doubled:
+            doubled[key] = form, direct_sum(form, form, signs=(sign, -sign))
+        return doubled[key][1], pairs[s]
 
     def lifted(flip_first: bool, swap: bool) -> LagrangianPairPath:
         def fn(s: float):
-            form2, pair_frame = _doubled_sample(*path.evaluate(s), flip_first)
+            form2, pair_frame = lifted_sample(s, -1 if flip_first else 1)
             return (form2, diagonal, pair_frame) if swap else (form2, pair_frame, diagonal)
 
         samples = tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)

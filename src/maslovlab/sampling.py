@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import Frame, orthonormalize
+from .frames import Frame, hermitian_eig, orthonormalize
 
 __all__ = [
     "rng_from_seed",
@@ -182,22 +182,26 @@ def perturb_lagrangian(rng, form, lam, scale: float) -> Frame:
 def lagrangian_rotation(rng, form, lam, scale: float = 1.0):
     """Callable s -> Frame rotating a Lagrangian along a random flow.
 
-    The unitary generator of ``lam`` is multiplied by
+    The unitary generator U0 of ``lam`` is multiplied by
     exp(i * s * scale * H) for one random Hermitian H, so the returned
     family interpolates smoothly from lam at s=0 and every member is
     Lagrangian for ``form``. Useful as the lam leg of a random pair path.
-    """
-    import scipy.linalg
 
+    H = V diag(d) V^H is decomposed once, by :func:`hermitian_eig`, and
+    each member is the graph of U0 V diag(exp(i * scale * s * d)) V^H,
+    so evaluating the family takes no matrix exponential.
+    """
     from .symplectic import generator_to_frame, splitting, unitary_generator
 
     split = splitting(form)
     u = unitary_generator(form, lam)
     h = random_hermitian(rng, lam.dim)
     h = h / max(1.0, np.linalg.norm(h, 2))
+    d, v = hermitian_eig(h)
+    uv, vh = u @ v, v.conj().T
 
     def at(s: float) -> Frame:
-        return generator_to_frame(split, u @ scipy.linalg.expm(1j * scale * s * h))
+        return generator_to_frame(split, (uv * np.exp(1j * scale * s * d)) @ vh)
 
     return at
 

@@ -194,11 +194,49 @@ def isotropy_residuals(j: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, n
     return np.minimum(overlap[..., 0], 1.0), keep.sum(axis=-1)
 
 
-def lagrangian_mask(j: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Which frames of a stack :func:`classify` reports as 'lagrangian'."""
-    residual, rank = isotropy_residuals(j, frames)
+def lagrangian_mask(forms, frames: np.ndarray) -> np.ndarray:
+    """Which frames of a stack :func:`classify` reports as 'lagrangian'.
+
+    ``forms`` holds one form per frame, or one form shared by all of
+    them, and ``frames`` is a stack of m orthonormal N x k frames
+    (k >= 1). The rule is that of :func:`isotropy_residuals`: the
+    residual is at most 10 ``RANK_TOL`` and k + rank J lam = N.
+
+    Most frames pass by a certificate that needs no SVD. The singular
+    values of J lam lie in [sigma_min(J), sigma_max(J)], so when the
+    form has sigma_min(J) > 2 ``RANK_TOL`` sigma_max(J), the rank cut
+    keeps all k of them, and Q can come from a QR factorization of
+    J lam. Such a frame with 2k = N passes when ||Q^H lam||_F, which
+    bounds the 2-norm residual from above, is at most
+    (1 - 1e-6) 10 ``RANK_TOL``. Every frame the certificate does not
+    pass goes through the SVD rule, so each decision is that rule's.
+    """
     n, k = frames.shape[-2:]
-    return (residual <= 10 * RANK_TOL) & (k + rank == n)
+    shared = len(forms) == 1
+    j = np.stack([f.j for f in forms])
+    passed = np.zeros(len(frames), dtype=bool)
+    if 2 * k == n:
+        sure = np.array([_rank_certain(f) for f in forms])
+        idx = np.flatnonzero(np.broadcast_to(sure, passed.shape))
+        if idx.size:
+            q = np.linalg.qr((j if shared else j[idx]) @ frames[idx])[0]
+            overlap = np.linalg.norm(q.conj().swapaxes(-1, -2) @ frames[idx], axis=(-2, -1))
+            passed[idx] = overlap <= (1 - 1e-6) * 10 * RANK_TOL
+    rest = np.flatnonzero(~passed)
+    if rest.size:
+        residual, rank = isotropy_residuals(j if shared else j[rest], frames[rest])
+        passed[rest] = (residual <= 10 * RANK_TOL) & (k + rank == n)
+    return passed
+
+
+def _rank_certain(form: SymplecticForm) -> bool:
+    """Whether rank J lam = dim lam is certain for every orthonormal frame lam.
+
+    True when sigma_min(J) > 2 ``RANK_TOL`` sigma_max(J); the factor 2
+    leaves room for roundoff against the rank cut of
+    :func:`isotropy_residuals`.
+    """
+    return bool(form.sigma_min > 2 * RANK_TOL * np.abs(form.eig[0]).max(initial=0.0))
 
 
 def classify(form: SymplecticForm, lam: Frame) -> str:
@@ -308,7 +346,11 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
     """The Lagrangian check: generators (m, n, n) of m frames, each verified Lagrangian.
 
     ``forms`` holds one form per frame, or one form shared by all of
-    them; all forms have one dimension. The checks run in this order:
+    them; all forms have one dimension. Each distinct (form object,
+    frame object) pair is checked and solved once, and its generator is
+    returned at every position where the pair occurs, so a frame that
+    a stack repeats, such as a constant mu, costs one element. The
+    checks run in this order:
 
     * every splitting is balanced; otherwise no Lagrangian exists and
       ValueError says so;
@@ -316,14 +358,26 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
       stacked isotropy test :func:`lagrangian_mask`; :func:`classify`
       decides each frame the test rejects, and the first frame that is
       not Lagrangian raises ValueError ("subspace is {kind}, not
-      lagrangian");
+      lagrangian"), naming the first position where that pair occurs;
     * every generator is unitary, ||U^H U - I||_max <= 1e-10; the first
       that is not raises ArithmeticError.
 
     The generators are in the bases of :func:`unitary_generator`.
     """
-    if all(f is forms[0] for f in forms):
-        forms = forms[:1]
+    shared = all(f is forms[0] for f in forms)
+    # One element per distinct (form, frame) pair, in order of first
+    # occurrence, so the first failing element is the first failing
+    # position.
+    slots: dict = {}
+    first, where = [], []
+    for i, frame in enumerate(frames):
+        key = (id(forms[0 if shared else i]), id(frame))
+        if key not in slots:
+            slots[key] = len(first)
+            first.append(i)
+        where.append(slots[key])
+    forms = forms[:1] if shared else [forms[i] for i in first]
+    frames = [frames[i] for i in first]
     splits = [splitting(f) for f in forms]
     for split in splits:
         if split.x_plus.dim != split.x_minus.dim:
@@ -335,13 +389,13 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
     n, k = mats[0].shape
     if k and all(m.shape == (n, k) for m in mats) and all(f.dim == n for f in forms):
         mats = np.stack(mats)
-        passed = lagrangian_mask(np.stack([f.j for f in forms]), mats)
+        passed = lagrangian_mask(forms, mats)
     else:
         passed = np.zeros(len(frames), dtype=bool)
     for i in np.flatnonzero(~passed):
-        kind = classify(forms[i if len(forms) > 1 else 0], frames[i])
+        kind = classify(forms[0 if shared else i], frames[i])
         if kind != "lagrangian":
-            raise _NotLagrangian(int(i), kind)
+            raise _NotLagrangian(first[i], kind)
     mats = np.asarray(mats)
     x_minus = np.stack([sp.x_minus.matrix for sp in splits])
     x_plus = np.stack([sp.x_plus.matrix for sp in splits])
@@ -355,7 +409,7 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
     bad = np.flatnonzero(res > 1e-10)
     if bad.size:
         raise ArithmeticError(f"generator fails unitarity (residual {res[bad[0]]:.3e})")
-    return u
+    return u[where]
 
 
 def generator_to_frame(split: SymplecticSplitting, u: np.ndarray) -> Frame:

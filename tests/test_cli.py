@@ -465,3 +465,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "mas_plus=1" in proc.stdout
+
+
+def test_spectral_flow_run_solves_each_end_once(tmp_path, monkeypatch):
+    from maslovlab import frames
+
+    shapes = []
+    checked = frames.hermitian_eig
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return checked(a)
+
+    monkeypatch.setattr(frames, "hermitian_eig", counted)
+    cfg = write_config(
+        tmp_path,
+        {"schema": 1, "kind": "spectral_flow", "seed": 3, "parameters": {"dim": 3}},
+    )
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert shapes.count((3, 3)) == 2

@@ -496,6 +496,44 @@ def test_diagonal_lift_decomposes_no_doubled_matrix(monkeypatch):
     assert shapes == []
 
 
+@pytest.mark.parametrize("constant", [True, False])
+def test_diagonal_lifts_share_pair_frames_and_doubled_forms(monkeypatch, constant):
+    """Both lifts carry one pair frame object per parameter, and one doubled
+    form per form object of the path: a constant-form path lifts to paths
+    with one form each."""
+    if constant:
+        path = rotation_pair_path(41, dim=4, num_samples=17)
+    else:
+        rng = rng_from_seed(44)
+        form_at, push_at = form_deformation(rng, random_symplectic_form(rng, 4), scale=0.3)
+        lam, mu = random_lagrangian_pair(rng, form_at(0.0))
+        path = LagrangianPairPath.from_callable(
+            lambda s: (form_at(s), orthonormalize(push_at(s) @ lam.matrix),
+                       orthonormalize(push_at(s) @ mu.matrix)),
+            num_samples=9,
+        )
+    lifts = []
+    winding = maslov.maslov_winding
+
+    def recorded(p):
+        lifts.append(p)
+        return winding(p)
+
+    monkeypatch.setattr(maslov, "maslov_winding", recorded)
+    diagonal_lift(path)
+    original, lift, swapped = lifts
+    assert len({id(smp.form) for smp in lift.samples}) == len(
+        {id(smp.form) for smp in original.samples}
+    )
+    assert len({id(smp.form) for smp in swapped.samples}) == len(
+        {id(smp.form) for smp in original.samples}
+    )
+    assert len({id(smp.form) for smp in original.samples}) == (1 if constant else len(path.samples))
+    for a, b in zip(lift.samples, swapped.samples):
+        assert a.lam is b.mu
+    assert np.array_equal(lift.samples[0].form.j, -swapped.samples[0].form.j)
+
+
 def _rescaled(path: LagrangianPairPath, c: float) -> LagrangianPairPath:
     """The same Lagrangian legs under the constant form c J."""
     form = SymplecticForm(c * path.samples[0].form.j)

@@ -324,3 +324,28 @@ def test_multivalued_relation_path():
         (float(s), form, graph_relation(np.array([[s - 0.5]]))) for s in grid
     ]
     assert sf_relation(direct, lambda s: (form, graph_relation(np.array([[s - 0.5]])))) == 1
+
+
+def test_each_end_matrix_is_solved_once(monkeypatch):
+    """sf_eigen then eigenvalue_curves read each end's kept eigenvalues."""
+    from maslovlab import frames
+
+    rng = rng_from_seed(43)
+    a0, a1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    path = HermitianPath.from_callable(lambda s: (1.0 - s) * a0 + s * a1, num_samples=5)
+    solved = []
+    checked = frames.hermitian_eig
+
+    def counted(a):
+        solved.append(id(a))
+        return checked(a)
+
+    monkeypatch.setattr(frames, "hermitian_eig", counted)
+    sf_eigen(path)
+    curves = eigenvalue_curves(path)
+    sf_eigen(path)
+    ends = [path.samples[0][1], path.samples[-1][1]]
+    assert solved == [id(mat.matrix) for mat in ends]
+    for row, mat in zip(curves[[0, -1]], ends):
+        assert row[1:].tobytes() == checked(mat.matrix)[0].tobytes()
+        assert not mat.eigenvalues().flags.writeable

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from maslovlab import frames, symplectic
+from maslovlab import frames, sampling, symplectic
 from maslovlab.frames import Frame, fredholm_pair_index, gap_delta, gap_hat
 from maslovlab.sampling import (
     lagrangian_rotation,
     perturb_lagrangian,
+    random_coisotropic,
+    random_hermitian,
+    random_isotropic,
     random_lagrangian,
     random_lagrangian_pair,
+    random_subspace,
     random_symplectic_form,
     rng_from_seed,
 )
@@ -226,14 +230,21 @@ def test_splitting_and_generators_decompose_nothing(monkeypatch):
 
     monkeypatch.setattr(symplectic, "hermitian_eig", counted(symplectic.hermitian_eig))
     monkeypatch.setattr(frames, "hermitian_eig", counted(frames.hermitian_eig))
+    monkeypatch.setattr(sampling, "hermitian_eig", counted(sampling.hermitian_eig))
     split = splitting(form)
     lam = random_lagrangian(rng, form)
     u = unitary_generator(form, lam)
     assert gap_hat(generator_to_frame(split, u), lam) < 1e-9
     random_lagrangian_pair(rng, form, 1)
     perturb_lagrangian(rng, form, lam, 0.1)
-    lagrangian_rotation(rng, form, lam)(0.5)
     assert calls == []
+    # A rotation decomposes its own 3 x 3 flow generator H once, when it
+    # is made, and nothing when it is evaluated.
+    rotation = lagrangian_rotation(rng, form, lam)
+    assert calls == [(3, 3)]
+    rotation(0.5)
+    rotation(0.75)
+    assert calls == [(3, 3)]
 
 
 def test_unitary_generator_rejects_non_lagrangian():
@@ -276,3 +287,254 @@ def test_naturality_transform():
     lam = random_lagrangian(rng, f)
     moved = Frame(np.linalg.qr(l @ lam.matrix)[0])
     assert classify(fp, moved) == "lagrangian"
+
+
+def _svd_rule(j: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The stacked isotropy test by SVD alone: the reference for the certificate.
+
+    A copy of the rule of ``isotropy_residuals`` and ``lagrangian_mask``
+    with no certificate in front of it.
+    """
+    u, s, _ = np.linalg.svd(j @ stack, full_matrices=False)
+    keep = s > frames.RANK_TOL * s[..., :1]
+    q = u * keep[..., None, :]
+    overlap = np.linalg.svd(q.conj().swapaxes(-1, -2) @ stack, compute_uv=False)
+    residual = np.minimum(overlap[..., 0], 1.0)
+    n, k = stack.shape[-2:]
+    return (residual <= 10 * frames.RANK_TOL) & (k + keep.sum(axis=-1) == n)
+
+
+def _conditioned_form(rng, dim: int, condition: float) -> SymplecticForm:
+    """Random balanced form: -iJ has one eigenvalue of modulus 1 / condition, the others 1."""
+    n = dim // 2
+    moduli = np.append(np.ones(dim - 1), 1.0 / condition)
+    signs = np.tile([1.0, -1.0], n)
+    u = scipy.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    h = (u * (signs * moduli)) @ u.conj().T
+    return SymplecticForm(1j * (h + h.conj().T) / 2.0)
+
+
+def _residual(form: SymplecticForm, frame: np.ndarray) -> float:
+    return float(symplectic.isotropy_residuals(form.j, frame[None])[0][0])
+
+
+def _at_residual(form: SymplecticForm, lam: Frame, target: float, rng, rank_one: bool) -> np.ndarray:
+    """A frame near lam whose isotropy residual is ``target`` to 1e-8 relative.
+
+    lam is moved along one direction by a step found by secant iteration
+    on the residual. With ``rank_one`` only the first column moves, along
+    w with lam^H J w = i e_1, so that lam^H J lam moves by a rank-one
+    matrix and the Frobenius norm of the overlap is its 2-norm to first
+    order; otherwise every column moves at random.
+    """
+    if rank_one:
+        a = lam.matrix.conj().T @ form.j
+        w = a.conj().T @ np.linalg.solve(a @ a.conj().T, 1j * np.eye(lam.dim)[:, 0])
+        direction = np.zeros_like(lam.matrix)
+        direction[:, 0] = w
+    else:
+        direction = rng.standard_normal(lam.matrix.shape) + 1j * rng.standard_normal(lam.matrix.shape)
+    direction /= np.linalg.norm(direction)
+
+    def frame(eps):
+        return np.linalg.qr(lam.matrix + eps * direction)[0]
+
+    eps = [target, 2 * target]
+    res = [_residual(form, frame(e)) for e in eps]
+    for _ in range(30):
+        if abs(res[-1] - target) <= 1e-8 * target:
+            break
+        slope = (res[-1] - res[-2]) / (eps[-1] - eps[-2])
+        eps.append(eps[-1] + (target - res[-1]) / slope)
+        res.append(_residual(form, frame(eps[-1])))
+    assert abs(res[-1] - target) <= 1e-8 * target
+    return frame(eps[-1])
+
+
+def _mask_cases():
+    """(forms, stack) cases for the certificate: one shape per stack."""
+    rng = rng_from_seed(0xCE27)
+    for dim in range(2, 17, 2):
+        form = random_symplectic_form(rng, dim)
+        lags = [random_lagrangian(rng, form).matrix for _ in range(6)]
+        generic = [random_subspace(rng, dim, dim // 2).matrix for _ in range(3)]
+        yield f"random-C{dim}", [form], np.stack(lags + generic)
+        tol = 10 * frames.RANK_TOL
+        near = [
+            _at_residual(form, random_lagrangian(rng, form), tol * factor, rng, rank_one)
+            for factor in (1 - 1e-3, 1 + 1e-3, 1 - 5e-7)
+            for rank_one in (False, True)
+        ]
+        yield f"near-threshold-C{dim}", [form], np.stack(near)
+        if dim >= 4:
+            iso = [random_isotropic(rng, form, dim // 2 - 1).matrix for _ in range(3)]
+            iso.append(random_subspace(rng, dim, dim // 2 - 1).matrix)
+            yield f"isotropic-C{dim}", [form], np.stack(iso)
+            coiso = [random_coisotropic(rng, form, dim // 2 - 1).matrix for _ in range(3)]
+            coiso.append(random_subspace(rng, dim, dim // 2 + 1).matrix)
+            yield f"coisotropic-C{dim}", [form], np.stack(coiso)
+    for condition in (1e7, 3e7, 5e7, 2e8, 1e9):
+        for dim in (2, 8, 16):
+            form = _conditioned_form(rng, dim, condition)
+            lags = [random_lagrangian(rng, form).matrix for _ in range(4)]
+            generic = [random_subspace(rng, dim, dim // 2).matrix for _ in range(2)]
+            yield f"condition-{condition:.0e}-C{dim}", [form], np.stack(lags + generic)
+    # One stack, one form per frame, certified and uncertified forms mixed.
+    forms, stack = [], []
+    for condition in (1.0, 1e7, 3e7, 2e8, 1e9, 4.0):
+        form = _conditioned_form(rng, 8, condition)
+        for frame in (random_lagrangian(rng, form), random_subspace(rng, 8, 4)):
+            forms.append(form)
+            stack.append(frame.matrix)
+    yield "mixed-forms-C8", forms, np.stack(stack)
+
+
+MASK_CASES = {name: (forms, stack) for name, forms, stack in _mask_cases()}
+
+
+@pytest.mark.parametrize("name", list(MASK_CASES))
+def test_certified_mask_makes_the_svd_rule_decisions(name):
+    forms, stack = MASK_CASES[name]
+    j = np.stack([f.j for f in forms])
+    want = _svd_rule(j, stack)
+    assert np.array_equal(symplectic.lagrangian_mask(forms, stack), want)
+    if name.startswith(("random", "near")):
+        assert want.any() and not want.all()
+
+
+def _fallback_counts(monkeypatch) -> list[int]:
+    """Number of frames each call hands to the SVD rule."""
+    counts = []
+    residuals = symplectic.isotropy_residuals
+
+    def counted(j, stack):
+        counts.append(len(stack))
+        return residuals(j, stack)
+
+    monkeypatch.setattr(symplectic, "isotropy_residuals", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "condition, certified", [(1.0, True), (1e7, True), (3e7, True), (2e8, False), (1e9, False)]
+)
+def test_certificate_holds_exactly_when_sigma_min_clears_twice_the_rank_cut(
+    monkeypatch, condition, certified
+):
+    """A Lagrangian of a form with sigma_min > 2 RANK_TOL sigma_max passes without an SVD.
+
+    At condition 3e7 in C^16 the bound must read sigma_max: read from
+    ||J||_F, which is sqrt(15) sigma_max there, it would fail.
+    """
+    rng = rng_from_seed(0xCE28)
+    form = _conditioned_form(rng, 16, condition)
+    assert symplectic._rank_certain(form) is certified
+    lam = generator_to_frame(splitting(form), np.eye(8))
+    stack = np.stack([lam.matrix, random_subspace(rng, 16, 8).matrix])
+    counts = _fallback_counts(monkeypatch)
+    assert symplectic.lagrangian_mask([form], stack).tolist() == [True, False]
+    # The generic frame fails the certificate and goes to the SVD rule.
+    assert counts == [1 if certified else 2]
+
+
+def test_residual_inside_the_margin_goes_to_the_svd_rule(monkeypatch):
+    """Residuals within 1e-6 relative below 10 RANK_TOL are not certified.
+
+    In C^2 the overlap is 1 x 1, so its Frobenius norm is the residual;
+    only the margin keeps these frames from the certificate.
+    """
+    rng = rng_from_seed(0xCE29)
+    form = random_symplectic_form(rng, 2)
+    tol = 10 * frames.RANK_TOL
+    frames_in = [
+        _at_residual(form, random_lagrangian(rng, form), tol * (1 - 5e-7), rng, rank_one=False),
+        _at_residual(form, random_lagrangian(rng, form), tol * (1 - 1e-3), rng, rank_one=False),
+    ]
+    counts = _fallback_counts(monkeypatch)
+    assert symplectic.lagrangian_mask([form], np.stack(frames_in)).tolist() == [True, True]
+    assert counts == [1]
+
+
+def test_repeated_frame_goes_through_the_isotropy_kernel_once(monkeypatch):
+    rng = rng_from_seed(0xCE2A)
+    form, other = random_symplectic_form(rng, 6), random_symplectic_form(rng, 6)
+    lams = [random_lagrangian(rng, form) for _ in range(3)]
+    mu = random_lagrangian(rng, form)
+    stacks = []
+    mask = symplectic.lagrangian_mask
+
+    def counted(forms, stack):
+        stacks.append(len(stack))
+        return mask(forms, stack)
+
+    monkeypatch.setattr(symplectic, "lagrangian_mask", counted)
+    frames_in = [sub for lam in lams for sub in (lam, mu)]
+    u = symplectic.lagrangian_generators([form], frames_in)
+    assert stacks == [4]
+    assert u.shape == (6, 3, 3)
+    assert np.array_equal(u[1], u[3]) and np.array_equal(u[1], u[5])
+    assert np.array_equal(u[1], unitary_generator(form, mu))
+    # Pairs are keyed by form object too: mu under another form is not
+    # Lagrangian and is its own element.
+    stacks.clear()
+    with pytest.raises(symplectic._NotLagrangian) as err:
+        symplectic.lagrangian_generators([form, form, form, other, other], [mu, lams[0], mu, mu, mu])
+    assert stacks == [3] and err.value.index == 3
+
+
+def test_error_names_the_first_occurrence_of_a_repeated_bad_frame():
+    """The bad frame occurs as mu at s=0.5 and as lam at s=0.75."""
+    form = standard_form(1)
+    bad = Frame.span([1, 1j])
+    good = [Frame.span([1, t]) for t in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    horizontal = Frame.span([1, 0])
+    legs = [(good[0], horizontal), (good[1], horizontal), (good[2], bad), (bad, good[3]), (good[4], bad)]
+    from maslovlab.maslov import LagrangianPairPath, PathSample
+
+    samples = [PathSample(s, form, lam, mu) for s, (lam, mu) in zip(np.linspace(0, 1, 5), legs)]
+    with pytest.raises(ValueError, match=r"sample at s=0\.500000: mu is symplectic, not lagrangian"):
+        LagrangianPairPath(samples)
+    with pytest.raises(symplectic._NotLagrangian) as err:
+        symplectic.lagrangian_generators([form], [good[0], bad, good[1], bad])
+    assert (err.value.index, err.value.kind) == (1, "symplectic")
+
+
+def test_mixed_shapes_are_decided_one_by_one():
+    rng = rng_from_seed(0xCE2B)
+    form = random_symplectic_form(rng, 6)
+    lam = random_lagrangian(rng, form)
+    assert symplectic.lagrangian_generators([form], [lam, lam]).shape == (2, 3, 3)
+    with pytest.raises(ValueError, match="isotropic, not lagrangian"):
+        unitary_generator(form, Frame(lam.matrix[:, :2]))
+    with pytest.raises(symplectic._NotLagrangian) as err:
+        symplectic.lagrangian_generators([form], [lam, random_isotropic(rng, form, 2), lam])
+    assert (err.value.index, err.value.kind) == (1, "isotropic")
+
+
+@pytest.mark.parametrize("dim, scale", [(2, 2.5), (4, 0.6), (8, 2.0), (16, 1.0)])
+def test_rotation_matches_the_matrix_exponential(dim, scale):
+    rng = rng_from_seed((0xCE2C, dim))
+    form = random_symplectic_form(rng, dim)
+    lam = random_lagrangian(rng, form)
+    state = rng.bit_generator.state
+    rot = lagrangian_rotation(rng, form, lam, scale=scale)
+    rng.bit_generator.state = state
+    h = random_hermitian(rng, dim // 2)
+    h = h / max(1.0, np.linalg.norm(h, 2))
+    u = unitary_generator(form, lam)
+    for s in np.linspace(0.0, 1.0, 9):
+        want = generator_to_frame(splitting(form), u @ scipy.linalg.expm(1j * scale * s * h))
+        assert gap_hat(rot(s), want) < 1e-12
+
+
+def test_rotating_paths_evaluate_without_a_matrix_exponential(monkeypatch):
+    from maslovlab.maslov import maslov_winding
+    from maslovlab.sampling import rotating_pair_path
+
+    def refused(*args, **kwargs):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refused)
+    path = rotating_pair_path(rng_from_seed(0xCE2D), dim=6, num_samples=9)
+    maslov_winding(path)
+    path.evaluate(0.123)
