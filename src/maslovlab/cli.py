@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -86,7 +87,7 @@ from .spectral import (
     sf_eigen,
     sf_relation,
 )
-from .symplectic import SymplecticForm, direct_sum
+from .symplectic import SymplecticForm, direct_sum, transform_form
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -600,8 +601,10 @@ def _suite_naturality(trials: int, seed: int) -> int:
         form = random_symplectic_form(rng, 4)
         lam = random_lagrangian(rng, form)
         mu = random_lagrangian(rng, form)
-        rot = lagrangian_rotation(rng, form, lam, scale=2.0)
-        form_at, push_at = form_deformation(rng, form, scale=0.25)
+        # Both paths read one rotation per parameter, and the pushed one
+        # one matrix exponential: form_at(s) would take push_at(s) again.
+        rot = functools.cache(lagrangian_rotation(rng, form, lam, scale=2.0))
+        _, push_at = form_deformation(rng, form, scale=0.25)
         fixed = LagrangianPairPath.from_callable(
             lambda s: (form, rot(s), mu), num_samples=65
         )
@@ -609,7 +612,7 @@ def _suite_naturality(trials: int, seed: int) -> int:
         def pushed_fn(s: float):
             push = push_at(s)
             return (
-                form_at(s),
+                transform_form(form, push),
                 orthonormalize(push @ rot(s).matrix),
                 orthonormalize(push @ mu.matrix),
             )

@@ -319,6 +319,31 @@ def _gesvd(m: np.ndarray):
     return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
+_GEQRF, _UNGQR = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), (np.zeros(1, dtype=complex),))
+
+
+def _full_rank_frame(m: np.ndarray) -> Frame:
+    """Frame of the columns of a complex N x k matrix known to have full column rank.
+
+    The Q factor of a Householder QR factorization by LAPACK geqrf and
+    ungqr, the routines ``numpy.linalg.qr`` calls, without its per-call
+    overhead. It makes no rank decision, so it suits a matrix whose rank
+    is known however badly conditioned it is, and its columns are
+    orthonormal to roundoff, as SVD columns are. Non-finite entries
+    raise ValueError.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if m.shape[1] == 0:
+        return Frame.empty(m.shape[0])
+    qr, tau, _, info = _GEQRF(m)
+    if info == 0:
+        q, _, info = _UNGQR(qr, tau)
+    if info != 0:
+        raise ArithmeticError(f"Householder QR failed (LAPACK info {info})")
+    return Frame._of_orthonormal(q)
+
+
 def _residual_svd(a: Frame, b: Frame):
     """SVD (U, sines, V^H) of a - P_b a, the part of a off b.
 

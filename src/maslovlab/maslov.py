@@ -68,10 +68,10 @@ from .reduction import (
 )
 from .symplectic import (
     SymplecticForm,
+    _doubled_forms,
     _NotLagrangian,
     annihilator,
     classify,
-    direct_sum,
     lagrangian_generators,
 )
 
@@ -193,8 +193,10 @@ def _sampling_failures(samples) -> Iterator[str | None]:
 class _GatedSamples(tuple):
     """Path samples each of whose steps has already passed the sampling gate.
 
-    :func:`_refined_path` builds them, and :class:`LagrangianPairPath`
-    then runs every construction check but that gate.
+    :func:`_refined_path` builds them, and so does :func:`diagonal_lift`
+    for the lifts of a path, whose gate inputs a lift keeps.
+    :class:`LagrangianPairPath` then runs every construction check but
+    that gate.
     """
 
 
@@ -243,14 +245,16 @@ class LagrangianPairPath:
     s; the counting routes use it to refine between samples. Being a
     function of s, it is called at most once per parameter value:
     :meth:`evaluate` keeps every evaluation, starting from the samples.
+    The path also keeps its :func:`maslov_winding` result once wound.
     """
 
     samples: tuple[PathSample, ...]
     callback: PathCallback | None = None
-    # Every evaluated (form, lam, mu) by parameter, and the relative
-    # angles of every s whose lam and mu passed the check.
+    # Every evaluated (form, lam, mu) by parameter, the relative angles
+    # of every s whose lam and mu passed the check, and the winding.
     _memo: Memo = field(init=False, repr=False, compare=False)
     _angles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _winding: MaslovResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gated = isinstance(self.samples, _GatedSamples)
@@ -474,7 +478,12 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
 
     with E the upper counting function. Endpoint angles within 1e-8 rad
     of a multiple of 2pi are snapped onto it before counting.
+
+    The result is kept on the path, so winding a path again continues
+    no branch; its ``theta_curves`` are read-only for that reason.
     """
+    if path._winding is not None:
+        return path._winding
     rows = _winding_rows(path)
     u_start = _snap_turns(rows[0][1] / _TWO_PI)
     u_end = _snap_turns(rows[-1][1] / _TWO_PI)
@@ -483,7 +492,10 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
     dim0 = int(np.sum(u_start == np.round(u_start)))
     dim1 = int(np.sum(u_end == np.round(u_end)))
     theta = np.array([[s, *th] for s, th in rows])
-    return _checked_result(mas_plus, mas_minus, dim0, dim1, "winding", theta_curves=theta)
+    theta.flags.writeable = False
+    result = _checked_result(mas_plus, mas_minus, dim0, dim1, "winding", theta_curves=theta)
+    object.__setattr__(path, "_winding", result)
+    return result
 
 
 def _anchored_sample(
@@ -1195,36 +1207,49 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     with the constant diagonal. Three evaluations must agree: the lift
     against the diagonal, the original path, and the diagonal against
     the lift in the oppositely doubled form. The lifted evaluation is
-    returned.
+    returned. The original path's winding is the one :func:`maslov_winding`
+    keeps on it, so a path the caller has wound is not wound again.
 
-    The doubled forms J (+) -J and -J (+) J come from ``form``'s
-    eigendata (:func:`direct_sum`), one per form object and sign, and
-    a block-diagonal frame of two orthonormal frames is orthonormal, so
-    nothing here decomposes or re-checks a 2N x 2N matrix. Both lifts
+    The doubled forms J (+) -J and -J (+) J come together from ``form``'s
+    eigendata (:func:`symplectic._doubled_forms`), once per form object,
+    and a block-diagonal frame of two orthonormal frames is orthonormal,
+    so nothing here decomposes or re-checks a 2N x 2N matrix. Both lifts
     share one pair frame lam (+) mu per parameter, and a path with one
     form object lifts to paths with one form object each.
+
+    The lifted samples inherit the path's sampling gate, which every
+    :class:`LagrangianPairPath` has passed at exactly these parameters,
+    because its inputs are the same by block structure:
+
+    * the principal angles of lam_a (+) mu_a and lam_b (+) mu_b are those
+      of lam and of mu together, so the lifted gap is
+      max(gap lam, gap mu), and the diagonal is constant;
+    * ||(J_b (+) -J_b) - (J_a (+) -J_a)||_2 = ||J_b - J_a||_2, and
+      sigma_min(J (+) -J) = sigma_min(J).
+
+    So the lifts are built as gated samples; only their Lagrangian check
+    runs.
     """
     eye = np.eye(path.dim)
     diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
     pairs: dict[float, Frame] = {}
-    # Keyed by the id of a form the entry keeps alive, and the sign.
-    doubled: dict[tuple[int, int], tuple[SymplecticForm, SymplecticForm]] = {}
+    # Keyed by the id of a form the entry keeps alive.
+    doubled: dict[int, tuple[SymplecticForm, tuple[SymplecticForm, SymplecticForm]]] = {}
 
-    def lifted_sample(s: float, sign: int) -> tuple[SymplecticForm, Frame]:
+    def lifted_sample(s: float, flip_first: bool) -> tuple[SymplecticForm, Frame]:
         form, lam, mu = path.evaluate(s)
         if s not in pairs:
             pairs[s] = Frame._of_orthonormal(_block_diag([lam.matrix, mu.matrix]))
-        key = (id(form), sign)
-        if key not in doubled:
-            doubled[key] = form, direct_sum(form, form, signs=(sign, -sign))
-        return doubled[key][1], pairs[s]
+        if id(form) not in doubled:
+            doubled[id(form)] = form, _doubled_forms(form)
+        return doubled[id(form)][1][flip_first], pairs[s]
 
     def lifted(flip_first: bool, swap: bool) -> LagrangianPairPath:
         def fn(s: float):
-            form2, pair_frame = lifted_sample(s, -1 if flip_first else 1)
+            form2, pair_frame = lifted_sample(s, flip_first)
             return (form2, diagonal, pair_frame) if swap else (form2, pair_frame, diagonal)
 
-        samples = tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)
+        samples = _GatedSamples(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)
         return LagrangianPairPath(samples, fn if path.callback is not None else None)
 
     direct = maslov_winding(path)

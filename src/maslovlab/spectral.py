@@ -28,6 +28,7 @@ from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
+    _full_rank_frame,
     _residual_svd,
     hermitian_eig,
     orthonormalize,
@@ -115,11 +116,18 @@ class LinearRelation:
 
 
 def graph_relation(m: np.ndarray) -> LinearRelation:
-    """Relation {(x, Mx)} for a p x q matrix M mapping C^q to C^p."""
+    """Relation {(x, Mx)} for a p x q matrix M mapping C^q to C^p.
+
+    [I; M] has full column rank q whatever M is, so its frame comes from
+    a Householder QR factorization with no rank decision
+    (:func:`frames._full_rank_frame`): a cut relative to the largest
+    singular value would drop directions once sigma_max(M) passes about
+    1e8.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     p, q = m.shape
     stacked = np.vstack([np.eye(q, dtype=complex), m])
-    return LinearRelation(q, p, orthonormalize(stacked))
+    return LinearRelation(q, p, _full_rank_frame(stacked))
 
 
 def horizontal_relation(dim_x: int, dim_y: int) -> LinearRelation:

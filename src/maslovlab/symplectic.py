@@ -138,12 +138,50 @@ def direct_sum(*forms: SymplecticForm, signs=None) -> SymplecticForm:
     signs = (1,) * len(forms) if signs is None else tuple(signs)
     if len(signs) != len(forms) or any(sign not in (1, -1) for sign in signs):
         raise ValueError("direct_sum needs one sign, +1 or -1, per summand")
-    j = _block_diag([sign * form.j for sign, form in zip(signs, forms)])
-    vals = np.concatenate([sign * form.eig[0] for sign, form in zip(signs, forms)])
+    return _assembled(
+        [_skew(sign * form.j) for sign, form in zip(signs, forms)],
+        np.concatenate([sign * form.eig[0] for sign, form in zip(signs, forms)]),
+        _block_diag([form.eig[1] for form in forms]),
+    )
+
+
+def _doubled_forms(form: SymplecticForm) -> tuple[SymplecticForm, SymplecticForm]:
+    """J (+) -J and -J (+) J, bit for bit ``direct_sum(form, form, signs=...)``.
+
+    Both share one block-diagonal matrix of ``form``'s eigenvectors and
+    one re-symmetrized block per sign; each takes its columns in its own
+    stable ascending order of the eigenvalues, as :func:`direct_sum`
+    does.
+    """
+    vals, vecs = form.eig
+    both = _block_diag([vecs, vecs])
+    blocks = {sign: _skew(sign * form.j) for sign in (1, -1)}
+    return tuple(
+        _assembled(
+            [blocks[sign], blocks[-sign]],
+            np.concatenate([sign * vals, -sign * vals]),
+            both,
+        )
+        for sign in (1, -1)
+    )
+
+
+def _skew(j: np.ndarray) -> np.ndarray:
+    """(J - J^H) / 2: the bits :class:`SymplecticForm` stores for a skew-Hermitian J."""
+    return (j - j.conj().T) / 2.0
+
+
+def _assembled(blocks, vals: np.ndarray, vecs: np.ndarray) -> SymplecticForm:
+    """The form with block-diagonal matrix ``blocks`` and eigenpairs (vals, vecs), no decomposition.
+
+    The columns of ``vecs`` are taken in the stable ascending order of
+    ``vals``. Re-symmetrizing a block-diagonal matrix leaves its zero
+    blocks as they are, so skewing each block gives the bits of skewing
+    the whole matrix.
+    """
     order = np.argsort(vals, kind="stable")
-    vecs = _block_diag([form.eig[1] for form in forms])[:, order]
     out = object.__new__(SymplecticForm)
-    out._set((j - j.conj().T) / 2.0, vals[order], vecs)
+    out._set(_block_diag(blocks), vals[order], vecs[:, order])
     return out
 
 
@@ -208,15 +246,17 @@ def lagrangian_mask(forms, frames: np.ndarray) -> np.ndarray:
     keeps all k of them, and Q can come from a QR factorization of
     J lam. Such a frame with 2k = N passes when ||Q^H lam||_F, which
     bounds the 2-norm residual from above, is at most
-    (1 - 1e-6) 10 ``RANK_TOL``. Every frame the certificate does not
-    pass goes through the SVD rule, so each decision is that rule's.
+    (1 - 1e-6) 10 ``RANK_TOL``. The certificate of every form is read
+    from one stack of the moduli of their eigenvalues. Every frame the
+    certificate does not pass goes through the SVD rule, so each
+    decision is that rule's.
     """
     n, k = frames.shape[-2:]
     shared = len(forms) == 1
     j = np.stack([f.j for f in forms])
     passed = np.zeros(len(frames), dtype=bool)
     if 2 * k == n:
-        sure = np.array([_rank_certain(f) for f in forms])
+        sure = _certain_ranks(np.abs(np.stack([f.eig[0] for f in forms])))
         idx = np.flatnonzero(np.broadcast_to(sure, passed.shape))
         if idx.size:
             q = np.linalg.qr((j if shared else j[idx]) @ frames[idx])[0]
@@ -232,11 +272,19 @@ def lagrangian_mask(forms, frames: np.ndarray) -> np.ndarray:
 def _rank_certain(form: SymplecticForm) -> bool:
     """Whether rank J lam = dim lam is certain for every orthonormal frame lam.
 
-    True when sigma_min(J) > 2 ``RANK_TOL`` sigma_max(J); the factor 2
-    leaves room for roundoff against the rank cut of
-    :func:`isotropy_residuals`.
+    The rule of :func:`_certain_ranks` for one form.
     """
-    return bool(form.sigma_min > 2 * RANK_TOL * np.abs(form.eig[0]).max(initial=0.0))
+    return bool(_certain_ranks(np.abs(form.eig[0])))
+
+
+def _certain_ranks(moduli: np.ndarray) -> np.ndarray:
+    """:func:`_rank_certain` for each row of a stack of |eigenvalues of -iJ|.
+
+    The moduli are the singular values of J. True when sigma_min(J) >
+    2 ``RANK_TOL`` sigma_max(J); the factor 2 leaves room for roundoff
+    against the rank cut of :func:`isotropy_residuals`.
+    """
+    return moduli.min(axis=-1) > 2 * RANK_TOL * moduli.max(axis=-1)
 
 
 def classify(form: SymplecticForm, lam: Frame) -> str:
@@ -362,7 +410,12 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
     * every generator is unitary, ||U^H U - I||_max <= 1e-10; the first
       that is not raises ArithmeticError.
 
-    The generators are in the bases of :func:`unitary_generator`.
+    The generators are in the bases of :func:`unitary_generator`. The
+    splitting is read off one stack of the distinct forms' eigenvalues
+    and one of their eigenvectors, with no :class:`SymplecticSplitting`
+    per form: the eigenvalues ascend, so a balanced splitting of C^2n
+    has X^- in the first n eigenvector columns and X^+ in the last n,
+    with roots sqrt(|eigenvalue|), the frames :func:`splitting` keeps.
     """
     shared = all(f is forms[0] for f in forms)
     # One element per distinct (form, frame) pair, in order of first
@@ -378,16 +431,18 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
         where.append(slots[key])
     forms = forms[:1] if shared else [forms[i] for i in first]
     frames = [frames[i] for i in first]
-    splits = [splitting(f) for f in forms]
-    for split in splits:
-        if split.x_plus.dim != split.x_minus.dim:
-            raise ValueError(
-                "splitting halves have different dimensions "
-                f"({split.x_plus.dim} vs {split.x_minus.dim}); no Lagrangians exist"
-            )
+    vals = np.stack([f.eig[0] for f in forms])
+    plus = (vals > 0).sum(axis=-1)
+    minus = vals.shape[-1] - plus
+    if (plus != minus).any():
+        i = np.flatnonzero(plus != minus)[0]
+        raise ValueError(
+            "splitting halves have different dimensions "
+            f"({plus[i]} vs {minus[i]}); no Lagrangians exist"
+        )
     mats = [f.matrix for f in frames]
     n, k = mats[0].shape
-    if k and all(m.shape == (n, k) for m in mats) and all(f.dim == n for f in forms):
+    if k and all(m.shape == (n, k) for m in mats) and vals.shape[-1] == n:
         mats = np.stack(mats)
         passed = lagrangian_mask(forms, mats)
     else:
@@ -397,12 +452,12 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
         if kind != "lagrangian":
             raise _NotLagrangian(first[i], kind)
     mats = np.asarray(mats)
-    x_minus = np.stack([sp.x_minus.matrix for sp in splits])
-    x_plus = np.stack([sp.x_plus.matrix for sp in splits])
-    root_plus = np.stack([sp.root_plus for sp in splits])[..., :, None]
-    root_minus = np.stack([sp.root_minus for sp in splits])[..., None, :]
-    c_minus = x_minus.conj().swapaxes(-1, -2) @ mats
-    c_plus = x_plus.conj().swapaxes(-1, -2) @ mats
+    half = vals.shape[-1] // 2
+    vecs = np.stack([f.eig[1] for f in forms])
+    roots = np.sqrt(np.abs(vals))
+    root_minus, root_plus = roots[:, None, :half], roots[:, half:, None]
+    c_minus = vecs[..., :half].conj().swapaxes(-1, -2) @ mats
+    c_plus = vecs[..., half:].conj().swapaxes(-1, -2) @ mats
     u = np.linalg.solve(c_minus.swapaxes(-1, -2), c_plus.swapaxes(-1, -2)).swapaxes(-1, -2)
     u = root_plus * u / root_minus
     res = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))

@@ -401,6 +401,33 @@ def test_verify_seed_changes_trials_not_outcome(capsys):
     assert main(["verify", "constancy", "--trials", "4", "--seed", "6"]) == 0
 
 
+def test_verify_naturality_takes_one_exponential_per_parameter(monkeypatch, capsys):
+    """The pushed path builds its form from the push it already has."""
+    import scipy.linalg
+
+    exponentials = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        exponentials.append(a.shape)
+        return expm(a)
+
+    paths = []
+    winding = cli.maslov_winding
+
+    def recorded(path):
+        paths.append(path)
+        return winding(path)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(cli, "maslov_winding", recorded)
+    assert main(["verify", "naturality", "--trials", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-2:] == ["2", "0"]
+    pushed = paths[1::2]
+    assert len(pushed) == 2
+    assert len(exponentials) == sum(len(path._memo.values) for path in pushed)
+
+
 def test_verify_rejects_nonpositive_trials(capsys):
     assert main(["verify", "flipping", "--trials", "0"]) == 1
     assert "--trials" in capsys.readouterr().err

@@ -534,6 +534,82 @@ def test_diagonal_lifts_share_pair_frames_and_doubled_forms(monkeypatch, constan
     assert np.array_equal(lift.samples[0].form.j, -swapped.samples[0].form.j)
 
 
+def _lifted_paths(monkeypatch, path: LagrangianPairPath) -> list[LagrangianPairPath]:
+    """The original path and the two lifts that diagonal_lift winds, in that order."""
+    lifts = []
+    winding = maslov.maslov_winding
+
+    def recorded(p):
+        lifts.append(p)
+        return winding(p)
+
+    monkeypatch.setattr(maslov, "maslov_winding", recorded)
+    diagonal_lift(path)
+    monkeypatch.setattr(maslov, "maslov_winding", winding)
+    return lifts
+
+
+def test_diagonal_lift_inherits_the_sampling_gate(monkeypatch):
+    path = moving_form_lines_path(2)
+    calls = []
+
+    def refused(name):
+        def wrapper(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    monkeypatch.setattr(maslov, "_consecutive_gaps", refused("_consecutive_gaps"))
+    monkeypatch.setattr(maslov, "_form_distances", refused("_form_distances"))
+    result = diagonal_lift(path)
+    assert calls == []
+    assert (result.mas_plus, result.mas_minus) == _counts(maslov_winding(path))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lifted_gate_inputs_equal_the_base_ones(monkeypatch, k):
+    """gap(lam (+) mu) = max(gap lam, gap mu), the diagonal stays, and the
+    doubled forms move by ||J_b - J_a||_2 with sigma_min(J)."""
+    path = moving_form_lines_path(k)
+    original, lift, swapped = _lifted_paths(monkeypatch, path)
+    base = np.maximum(
+        maslov._consecutive_gaps([smp.lam for smp in original.samples]),
+        maslov._consecutive_gaps([smp.mu for smp in original.samples]),
+    )
+    base_dj = np.array(maslov._form_distances(original.samples), dtype=float)
+    for lifted, pair, fixed in ((lift, "lam", "mu"), (swapped, "mu", "lam")):
+        gaps = maslov._consecutive_gaps([getattr(smp, pair) for smp in lifted.samples])
+        assert np.max(np.abs(gaps - base)) <= 1e-13
+        assert not maslov._consecutive_gaps([getattr(smp, fixed) for smp in lifted.samples]).any()
+        dj = np.array(maslov._form_distances(lifted.samples), dtype=float)
+        assert np.max(np.abs(dj - base_dj)) <= 1e-13 * np.max(base_dj)
+        for a, b in zip(lifted.samples, original.samples):
+            assert a.form.sigma_min == b.form.sigma_min
+
+
+def test_winding_is_kept_on_the_path(monkeypatch):
+    path = moving_form_lines_path(2)
+    first = maslov_winding(path)
+    steps = []
+    branch_step = maslov._branch_step
+
+    def counted(*args):
+        steps.append(args[0])
+        return branch_step(*args)
+
+    monkeypatch.setattr(maslov, "_branch_step", counted)
+    second = maslov_winding(path)
+    assert steps == []
+    assert _counts(second) == _counts(first)
+    assert np.array_equal(second.theta_curves, first.theta_curves)
+    with pytest.raises(ValueError, match="read-only"):
+        second.theta_curves[0, 1] = 0.0
+
+
+def _counts(result) -> tuple[int, int]:
+    return result.mas_plus, result.mas_minus
+
+
 def _rescaled(path: LagrangianPairPath, c: float) -> LagrangianPairPath:
     """The same Lagrangian legs under the constant form c J."""
     form = SymplecticForm(c * path.samples[0].form.j)

@@ -17,7 +17,8 @@ import inspect
 import pkgutil
 
 import maslovlab
-from maslovlab.maslov import maslov_semipositive
+from maslovlab.maslov import diagonal_lift, maslov_semipositive, maslov_winding
+from maslovlab.symplectic import lagrangian_generators, lagrangian_mask
 
 KNOBS = {
     "rank_tol", "fd_step", "max_depth", "tols", "tol_rank", "ode_tol", "batch_size", "chunk_size",
@@ -56,3 +57,11 @@ def test_no_function_takes_a_tolerance_knob():
 
 def test_semipositive_takes_the_path_and_a_seed_only():
     assert list(inspect.signature(maslov_semipositive).parameters) == ["path", "seed"]
+
+
+def test_stacked_routes_take_no_setting():
+    """The Lagrangian check and the windings decide their stacks and caches themselves."""
+    assert list(inspect.signature(lagrangian_mask).parameters) == ["forms", "frames"]
+    assert list(inspect.signature(lagrangian_generators).parameters) == ["forms", "frames"]
+    assert list(inspect.signature(diagonal_lift).parameters) == ["path"]
+    assert list(inspect.signature(maslov_winding).parameters) == ["path"]

@@ -349,3 +349,40 @@ def test_each_end_matrix_is_solved_once(monkeypatch):
     for row, mat in zip(curves[[0, -1]], ends):
         assert row[1:].tobytes() == checked(mat.matrix)[0].tobytes()
         assert not mat.eigenvalues().flags.writeable
+
+
+def test_graph_of_a_widely_spread_operator_keeps_every_direction():
+    """[I; M] has full column rank, so no singular value of M drops a direction."""
+    rel = graph_relation(np.diag([1.0, 1e9]))
+    assert rel.dim == 2
+    assert relation_index(rel) == 0
+
+
+def test_sf_relation_with_a_steep_second_eigenvalue():
+    """diag(-1 + 4s, 2e9): the graph stays two-dimensional, and the flow is 1."""
+
+    def matrix(s: float) -> np.ndarray:
+        return np.diag([-1.0 + 4.0 * s, 2e9])
+
+    form = canonical_product_form(2)
+    entries = [(float(s), form, graph_relation(matrix(float(s)))) for s in np.linspace(0, 1, 21)]
+    assert sf_relation(entries, lambda s: (form, graph_relation(matrix(s)))) == 1
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+def test_graph_of_any_matrix_has_its_dimension_and_index(seed, shape):
+    """graph(M) of a p x q matrix has dimension q and index q - p.
+
+    The singular values of M are log-uniform in [1e-12, 1e12].
+    """
+    p, q = shape
+    rng = rng_from_seed((0x6A2F, seed))
+    r = min(p, q)
+    values = 10.0 ** rng.uniform(-12.0, 12.0, r)
+    m = random_unitary(rng, p)[:, :r] @ np.diag(values) @ random_unitary(rng, q)[:r, :]
+    rel = graph_relation(m)
+    assert rel.dim == q
+    assert relation_index(rel) == q - p

@@ -121,6 +121,37 @@ def test_direct_sum_matches_a_fresh_block_diagonal_form(signs):
     assert np.all(np.diff(summed.eig[0]) >= 0)
 
 
+def _doubling_cases():
+    rng = rng_from_seed(0xD0B1)
+    yield "standard-C4", standard_form(2)
+    yield "diagonal-C3", SymplecticForm(np.diag([2j, -1j, 1j]))
+    for dim in (2, 4, 6, 8):
+        yield f"random-C{dim}", random_symplectic_form(rng, dim)
+    p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    yield "pulled-back-C4", transform_form(standard_form(2), p)
+
+
+@pytest.mark.parametrize("name, form", list(_doubling_cases()))
+def test_doubled_forms_are_direct_sums_bit_for_bit(name, form):
+    """J (+) -J and -J (+) J share one eigenvector block matrix and match direct_sum."""
+    doubled = symplectic._doubled_forms(form)
+    for got, signs in zip(doubled, [(1, -1), (-1, 1)]):
+        want = direct_sum(form, form, signs=signs)
+        assert got.j.tobytes() == want.j.tobytes()
+        assert got.eig[0].tobytes() == want.eig[0].tobytes()
+        assert got.eig[1].tobytes() == want.eig[1].tobytes()
+        assert got.sigma_min == want.sigma_min == form.sigma_min
+
+
+def test_direct_sum_skews_blockwise_with_the_bits_of_the_whole_matrix():
+    """Re-symmetrizing each block gives the bits of re-symmetrizing the block matrix."""
+    rng = rng_from_seed(0xD0B2)
+    a, b = random_symplectic_form(rng, 4), random_symplectic_form(rng, 2)
+    for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+        j = scipy.linalg.block_diag(signs[0] * a.j, signs[1] * b.j)
+        assert direct_sum(a, b, signs=signs).j.tobytes() == ((j - j.conj().T) / 2.0).tobytes()
+
+
 def test_direct_sum_keeps_the_singular_gate():
     unit = standard_form(1)
     tiny = SymplecticForm(1e-11 * unit.j)
@@ -538,3 +569,32 @@ def test_rotating_paths_evaluate_without_a_matrix_exponential(monkeypatch):
     path = rotating_pair_path(rng_from_seed(0xCE2D), dim=6, num_samples=9)
     maslov_winding(path)
     path.evaluate(0.123)
+
+
+def test_distinct_forms_are_checked_without_a_splitting_object(monkeypatch):
+    """The check reads the stacked eigendata of the forms, never their splittings."""
+    rng = rng_from_seed(0xCE2E)
+    forms = [random_symplectic_form(rng, 6) for _ in range(4)]
+    lams = [random_lagrangian(rng, form) for form in forms]
+    splits = [splitting(form) for form in forms]
+    fresh = [SymplecticForm(form.j) for form in forms]
+
+    def refused(self):
+        raise AssertionError("splitting read")
+
+    monkeypatch.setattr(SymplecticForm, "_splitting", property(refused))
+    u = symplectic.lagrangian_generators(fresh, lams)
+    for split, generator, lam in zip(splits, u, lams):
+        assert gap_hat(generator_to_frame(split, generator), lam) < 1e-12
+
+
+@pytest.mark.parametrize("vals, plus, minus", [([1, 1, -1], 2, 1), ([-1, -2, -3, 1], 1, 3)])
+def test_unbalanced_splitting_names_its_halves(vals, plus, minus):
+    balanced = standard_form(len(vals) // 2) if len(vals) % 2 == 0 else None
+    unbalanced = SymplecticForm(1j * np.diag(np.array(vals, dtype=float)))
+    forms = [unbalanced] if balanced is None else [balanced, unbalanced]
+    frame = Frame(np.eye(len(vals))[:, :1])
+    message = f"splitting halves have different dimensions ({plus} vs {minus}); no Lagrangians exist"
+    with pytest.raises(ValueError) as err:
+        symplectic.lagrangian_generators(forms, [frame] * len(forms))
+    assert str(err.value) == message
