@@ -64,6 +64,7 @@ from .reduction import (
     _decompose,
     _graph_coefficient_stack,
     complementary_lagrangian,
+    graph_coefficients,
     reduced_pair,
 )
 from .symplectic import (
@@ -526,37 +527,31 @@ def _anchored_sample(
     return out
 
 
-def _pairings(samples) -> tuple[np.ndarray, list]:
+def _pairings(samples) -> np.ndarray:
     """The pairing omega(s)(x, (A1(s) - B1(s)) y) on lam0 coordinates at anchored samples.
 
-    ``samples`` are outputs of :func:`_anchored_sample` that share the
-    dimension of lam0. Samples whose pair blocks have one shape share one
-    stacked solve, :func:`reduction._graph_coefficient_stack`, so a
-    crossing whose blocks all have their expected dimensions makes one.
-    Returns the stacked pairings and each sample's failure, None where
-    it passed every gate. The pairing itself is not gated as Hermitian:
-    off the crossing it need not be, only its derivative is.
+    ``samples`` are outputs of :func:`_anchored_sample` that share lam0.
+    A sample whose pair blocks are not both of dimension n - r, in
+    C^2n with r = dim lam0, raises first, with the error its own
+    :func:`reduction.graph_coefficients` call raises; the earliest such
+    sample decides. All samples then share one stacked solve,
+    :func:`reduction._graph_coefficient_stack`, whose gates raise at
+    the first that any sample fails. Returns the stacked pairings. The
+    pairing itself is not gated as Hermitian: off the crossing it need
+    not be, only its derivative is.
     """
     r = samples[0][3].lam0.dim
-    pairing = np.zeros((len(samples), r, r), dtype=complex)
-    errors: list = [None] * len(samples)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (*_, local) in enumerate(samples):
-        groups.setdefault((local.lam1.dim, local.mu1.dim), []).append(i)
-    for idx in groups.values():
-        part = [samples[i] for i in idx]
-        lam0, v, lam1, mu1 = (
-            np.stack([getattr(local, name).matrix for *_, local in part])
-            for name in ("lam0", "v", "lam1", "mu1")
-        )
-        lam, mu = (np.stack([sample[k].matrix for sample in part]) for k in (1, 2))
-        (a1, _, b1, _), failed = _graph_coefficient_stack(lam.shape[1], lam0, v, lam1, mu1, lam, mu)
-        diff = v @ (a1 - b1)
-        j = np.stack([form.j for form, *_ in part])
-        pairing[idx] = diff.conj().swapaxes(-1, -2) @ j @ lam0
-        for i, error in zip(idx, failed):
-            errors[i] = error
-    return pairing, errors
+    for form, lam, mu, local in samples:
+        if local.lam1.dim != form.dim // 2 - r or local.mu1.dim != form.dim // 2 - r:
+            graph_coefficients(form, local, lam, mu)
+    lam0, v, lam1, mu1 = (
+        np.stack([getattr(local, name).matrix for *_, local in samples])
+        for name in ("lam0", "v", "lam1", "mu1")
+    )
+    lam, mu = (np.stack([sample[k].matrix for sample in samples]) for k in (1, 2))
+    a1, _, b1, _ = _graph_coefficient_stack(lam.shape[1], lam0, v, lam1, mu1, lam, mu)
+    j = np.stack([form.j for form, *_ in samples])
+    return (v @ (a1 - b1)).conj().swapaxes(-1, -2) @ j @ lam0
 
 
 def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
@@ -569,22 +564,16 @@ def _hermitize_derivative(d: np.ndarray, label: str) -> HermitianMatrix:
     return HermitianMatrix.from_symmetrized(d)
 
 
-def _derivative_form(rows, t: float, form: SymplecticForm, label: str) -> list[HermitianMatrix]:
-    """Hermitian derivatives at t of matrix functions, one per row, named ``label`` in errors.
+def _stencils(t: float) -> tuple[list[float], list[list[float]], tuple[int, ...]]:
+    """The coarse and fine finite-difference stencils at t: their distinct
+    parameters, the stencils and their weights.
 
     Second-order central differences with step ``_FD_STEP`` in the
-    interior, one-sided stencils at 0 and 1. The derivative is also
-    taken at half the step; both must pass the Hermitian gate and have
-    one signature, and the Richardson combination of the two is
-    returned.
-
-    Each distinct stencil parameter is evaluated once: four in the
-    interior (t +- h, t +- h/2) and four at an endpoint (t, t + h,
-    t + 2h, t + h/2 at 0). ``rows`` takes these parameters, in the order
-    the coarse and then the fine stencil first uses them, and returns an
-    iterable that yields, row by row, the stack of that row's function
-    values at them. A row is reached only after the previous row passed
-    every gate here, so a row whose values failed raises then.
+    interior, one-sided stencils at 0 and 1; the fine stencil takes half
+    the step. The distinct parameters come in the order the coarse and
+    then the fine stencil first use them: four in the interior
+    (t +- h, t +- h/2) and four at an endpoint (t, t + h, t + 2h,
+    t + h/2 at 0).
     """
     h = _FD_STEP
     if t - 2 * h >= 0.0 and t + 2 * h <= 1.0:
@@ -595,23 +584,31 @@ def _derivative_form(rows, t: float, form: SymplecticForm, label: str) -> list[H
         offsets, weights = (0, -1, -2), (3, -4, 1)
     else:
         raise ValueError(f"finite-difference step {h} is too large for t={t}")
-    steps = (h, h / 2)
-    stencils = [[t + k * step for k in offsets] for step in steps]
-    params = list(dict.fromkeys(s for stencil in stencils for s in stencil))
+    stencils = [[t + k * step for k in offsets] for step in (h, h / 2)]
+    return list(dict.fromkeys(s for stencil in stencils for s in stencil)), stencils, weights
+
+
+def _derivative_form(values: np.ndarray, t: float, form: SymplecticForm, label: str) -> HermitianMatrix:
+    """Hermitian derivative at t of a matrix function, named ``label`` in errors.
+
+    ``values`` is the stack of the function's values at the distinct
+    parameters of :func:`_stencils` at t, in their order. The derivative
+    is taken on the coarse and the fine stencil; both must pass the
+    Hermitian gate and have one signature, and the Richardson
+    combination of the two is returned.
+    """
+    params, stencils, weights = _stencils(t)
     where = {s: i for i, s in enumerate(params)}
-    forms = []
-    for q in rows(params):
-        coarse, fine = (
-            sum(w * q[where[s]] for s, w in zip(stencil, weights)) / (2 * step)
-            for stencil, step in zip(stencils, steps)
+    coarse, fine = (
+        sum(w * values[where[s]] for s, w in zip(stencil, weights)) / (2 * step)
+        for stencil, step in zip(stencils, (_FD_STEP, _FD_STEP / 2))
+    )
+    g_coarse, g_fine = (_hermitize_derivative(d, label) for d in (coarse, fine))
+    if _signature(g_coarse, form) != _signature(g_fine, form):
+        raise ArithmeticError(
+            f"{label} signature at t={t} changed under finite-difference step halving"
         )
-        g_coarse, g_fine = (_hermitize_derivative(d, label) for d in (coarse, fine))
-        if _signature(g_coarse, form) != _signature(g_fine, form):
-            raise ArithmeticError(
-                f"{label} signature at t={t} changed under finite-difference step halving"
-            )
-        forms.append(_hermitize_derivative((4 * fine - coarse) / 3, label))
-    return forms
+    return _hermitize_derivative((4 * fine - coarse) / 3, label)
 
 
 def _form_scale(q: HermitianMatrix, form: SymplecticForm) -> tuple[np.ndarray, float]:
@@ -657,12 +654,16 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
     distinct stencil parameter: the pair blocks of each complement come
     from one :func:`_anchored_sample` over the four parameters, and the
     graph coefficients of all eight elements from one stacked solve
-    (:func:`_pairings`), where every gate applies to each element. The
-    errors keep the order of a computation one complement at a time,
-    stencil point by stencil point, coarse before fine: the first
-    complement's failing points, the first in that order raising, then
-    its derivative gates, then the second complement's decomposition,
-    its points and its gates.
+    (:func:`_pairings`). The errors follow one rule, the order of the
+    stages of that computation:
+
+    1. the decompositions of both complements;
+    2. the evaluation of every distinct stencil parameter, in order;
+    3. the gates of the stacked solve in their fixed order, each naming
+       the earliest failing element (:func:`_pairings`);
+    4. each complement's derivative gates (:func:`_derivative_form`),
+       the first complement's first;
+    5. the agreement of the two complements.
 
     Raises
     ------
@@ -674,41 +675,16 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
         the choice of complement.
     """
     form_t, lam_t, mu_t = path.evaluate(t)
-    frame = intersect(lam_t, mu_t)
+    spaces = _anchor_spaces(form_t, lam_t, mu_t)
+    frame = spaces[0]
     if frame.dim == 0:
         raise ValueError(f"no crossing at t={t}: the pair is transversal there")
-    spaces = _anchor_spaces(form_t, lam_t, mu_t)
-    anchors = [_decompose(form_t, lam_t, mu_t, spaces, None, seed)]
-    late = None
-    try:
-        anchors.append(_decompose(form_t, lam_t, mu_t, spaces, None, seed + 101))
-    except (ValueError, ArithmeticError) as exc:
-        # Raised once the first complement's form has passed its gates.
-        late = exc
-
-    def rows(params: list[float]) -> Iterator[np.ndarray]:
-        reached, failure = [], None
-        for s in params:
-            try:
-                path.evaluate(s)
-            except Exception as exc:  # re-raised below, after the failures that precede it
-                failure = exc
-                break
-            reached.append(s)
-        if not reached:
-            raise failure
-        samples = [smp for anchor in anchors for smp in _anchored_sample(path, reached, form_t, *anchor)]
-        pairing, errors = _pairings(samples)
-        n = len(reached)
-        for row in range(2):
-            if row == len(anchors):
-                raise late
-            first = next((e for e in errors[row * n : (row + 1) * n] if e is not None), failure)
-            if first is not None:
-                raise first
-            yield pairing[row * n : (row + 1) * n]
-
-    gamma, gamma_alt = _derivative_form(rows, t, form_t, "crossing form")
+    anchors = [_decompose(form_t, lam_t, mu_t, spaces, None, seed + k) for k in (0, 101)]
+    params = _stencils(t)[0]
+    samples = [smp for anchor in anchors for smp in _anchored_sample(path, params, form_t, *anchor)]
+    gamma, gamma_alt = (
+        _derivative_form(values, t, form_t, "crossing form") for values in np.split(_pairings(samples), 2)
+    )
     vals, scale = _form_scale(gamma, form_t)
     signature = _inertia(vals, _FORM_ZERO * scale)
     if _signature(gamma_alt, form_t) != signature or (
@@ -771,10 +747,7 @@ def one_sided_form(
             )
         return (q + q.conj().T) / 2.0
 
-    def rows(params: list[float]) -> Iterator[np.ndarray]:
-        yield np.stack([qfun(s) for s in params])
-
-    (q,) = _derivative_form(rows, t, form_t, "one-sided form")
+    q = _derivative_form(np.stack([qfun(s) for s in _stencils(t)[0]]), t, form_t, "one-sided form")
     return q, base
 
 

@@ -376,21 +376,12 @@ def check_transitivity(
     return twice.dim == transported.dim and gap_hat(twice, transported) <= RANK_TOL
 
 
-def _flag(errors: list, failed: np.ndarray, error: Exception) -> None:
-    """Record ``error`` for each failed element of a stack that has no earlier failure."""
-    if failed.any():
-        for i in np.flatnonzero(failed):
-            if errors[i] is None:
-                errors[i] = error
-
-
 def _graph_block(
     coords: np.ndarray,
     dims: tuple[int, int, int, int],
     free_index: int,
     coef_indices: tuple[int, int],
     label: str,
-    errors: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve for the two coefficient blocks of one graph representation, for a stack.
 
@@ -402,17 +393,16 @@ def _graph_block(
     minimum-norm solution that ``lstsq`` returns) and the kernel, the
     last rows of V^H (the basis ``scipy.linalg.null_space`` returns).
 
-    Each gate applies to each element; an element that fails is recorded
-    in ``errors`` (see :func:`_flag`) and computed on with safe values.
+    Each gate applies to the whole stack and raises as soon as any
+    element fails it.
     """
     m, _, k = coords.shape
     r = dims[0]
     if k != r + dims[free_index]:
-        _flag(errors, np.ones(m, dtype=bool), ValueError(
+        raise ValueError(
             f"{label} has dimension {k}, the graph representation needs "
             f"{r + dims[free_index]}"
-        ))
-        return tuple(np.zeros((m, dims[i], r), dtype=complex) for i in coef_indices)
+        )
     edges = np.cumsum((0,) + dims)
     blocks = [coords[:, edges[i] : edges[i + 1]] for i in range(4)]
     scale = np.maximum(1.0, _norm2(coords))
@@ -421,41 +411,39 @@ def _graph_block(
         kernel = np.broadcast_to(np.eye(k, dtype=complex), (m, k, k))
     else:
         u, s, vh = np.linalg.svd(blocks[0])
-        graph = _conditioned(s)
-        _flag(errors, ~graph, ArithmeticError(
-            f"{label} is not a graph over the anchor block "
-            "(transversality to the complementary blocks fails)"
-        ))
-        if not graph.all():
-            s = np.where(graph[:, None], s, 1.0)
+        if not _conditioned(s).all():
+            raise ArithmeticError(
+                f"{label} is not a graph over the anchor block "
+                "(transversality to the complementary blocks fails)"
+            )
         sol = (vh[:, :r].conj().swapaxes(-1, -2) / s[:, None, :]) @ u.conj().swapaxes(-1, -2)
         residual = np.abs(blocks[0] @ sol - np.eye(r)).max(axis=(-2, -1))
-        _flag(errors, residual > _IDENTITY_TOL * scale, ArithmeticError(
-            f"{label}: anchor block has no right inverse"
-        ))
+        if (residual > _IDENTITY_TOL * scale).any():
+            raise ArithmeticError(f"{label}: anchor block has no right inverse")
         kernel = vh[:, r:].conj().swapaxes(-1, -2)
     for idx in coef_indices:
         leak = np.abs(blocks[idx] @ kernel).max(axis=(-2, -1), initial=0.0)
-        _flag(errors, leak > _IDENTITY_TOL * scale, ArithmeticError(
-            f"{label}: free directions leak outside the free block; "
-            "the decomposition is not adapted to this subspace"
-        ))
+        if (leak > _IDENTITY_TOL * scale).any():
+            raise ArithmeticError(
+                f"{label}: free directions leak outside the free block; "
+                "the decomposition is not adapted to this subspace"
+            )
     return blocks[coef_indices[0]] @ sol, blocks[coef_indices[1]] @ sol
 
 
-def _misses(basis: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Which elements of a stack of bases do not span their subspace ``sub``.
+def _misses(basis: np.ndarray, sub: np.ndarray) -> bool:
+    """Whether some element of a stack of bases does not span its subspace ``sub``.
 
     The rank of each basis is that of :func:`orthonormalize`; the gap of
-    :func:`gap_hat` between the frames of full rank and their subspaces
-    comes from one stacked SVD and is held to 1e-9.
+    :func:`gap_hat` between the frames and their subspaces comes from one
+    stacked SVD and is held to 1e-9.
     """
-    k = sub.shape[-1]
     spans = [orthonormalize(b) for b in basis]
-    short = np.array([f.dim != k for f in spans])
-    u = np.stack([sub_i if f.dim != k else f.matrix for f, sub_i in zip(spans, sub)])
+    if any(f.dim != sub.shape[-1] for f in spans):
+        return True
+    u = np.stack([f.matrix for f in spans])
     gap = np.linalg.svd(u - sub @ (sub.conj().swapaxes(-1, -2) @ u), compute_uv=False)
-    return short | (gap.max(axis=-1, initial=0.0) > 1e-9)
+    return bool((gap.max(axis=-1, initial=0.0) > 1e-9).any())
 
 
 def _graph_coefficient_stack(
@@ -466,40 +454,32 @@ def _graph_coefficient_stack(
     mu1_basis: np.ndarray,
     lam: np.ndarray,
     mu: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], list]:
-    """:func:`graph_coefficients_in_bases` for stacks, with each element's failure.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`graph_coefficients_in_bases` for stacks.
 
     Every argument is a stack of m matrices, the block bases with one
     shape each and ``lam`` and ``mu`` frame matrices; ``dim`` is the
-    ambient dimension. Returns the stacked (A1, A2, B1, B2) and a list
-    of m entries: None for an element that passed every gate, else the
-    error of the first gate it failed, in the order the gates run.
+    ambient dimension. Returns the stacked (A1, A2, B1, B2). The gates
+    run in a fixed order, each over the whole stack, and the first that
+    any element fails raises.
     """
     ts = np.concatenate([lam0_basis, v_basis, lam1_basis, mu1_basis], axis=-1).astype(complex)
-    m, rows, cols = ts.shape
-    dims = (
-        lam0_basis.shape[-1],
-        v_basis.shape[-1],
-        lam1_basis.shape[-1],
-        mu1_basis.shape[-1],
-    )
+    _, rows, cols = ts.shape
     if rows != cols or cols != dim:
-        r = dims[0]
-        zeros = [np.zeros((m, d, r), dtype=complex) for d in (dims[1], dims[3], dims[1], dims[2])]
-        return tuple(zeros), [ValueError("block bases do not fill the ambient space")] * m
-    errors: list = [None] * m
-    invertible = _conditioned(np.linalg.svd(ts, compute_uv=False)) | (dim == 0)
-    _flag(errors, ~invertible, ArithmeticError("block bases are numerically dependent"))
-    if not invertible.all():
-        ts = np.where(invertible[:, None, None], ts, np.eye(dim))
+        raise ValueError("block bases do not fill the ambient space")
+    if not (_conditioned(np.linalg.svd(ts, compute_uv=False)) | (dim == 0)).all():
+        raise ArithmeticError("block bases are numerically dependent")
+    dims = tuple(b.shape[-1] for b in (lam0_basis, v_basis, lam1_basis, mu1_basis))
     c, d = np.split(np.linalg.solve(ts, np.concatenate([lam, mu], axis=-1)), [lam.shape[-1]], axis=-1)
-    a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam", errors)
-    b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu", errors)
+    a1, a2 = _graph_block(c, dims, 2, (1, 3), "lam")
+    b1, b2 = _graph_block(d, dims, 3, (1, 2), "mu")
     lam_rb = np.concatenate([lam0_basis + v_basis @ a1 + mu1_basis @ a2, lam1_basis], axis=-1)
     mu_rb = np.concatenate([lam0_basis + v_basis @ b1 + lam1_basis @ b2, mu1_basis], axis=-1)
-    _flag(errors, _misses(lam_rb, lam), ArithmeticError("reassembled graph representation misses lam"))
-    _flag(errors, _misses(mu_rb, mu), ArithmeticError("reassembled graph representation misses mu"))
-    return (a1, a2, b1, b2), errors
+    if _misses(lam_rb, lam):
+        raise ArithmeticError("reassembled graph representation misses lam")
+    if _misses(mu_rb, mu):
+        raise ArithmeticError("reassembled graph representation misses mu")
+    return a1, a2, b1, b2
 
 
 def graph_coefficients_in_bases(
@@ -523,11 +503,16 @@ def graph_coefficients_in_bases(
     ``lam`` and ``mu`` as sequences of m frames, give the m sets of
     coefficients stacked; 2-D bases with frames are a stack of one and
     give 2-D coefficients. ``lam`` and ``mu`` must be frames: the
-    reassembly gap projects onto them as orthonormal bases. Every gate applies to each element: the
-    block basis square and well conditioned, the anchor-block SVD gate,
-    the right-inverse and kernel-leak checks, and the reassembly rank
-    and gap. An element that fails raises the error of its first failed
-    gate; where several fail, the one earliest in the stack raises.
+    reassembly gap projects onto them as orthonormal bases.
+
+    The gates run in a fixed order, each over the whole stack: the block
+    basis square, then well conditioned; for lam and then mu, the
+    dimension, the anchor-block SVD gate, the right inverse and the
+    kernel leak into each coefficient block; then the reassembly rank
+    and gap of lam and of mu. The first gate that any element fails
+    raises, with the message a single call on that element raises; where
+    several elements fail, the earliest gate decides, not the position
+    in the stack.
     """
     bases = [np.asarray(b) for b in (lam0_basis, v_basis, lam1_basis, mu1_basis)]
     single = bases[0].ndim == 2
@@ -537,10 +522,7 @@ def graph_coefficients_in_bases(
     if single:
         bases = [b[None] for b in bases]
     stacks = (np.stack([sub.matrix for sub in subs]) for subs in pair)
-    coefs, errors = _graph_coefficient_stack(form.dim, *bases, *stacks)
-    first = next((e for e in errors if e is not None), None)
-    if first is not None:
-        raise first
+    coefs = _graph_coefficient_stack(form.dim, *bases, *stacks)
     return tuple(c[0] for c in coefs) if single else coefs
 
 

@@ -269,16 +269,9 @@ def lagrangian_mask(forms, frames: np.ndarray) -> np.ndarray:
     return passed
 
 
-def _rank_certain(form: SymplecticForm) -> bool:
-    """Whether rank J lam = dim lam is certain for every orthonormal frame lam.
-
-    The rule of :func:`_certain_ranks` for one form.
-    """
-    return bool(_certain_ranks(np.abs(form.eig[0])))
-
-
 def _certain_ranks(moduli: np.ndarray) -> np.ndarray:
-    """:func:`_rank_certain` for each row of a stack of |eigenvalues of -iJ|.
+    """Whether rank J lam = dim lam is certain for every orthonormal frame
+    lam, for each row of a stack of |eigenvalues of -iJ|.
 
     The moduli are the singular values of J. True when sigma_min(J) >
     2 ``RANK_TOL`` sigma_max(J); the factor 2 leaves room for roundoff

@@ -1254,25 +1254,30 @@ HALVING = (ArithmeticError, "crossing form signature at t=0.5 changed under fini
 @pytest.mark.parametrize(
     "failures, halving, expected",
     [
-        ({(0, 2): "blocks", (0, 1): "graph"}, False, GRAPH),
+        ({(0, 2): "blocks", (0, 1): "graph"}, False, BLOCKS),
         ({(0, 1): "blocks", (0, 2): "graph"}, False, BLOCKS),
         ({(0, 3): "graph", (0, 0): "blocks"}, False, BLOCKS),
-        ({(1, 0): "blocks", (0, 3): "graph"}, False, GRAPH),
-        ({(1, 0): "graph", (1, 2): "blocks"}, False, GRAPH),
-        ({(1, 0): "blocks"}, True, HALVING),
-        ({(0, 2): "evaluate", (0, 1): "graph"}, False, GRAPH),
+        ({(1, 0): "blocks", (0, 3): "graph"}, False, BLOCKS),
+        ({(1, 0): "graph", (1, 2): "blocks"}, False, BLOCKS),
+        ({(1, 0): "blocks"}, True, BLOCKS),
+        ({(0, 2): "evaluate", (0, 1): "graph"}, False, (ValueError, "no value at stencil point 2")),
         ({(0, 1): "evaluate", (0, 2): "graph"}, False, (ValueError, "no value at stencil point 1")),
         ({(0, 0): "evaluate"}, False, (ValueError, "no value at stencil point 0")),
+        ({(1, 3): "graph"}, True, GRAPH),
+        ({(1, 3): "graph"}, False, GRAPH),
     ],
     ids=["coarse before fine", "coarse before fine 2", "first point", "first complement",
          "second complement", "first complement's gates", "graph before callback",
-         "callback before graph", "first callback"],
+         "callback before graph", "first callback", "stacked gates before derivative gates",
+         "last element"],
 )
 def test_failing_stencil_points_raise_in_point_by_point_order(monkeypatch, failures, halving, expected):
-    """With several stencil points failing, the stacked pass raises what a
-    computation one complement and one point at a time raises first: the
-    first complement's points, coarse before fine, then that
-    complement's derivative gates, then the second complement."""
+    """With several stencil points failing, the stacked pass raises by the
+    order of its stages: every distinct stencil parameter is evaluated
+    first, then a sample whose pair blocks have the wrong dimension
+    raises, then the gates of the one stacked solve, and only then the
+    derivative gates of each complement. A single failure raises what it
+    raised point by point."""
     path = _failing_points(monkeypatch, failures)
     if halving:
         calls = itertools.count()

@@ -292,12 +292,34 @@ def test_graph_coefficients_in_bases_recover_planted_coefficients(seed, r, q):
             graph_coefficients_in_bases(standard_form(r + q), l0, v, l1, m1, tilted, mu)
 
 
+# The gates of graph_coefficients_in_bases, by the start of their
+# messages, in the fixed order in which a stacked call runs them.
+GATE_ORDER = (
+    "block bases do not fill the ambient space",
+    "block bases are numerically dependent",
+    "lam has dimension",
+    "lam is not a graph over the anchor block",
+    "lam: anchor block has no right inverse",
+    "lam: free directions leak",
+    "mu has dimension",
+    "mu is not a graph over the anchor block",
+    "mu: anchor block has no right inverse",
+    "mu: free directions leak",
+    "reassembled graph representation misses lam",
+    "reassembled graph representation misses mu",
+)
+
+
+def _gate(exc: Exception) -> int:
+    return next(i for i, start in enumerate(GATE_ORDER) if str(exc).startswith(start))
+
+
 @pytest.mark.parametrize("r, q", [(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (2, 1), (1, 2)])
 def test_stacked_graph_coefficients_equal_single_calls(r, q):
     """A stack of m block bases and pairs gives, element by element, what
     m calls with one each give: r = 0 (no anchor block) and r = n (no pair
     blocks) included. A stack with failing elements raises the error of
-    the earliest one, as a run of single calls would."""
+    the first failing gate, from the earliest element that fails it."""
     rng = rng_from_seed((0x57AC, r, q))
     form = standard_form(r + q)
     drawn = [planted_pair(rng, r, q) for _ in range(4)]
@@ -323,7 +345,7 @@ def test_stacked_graph_coefficients_equal_single_calls(r, q):
             failures[i] = exc
     assert failures
     for first in range(4):
-        later = [i for i in failures if i >= first]
+        later = sorted((i for i in failures if i >= first), key=lambda i: (_gate(failures[i]), i))
         tail = [b[first:] for b in bases] + [p[first:] for p in pairs]
         if not later:
             graph_coefficients_in_bases(form, *tail)
@@ -331,6 +353,108 @@ def test_stacked_graph_coefficients_equal_single_calls(r, q):
         with pytest.raises(type(failures[later[0]])) as raised:
             graph_coefficients_in_bases(form, *tail)
         assert str(raised.value) == str(failures[later[0]])
+
+
+def _unitary_blocks(rng, r: int, q: int):
+    """lam0, V, lam1, mu1 as the columns of one unitary, with a pair
+    (lam, mu) that is a graph over them.
+
+    In an orthonormal block basis, a perturbation of size delta along
+    one block moves the coordinates, the kernel leak and the reassembly
+    gap by about delta, so an input can pass the 1e-8 leak gate and
+    fail the 1e-9 reassembly gap.
+    """
+    t = random_unitary(rng, 2 * (r + q))
+    l0, v, l1, m1 = np.split(t, np.cumsum([r, r, q]), axis=1)
+    a1, b1 = rng.standard_normal((2, r, r))
+    lam = orthonormalize(np.hstack([l0 + v @ a1, l1]))
+    mu = orthonormalize(np.hstack([l0 + v @ b1, m1]))
+    return [l0, v, l1, m1], [lam, mu]
+
+
+def _fail_dependent(basis, pair):
+    basis[1] = basis[0]
+
+
+def _fail_graph(basis, pair):
+    pair[0] = orthonormalize(np.hstack([basis[1], basis[2]]))
+
+
+def _fail_right_inverse(basis, pair):
+    l0, v, l1, _ = basis
+    tilt = l0 * np.array([1.0, 1e-4]) + v
+    pair[0] = orthonormalize(np.hstack([tilt, l1]))
+
+
+def _fail_leak(basis, pair):
+    pair[0] = pair[1]
+
+
+def _fail_reassembly_lam(basis, pair):
+    l0, v, l1, m1 = basis
+    pair[0] = orthonormalize(np.hstack([l0 + v, l1 + 4e-9 * m1]))
+
+
+def _fail_reassembly_mu(basis, pair):
+    l0, v, l1, m1 = basis
+    pair[1] = orthonormalize(np.hstack([l0 - v, m1 + 4e-9 * l1]))
+
+
+PARITY_GATES = {
+    "dependent blocks": (_fail_dependent, "block bases are numerically dependent"),
+    "not a graph": (_fail_graph, "lam is not a graph over the anchor block"),
+    "no right inverse": (_fail_right_inverse, "lam: anchor block has no right inverse"),
+    "leak": (_fail_leak, "lam: free directions leak"),
+    "reassembly of lam": (_fail_reassembly_lam, "reassembled graph representation misses lam"),
+    "reassembly of mu": (_fail_reassembly_mu, "reassembled graph representation misses mu"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("gate", ["shape", *PARITY_GATES])
+def test_each_stacked_gate_raises_what_the_single_call_raises(monkeypatch, gate, index):
+    """In a stack of 4 whose only failing element is at ``index``, each
+    gate raises the class and message of that element's single call.
+
+    The shape of the block bases is one for the whole stack, so under
+    the shape gate every element fails. The right inverse V S^-1 U^H of
+    a block that passes the graph gate inverts it to roundoff, so that
+    gate is reached through an SVD that returns singular values below
+    1e-3, which only the failing element has, twice too large: for the
+    single call and the stack alike.
+    """
+    rng = rng_from_seed((0x6A7E, index))
+    form = standard_form(3)
+    drawn = [_unitary_blocks(rng, 2, 1) for _ in range(4)]
+    if gate == "shape":
+        for basis, _ in drawn:
+            basis[3] = basis[3][:, :0]
+        expected = "block bases do not fill the ambient space"
+    else:
+        fail, expected = PARITY_GATES[gate]
+        fail(*drawn[index])
+    if gate == "no right inverse":
+        svd = np.linalg.svd
+
+        def doubling_svd(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                return svd(a, *args, **kwargs)
+            u, s, vh = svd(a, *args, **kwargs)
+            return u, np.where(s < 1e-3, 2 * s, s), vh
+
+        monkeypatch.setattr(np.linalg, "svd", doubling_svd)
+    for i, (basis, pair) in enumerate(drawn):
+        if i != index and gate != "shape":
+            graph_coefficients_in_bases(form, *basis, *pair)
+    basis, pair = drawn[index]
+    with pytest.raises((ValueError, ArithmeticError)) as single:
+        graph_coefficients_in_bases(form, *basis, *pair)
+    assert str(single.value).startswith(expected)
+    bases = [np.stack([b[k] for b, _ in drawn]) for k in range(4)]
+    pairs = [[p[k] for _, p in drawn] for k in range(2)]
+    with pytest.raises(type(single.value)) as stacked:
+        graph_coefficients_in_bases(form, *bases, *pairs)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_graph_coefficients_in_bases_take_lam_and_mu_as_frames():

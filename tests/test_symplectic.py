@@ -459,7 +459,7 @@ def test_certificate_holds_exactly_when_sigma_min_clears_twice_the_rank_cut(
     """
     rng = rng_from_seed(0xCE28)
     form = _conditioned_form(rng, 16, condition)
-    assert symplectic._rank_certain(form) is certified
+    assert bool(symplectic._certain_ranks(np.abs(form.eig[0]))) is certified
     lam = generator_to_frame(splitting(form), np.eye(8))
     stack = np.stack([lam.matrix, random_subspace(rng, 16, 8).matrix])
     counts = _fallback_counts(monkeypatch)
