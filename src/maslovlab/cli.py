@@ -10,9 +10,11 @@ config is validated against CONFIG_FIELDS and PARAMETER_FIELDS before
 anything runs. Reports carry no timestamps or absolute paths, so the
 same config with the same seed reproduces the report byte for byte.
 
-``maslovlab verify SUITE`` runs a seeded battery of trials for one
-checked identity and prints a table row (identity, anchor, trials,
-failures). Available suites are the keys of SUITES.
+``maslovlab verify SUITE`` runs seeded trials of one checked identity
+and prints a table row (identity, anchor, trials, failures). Each suite
+in SUITES is a per-trial identity: a predicate that draws trial t of
+seed s and returns whether the identity held there. ``run_suite`` counts
+the failed trials, and any failure makes ``verify`` exit 3.
 
 The bvp scenarios take their integers from the public
 ``desuspension_check`` and ``splitting_check`` and export the spectra of
@@ -495,8 +497,8 @@ def _run_bvp_splitting(params: dict, seed: int):
 
 def _run_property_suite(params: dict, seed: int):
     name = params["suite"]
-    identity, runner = SUITES[name]
-    failures = runner(params["trials"], seed)
+    identity = SUITES[name][0]
+    failures = run_suite(name, params["trials"], seed)
     if failures:
         raise InvariantViolation(
             f"suite '{name}' violated its identity ({identity}) in "
@@ -522,214 +524,171 @@ _SCENARIOS = {
 
 
 # ---------------------------------------------------------------------------
-# Verification suites. Each runner executes seeded trials and returns
-# the number of failures; numerical gates propagate except where a gate
-# is itself the checked property.
+# Verification suites. Each predicate draws one seeded trial, from
+# rng_from_seed((tag, seed, trial)), and returns whether its identity held;
+# run_suite counts the trials that failed. Numerical gates propagate except
+# where a gate is itself the checked property.
 
 
-def _suite_flipping(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        path = rotating_pair_path(rng_from_seed((0xF119, seed, trial)))
+def _suite_flipping(seed: int, trial: int) -> bool:
+    path = rotating_pair_path(rng_from_seed((0xF119, seed, trial)))
 
-        def swapped_fn(s: float):
-            form, lam, mu = path.evaluate(s)
-            return form, mu, lam
+    def swapped_fn(s: float):
+        form, lam, mu = path.evaluate(s)
+        return form, mu, lam
 
-        swapped = LagrangianPairPath.from_callable(swapped_fn, num_samples=33)
-        res = maslov_winding(path)
-        res_swapped = maslov_winding(swapped)
-        # Winding has checked Mas+ - Mas- = dim cap(0) - dim cap(1) at its
-        # endpoint snap, so the difference carries the end dimensions.
-        if res.mas_plus + res_swapped.mas_plus != res.mas_plus - res.mas_minus:
-            failures += 1
-    return failures
+    swapped = LagrangianPairPath.from_callable(swapped_fn, num_samples=33)
+    res = maslov_winding(path)
+    res_swapped = maslov_winding(swapped)
+    # Winding has checked Mas+ - Mas- = dim cap(0) - dim cap(1) at its
+    # endpoint snap, so the difference carries the end dimensions.
+    return res.mas_plus + res_swapped.mas_plus == res.mas_plus - res.mas_minus
 
 
-def _suite_catenation(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0xCA7E, seed, trial))
-        path = rotating_pair_path(rng)
-        split = float(rng.uniform(0.3, 0.7))
-        left = LagrangianPairPath.from_callable(
-            lambda s: path.callback(split * s), num_samples=17
-        )
-        right = LagrangianPairPath.from_callable(
-            lambda s: path.callback(split + (1.0 - split) * s), num_samples=17
-        )
-        whole = maslov_winding(path)
-        res_left = maslov_winding(left)
-        res_right = maslov_winding(right)
-        (left_plus, left_minus), (right_plus, right_minus) = _counts(res_left), _counts(res_right)
-        if _counts(whole) != (left_plus + right_plus, left_minus + right_minus):
-            failures += 1
-    return failures
+def _suite_catenation(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0xCA7E, seed, trial))
+    path = rotating_pair_path(rng)
+    split = float(rng.uniform(0.3, 0.7))
+    left = LagrangianPairPath.from_callable(
+        lambda s: path.callback(split * s), num_samples=17
+    )
+    right = LagrangianPairPath.from_callable(
+        lambda s: path.callback(split + (1.0 - split) * s), num_samples=17
+    )
+    whole = maslov_winding(path)
+    res_left = maslov_winding(left)
+    res_right = maslov_winding(right)
+    (left_plus, left_minus), (right_plus, right_minus) = _counts(res_left), _counts(res_right)
+    return _counts(whole) == (left_plus + right_plus, left_minus + right_minus)
 
 
-def _suite_direct_sum(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        path_a = rotating_pair_path(rng_from_seed((0xD5A0, seed, trial)), dim=2)
-        path_b = rotating_pair_path(rng_from_seed((0xD5A1, seed, trial)), dim=4)
-        # Each summand carries one constant form, so the summed form is
-        # built from their eigendata and split once per trial; a
-        # block-diagonal array of two frames is orthonormal as it stands.
-        form = direct_sum(path_a.samples[0].form, path_b.samples[0].form)
+def _suite_direct_sum(seed: int, trial: int) -> bool:
+    path_a = rotating_pair_path(rng_from_seed((0xD5A0, seed, trial)), dim=2)
+    path_b = rotating_pair_path(rng_from_seed((0xD5A1, seed, trial)), dim=4)
+    # Each summand carries one constant form, so the summed form is
+    # built from their eigendata and split once per trial; a
+    # block-diagonal array of two frames is orthonormal as it stands.
+    form = direct_sum(path_a.samples[0].form, path_b.samples[0].form)
 
-        def summed_fn(s: float):
-            _, lam_a, mu_a = path_a.callback(s)
-            _, lam_b, mu_b = path_b.callback(s)
-            lam = Frame._of_orthonormal(_block_diag([lam_a.matrix, lam_b.matrix]))
-            mu = Frame._of_orthonormal(_block_diag([mu_a.matrix, mu_b.matrix]))
-            return form, lam, mu
+    def summed_fn(s: float):
+        _, lam_a, mu_a = path_a.callback(s)
+        _, lam_b, mu_b = path_b.callback(s)
+        lam = Frame._of_orthonormal(_block_diag([lam_a.matrix, lam_b.matrix]))
+        mu = Frame._of_orthonormal(_block_diag([mu_a.matrix, mu_b.matrix]))
+        return form, lam, mu
 
-        summed_path = LagrangianPairPath.from_callable(summed_fn, num_samples=33)
-        res_a = maslov_winding(path_a)
-        res_b = maslov_winding(path_b)
-        res_sum = maslov_winding(summed_path)
-        (a_plus, a_minus), (b_plus, b_minus) = _counts(res_a), _counts(res_b)
-        if _counts(res_sum) != (a_plus + b_plus, a_minus + b_minus):
-            failures += 1
-    return failures
+    summed_path = LagrangianPairPath.from_callable(summed_fn, num_samples=33)
+    res_a = maslov_winding(path_a)
+    res_b = maslov_winding(path_b)
+    res_sum = maslov_winding(summed_path)
+    (a_plus, a_minus), (b_plus, b_minus) = _counts(res_a), _counts(res_b)
+    return _counts(res_sum) == (a_plus + b_plus, a_minus + b_minus)
 
 
-def _suite_naturality(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0xA701, seed, trial))
-        form = random_symplectic_form(rng, 4)
-        lam = random_lagrangian(rng, form)
-        mu = random_lagrangian(rng, form)
-        # Both paths read one rotation per parameter, and the pushed one
-        # one matrix exponential: form_at(s) would take push_at(s) again.
-        rot = functools.cache(lagrangian_rotation(rng, form, lam, scale=2.0))
-        _, push_at = form_deformation(rng, form, scale=0.25)
-        fixed = LagrangianPairPath.from_callable(
-            lambda s: (form, rot(s), mu), num_samples=65
+def _suite_naturality(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0xA701, seed, trial))
+    form = random_symplectic_form(rng, 4)
+    lam = random_lagrangian(rng, form)
+    mu = random_lagrangian(rng, form)
+    # Both paths read one rotation per parameter, and the pushed one
+    # one matrix exponential: form_at(s) would take push_at(s) again.
+    rot = functools.cache(lagrangian_rotation(rng, form, lam, scale=2.0))
+    _, push_at = form_deformation(rng, form, scale=0.25)
+    fixed = LagrangianPairPath.from_callable(
+        lambda s: (form, rot(s), mu), num_samples=65
+    )
+
+    def pushed_fn(s: float):
+        push = push_at(s)
+        return (
+            transform_form(form, push),
+            orthonormalize(push @ rot(s).matrix),
+            orthonormalize(push @ mu.matrix),
         )
 
-        def pushed_fn(s: float):
-            push = push_at(s)
-            return (
-                transform_form(form, push),
-                orthonormalize(push @ rot(s).matrix),
-                orthonormalize(push @ mu.matrix),
-            )
-
-        pushed = LagrangianPairPath.from_callable(pushed_fn, num_samples=65)
-        res_fixed = maslov_winding(fixed)
-        res_pushed = maslov_winding(pushed)
-        if _counts(res_fixed) != _counts(res_pushed):
-            failures += 1
-    return failures
+    pushed = LagrangianPairPath.from_callable(pushed_fn, num_samples=65)
+    res_fixed = maslov_winding(fixed)
+    res_pushed = maslov_winding(pushed)
+    return _counts(res_fixed) == _counts(res_pushed)
 
 
-def _suite_constancy(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0xC057, seed, trial))
-        form = random_symplectic_form(rng, 4)
-        lam, mu = random_lagrangian_pair(rng, form, intersection_dim=trial % 3)
-        path = LagrangianPairPath.from_callable(
-            lambda s: (form, lam, mu), num_samples=5
-        )
-        res = maslov_winding(path)
-        if _counts(res) != (0, 0):
-            failures += 1
-    return failures
+def _suite_constancy(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0xC057, seed, trial))
+    form = random_symplectic_form(rng, 4)
+    lam, mu = random_lagrangian_pair(rng, form, intersection_dim=trial % 3)
+    path = LagrangianPairPath.from_callable(
+        lambda s: (form, lam, mu), num_samples=5
+    )
+    res = maslov_winding(path)
+    return _counts(res) == (0, 0)
 
 
-def _suite_reduction(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        path = rotating_pair_path(rng_from_seed((0x12ED, seed, trial)))
-        direct = maslov_winding(path)
-        try:
-            reduced = maslov_reduced(path, seed=trial)
-        except ArithmeticError:
-            failures += 1
-            continue
-        if _counts(direct) != _counts(reduced):
-            failures += 1
-    return failures
+def _suite_reduction(seed: int, trial: int) -> bool:
+    path = rotating_pair_path(rng_from_seed((0x12ED, seed, trial)))
+    direct = maslov_winding(path)
+    try:
+        reduced = maslov_reduced(path, seed=trial)
+    except ArithmeticError:
+        return False
+    return _counts(direct) == _counts(reduced)
 
 
-def _suite_diagonal(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        path = rotating_pair_path(rng_from_seed((0xD1A6, seed, trial)))
-        direct = maslov_winding(path)
-        lifted = diagonal_lift(path)
-        if _counts(direct) != _counts(lifted):
-            failures += 1
-    return failures
+def _suite_diagonal(seed: int, trial: int) -> bool:
+    path = rotating_pair_path(rng_from_seed((0xD1A6, seed, trial)))
+    direct = maslov_winding(path)
+    lifted = diagonal_lift(path)
+    return _counts(direct) == _counts(lifted)
 
 
-def _suite_sf_mas(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0x5F3A, seed, trial))
-        dim = 2 + trial % 3
-        a_start = random_hermitian(rng, dim)
-        a_end = random_hermitian(rng, dim)
-        path, sf_rel = _linear_flow_routes(a_start, a_end, 33)
-        if sf_eigen(path) != sf_rel:
-            failures += 1
-    return failures
+def _suite_sf_mas(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0x5F3A, seed, trial))
+    dim = 2 + trial % 3
+    a_start = random_hermitian(rng, dim)
+    a_end = random_hermitian(rng, dim)
+    path, sf_rel = _linear_flow_routes(a_start, a_end, 33)
+    return sf_eigen(path) == sf_rel
 
 
-def _suite_hormander(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0x8030, seed, trial))
-        form = random_symplectic_form(rng, 4)
-        lam1 = random_lagrangian(rng, form)
-        lam2 = random_lagrangian(rng, form)
-        mu1 = random_lagrangian(rng, form)
-        mu2 = random_lagrangian(rng, form)
-        try:
-            forward = hormander(form, lam1, lam2, mu1, mu2, seed=trial)
-            swapped = hormander(form, lam1, lam2, mu2, mu1, seed=trial + 1)
-        except ArithmeticError:
-            failures += 1
-            continue
-        if forward != -swapped:
-            failures += 1
-    return failures
+def _suite_hormander(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0x8030, seed, trial))
+    form = random_symplectic_form(rng, 4)
+    lam1 = random_lagrangian(rng, form)
+    lam2 = random_lagrangian(rng, form)
+    mu1 = random_lagrangian(rng, form)
+    mu2 = random_lagrangian(rng, form)
+    try:
+        forward = hormander(form, lam1, lam2, mu1, mu2, seed=trial)
+        swapped = hormander(form, lam1, lam2, mu2, mu1, seed=trial + 1)
+    except ArithmeticError:
+        return False
+    return forward == -swapped
 
 
-def _suite_cayley(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0xCA1E, seed, trial))
-        dim = 2 + trial % 7
-        matrix = random_hermitian(rng, dim)
-        try:
-            cayley(matrix)
-        except ArithmeticError:
-            failures += 1
-    return failures
+def _suite_cayley(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0xCA1E, seed, trial))
+    dim = 2 + trial % 7
+    matrix = random_hermitian(rng, dim)
+    try:
+        cayley(matrix)
+    except ArithmeticError:
+        return False
+    return True
 
 
-def _suite_gap_bound(trials: int, seed: int) -> int:
-    failures = 0
-    for trial in range(trials):
-        rng = rng_from_seed((0x6A90, seed, trial))
-        ambient = int(rng.integers(2, 9))
-        dim = int(rng.integers(1, min(4, ambient) + 1))
-        first = random_subspace(rng, ambient, dim)
-        second = random_subspace(rng, ambient, dim)
-        reverse = gap_delta(second, first)
-        if reverse >= 1.0:
-            continue
-        bound = 2.0 ** (dim - 1) * dim * reverse / (1.0 - reverse) ** dim
-        if gap_delta(first, second) > bound + 1e-12:
-            failures += 1
-    return failures
+def _suite_gap_bound(seed: int, trial: int) -> bool:
+    rng = rng_from_seed((0x6A90, seed, trial))
+    ambient = int(rng.integers(2, 9))
+    dim = int(rng.integers(1, min(4, ambient) + 1))
+    first = random_subspace(rng, ambient, dim)
+    second = random_subspace(rng, ambient, dim)
+    reverse = gap_delta(second, first)
+    if reverse >= 1.0:
+        return True
+    bound = 2.0 ** (dim - 1) * dim * reverse / (1.0 - reverse) ** dim
+    return gap_delta(first, second) <= bound + 1e-12
 
 
-SUITES: dict[str, tuple[str, Callable[[int, int], int]]] = {
+SUITES: dict[str, tuple[str, Callable[[int, int], bool]]] = {
     "flipping": (
         "Mas+{lam,mu} + Mas+{mu,lam} = dim cap(0) - dim cap(1)",
         _suite_flipping,
@@ -778,13 +737,13 @@ SUITES: dict[str, tuple[str, Callable[[int, int], int]]] = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> int:
-    """Run one verification suite and return the number of failed trials."""
+    """Run the first ``trials`` seeded trials of one suite and return how many failed."""
     if name not in SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    _, runner = SUITES[name]
-    return runner(trials, seed)
+    _, holds = SUITES[name]
+    return sum(not holds(seed, trial) for trial in range(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -849,21 +808,11 @@ _SUMMARY_KEYS = ("mas_plus", "mas_minus", "sf", "neg_mas", "neg_mas_cut",
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        payload, report_path = run_config(
-            args.config,
-            out_dir=args.out_dir,
-            seed_override=_env_seed(),
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
-        print(f"numerical gate failure: {exc}", file=sys.stderr)
-        return 2
+    payload, report_path = run_config(
+        args.config,
+        out_dir=args.out_dir,
+        seed_override=_env_seed(),
+    )
     results = payload["results"]
     summary = " ".join(
         f"{key}={results[key]}" for key in _SUMMARY_KEYS if key in results
@@ -874,17 +823,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        env = _env_seed()
-        if args.trials < 1:
-            raise ConfigError("--trials must be a positive integer")
-        failures = run_suite(args.suite, args.trials, args.seed if env is None else env)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"numerical gate failure: {exc}", file=sys.stderr)
-        return 2
+    env = _env_seed()
+    if args.trials < 1:
+        raise ConfigError("--trials must be a positive integer")
+    failures = run_suite(args.suite, args.trials, args.seed if env is None else env)
     identity = SUITES[args.suite][0]
     width = max(len(identity), len("anchor"))
     print(f"{'identity':<12} {'anchor':<{width}} {'trials':>6} {'failures':>8}")
@@ -927,9 +869,19 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_verify(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        return _cmd_verify(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, ArithmeticError) as exc:
+        print(f"numerical gate failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

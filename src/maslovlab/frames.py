@@ -203,7 +203,7 @@ class HermitianMatrix:
 
 
 def exceeds_scaled_tol(defect, a: np.ndarray, tol: float) -> bool:
-    """Whether ``defect > tol * max(1, ||a||_2)``: the relative Hermiticity gate.
+    """Whether ``defect > tol * max(1, ||a||_2)``: the relative gate of the identity checks.
 
     The 2-norm costs an SVD, so it is taken only when the defect is not
     within ``tol``; a defect within ``tol`` passes whatever the norm is.

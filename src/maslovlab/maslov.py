@@ -110,6 +110,8 @@ _FORM_ZERO = 1e-7
 # Failed reduced-segment counts allowed before maslov_reduced gives up;
 # each failure moves the segment ends halfway toward its span.
 _MAX_DEPTH = 10
+# Sample grid of each connecting path of hormander.
+_HORMANDER_SAMPLES = 25
 
 
 def counting_function_E(a: float) -> int:
@@ -1144,14 +1146,14 @@ def hormander(
     mu1: Frame,
     mu2: Frame,
     seed: int = 0,
-    num_samples: int = 25,
 ) -> int:
     """Hormander index of two Lagrangian pairs.
 
     Connects lam1 to lam2 by a graph-interpolation path lam(s) and
-    returns Mas_+{lam(s), mu2} - Mas_+{lam(s), mu1}. The value does not
-    depend on the connecting path; the computation is repeated with a
-    second seeded path and both runs must agree.
+    returns Mas_+{lam(s), mu2} - Mas_+{lam(s), mu1}, each path on
+    ``_HORMANDER_SAMPLES`` samples. The value does not depend on the
+    connecting path; the computation is repeated with a second seeded
+    path and both runs must agree.
     """
     for name, sub in (("lam1", lam1), ("lam2", lam2), ("mu1", mu1), ("mu2", mu2)):
         kind = classify(form, sub)
@@ -1159,8 +1161,8 @@ def hormander(
             raise ValueError(f"{name} is {kind}, not lagrangian")
 
     def one_run(path_seed: int) -> int:
-        with_mu2 = _connecting_path(form, lam1, lam2, mu2, path_seed, num_samples)
-        with_mu1 = _connecting_path(form, lam1, lam2, mu1, path_seed, num_samples)
+        with_mu2 = _connecting_path(form, lam1, lam2, mu2, path_seed, _HORMANDER_SAMPLES)
+        with_mu1 = _connecting_path(form, lam1, lam2, mu1, path_seed, _HORMANDER_SAMPLES)
         return maslov_winding(with_mu2).mas_plus - maslov_winding(with_mu1).mas_plus
 
     value = one_run(seed)

@@ -320,9 +320,8 @@ def _decompose(
         v = orthonormalize(z + lam0.matrix @ shear)
         if v.dim != r:
             raise ArithmeticError("isotropic shear collapsed the complement")
-        if np.max(np.abs(omega_matrix(form, v, v))) > _IDENTITY_TOL * max(
-            1.0, np.linalg.norm(form.j, 2)
-        ):
+        isotropy = np.max(np.abs(omega_matrix(form, v, v)))
+        if exceeds_scaled_tol(isotropy, form.j, _IDENTITY_TOL):
             raise ArithmeticError("sheared complement failed to become isotropic")
     dec, v_ann = _pair_decomposition(form, lam0, v, lam, mu, require_annihilator=True)
     n = lam.dim
@@ -367,8 +366,8 @@ def check_transitivity(
     rd = red_d.representative.matrix
     iso = rd.conj().T @ r2.conj().T @ r1
     induced = iso.conj().T @ red_d.induced_form.j @ iso
-    scale = max(1.0, np.linalg.norm(red1.induced_form.j, 2))
-    if np.max(np.abs(induced - red1.induced_form.j), initial=0.0) > _IDENTITY_TOL * scale:
+    defect = np.max(np.abs(induced - red1.induced_form.j), initial=0.0)
+    if exceeds_scaled_tol(defect, red1.induced_form.j, _IDENTITY_TOL):
         raise ArithmeticError("natural isomorphism between quotients is not symplectic")
     twice = reduce_subspace(red2.induced_form, w1_image, reduce_subspace(form, w2, lam))
     once = reduce_subspace(form, w1, lam)
@@ -642,12 +641,11 @@ def reduced_pair(
     ginv = np.linalg.inv(x0h @ f0)
     jl_x0 = ginv.conj().T @ jl @ ginv
     x0_form = SymplecticForm((jl_x0 - jl_x0.conj().T) / 2.0)
-    jscale = max(1.0, np.linalg.norm(form.j, 2))
     anchors_annihilate = min(
         np.max(np.abs(omega_matrix(form, dec.lam0, dec.lam1)), initial=0.0),
         np.max(np.abs(omega_matrix(form, dec.lam0, dec.mu1)), initial=0.0),
     )
-    if anchors_annihilate <= 1e-12 * jscale:
+    if not exceeds_scaled_tol(anchors_annihilate, form.j, 1e-12):
         restriction = x0h @ form.j @ dec.x0.matrix
         if exceeds_scaled_tol(np.max(np.abs(jl_x0 - restriction)), jl, 1e-10):
             raise ArithmeticError(

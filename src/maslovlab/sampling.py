@@ -7,8 +7,18 @@ control reproducibility; nothing here touches global random state.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
-from .frames import Frame, hermitian_eig, orthonormalize
+from .frames import Frame, hermitian_eig, orthonormalize, subspace_sum
+from .symplectic import (
+    SymplecticForm,
+    annihilator,
+    generator_to_frame,
+    splitting,
+    standard_form,
+    transform_form,
+    unitary_generator,
+)
 
 __all__ = [
     "rng_from_seed",
@@ -74,8 +84,6 @@ def random_symplectic_form(rng, dim: int, standard: bool = False):
     positive and negative eigenspaces of -iJ have equal dimension.
     With ``standard=True`` the flat form J_2n is returned.
     """
-    from .symplectic import SymplecticForm, standard_form
-
     if dim % 2 != 0:
         raise ValueError("dimension must be even")
     n = dim // 2
@@ -89,8 +97,6 @@ def random_symplectic_form(rng, dim: int, standard: bool = False):
 
 def random_lagrangian(rng, form) -> Frame:
     """Random Lagrangian subspace of (C^2n, omega), uniform in the generator."""
-    from .symplectic import generator_to_frame, splitting
-
     split = splitting(form)
     n = split.x_minus.dim
     if split.x_plus.dim != n:
@@ -105,8 +111,6 @@ def random_lagrangian_pair(rng, form, intersection_dim: int = 0):
     ``intersection_dim`` generator eigendirections with it and is rotated
     away by angles bounded off zero elsewhere.
     """
-    from .symplectic import generator_to_frame, splitting, unitary_generator
-
     split = splitting(form)
     n = split.x_minus.dim
     if not 0 <= intersection_dim <= n:
@@ -139,8 +143,6 @@ def random_isotropic(rng, form, dim: int) -> Frame:
 
 def random_coisotropic(rng, form, codim: int) -> Frame:
     """Random co-isotropic subspace, as the annihilator of an isotropic one."""
-    from .symplectic import annihilator
-
     return annihilator(form, random_isotropic(rng, form, codim))
 
 
@@ -150,9 +152,7 @@ def random_lagrangian_containing(rng, form, iso) -> Frame:
     Reduces by iso^omega, draws a Lagrangian in the quotient and lifts
     it back alongside iso.
     """
-    from .frames import subspace_sum
     from .reduction import reduce_space
-    from .symplectic import annihilator
 
     red = reduce_space(form, annihilator(form, iso))
     if red.dim == 0:
@@ -168,10 +168,6 @@ def perturb_lagrangian(rng, form, lam, scale: float) -> Frame:
     Twists the unitary generator by exp(i * scale * H) for a random
     Hermitian H of unit norm, so the result is again a generator.
     """
-    import scipy.linalg
-
-    from .symplectic import generator_to_frame, splitting, unitary_generator
-
     split = splitting(form)
     u = unitary_generator(form, lam)
     h = random_hermitian(rng, lam.dim)
@@ -191,8 +187,6 @@ def lagrangian_rotation(rng, form, lam, scale: float = 1.0):
     each member is the graph of U0 V diag(exp(i * scale * s * d)) V^H,
     so evaluating the family takes no matrix exponential.
     """
-    from .symplectic import generator_to_frame, splitting, unitary_generator
-
     split = splitting(form)
     u = unitary_generator(form, lam)
     h = random_hermitian(rng, lam.dim)
@@ -233,10 +227,6 @@ def form_deformation(rng, form, scale: float = 0.5):
     of ``form`` to Lagrangians of form_at(s) and the family satisfies
     the naturality relation push^H J(s) push = J(0).
     """
-    import scipy.linalg
-
-    from .symplectic import transform_form
-
     n = form.dim
     k = _ginibre(rng, n) * (scale / np.sqrt(n))
 

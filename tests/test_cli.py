@@ -361,7 +361,7 @@ def test_off_grid_non_lagrangian_value_maps_to_exit_2(tmp_path, monkeypatch, cap
 
 def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
-        cli.SUITES, "flipping", ("anchor text", lambda trials, seed: 2)
+        cli.SUITES, "flipping", ("anchor text", lambda seed, trial: False)
     )
     cfg = write_config(
         tmp_path,
@@ -374,6 +374,7 @@ def test_invariant_violation_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert "invariant violation" in err and "flipping" in err
+    assert "in 5 of 5 trials" in err
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,15 @@ def test_verify_flipping_prints_table(capsys):
     assert "trials" in lines[0] and "failures" in lines[0]
     assert lines[1].startswith("flipping")
     assert lines[1].split()[-2:] == ["3", "0"]
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_verify_every_suite_holds_on_two_trials(suite, capsys):
+    assert main(["verify", suite, "--trials", "2"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    identity = cli.SUITES[suite][0]
+    assert row.split()[0] == suite and identity in row
+    assert row.split()[-2:] == ["2", "0"]
 
 
 def test_verify_seed_changes_trials_not_outcome(capsys):
@@ -467,10 +477,10 @@ def test_help_exits_0(capsys):
 
 def test_verify_failures_exit_3(monkeypatch, capsys):
     monkeypatch.setitem(
-        cli.SUITES, "flipping", ("anchor text", lambda trials, seed: 1)
+        cli.SUITES, "flipping", ("anchor text", lambda seed, trial: trial != 0)
     )
     assert main(["verify", "flipping", "--trials", "2"]) == 3
-    assert capsys.readouterr().out.strip().splitlines()[1].split()[-1] == "1"
+    assert capsys.readouterr().out.strip().splitlines()[1].split()[-2:] == ["2", "1"]
 
 
 def test_run_suite_rejects_unknown_name():
