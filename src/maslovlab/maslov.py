@@ -55,7 +55,6 @@ from .frames import (
     gap_hat,
     intersect,
     orthonormalize,
-    well_conditioned,
 )
 from .refinement import MOVEMENT_GATE, Memo, refine
 from .reduction import (
@@ -63,8 +62,8 @@ from .reduction import (
     _anchor_spaces,
     _decompose,
     _graph_coefficient_stack,
-    complementary_lagrangian,
     graph_coefficients,
+    graph_coefficients_in_bases,
     reduced_pair,
 )
 from .symplectic import (
@@ -207,7 +206,9 @@ def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
     """The path through the samples, with callback values inserted until every step passes the gate.
 
     Each step is gated once, here; the constructor does not gate the
-    refined samples again, but still checks them as Lagrangian.
+    refined samples again, but still checks them as Lagrangian. When
+    refinement fails, the given samples are checked first, so a sample
+    that is not Lagrangian is named rather than the refinement.
     """
 
     def step(s_a, a: PathSample, s_b, b: PathSample) -> PathSample | str:
@@ -217,9 +218,14 @@ def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
         return PathSample(s, *callback(s))
 
     out = [samples[0]]
-    for a, b, failure in zip(samples, samples[1:], _sampling_failures(samples)):
-        rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
-        out.extend(smp for _, smp in rows)
+    try:
+        for a, b, failure in zip(samples, samples[1:], _sampling_failures(samples)):
+            rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
+            out.extend(smp for _, smp in rows)
+    except ValueError:
+        # Only the Lagrangian check: the given samples have not passed the gate.
+        LagrangianPairPath(_GatedSamples(samples))
+        raise
     return LagrangianPairPath(_GatedSamples(out), callback)
 
 
@@ -502,27 +508,30 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
 
 
 def _anchored_sample(
-    path: LagrangianPairPath,
+    evaluate: PathCallback,
     params: list[float],
     form_t: SymplecticForm,
     anchor: IntrinsicDecomposition,
     v_ann_t: Frame,
 ) -> list[tuple[SymplecticForm, Frame, Frame, IntrinsicDecomposition]]:
-    """(form, lam, mu) at each s of ``params``, with their decomposition on the anchor's lam0 and V.
+    """evaluate(s) = (form, lam, mu) at each s of ``params``, decomposed on the anchor's lam0 and V.
 
     ``anchor`` is the intrinsic decomposition at a t whose form is
     ``form_t``, with ``v_ann_t`` = V^omega under that form, reused while
     the form at s is the same object; a moving form gets its own at each
     point. The pair blocks are V^omega inter lam(s) and V^omega inter
-    mu(s), each one :func:`intersect`. Their direct sum with lam0 and V
-    is gated where the graph coefficients are solved for, over all the
-    points at once (:func:`_pairings`). The stencil points of
-    :func:`crossing_form` and the reduced samples of
-    :func:`_segment_counts` both come from here.
+    mu(s), each one :func:`intersect`; where lam0 + V is all of X,
+    ``v_ann_t`` is the zero subspace and no pair block is cut out. Their
+    direct sum with lam0 and V is gated where the graph coefficients are
+    solved for, over all the points at once (:func:`_pairings`). Every
+    local form starts here: the stencil points of :func:`crossing_form`,
+    with the path's ``evaluate``, and of :func:`one_sided_form`, one
+    member against its own position at t, and the reduced samples of
+    :func:`_segment_counts`.
     """
     out = []
     for s in params:
-        form, lam, mu = path.evaluate(s)
+        form, lam, mu = evaluate(s)
         v_ann = v_ann_t if form is form_t else annihilator(form, anchor.v)
         local = IntrinsicDecomposition(anchor.lam0, anchor.v, intersect(v_ann, lam), intersect(v_ann, mu))
         out.append((form, lam, mu, local))
@@ -683,7 +692,9 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
         raise ValueError(f"no crossing at t={t}: the pair is transversal there")
     anchors = [_decompose(form_t, lam_t, mu_t, spaces, None, seed + k) for k in (0, 101)]
     params = _stencils(t)[0]
-    samples = [smp for anchor in anchors for smp in _anchored_sample(path, params, form_t, *anchor)]
+    samples = [
+        smp for anchor in anchors for smp in _anchored_sample(path.evaluate, params, form_t, *anchor)
+    ]
     gamma, gamma_alt = (
         _derivative_form(values, t, form_t, "crossing form") for values in np.split(_pairings(samples), 2)
     )
@@ -698,6 +709,15 @@ def crossing_form(path: LagrangianPairPath, t: float, seed: int = 0) -> Crossing
     return CrossingRecord(float(t), frame, gamma, signature)
 
 
+def _form_moved(form: SymplecticForm, ref: SymplecticForm) -> bool:
+    """Whether ``form`` is another object than ``ref`` with ||J - J_ref||_2 > 1e-10 ||J_ref||_2.
+
+    The one rule by which a form counts as fixed, for the one-sided
+    forms and for :func:`maslov_semipositive`.
+    """
+    return form is not ref and np.linalg.norm(form.j - ref.j, 2) > 1e-10 * np.linalg.norm(ref.j, 2)
+
+
 def one_sided_form(
     path: LagrangianPairPath,
     t: float,
@@ -706,13 +726,20 @@ def one_sided_form(
 ) -> tuple[HermitianMatrix, Frame]:
     """Derivative form Q of one member of the pair against a fixed complement.
 
-    Writes the chosen member near t as the graph of A(s) from its
-    position at t into a fixed Lagrangian complement W and returns the
-    derivative at t of q(s)(x, y) = omega(x, A(s) y) on the coordinates
-    of the member's frame at t (also returned), by
-    :func:`_derivative_form`. Requires the symplectic form to be
-    constant near t: a stencil form that is not the form object at t
-    must lie within 1e-10 ||J(t)||_2 of it. A path whose Q is positive
+    The member at t is paired with itself and anchored like a crossing
+    (:func:`reduction._decompose`): lam0 spans the member at t, and the
+    anchor's V, a seeded isotropic complement, is the fixed Lagrangian
+    complement W. Near t the member is the graph of A(s) from lam0 into
+    V, and Q is the derivative at t of q(s)(x, y) = omega(x, A(s) y),
+    written in the anchor's lam0 frame, which is returned with it. The
+    stencil values (form(t), member(s), member(t)) go through the
+    calculus of the crossing forms: :func:`_anchored_sample`, the
+    stacked solve of :func:`_pairings` and :func:`_derivative_form`.
+    A member that is no graph over lam0 at a stencil point fails the
+    stacked solve's graph gate, which names it ``lam``, its place in the
+    anchored pair. Each stencil pairing must be Hermitian to
+    ``RANK_TOL`` relative to its norm. Requires the symplectic form to
+    be constant near t (:func:`_form_moved`). A path whose Q is positive
     semi-definite for every t is semi-positive; for a fixed form the
     crossing form is the difference of the two one-sided forms
     restricted to the intersection.
@@ -721,36 +748,24 @@ def one_sided_form(
         raise ValueError("member must be 'lam' or 'mu'")
     form_t, lam_t, mu_t = path.evaluate(t)
     base = lam_t if member == "lam" else mu_t
-    w = complementary_lagrangian(form_t, base, base, seed=seed)
-    frame_matrix = np.hstack([base.matrix, w.matrix])
+    anchor, _ = _decompose(form_t, base, base, _anchor_spaces(form_t, base, base), None, seed)
 
-    def qfun(s: float) -> np.ndarray:
+    def value(s: float) -> tuple[SymplecticForm, Frame, Frame]:
         form_s, lam_s, mu_s = path.evaluate(s)
-        if form_s is not form_t and (
-            np.linalg.norm(form_s.j - form_t.j, 2) > 1e-10 * np.linalg.norm(form_t.j, 2)
-        ):
-            raise ValueError(
-                "one-sided form needs a locally constant symplectic form"
-            )
-        sub = lam_s if member == "lam" else mu_s
-        coords = np.linalg.solve(frame_matrix, sub.matrix)
-        n = base.dim
-        c0, cw = coords[:n], coords[n:]
-        if not well_conditioned(c0):
-            raise ArithmeticError(
-                f"the {member} member is not a graph over its position at t={t}"
-            )
-        amat = cw @ np.linalg.inv(c0)
-        q = (w.matrix @ amat).conj().T @ form_t.j @ base.matrix
+        if _form_moved(form_s, form_t):
+            raise ValueError("one-sided form needs a locally constant symplectic form")
+        return form_t, (lam_s if member == "lam" else mu_s), base
+
+    # lam0 + V is all of X, so the pair blocks are empty at every s and
+    # none is cut out: a member that meets V fails the graph gate.
+    empty = Frame.empty(form_t.dim)
+    pairings = _pairings(_anchored_sample(value, _stencils(t)[0], form_t, anchor, empty))
+    for q in pairings:
         residual = np.max(np.abs(q - q.conj().T), initial=0.0)
         if exceeds_scaled_tol(residual, q, RANK_TOL):
-            raise ArithmeticError(
-                f"graph pairing is not Hermitian (residual {residual:.3e})"
-            )
-        return (q + q.conj().T) / 2.0
-
-    q = _derivative_form(np.stack([qfun(s) for s in _stencils(t)[0]]), t, form_t, "one-sided form")
-    return q, base
+            raise ArithmeticError(f"graph pairing is not Hermitian (residual {residual:.3e})")
+    hermitian = (pairings + pairings.conj().swapaxes(-1, -2)) / 2.0
+    return _derivative_form(hermitian, t, form_t, "one-sided form"), anchor.lam0
 
 
 def _scan_pieces(grid, values, motion) -> list[tuple[float, float]]:
@@ -967,9 +982,8 @@ def maslov_semipositive(path: LagrangianPairPath, seed: int = 0) -> int:
             "finite differencing and crossing location"
         )
     base = path.samples[0]
-    jscale = np.linalg.norm(base.form.j, 2)
     for smp in path.samples[1:]:
-        if np.linalg.norm(smp.form.j - base.form.j, 2) > 1e-10 * jscale:
+        if _form_moved(smp.form, base.form):
             raise ValueError("the jump-count method requires a fixed symplectic form")
         if gap_hat(smp.mu, base.mu) > 1e-9:
             raise ValueError("the jump-count method requires a constant mu")
@@ -1009,7 +1023,7 @@ def _segment_counts(
 
     def reduce(s: float) -> tuple[SymplecticForm, Frame, Frame]:
         if s not in reduced:
-            ((form_s, lam_s, mu_s, local),) = _anchored_sample(path, [s], form, dec, v_ann)
+            ((form_s, lam_s, mu_s, local),) = _anchored_sample(path.evaluate, [s], form, dec, v_ann)
             reduced[s] = reduced_pair(form_s, local, lam_s, mu_s)
         return reduced[s]
 
@@ -1110,8 +1124,11 @@ def _connecting_path(
     Lagrangian complement W; scaling the endpoint's graph coefficient
     linearly stays Lagrangian because the pairing it induces is
     Hermitian. W is drawn from seeded random Lagrangians until it is
-    transversal to both endpoints. When the endpoint's graph coefficient
-    is large the graph sweeps most of a principal angle within a short
+    transversal to both endpoints. The coefficient is the A1 of the pair
+    (end, start) over the blocks start (+) W with no pair blocks, from
+    :func:`reduction.graph_coefficients_in_bases`, with the gates of
+    every graph coefficient. When the endpoint's graph coefficient is
+    large the graph sweeps most of a principal angle within a short
     parameter window; :meth:`LagrangianPairPath.from_callable` refines
     the grid there.
     """
@@ -1126,11 +1143,8 @@ def _connecting_path(
             break
     if w is None:
         raise ArithmeticError("could not draw a complement transversal to both ends")
-    frame_matrix = np.hstack([start.matrix, w.matrix])
-    coords = np.linalg.solve(frame_matrix, end.matrix)
-    n = start.dim
-    c0, cw = coords[:n], coords[n:]
-    t2 = cw @ np.linalg.inv(c0)
+    empty = np.zeros((form.dim, 0), dtype=complex)
+    t2 = graph_coefficients_in_bases(form, start.matrix, w.matrix, empty, empty, end, start)[0]
 
     def fn(s: float):
         lam_s = orthonormalize(start.matrix + w.matrix @ (s * t2))

@@ -217,7 +217,6 @@ def pair_decomposition(
     v: Frame,
     lam: Frame,
     mu: Frame,
-    require_annihilator: bool = False,
 ) -> IntrinsicDecomposition:
     """Decomposition adapted to (lam, mu) with prescribed anchors (lam0, V).
 
@@ -225,27 +224,13 @@ def pair_decomposition(
     lam1 = V^omega inter lam and mu1 = V^omega inter mu, so the same
     anchors can track a moving pair near a reference position. Once the
     pair leaves the anchors, X1 = lam1 + mu1 stops being the annihilator
-    of X0, which is fine: the graph calculus only needs the direct sum.
+    of X0, so only the direct sum is checked: the graph calculus needs
+    nothing more.
     """
-    return _pair_decomposition(form, lam0, v, lam, mu, require_annihilator)[0]
-
-
-def _pair_decomposition(
-    form: SymplecticForm,
-    lam0: Frame,
-    v: Frame,
-    lam: Frame,
-    mu: Frame,
-    require_annihilator: bool,
-) -> tuple[IntrinsicDecomposition, Frame]:
-    """:func:`pair_decomposition` and the V^omega it was built with."""
     v_ann = annihilator(form, v)
-    lam1 = intersect(v_ann, lam)
-    mu1 = intersect(v_ann, mu)
-    dec = decomposition_from_parts(
-        form, lam0, v, lam1, mu1, require_annihilator=require_annihilator
+    return decomposition_from_parts(
+        form, lam0, v, intersect(v_ann, lam), intersect(v_ann, mu), require_annihilator=False
     )
-    return dec, v_ann
 
 
 def intrinsic_decomposition(
@@ -323,7 +308,8 @@ def _decompose(
         isotropy = np.max(np.abs(omega_matrix(form, v, v)))
         if exceeds_scaled_tol(isotropy, form.j, _IDENTITY_TOL):
             raise ArithmeticError("sheared complement failed to become isotropic")
-    dec, v_ann = _pair_decomposition(form, lam0, v, lam, mu, require_annihilator=True)
+    v_ann = annihilator(form, v)
+    dec = decomposition_from_parts(form, lam0, v, intersect(v_ann, lam), intersect(v_ann, mu))
     n = lam.dim
     if dec.lam1.dim != n - r or dec.mu1.dim != n - r:
         raise ArithmeticError(

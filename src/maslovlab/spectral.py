@@ -29,6 +29,7 @@ from .frames import (
     Frame,
     HermitianMatrix,
     _full_rank_frame,
+    _inertia,
     _residual_svd,
     hermitian_eig,
     orthonormalize,
@@ -339,18 +340,14 @@ def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
     return np.array(rows)
 
 
-def _morse_index(lams: np.ndarray) -> int:
-    """Number of eigenvalues below -_MORSE_ZERO."""
-    return int(np.count_nonzero(lams < -_MORSE_ZERO))
-
-
 def kernel_dim(lams: np.ndarray) -> int:
     """Number of eigenvalues within _MORSE_ZERO of zero: the kernel at an endpoint.
 
     The eigenvalues :func:`sf_eigen` counts neither as negative nor as
-    positive, by the same endpoint zero rule as :func:`_morse_index`.
+    positive: the zero count of the inertia it reads its Morse indices
+    from.
     """
-    return int(np.sum(np.abs(lams) <= _MORSE_ZERO))
+    return _inertia(lams, _MORSE_ZERO)[2]
 
 
 def sf_eigen(path: HermitianPath) -> int:
@@ -365,7 +362,8 @@ def sf_eigen(path: HermitianPath) -> int:
     interior samples are never eigen-solved.
     """
     (_, first), (_, last) = path.samples[0], path.samples[-1]
-    return _morse_index(first.eigenvalues()) - _morse_index(last.eigenvalues())
+    n_first, n_last = (_inertia(mat.eigenvalues(), _MORSE_ZERO)[1] for mat in (first, last))
+    return n_first - n_last
 
 
 def sf_relation(entries, callback=None) -> int:

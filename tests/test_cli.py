@@ -127,33 +127,41 @@ def test_constant_path_reports_zeros(tmp_path):
     assert report["results"]["crossings"] == []
 
 
-def test_scalar_desuspension_report(tmp_path):
+@pytest.mark.parametrize(
+    "family, expected",
+    [("scalar_periodic", 1), ("separated_lines", 1), ("planar_periodic", 2), ("seeded", 2)],
+    ids=["scalar_periodic", "separated_lines", "planar_periodic", "seeded"],
+)
+def test_scalar_desuspension_report(tmp_path, family, expected):
     cfg = write_config(
         tmp_path,
         {
             "schema": 1,
             "kind": "bvp_desuspension",
-            "parameters": {"family": "scalar_periodic"},
+            "parameters": {"family": family},
         },
     )
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
     results = read_report(out)["results"]
-    assert results["sf"] == 1
-    assert results["neg_mas"] == 1
+    assert results["sf"] == expected
+    assert results["neg_mas"] == expected
     assert results["agree"] is True
     assert (out / "eigenvalue_curves.csv").exists()
 
 
-def test_bvp_splitting_run(tmp_path):
+@pytest.mark.parametrize(
+    "family, expected", [("scalar_periodic", 1), ("planar_double", 2)], ids=["scalar_periodic", "planar_double"]
+)
+def test_bvp_splitting_run(tmp_path, family, expected):
     cfg = write_config(
         tmp_path,
-        {"schema": 1, "kind": "bvp_splitting", "parameters": {"cut": 0.4}},
+        {"schema": 1, "kind": "bvp_splitting", "parameters": {"family": family, "cut": 0.4}},
     )
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
     results = read_report(out)["results"]
-    assert results["sf"] == results["neg_mas_cut"] == 1
+    assert results["sf"] == results["neg_mas_cut"] == expected
     assert results["agree"] is True
 
 

@@ -226,6 +226,23 @@ def test_fixed_form_crossing_equals_one_sided_difference():
         assert np.allclose(restricted, record.gamma.matrix, atol=1e-6)
 
 
+@pytest.mark.parametrize("member", ["lam", "mu"])
+def test_one_sided_form_of_a_member_that_meets_its_complement_is_no_graph(member):
+    """At the stencil point t + h the member is the anchor's complement V
+    itself, so it is no graph over its position at t: the stacked solve's
+    graph gate raises, an ArithmeticError like every failed graph."""
+    base = line(0.25)
+    v = intrinsic_decomposition(FORM2, base, base).v
+
+    def fn(s: float):
+        moved = v if s == 0.5 + maslov._FD_STEP else line(0.5 * s)
+        return (FORM2, moved, MU_HORIZONTAL) if member == "lam" else (FORM2, MU_HORIZONTAL, moved)
+
+    path = LagrangianPairPath.from_callable(fn, 5)
+    with pytest.raises(ArithmeticError, match="^lam is not a graph over the anchor block"):
+        one_sided_form(path, 0.5, member)
+
+
 def test_crossing_method_agrees_with_winding_on_seeded_paths():
     for seed in range(900, 906):
         path = rotation_pair_path(seed)
@@ -426,6 +443,33 @@ def test_constructor_names_the_first_non_lagrangian_sample(stretch, bad_mu, kind
     samples = tuple(PathSample(float(s), *fn(float(s))) for s in np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError, match=f"^sample at s=0.250000: mu is {kind}, not lagrangian$"):
         LagrangianPairPath(samples)
+
+
+@pytest.mark.parametrize(
+    "bad, kind", [(Frame.full(2), "coisotropic"), (Frame.span(np.array([1.0, 1j])), "symplectic")],
+    ids=["coisotropic", "symplectic"],
+)
+def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, kind):
+    """lam jumps from line(0.3) to a frame that is not Lagrangian at the
+    grid point s = 0.5. The step into it fails the gate at every depth, so
+    refinement is exhausted; the error names the sample instead."""
+    calls = []
+
+    def fn(s: float):
+        calls.append(s)
+        return FORM2, line(0.3) if s < 0.5 else bad, line(0.0)
+
+    with pytest.raises(ValueError, match=f"^sample at s=0.500000: lam is {kind}, not lagrangian$"):
+        LagrangianPairPath.from_callable(fn, 5)
+    assert len(calls) == 45
+
+
+def test_from_callable_keeps_the_refinement_error_when_its_samples_are_lagrangian():
+    def fn(s: float):
+        return FORM2, line(0.3) if s < 0.5 else line(1.8), MU_HORIZONTAL
+
+    with pytest.raises(ValueError, match="^insufficient sampling resolution: refinement depth exhausted"):
+        LagrangianPairPath.from_callable(fn, 5)
 
 
 def varying_form_line_path(num_samples: int = 9, stretch: float = 1.0):
@@ -781,6 +825,53 @@ def test_reduced_matches_winding_on_plateaus_and_a_fast_line(angle_fn, num_sampl
     wind = maslov_winding(path)
     red = maslov_reduced(path)
     assert (red.mas_plus, red.mas_minus) == (wind.mas_plus, wind.mas_minus) == expected
+
+
+@pytest.mark.parametrize("failing", [1, maslov._MAX_DEPTH], ids=["once", "max-depth"])
+def test_reduced_segment_retries_after_failed_reductions(monkeypatch, failing):
+    """The first ``failing`` reductions raise; each moves the segment ends
+    halfway toward the span, and the counts are still winding's."""
+    calls = itertools.count()
+    reduced_pair = maslov.reduced_pair
+
+    def flaky(*args):
+        if next(calls) < failing:
+            raise ArithmeticError("reduction refused")
+        return reduced_pair(*args)
+
+    path = benchmark_pair_path()
+    monkeypatch.setattr(maslov, "reduced_pair", flaky)
+    red = maslov_reduced(path)
+    assert next(calls) > failing
+    assert (red.mas_plus, red.mas_minus) == _counts(maslov_winding(path)) == (1, 1)
+
+
+def test_reduced_segment_gives_up_after_max_depth_failures(monkeypatch):
+    def refused(*args):
+        raise ArithmeticError("reduction refused")
+
+    monkeypatch.setattr(maslov, "reduced_pair", refused)
+    with pytest.raises(ValueError, match="^no admissible reduction partition .*reduction refused"):
+        maslov_reduced(benchmark_pair_path())
+
+
+def test_reduced_counts_that_change_with_the_partition_raise(monkeypatch):
+    """The second count of a segment, with its ends halfway toward its
+    span, must equal the first."""
+    calls = itertools.count()
+    winding = maslov.maslov_winding
+
+    def shifted(path):
+        result = winding(path)
+        if next(calls) == 1:
+            return dataclasses.replace(result, mas_plus=result.mas_plus + 1, mas_minus=result.mas_minus + 1)
+        return result
+
+    monkeypatch.setattr(maslov, "maslov_winding", shifted)
+    with pytest.raises(
+        ArithmeticError, match=r"^reduced Maslov counts changed under partition refinement: \(1, 1\) vs \(2, 2\)$"
+    ):
+        maslov_reduced(benchmark_pair_path())
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ import inspect
 import pkgutil
 
 import maslovlab
-from maslovlab.maslov import diagonal_lift, maslov_semipositive, maslov_winding
+from maslovlab.maslov import diagonal_lift, maslov_semipositive, maslov_winding, one_sided_form
+from maslovlab.reduction import pair_decomposition
 from maslovlab.symplectic import lagrangian_generators, lagrangian_mask
 
 KNOBS = {
@@ -65,3 +66,10 @@ def test_stacked_routes_take_no_setting():
     assert list(inspect.signature(lagrangian_generators).parameters) == ["forms", "frames"]
     assert list(inspect.signature(diagonal_lift).parameters) == ["path"]
     assert list(inspect.signature(maslov_winding).parameters) == ["path"]
+
+
+def test_local_forms_take_no_decomposition_setting():
+    """A pair decomposition is checked as a direct sum only, and a one-sided
+    form anchors its own complement, so neither takes a switch for that."""
+    assert list(inspect.signature(pair_decomposition).parameters) == ["form", "lam0", "v", "lam", "mu"]
+    assert list(inspect.signature(one_sided_form).parameters) == ["path", "t", "member", "seed"]

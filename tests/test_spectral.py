@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from maslovlab.frames import HermitianMatrix, gap_hat, hermitian_eig
+from maslovlab.frames import Frame, HermitianMatrix, gap_hat, hermitian_eig
 from maslovlab.sampling import random_unitary, rng_from_seed
 from maslovlab.spectral import (
     HermitianPath,
@@ -247,6 +247,20 @@ def test_sf_relation_refines_a_steep_graph_path_it_has_a_callback_for():
     assert relation == sf_eigen(HermitianPath.from_callable(matrix, num_samples=21)) == 1
     with pytest.raises(ValueError, match="sampling-adequacy gate"):
         sf_relation(entries)
+
+
+def test_sf_relation_names_a_non_lagrangian_entry_it_cannot_refine_past():
+    """The relation jumps from the graph of 1 to all of X x Y at s = 0.5;
+    with a callback, refinement cannot pass the jump, and the error
+    names the entry that is not Lagrangian."""
+    form = canonical_product_form(1)
+
+    def relation(s: float) -> LinearRelation:
+        return graph_relation(np.eye(1)) if s < 0.5 else LinearRelation(1, 1, Frame.full(2))
+
+    entries = [(float(s), form, relation(float(s))) for s in np.linspace(0.0, 1.0, 5)]
+    with pytest.raises(ValueError, match="^sample at s=0.500000: lam is coisotropic, not lagrangian$"):
+        sf_relation(entries, lambda s: (form, relation(s)))
 
 
 def test_hermitian_path_calls_its_callback_only_for_its_samples():
