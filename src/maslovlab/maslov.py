@@ -49,7 +49,6 @@ from .frames import (
     RANK_TOL,
     Frame,
     HermitianMatrix,
-    _block_diag,
     _inertia,
     exceeds_scaled_tol,
     gap_hat,
@@ -69,6 +68,7 @@ from .reduction import (
 from .symplectic import (
     SymplecticForm,
     _doubled_forms,
+    _generators,
     _NotLagrangian,
     annihilator,
     classify,
@@ -198,20 +198,36 @@ class _GatedSamples(tuple):
     :func:`_refined_path` builds them, and so does :func:`diagonal_lift`
     for the lifts of a path, whose gate inputs a lift keeps.
     :class:`LagrangianPairPath` then runs every construction check but
-    that gate.
+    that gate. ``angles``, when given, is how the path gets the
+    relative angles of a list of parameters, in place of its own
+    Lagrangian check (see :func:`_check_pairs`): a lift inherits the
+    decision of the path it lifts.
     """
+
+    def __new__(cls, samples, angles: Callable[[list[float], str], np.ndarray] | None = None):
+        out = super().__new__(cls, samples)
+        out.angles = angles
+        return out
 
 
 def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
     """The path through the samples, with callback values inserted until every step passes the gate.
 
     Each step is gated once, here; the constructor does not gate the
-    refined samples again, but still checks them as Lagrangian. When
-    refinement fails, the given samples are checked first, so a sample
-    that is not Lagrangian is named rather than the refinement.
+    refined samples again, but still checks them as Lagrangian. A step
+    whose form, lam or mu changes dimension is given up at once: no
+    split of it can pass. When refinement fails, the given samples are
+    checked first, so a sample that is not Lagrangian is named rather
+    than the refinement.
     """
 
     def step(s_a, a: PathSample, s_b, b: PathSample) -> PathSample | str:
+        dims_a, dims_b = ((smp.form.dim, smp.lam.dim, smp.mu.dim) for smp in (a, b))
+        if dims_a != dims_b:
+            raise ValueError(
+                f"dimensions (form, lam, mu) change from {dims_a} to {dims_b} "
+                f"in s={a.s:.6f}..{b.s:.6f}; no refinement passes that step"
+            )
         return next(_sampling_failures((a, b))) or b
 
     def value_at(s: float) -> PathSample:
@@ -260,13 +276,17 @@ class LagrangianPairPath:
     samples: tuple[PathSample, ...]
     callback: PathCallback | None = None
     # Every evaluated (form, lam, mu) by parameter, the relative angles
-    # of every s whose lam and mu passed the check, and the winding.
+    # of every s whose lam and mu passed the check, how a lift gets
+    # them (see _GatedSamples), and the winding.
     _memo: Memo = field(init=False, repr=False, compare=False)
     _angles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _angles_of: Callable | None = field(default=None, init=False, repr=False, compare=False)
     _winding: MaslovResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gated = isinstance(self.samples, _GatedSamples)
+        if gated:
+            object.__setattr__(self, "_angles_of", self.samples.angles)
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
         memo = Memo([smp.s for smp in samples], [(smp.form, smp.lam, smp.mu) for smp in samples])
@@ -395,10 +415,14 @@ def _check_pairs(path: LagrangianPairPath, params, failure: str = _VALUE_FAILURE
     and their angles (see :func:`_path_angles`) through one
     :func:`_generator_angles`. A pair that is not Lagrangian raises
     ValueError, worded by ``failure``, with the smallest such parameter
-    and its member.
+    and its member. A lift of :func:`diagonal_lift` gets its angles
+    from the path it lifts instead (``path._angles_of``).
     """
     params = sorted({float(s) for s in params} - path._angles.keys())
     if not params:
+        return
+    if path._angles_of is not None:
+        path._angles.update(zip(params, path._angles_of(params, failure)))
         return
     values = [path.evaluate(s) for s in params]
     try:
@@ -1199,25 +1223,35 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     returned. The original path's winding is the one :func:`maslov_winding`
     keeps on it, so a path the caller has wound is not wound again.
 
-    The doubled forms J (+) -J and -J (+) J come together from ``form``'s
-    eigendata (:func:`symplectic._doubled_forms`), once per form object,
-    and a block-diagonal frame of two orthonormal frames is orthonormal,
-    so nothing here decomposes or re-checks a 2N x 2N matrix. Both lifts
-    share one pair frame lam (+) mu per parameter, and a path with one
-    form object lifts to paths with one form object each.
+    The doubled forms J (+) -J and -J (+) J come from one stacked pass
+    over the eigendata of the path's distinct forms
+    (:func:`symplectic._doubled_forms`), once per form object, so
+    nothing here decomposes a 2N x 2N matrix. Both lifts share one pair
+    frame lam (+) mu per parameter, and a path with one form object
+    lifts to paths with one form object each.
 
-    The lifted samples inherit the path's sampling gate, which every
-    :class:`LagrangianPairPath` has passed at exactly these parameters,
-    because its inputs are the same by block structure:
+    The lifts inherit the path's sampling gate and its Lagrangian
+    decision, which every :class:`LagrangianPairPath` has made at
+    exactly these parameters, because their inputs are the same by
+    block structure:
 
     * the principal angles of lam_a (+) mu_a and lam_b (+) mu_b are those
       of lam and of mu together, so the lifted gap is
       max(gap lam, gap mu), and the diagonal is constant;
     * ||(J_b (+) -J_b) - (J_a (+) -J_a)||_2 = ||J_b - J_a||_2, and
-      sigma_min(J (+) -J) = sigma_min(J).
+      sigma_min(J (+) -J) = sigma_min(J);
+    * (J (+) -J)(lam (+) mu) = J lam (+) (-J mu), so the isotropy
+      residual of lam (+) mu is max(residual lam, residual mu) and the
+      ranks add: lam (+) mu is Lagrangian exactly when lam and mu are.
+      The diagonal {(x, x)} is isotropic, exactly, and of dimension N.
 
-    So the lifts are built as gated samples; only their Lagrangian check
-    runs.
+    So no lifted frame goes through :func:`symplectic.lagrangian_mask`
+    or :func:`symplectic.classify`. A parameter that a lift's winding
+    refines to is decided on the path (:func:`_check_pairs`). Each lift
+    then solves its generators, the pair frames' and the diagonal's, in
+    one call of :func:`symplectic._generators`, the solve and unitarity
+    gate of the Lagrangian check, and has its own relative angles and
+    branch continuation, so each lift is still a check.
     """
     eye = np.eye(path.dim)
     diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
@@ -1225,23 +1259,51 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     # Keyed by the id of a form the entry keeps alive.
     doubled: dict[int, tuple[SymplecticForm, tuple[SymplecticForm, SymplecticForm]]] = {}
 
-    def lifted_sample(s: float, flip_first: bool) -> tuple[SymplecticForm, Frame]:
-        form, lam, mu = path.evaluate(s)
-        if s not in pairs:
-            pairs[s] = Frame._of_orthonormal(_block_diag([lam.matrix, mu.matrix]))
-        if id(form) not in doubled:
-            doubled[id(form)] = form, _doubled_forms(form)
-        return doubled[id(form)][1][flip_first], pairs[s]
+    def add(params) -> None:
+        # The doubled forms of the new form objects in one stacked pass,
+        # the new pair frames as views of one stack.
+        values = {s: path.evaluate(s) for s in params if s not in pairs}
+        if not values:
+            return
+        forms = {id(form): form for form, _, _ in values.values() if id(form) not in doubled}
+        if forms:
+            for form, both in zip(forms.values(), _doubled_forms(list(forms.values()))):
+                doubled[id(form)] = form, both
+        lam, mu = (np.stack([value[k].matrix for value in values.values()]) for k in (1, 2))
+        m, n, k = lam.shape
+        stacked = np.zeros((m, 2 * n, 2 * k), dtype=complex)
+        stacked[:, :n, :k], stacked[:, n:, k:] = lam, mu
+        pairs.update(zip(values, map(Frame._of_orthonormal, stacked)))
 
     def lifted(flip_first: bool, swap: bool) -> LagrangianPairPath:
-        def fn(s: float):
-            form2, pair_frame = lifted_sample(s, flip_first)
-            return (form2, diagonal, pair_frame) if swap else (form2, pair_frame, diagonal)
+        def at(s: float) -> tuple[SymplecticForm, Frame]:
+            if s not in pairs:
+                add([s])
+            return doubled[id(path.evaluate(s)[0])][1][flip_first], pairs[s]
 
-        samples = _GatedSamples(PathSample(smp.s, *fn(smp.s)) for smp in path.samples)
+        def fn(s: float):
+            form2, pair = at(s)
+            return (form2, diagonal, pair) if swap else (form2, pair, diagonal)
+
+        def angles(params: list[float], failure: str) -> np.ndarray:
+            # The path decides, in one stack, every parameter it has not.
+            _check_pairs(path, params, failure)
+            add(params)
+            forms, frames = zip(*(at(s) for s in params))
+            frames = np.stack([f.matrix for f in frames])
+            u = _generators(
+                np.stack([form.eig[0] for form in forms * 2]),
+                np.stack([form.eig[1] for form in forms * 2]),
+                np.concatenate([frames, np.broadcast_to(diagonal.matrix, frames.shape)]),
+            )
+            u_pair, u_diagonal = np.split(u, 2)
+            return _generator_angles(*((u_diagonal, u_pair) if swap else (u_pair, u_diagonal)))
+
+        samples = _GatedSamples((PathSample(smp.s, *fn(smp.s)) for smp in path.samples), angles)
         return LagrangianPairPath(samples, fn if path.callback is not None else None)
 
     direct = maslov_winding(path)
+    add([smp.s for smp in path.samples])
     lift = maslov_winding(lifted(flip_first=False, swap=False))
     lift_swapped = maslov_winding(lifted(flip_first=True, swap=True))
     values = {

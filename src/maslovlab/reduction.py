@@ -379,7 +379,8 @@ def _graph_block(
     last rows of V^H (the basis ``scipy.linalg.null_space`` returns).
 
     Each gate applies to the whole stack and raises as soon as any
-    element fails it.
+    element fails it. The residual and leak gates pass a value only
+    when it is at most the tolerance, so a NaN fails them.
     """
     m, _, k = coords.shape
     r = dims[0]
@@ -403,12 +404,12 @@ def _graph_block(
             )
         sol = (vh[:, :r].conj().swapaxes(-1, -2) / s[:, None, :]) @ u.conj().swapaxes(-1, -2)
         residual = np.abs(blocks[0] @ sol - np.eye(r)).max(axis=(-2, -1))
-        if (residual > _IDENTITY_TOL * scale).any():
+        if (~(residual <= _IDENTITY_TOL * scale)).any():
             raise ArithmeticError(f"{label}: anchor block has no right inverse")
         kernel = vh[:, r:].conj().swapaxes(-1, -2)
     for idx in coef_indices:
         leak = np.abs(blocks[idx] @ kernel).max(axis=(-2, -1), initial=0.0)
-        if (leak > _IDENTITY_TOL * scale).any():
+        if (~(leak <= _IDENTITY_TOL * scale)).any():
             raise ArithmeticError(
                 f"{label}: free directions leak outside the free block; "
                 "the decomposition is not adapted to this subspace"

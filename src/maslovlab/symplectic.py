@@ -92,14 +92,11 @@ class SymplecticForm:
         if exceeds_scaled_tol(defect, j, 1e-12):
             raise ValueError(f"form matrix is not skew-Hermitian (residual {defect:.3e})")
         h = -1j * skew
-        self._set(skew, *hermitian_eig((h + h.conj().T) / 2.0))
+        vals, vecs = hermitian_eig((h + h.conj().T) / 2.0)
+        self._set(skew, vals, vecs, _sigma_min(vals))
 
-    def _set(self, j: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-        """Store J and the eigenpairs of -iJ, after the singular gate."""
-        moduli = np.abs(vals)
-        sigma_min = float(moduli.min()) if moduli.size else 0.0
-        if moduli.size and sigma_min <= 1e-10 * moduli.max():
-            raise ValueError("form matrix is numerically singular (not invertible)")
+    def _set(self, j: np.ndarray, vals: np.ndarray, vecs: np.ndarray, sigma_min: float) -> None:
+        """Store J, the eigenpairs of -iJ and the sigma_min of their singular gate."""
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "eig", (vals, vecs))
         object.__setattr__(self, "sigma_min", sigma_min)
@@ -145,30 +142,61 @@ def direct_sum(*forms: SymplecticForm, signs=None) -> SymplecticForm:
     )
 
 
-def _doubled_forms(form: SymplecticForm) -> tuple[SymplecticForm, SymplecticForm]:
-    """J (+) -J and -J (+) J, bit for bit ``direct_sum(form, form, signs=...)``.
+def _doubled_forms(forms) -> list[tuple[SymplecticForm, SymplecticForm]]:
+    """J (+) -J and -J (+) J of each form of a stack, bit for bit ``direct_sum(form, form, signs=...)``.
 
-    Both share one block-diagonal matrix of ``form``'s eigenvectors and
-    one re-symmetrized block per sign; each takes its columns in its own
-    stable ascending order of the eigenvalues, as :func:`direct_sum`
-    does.
+    The forms share one dimension N. Their eigendata is doubled in one
+    pass: one stack of block-diagonal eigenvector matrices, one
+    re-symmetrized stack of the blocks +-J, and per sign one stable
+    ascending argsort of the doubled eigenvalues and one column take,
+    the order :func:`direct_sum` takes. Each doubled form wraps views of
+    those stacks. The moduli of the eigenvalues +-lambda are those of
+    the lambda, so each doubled form has its summand's ``sigma_min`` and
+    passes its singular gate.
     """
-    vals, vecs = form.eig
-    both = _block_diag([vecs, vecs])
-    blocks = {sign: _skew(sign * form.j) for sign in (1, -1)}
-    return tuple(
-        _assembled(
-            [blocks[sign], blocks[-sign]],
-            np.concatenate([sign * vals, -sign * vals]),
-            both,
+    vals = np.stack([f.eig[0] for f in forms])
+    vecs = np.stack([f.eig[1] for f in forms])
+    m, n = vals.shape
+    both = np.zeros((m, 2 * n, 2 * n), dtype=complex)
+    both[:, :n, :n] = both[:, n:, n:] = vecs
+    # skewed[0] holds the blocks J and skewed[1] the blocks -J.
+    skewed = _skew(np.array([1, -1])[:, None, None, None] * np.stack([f.j for f in forms]))
+    doubled = []
+    for sign, first in ((1, 0), (-1, 1)):
+        signed = np.concatenate([sign * vals, -sign * vals], axis=-1)
+        order = np.argsort(signed, axis=-1, kind="stable")
+        j = np.zeros((m, 2 * n, 2 * n), dtype=complex)
+        j[:, :n, :n], j[:, n:, n:] = skewed[first], skewed[1 - first]
+        sorted_vals = np.take_along_axis(signed, order, axis=-1)
+        sorted_vecs = np.take_along_axis(both, order[:, None, :], axis=-1)
+        doubled.append(
+            [
+                _wrapped(j[i], sorted_vals[i], sorted_vecs[i], form.sigma_min)
+                for i, form in enumerate(forms)
+            ]
         )
-        for sign in (1, -1)
-    )
+    return list(zip(*doubled))
 
 
 def _skew(j: np.ndarray) -> np.ndarray:
-    """(J - J^H) / 2: the bits :class:`SymplecticForm` stores for a skew-Hermitian J."""
-    return (j - j.conj().T) / 2.0
+    """(J - J^H) / 2: the bits :class:`SymplecticForm` stores for a skew-Hermitian J, or a stack of them."""
+    return (j - j.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _sigma_min(vals: np.ndarray) -> float:
+    """sigma_min(J) from the eigenvalues of -iJ, after the singular gate."""
+    moduli = np.abs(vals)
+    sigma_min = float(moduli.min()) if moduli.size else 0.0
+    if moduli.size and sigma_min <= 1e-10 * moduli.max():
+        raise ValueError("form matrix is numerically singular (not invertible)")
+    return sigma_min
+
+
+def _wrapped(j: np.ndarray, vals: np.ndarray, vecs: np.ndarray, sigma_min: float) -> SymplecticForm:
+    """The form with matrix J, eigenpairs (vals, vecs) of -iJ and a checked ``sigma_min``, no decomposition."""
+    out = object.__new__(SymplecticForm)
+    out._set(j, vals, vecs, sigma_min)
+    return out
 
 
 def _assembled(blocks, vals: np.ndarray, vecs: np.ndarray) -> SymplecticForm:
@@ -180,9 +208,7 @@ def _assembled(blocks, vals: np.ndarray, vecs: np.ndarray) -> SymplecticForm:
     the whole matrix.
     """
     order = np.argsort(vals, kind="stable")
-    out = object.__new__(SymplecticForm)
-    out._set(_block_diag(blocks), vals[order], vecs[:, order])
-    return out
+    return _wrapped(_block_diag(blocks), vals[order], vecs[:, order], _sigma_min(vals))
 
 
 def standard_form(n: int) -> SymplecticForm:
@@ -403,12 +429,9 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
     * every generator is unitary, ||U^H U - I||_max <= 1e-10; the first
       that is not raises ArithmeticError.
 
-    The generators are in the bases of :func:`unitary_generator`. The
-    splitting is read off one stack of the distinct forms' eigenvalues
-    and one of their eigenvectors, with no :class:`SymplecticSplitting`
-    per form: the eigenvalues ascend, so a balanced splitting of C^2n
-    has X^- in the first n eigenvector columns and X^+ in the last n,
-    with roots sqrt(|eigenvalue|), the frames :func:`splitting` keeps.
+    The first two are the decision; the solve and the unitarity gate are
+    :func:`_generators`, which takes the checked frames with their
+    forms' stacked eigendata.
     """
     shared = all(f is forms[0] for f in forms)
     # One element per distinct (form, frame) pair, in order of first
@@ -444,20 +467,36 @@ def lagrangian_generators(forms, frames) -> np.ndarray:
         kind = classify(forms[0 if shared else i], frames[i])
         if kind != "lagrangian":
             raise _NotLagrangian(first[i], kind)
-    mats = np.asarray(mats)
+    return _generators(vals, np.stack([f.eig[1] for f in forms]), np.asarray(mats))[where]
+
+
+def _generators(vals: np.ndarray, vecs: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Generators (m, n, n) of a stack of m Lagrangian N x n frames, N = 2n, with the unitarity gate.
+
+    ``vals`` (p, N) and ``vecs`` (p, N, N) stack the eigenpairs of -iJ
+    that each frame's form keeps: p = m, or p = 1 for a form all the
+    frames share. The frames must already be decided Lagrangian and
+    each splitting balanced: this is the solve of the Lagrangian check,
+    not its decision. The eigenvalues ascend, so a balanced splitting of
+    C^2n has X^- in the first n eigenvector columns and X^+ in the last
+    n, with roots sqrt(|eigenvalue|), the frames :func:`splitting`
+    keeps; the generators are in the bases of :func:`unitary_generator`,
+    with no :class:`SymplecticSplitting` per form. Every generator must
+    be unitary, ||U^H U - I||_max <= 1e-10; the first that is not raises
+    ArithmeticError.
+    """
     half = vals.shape[-1] // 2
-    vecs = np.stack([f.eig[1] for f in forms])
     roots = np.sqrt(np.abs(vals))
     root_minus, root_plus = roots[:, None, :half], roots[:, half:, None]
-    c_minus = vecs[..., :half].conj().swapaxes(-1, -2) @ mats
-    c_plus = vecs[..., half:].conj().swapaxes(-1, -2) @ mats
+    c_minus = vecs[..., :half].conj().swapaxes(-1, -2) @ frames
+    c_plus = vecs[..., half:].conj().swapaxes(-1, -2) @ frames
     u = np.linalg.solve(c_minus.swapaxes(-1, -2), c_plus.swapaxes(-1, -2)).swapaxes(-1, -2)
     u = root_plus * u / root_minus
     res = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
     bad = np.flatnonzero(res > 1e-10)
     if bad.size:
         raise ArithmeticError(f"generator fails unitarity (residual {res[bad[0]]:.3e})")
-    return u[where]
+    return u
 
 
 def generator_to_frame(split: SymplecticSplitting, u: np.ndarray) -> Frame:

@@ -56,7 +56,7 @@ from maslovlab.sampling import (
     rng_from_seed,
     rotating_pair_path,
 )
-from maslovlab.symplectic import SymplecticForm, annihilator, standard_form
+from maslovlab.symplectic import SymplecticForm, annihilator, direct_sum, standard_form
 
 FORM2 = standard_form(1)
 MU_HORIZONTAL = Frame.span(np.array([1.0, 0.0], dtype=complex))
@@ -446,13 +446,19 @@ def test_constructor_names_the_first_non_lagrangian_sample(stretch, bad_mu, kind
 
 
 @pytest.mark.parametrize(
-    "bad, kind", [(Frame.full(2), "coisotropic"), (Frame.span(np.array([1.0, 1j])), "symplectic")],
+    "bad, kind, num_calls",
+    [(Frame.full(2), "coisotropic", 5), (Frame.span(np.array([1.0, 1j])), "symplectic", 45)],
     ids=["coisotropic", "symplectic"],
 )
-def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, kind):
+def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, kind, num_calls):
     """lam jumps from line(0.3) to a frame that is not Lagrangian at the
-    grid point s = 0.5. The step into it fails the gate at every depth, so
-    refinement is exhausted; the error names the sample instead."""
+    grid point s = 0.5; the error names the sample, not the refinement.
+
+    The coisotropic plane has another dimension than the line, so the
+    step into it is given up at once and only the 5 grid points are
+    evaluated. The symplectic line has the line's dimension: the step
+    fails the gate at every depth, and refinement is exhausted first.
+    """
     calls = []
 
     def fn(s: float):
@@ -461,7 +467,7 @@ def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, 
 
     with pytest.raises(ValueError, match=f"^sample at s=0.500000: lam is {kind}, not lagrangian$"):
         LagrangianPairPath.from_callable(fn, 5)
-    assert len(calls) == 45
+    assert len(calls) == num_calls
 
 
 def test_from_callable_keeps_the_refinement_error_when_its_samples_are_lagrangian():
@@ -629,6 +635,104 @@ def test_lifted_gate_inputs_equal_the_base_ones(monkeypatch, k):
         assert np.max(np.abs(dj - base_dj)) <= 1e-13 * np.max(base_dj)
         for a, b in zip(lifted.samples, original.samples):
             assert a.form.sigma_min == b.form.sigma_min
+
+
+def fast_generator_path(num_samples: int = 9) -> LagrangianPairPath:
+    """lam turns its generator through 14 rad against a fixed mu under J = diag(100i, -i).
+
+    The Lagrangian lines stay within 0.1 rad of e2, so the samples pass
+    the gap gate while the relative angle moves 1.75 rad per step of 9
+    samples, and the winding refines between them.
+    """
+    form = SymplecticForm(np.diag([100j, -1j]))
+    mu = orthonormalize(np.array([[0.1], [np.exp(0.5j)]]))
+
+    def fn(s: float):
+        return form, orthonormalize(np.array([[0.1 * np.exp(14j * s)], [1.0]])), mu
+
+    grid = np.linspace(0.0, 1.0, num_samples)
+    return LagrangianPairPath(tuple(PathSample(float(s), *fn(float(s))) for s in grid), fn)
+
+
+def _moving_form_pair_path() -> LagrangianPairPath:
+    rng = rng_from_seed(44)
+    form_at, push_at = form_deformation(rng, random_symplectic_form(rng, 4), scale=0.3)
+    lam, mu = random_lagrangian_pair(rng, form_at(0.0))
+    return LagrangianPairPath.from_callable(
+        lambda s: (form_at(s), orthonormalize(push_at(s) @ lam.matrix),
+                   orthonormalize(push_at(s) @ mu.matrix)),
+        num_samples=9,
+    )
+
+
+def _explicit_lift(path: LagrangianPairPath, signs: tuple[int, int], swap: bool) -> LagrangianPairPath:
+    """A lift of ``path`` through the public constructor: one ``direct_sum``
+    form per form object, a block-diagonal pair frame per parameter, and
+    the full sampling gate and Lagrangian check."""
+    eye = np.eye(path.dim)
+    diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
+    doubled = {}
+
+    def fn(s: float):
+        form, lam, mu = path.evaluate(s)
+        if id(form) not in doubled:
+            doubled[id(form)] = form, direct_sum(form, form, signs=signs)
+        pair = Frame(scipy.linalg.block_diag(lam.matrix, mu.matrix))
+        form2 = doubled[id(form)][1]
+        return (form2, diagonal, pair) if swap else (form2, pair, diagonal)
+
+    return LagrangianPairPath(tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples), fn)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rotation_pair_path(41, dim=4, num_samples=17),
+        _moving_form_pair_path,
+        fast_generator_path,
+    ],
+    ids=["constant form", "moving form", "winding refines"],
+)
+def test_stacked_lifts_equal_the_explicit_lifts_bit_for_bit(monkeypatch, make):
+    """Both lifts that diagonal_lift winds give the theta-curve bytes of
+    the lifts built and checked through the public constructor."""
+    path = make()
+    _, lift, swapped = _lifted_paths(monkeypatch, path)
+    for got, signs, swap in ((lift, (1, -1), False), (swapped, (-1, 1), True)):
+        want = maslov_winding(_explicit_lift(path, signs, swap)).theta_curves
+        assert maslov_winding(got).theta_curves.tobytes() == want.tobytes()
+    if make is fast_generator_path:
+        assert len(maslov_winding(path).theta_curves) > len(path.samples)
+
+
+@pytest.mark.parametrize("make", [_moving_form_pair_path, fast_generator_path])
+def test_lifting_a_wound_path_checks_no_doubled_frame(monkeypatch, make):
+    """The lifts inherit the path's Lagrangian decision: neither the
+    stacked isotropy test nor classify sees a 2N-dimensional frame."""
+    from maslovlab import symplectic
+
+    path = make()
+    ambient = []
+
+    def recorded(fn, ambient_dim):
+        def wrapper(*args):
+            ambient.append(ambient_dim(*args))
+            return fn(*args)
+        return wrapper
+
+    mask = recorded(symplectic.lagrangian_mask, lambda forms, frames: frames.shape[-2])
+    classify = recorded(symplectic.classify, lambda form, lam: lam.ambient_dim)
+    monkeypatch.setattr(symplectic, "lagrangian_mask", mask)
+    monkeypatch.setattr(symplectic, "classify", classify)
+    monkeypatch.setattr(maslov, "classify", classify)
+    maslov_winding(path)
+    if make is fast_generator_path:
+        # The winding's refined parameters are checked as they come.
+        assert set(ambient) == {path.dim}
+    ambient.clear()
+    result = diagonal_lift(path)
+    assert 2 * path.dim not in ambient
+    assert _counts(result) == _counts(maslov_winding(path))
 
 
 def test_winding_is_kept_on_the_path(monkeypatch):

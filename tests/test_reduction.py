@@ -404,6 +404,7 @@ PARITY_GATES = {
     "dependent blocks": (_fail_dependent, "block bases are numerically dependent"),
     "not a graph": (_fail_graph, "lam is not a graph over the anchor block"),
     "no right inverse": (_fail_right_inverse, "lam: anchor block has no right inverse"),
+    "NaN right inverse": (_fail_right_inverse, "lam: anchor block has no right inverse"),
     "leak": (_fail_leak, "lam: free directions leak"),
     "reassembly of lam": (_fail_reassembly_lam, "reassembled graph representation misses lam"),
     "reassembly of mu": (_fail_reassembly_mu, "reassembled graph representation misses mu"),
@@ -421,7 +422,9 @@ def test_each_stacked_gate_raises_what_the_single_call_raises(monkeypatch, gate,
     a block that passes the graph gate inverts it to roundoff, so that
     gate is reached through an SVD that returns singular values below
     1e-3, which only the failing element has, twice too large: for the
-    single call and the stack alike.
+    single call and the stack alike. Its NaN case returns that
+    element's U as NaN instead, with the singular values as they are,
+    so the graph gate passes and the residual is NaN.
     """
     rng = rng_from_seed((0x6A7E, index))
     form = standard_form(3)
@@ -443,6 +446,17 @@ def test_each_stacked_gate_raises_what_the_single_call_raises(monkeypatch, gate,
             return u, np.where(s < 1e-3, 2 * s, s), vh
 
         monkeypatch.setattr(np.linalg, "svd", doubling_svd)
+    if gate == "NaN right inverse":
+        svd = np.linalg.svd
+
+        def nan_svd(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                return svd(a, *args, **kwargs)
+            u, s, vh = svd(a, *args, **kwargs)
+            small = (s < 1e-3).any(axis=-1)[..., None, None]
+            return np.where(small, np.nan, u), s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", nan_svd)
     for i, (basis, pair) in enumerate(drawn):
         if i != index and gate != "shape":
             graph_coefficients_in_bases(form, *basis, *pair)

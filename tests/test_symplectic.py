@@ -133,14 +133,19 @@ def _doubling_cases():
 
 @pytest.mark.parametrize("name, form", list(_doubling_cases()))
 def test_doubled_forms_are_direct_sums_bit_for_bit(name, form):
-    """J (+) -J and -J (+) J share one eigenvector block matrix and match direct_sum."""
-    doubled = symplectic._doubled_forms(form)
-    for got, signs in zip(doubled, [(1, -1), (-1, 1)]):
-        want = direct_sum(form, form, signs=signs)
-        assert got.j.tobytes() == want.j.tobytes()
-        assert got.eig[0].tobytes() == want.eig[0].tobytes()
-        assert got.eig[1].tobytes() == want.eig[1].tobytes()
-        assert got.sigma_min == want.sigma_min == form.sigma_min
+    """J (+) -J and -J (+) J of each form of a stack match direct_sum bit for bit.
+
+    The stack holds the form, a decomposed multiple of it and the form
+    again, so one stacked pass doubles forms with other eigendata.
+    """
+    stack = [form, SymplecticForm(-2.5 * form.j), form]
+    for summand, doubled in zip(stack, symplectic._doubled_forms(stack)):
+        for got, signs in zip(doubled, [(1, -1), (-1, 1)]):
+            want = direct_sum(summand, summand, signs=signs)
+            assert got.j.tobytes() == want.j.tobytes()
+            assert got.eig[0].tobytes() == want.eig[0].tobytes()
+            assert got.eig[1].tobytes() == want.eig[1].tobytes()
+            assert got.sigma_min == want.sigma_min == summand.sigma_min
 
 
 def test_direct_sum_skews_blockwise_with_the_bits_of_the_whole_matrix():
