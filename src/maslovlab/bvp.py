@@ -603,7 +603,21 @@ def desuspension_check(
       sf is first wrong at c = 2.75 for T = 1 and at c = 1.5 for T = 2,
       on grids of 33 and 129 nodes alike. Keep |C| T below about 2.7.
     """
-    sf = sf_eigen(HermitianPath.from_callable(_assembler(fam, bc, grid, num_samples), 2))
+    operators = HermitianPath.from_callable(_assembler(fam, bc, grid, num_samples), 2)
+    return _desuspension_counts(fam, bc, operators, num_samples)
+
+
+def _desuspension_counts(
+    fam: HamiltonianFamily, bc: BoundaryPath, operators: HermitianPath, num_samples: int
+) -> tuple[int, int, bool]:
+    """:func:`desuspension_check` on the operator path ``operators`` of (fam, bc).
+
+    The spectral flow reads the end samples of ``operators`` only: the
+    check passes its two-sample path, and the CLI the ``discretize``
+    path whose spectra it exports, so the end operators of a CLI run are
+    assembled and eigen-solved once.
+    """
+    sf = sf_eigen(operators)
     bc_path = (lambda s: bc) if isinstance(bc, BoundaryCondition) else bc
     form = green_form(fam)
 
@@ -641,7 +655,20 @@ def splitting_check(
     """
     if not 0.0 < cut < fam.t_end:
         raise ValueError(f"cut must lie inside (0, {fam.t_end})")
-    sf_whole = sf_eigen(discretize(fam, periodic_condition(fam), grid, 2))
+    operators = discretize(fam, periodic_condition(fam), grid, 2)
+    return _splitting_counts(fam, cut, operators, num_samples)
+
+
+def _splitting_counts(
+    fam: HamiltonianFamily, cut: float, operators: HermitianPath, num_samples: int = 33
+) -> tuple[int, int, bool]:
+    """:func:`splitting_check` on ``operators``, a path of the periodic problem's operators.
+
+    As in :func:`_desuspension_counts`, only the end samples of
+    ``operators`` are read; ``cut`` has been checked by the caller, and
+    ``num_samples`` defaults to that of :func:`splitting_check`.
+    """
+    sf_whole = sf_eigen(operators)
 
     k = fam.dim
     eye = np.eye(k, dtype=complex)

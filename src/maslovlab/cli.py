@@ -16,9 +16,11 @@ in SUITES is a per-trial identity: a predicate that draws trial t of
 seed s and returns whether the identity held there. ``run_suite`` counts
 the failed trials, and any failure makes ``verify`` exit 3.
 
-The bvp scenarios take their integers from the public
-``desuspension_check`` and ``splitting_check`` and export the spectra of
-``discretize(fam, bc, grid, num_samples)`` as eigenvalue_curves.csv.
+The bvp scenarios take their integers from the cores of the public
+``desuspension_check`` and ``splitting_check``, handed the path
+``discretize(fam, bc, grid, num_samples)`` whose spectra they export as
+eigenvalue_curves.csv, so each end operator is assembled and
+eigen-solved once.
 
 Exit codes: 0 success or ``--help``; 1 config or usage error, with a
 message naming the offending field; 2 numerical gate failure (sampling
@@ -52,11 +54,11 @@ import numpy as np
 
 from .bvp import (
     HamiltonianFamily,
-    desuspension_check,
+    _desuspension_counts,
+    _splitting_counts,
     discretize,
     periodic_condition,
     separated_condition,
-    splitting_check,
 )
 from .frames import Frame, _block_diag, gap_delta, orthonormalize
 from .maslov import (
@@ -453,7 +455,8 @@ def _bvp_ingredients(family: str, seed: int):
 def _run_bvp_desuspension(params: dict, seed: int):
     fam, bc = _bvp_ingredients(params["family"], seed)
     grid, num_samples = params["grid"], params["num_samples"]
-    sf, neg_mas, agree = desuspension_check(fam, bc, grid, num_samples)
+    operators = discretize(fam, bc, grid, num_samples)
+    sf, neg_mas, agree = _desuspension_counts(fam, bc, operators, num_samples)
     if not agree:
         raise InvariantViolation(
             "desuspension identity violated: the spectral flow of the "
@@ -468,14 +471,16 @@ def _run_bvp_desuspension(params: dict, seed: int):
         "neg_mas": int(neg_mas),
         "agree": True,
     }
-    eig_curves = eigenvalue_curves(discretize(fam, bc, grid, num_samples))
+    eig_curves = eigenvalue_curves(operators)
     curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 
 
 def _run_bvp_splitting(params: dict, seed: int):
     fam, bc = _bvp_ingredients(params["family"], seed)
-    sf_whole, neg_mas_cut, agree = splitting_check(fam, params["cut"], params["grid"])
+    # Every splitting family has the periodic condition.
+    operators = discretize(fam, bc, params["grid"])
+    sf_whole, neg_mas_cut, agree = _splitting_counts(fam, params["cut"], operators)
     if not agree:
         raise InvariantViolation(
             "splitting identity violated: the spectral flow over the whole "
@@ -490,7 +495,7 @@ def _run_bvp_splitting(params: dict, seed: int):
         "neg_mas_cut": int(neg_mas_cut),
         "agree": True,
     }
-    eig_curves = eigenvalue_curves(discretize(fam, bc, params["grid"]))
+    eig_curves = eigenvalue_curves(operators)
     curves = {"eigenvalue_curves.csv": _curve_rows(eig_curves, _EIGEN_HEADER)}
     return results, curves
 

@@ -192,6 +192,13 @@ def _sampling_failures(samples) -> Iterator[str | None]:
             yield None
 
 
+def _raise_first_failure(samples) -> None:
+    """Raise ValueError naming the first step of ``samples`` that fails the sampling gate."""
+    failure = next((f for f in _sampling_failures(samples) if f is not None), None)
+    if failure is not None:
+        raise ValueError(failure)
+
+
 class _GatedSamples(tuple):
     """Path samples each of whose steps has already passed the sampling gate.
 
@@ -294,11 +301,8 @@ class LagrangianPairPath:
         if any(smp.form.dim != samples[0].form.dim for smp in samples):
             raise ValueError("all samples must share one ambient dimension")
         _check_pairs(self, memo.times, _SAMPLE_FAILURE)
-        if gated:
-            return
-        failure = next((f for f in _sampling_failures(samples) if f is not None), None)
-        if failure is not None:
-            raise ValueError(failure)
+        if not gated:
+            _raise_first_failure(samples)
 
     @classmethod
     def from_callable(cls, fn: PathCallback, num_samples: int = 33) -> "LagrangianPairPath":
@@ -465,12 +469,13 @@ def _branch_step(s_a, theta_a: np.ndarray, s_b, raw_b: np.ndarray) -> np.ndarray
     """Continue the branches theta_a onto the angles raw_b, if no branch moves past pi/2.
 
     The branches are matched to the angles by minimal-total-displacement
-    assignment on the circle.
+    assignment on the circle. The cost is square, so the assignment's
+    rows are every branch in order, and each branch's step is read off
+    the one delta matrix the assignment was costed on.
     """
-    cost = np.abs(_circular_delta(theta_a[:, None], raw_b[None, :]))
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    deltas = np.empty_like(theta_a)
-    deltas[rows] = _circular_delta(theta_a[rows], raw_b[cols])
+    delta = _circular_delta(theta_a[:, None], raw_b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(delta))
+    deltas = delta[rows, cols]
     movement = np.max(np.abs(deltas))
     if movement <= MOVEMENT_GATE:
         return theta_a + deltas
@@ -544,7 +549,11 @@ def _anchored_sample(
     ``form_t``, with ``v_ann_t`` = V^omega under that form, reused while
     the form at s is the same object; a moving form gets its own at each
     point. The pair blocks are V^omega inter lam(s) and V^omega inter
-    mu(s), each one :func:`intersect`; where lam0 + V is all of X,
+    mu(s), one :func:`intersect` per distinct pair of frame objects in
+    the call: a constant mu, or a member that comes back as one object
+    under a form that does not move, is cut once, not at every point.
+    :func:`intersect` is deterministic, so a reused block has the bits
+    of a new one. Where lam0 + V is all of X,
     ``v_ann_t`` is the zero subspace and no pair block is cut out. Their
     direct sum with lam0 and V is gated where the graph coefficients are
     solved for, over all the points at once (:func:`_pairings`). Every
@@ -553,11 +562,20 @@ def _anchored_sample(
     member against its own position at t, and the reduced samples of
     :func:`_segment_counts`.
     """
+    # Keyed by the ids of the two frames, which each entry keeps alive.
+    blocks: dict[tuple[int, int], tuple[Frame, Frame, Frame]] = {}
+
+    def block(v_ann: Frame, member: Frame) -> Frame:
+        key = id(v_ann), id(member)
+        if key not in blocks:
+            blocks[key] = v_ann, member, intersect(v_ann, member)
+        return blocks[key][2]
+
     out = []
     for s in params:
         form, lam, mu = evaluate(s)
         v_ann = v_ann_t if form is form_t else annihilator(form, anchor.v)
-        local = IntrinsicDecomposition(anchor.lam0, anchor.v, intersect(v_ann, lam), intersect(v_ann, mu))
+        local = IntrinsicDecomposition(anchor.lam0, anchor.v, block(v_ann, lam), block(v_ann, mu))
         out.append((form, lam, mu, local))
     return out
 
@@ -792,12 +810,12 @@ def one_sided_form(
     return _derivative_form(hermitian, t, form_t, "one-sided form"), anchor.lam0
 
 
-def _scan_pieces(grid, values, motion) -> list[tuple[float, float]]:
+def _scan_pieces(grid, values, motions) -> list[tuple[float, float]]:
     """The pieces of the gaps of ``grid`` where a nonnegative value may reach 0, in order.
 
     A piece [c, d] is cleared when value(c) + value(d) exceeds
-    ``_MOTION_FACTOR`` times motion(c, d). value moves by at most the
-    motion, so a cleared piece stays above 0 as long as the motion
+    ``_MOTION_FACTOR`` times its motion, a bound on how far value moves
+    between c and d. A cleared piece stays above 0 as long as the motion
     inside it stays within that factor of the motion between its ends.
     That is a measured heuristic: a value that dips and comes back
     inside one piece is not seen. A piece that is not cleared is halved
@@ -805,9 +823,11 @@ def _scan_pieces(grid, values, motion) -> list[tuple[float, float]]:
     or one with value 0 at both ends, is kept.
 
     All gaps are scanned together, one depth at a time, so there are at
-    most ``_PIECE_DEPTH + 1`` levels. ``values`` takes the new points of
-    a level, in increasing order, and returns their values; each point
-    is valued once. A piece's fate depends only on the values at its
+    most ``_PIECE_DEPTH + 1`` levels, and each level makes one call of
+    each function. ``values`` takes the new points of the level, in
+    increasing order, and returns their values; each point is valued
+    once. ``motions`` takes the level's pieces, in order, and returns
+    their motions. A piece's fate depends only on the values at its
     ends and the motion between them, so the pieces are those of a
     scan of one gap at a time.
     """
@@ -815,12 +835,14 @@ def _scan_pieces(grid, values, motion) -> list[tuple[float, float]]:
     pieces = list(zip(grid, grid[1:]))
     kept = []
     for depth in range(_PIECE_DEPTH + 1):
+        if not pieces:
+            break
         new = sorted({s for piece in pieces for s in piece} - known.keys())
         known.update(zip(new, values(new)))
         level, pieces = pieces, []
-        for c, d in level:
+        for (c, d), motion in zip(level, motions(level)):
             excess = known[c] + known[d]
-            if excess > _MOTION_FACTOR * motion(c, d):
+            if excess > _MOTION_FACTOR * motion:
                 continue
             if excess <= 0.0 or depth == _PIECE_DEPTH:
                 kept.append((c, d))
@@ -854,7 +876,13 @@ def _crossing_events(path: LagrangianPairPath) -> list[tuple[float, float, int]]
     level of halving at a time, on f(s) = min |angle|, with the
     Hausdorff distance between the end spectra on the circle as the
     motion; each level's new parameters are evaluated, then checked as
-    Lagrangian in one stack by :func:`_check_pairs`. Pieces that will
+    Lagrangian in one stack by :func:`_check_pairs`. The values of a
+    level's new points come from one stacked array of the angles the
+    path keeps, and the motions of all its pieces from one stacked
+    (pieces, n, n) array of circular distances and its row and column
+    minima and maxima, which are exact, so each piece's fate is that of
+    a piece taken alone. The bracket search below calls the same two
+    functions on the two ends of one bracket. Pieces that will
     not clear are split down to the floor depth, never located early.
     The floor pieces are then searched one at a time. A floor piece
     whose end states differ is bisected where they differ, to brackets
@@ -874,30 +902,32 @@ def _crossing_events(path: LagrangianPairPath) -> list[tuple[float, float, int]]
     or an angle that comes back) are not seen, and add 0 to both counts.
     """
 
-    def distance(s: float) -> float:
-        return float(np.min(np.abs(_path_angles(path, s))))
-
-    def distances(params: list[float]) -> list[float]:
+    def angles(params) -> np.ndarray:
         _check_pairs(path, params)
-        return [distance(s) for s in params]
+        return np.stack([path._angles[float(s)] for s in params])
 
-    def motion(c: float, d: float) -> float:
-        theta_c, theta_d = _path_angles(path, c), _path_angles(path, d)
-        delta = np.abs(_circular_delta(theta_c[:, None], theta_d[None, :]))
-        return float(max(delta.min(axis=1).max(), delta.min(axis=0).max()))
+    def distances(params: list[float]) -> np.ndarray:
+        return np.min(np.abs(angles(params)), axis=1)
+
+    def motions(pieces: list[tuple[float, float]]) -> np.ndarray:
+        ends = angles([s for piece in pieces for s in piece])
+        delta = np.abs(_circular_delta(ends[0::2, :, None], ends[1::2, None, :]))
+        return np.maximum(delta.min(axis=2).max(axis=1), delta.min(axis=1).max(axis=1))
 
     def state(s: float) -> tuple[int, int]:
         theta = _path_angles(path, s)
         return int(np.sum(np.abs(theta) <= _ANGLE_SNAP)), int(np.sum(theta > _ANGLE_SNAP))
 
     changes = []  # (time, z before, z after)
-    for piece in _scan_pieces([smp.s for smp in path.samples], distances, motion):
+    for piece in _scan_pieces([smp.s for smp in path.samples], distances, motions):
         brackets = [piece]
         while brackets:
             u, v = brackets.pop()
             (z_u, p_u), (z_v, p_v) = state(u), state(v)
-            excess = distance(u) + distance(v) - 2.0 * _ANGLE_SNAP
-            if (z_u, p_u) == (z_v, p_v) or excess > _MOTION_FACTOR * motion(u, v):
+            if (z_u, p_u) == (z_v, p_v):
+                continue
+            d_u, d_v = distances([u, v])
+            if d_u + d_v - 2.0 * _ANGLE_SNAP > _MOTION_FACTOR * motions([(u, v)])[0]:
                 continue
             if v - u <= _BISECT_TOL:
                 if z_u != z_v:
@@ -1230,10 +1260,22 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     frame lam (+) mu per parameter, and a path with one form object
     lifts to paths with one form object each.
 
+    Both lifts are sampled at the rows of the path's winding: its
+    samples and every parameter the winding refined to. The lifted
+    relative unitary's eigenvalues are +- the square roots of the
+    path's, so a lifted branch moves by half as much as the path's, at
+    most pi/4 from row to row. A lift's movement gate could not see a
+    lifted step past pi/2, so sampled at the samples alone the lifts
+    would alias where the path turns by more than pi between two of
+    them.
+
     The lifts inherit the path's sampling gate and its Lagrangian
-    decision, which every :class:`LagrangianPairPath` has made at
-    exactly these parameters, because their inputs are the same by
-    block structure:
+    decision at the rows, because their inputs are the same by block
+    structure. The path has passed the gate on the steps between its
+    samples; the steps the winding inserted go through one
+    :func:`_sampling_failures` call on the path's values at the rows,
+    whose failure raises ValueError as the constructor's does. The
+    inputs:
 
     * the principal angles of lam_a (+) mu_a and lam_b (+) mu_b are those
       of lam and of mu together, so the lifted gap is
@@ -1299,11 +1341,15 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
             u_pair, u_diagonal = np.split(u, 2)
             return _generator_angles(*((u_diagonal, u_pair) if swap else (u_pair, u_diagonal)))
 
-        samples = _GatedSamples((PathSample(smp.s, *fn(smp.s)) for smp in path.samples), angles)
+        samples = _GatedSamples((PathSample(s, *fn(s)) for s in rows), angles)
         return LagrangianPairPath(samples, fn if path.callback is not None else None)
 
     direct = maslov_winding(path)
-    add([smp.s for smp in path.samples])
+    rows = [float(s) for s in direct.theta_curves[:, 0]]
+    if len(rows) > len(path.samples):
+        # The steps the winding inserted have not passed the gate yet.
+        _raise_first_failure([PathSample(s, *path.evaluate(s)) for s in rows])
+    add(rows)
     lift = maslov_winding(lifted(flip_first=False, swap=False))
     lift_swapped = maslov_winding(lifted(flip_first=True, swap=True))
     values = {

@@ -576,6 +576,32 @@ def test_splitting_check_is_the_cli_route_on_two_samples(tmp_path, dim, cut):
     assert samples == np.linspace(0.0, 1.0, 33).tolist()
 
 
+@pytest.mark.parametrize(
+    "kind, parameters, operators",
+    [
+        ("bvp_desuspension", {"family": "scalar_periodic", "num_samples": 9}, 9),
+        ("bvp_desuspension", {"family": "separated_lines", "num_samples": 9}, 9),
+        ("bvp_splitting", {"family": "planar_double"}, 33),
+    ],
+)
+def test_cli_bvp_run_assembles_each_operator_once(tmp_path, monkeypatch, kind, parameters, operators):
+    """The CLI hands the check the path whose spectra it exports, so the
+    two end operators are not assembled and eigen-solved a second time."""
+    assembled = []
+
+    def counted(build):
+        def wrapper(fam, bc, grid, s):
+            assembled.append(s)
+            return build(fam, bc, grid, s)
+        return wrapper
+
+    for name in ("_fold_matrix", "_sbp_matrix"):
+        monkeypatch.setattr(bvp, name, counted(getattr(bvp, name)))
+    results, samples = cli_run(tmp_path, kind, 0, parameters)
+    assert results["agree"] is True
+    assert sorted(assembled) == samples == np.linspace(0.0, 1.0, operators).tolist()
+
+
 def test_desuspension_check_builds_one_green_form_per_family(monkeypatch):
     built = []
     direct_sum = bvp.direct_sum

@@ -668,7 +668,8 @@ def _moving_form_pair_path() -> LagrangianPairPath:
 def _explicit_lift(path: LagrangianPairPath, signs: tuple[int, int], swap: bool) -> LagrangianPairPath:
     """A lift of ``path`` through the public constructor: one ``direct_sum``
     form per form object, a block-diagonal pair frame per parameter, and
-    the full sampling gate and Lagrangian check."""
+    the full sampling gate and Lagrangian check, sampled at the rows of
+    the path's winding."""
     eye = np.eye(path.dim)
     diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
     doubled = {}
@@ -681,7 +682,8 @@ def _explicit_lift(path: LagrangianPairPath, signs: tuple[int, int], swap: bool)
         form2 = doubled[id(form)][1]
         return (form2, diagonal, pair) if swap else (form2, pair, diagonal)
 
-    return LagrangianPairPath(tuple(PathSample(smp.s, *fn(smp.s)) for smp in path.samples), fn)
+    rows = [float(s) for s in maslov_winding(path).theta_curves[:, 0]]
+    return LagrangianPairPath(tuple(PathSample(s, *fn(s)) for s in rows), fn)
 
 
 @pytest.mark.parametrize(
@@ -703,6 +705,28 @@ def test_stacked_lifts_equal_the_explicit_lifts_bit_for_bit(monkeypatch, make):
         assert maslov_winding(got).theta_curves.tobytes() == want.tobytes()
     if make is fast_generator_path:
         assert len(maslov_winding(path).theta_curves) > len(path.samples)
+
+
+def test_lifts_of_a_path_that_turns_past_pi_between_samples_do_not_alias(monkeypatch):
+    """At 5 samples the relative angle of fast_generator_path turns by
+    3.5 rad per step, past pi, while every gap stays below 0.2. The
+    lifts are sampled at the rows of the base winding, so they give its
+    (2, 2); the steps the winding inserted are gated in one call."""
+    path = fast_generator_path(5)
+    wind = maslov_winding(path)
+    assert len(wind.theta_curves) > len(path.samples)
+    gated = []
+    failures = maslov._sampling_failures
+
+    def counted(samples):
+        gated.append([smp.s for smp in samples])
+        return failures(samples)
+
+    monkeypatch.setattr(maslov, "_sampling_failures", counted)
+    result = diagonal_lift(path)
+    assert _counts(result) == _counts(wind) == (2, 2)
+    assert gated == [wind.theta_curves[:, 0].tolist()]
+    assert np.array_equal(result.theta_curves[:, 0], wind.theta_curves[:, 0])
 
 
 @pytest.mark.parametrize("make", [_moving_form_pair_path, fast_generator_path])
@@ -1622,7 +1646,7 @@ def test_scan_pieces_halve_every_gap_six_times(num_samples):
     """A piece that never clears is halved six times, to 1/64 of its gap,
     whether or not the gap is a dyadic fraction."""
     grid = list(np.linspace(0.0, 1.0, num_samples))
-    pieces = _scan_pieces(grid, lambda points: [1.0] * len(points), lambda c, d: 1.0)
+    pieces = _scan_pieces(grid, lambda points: [1.0] * len(points), lambda level: [1.0] * len(level))
     assert len(pieces) == 64 * (num_samples - 1)
     for k, (a, b) in enumerate(zip(grid, grid[1:])):
         gap = pieces[64 * k : 64 * (k + 1)]
@@ -1653,12 +1677,14 @@ def depth_first_scan_pieces(a, b, value, motion):
         pieces.extend(((mid, d, depth + 1), (c, mid, depth + 1)))
 
 
-def per_gap_scan(grid, values, motion):
+def per_gap_scan(grid, values, motions):
     """Every gap of the grid through :func:`depth_first_scan_pieces`, in order."""
     return [
         piece
         for a, b in zip(grid, grid[1:])
-        for piece in depth_first_scan_pieces(a, b, lambda s: values([s])[0], motion)
+        for piece in depth_first_scan_pieces(
+            a, b, lambda s: values([s])[0], lambda c, d: motions([(c, d)])[0]
+        )
     ]
 
 
@@ -1743,6 +1769,84 @@ def test_piece_scan_checks_one_stack_per_level(case):
     assert min(d - c for c, d in pieces) == pytest.approx(1.0 / (20 * 64))
     assert 0 < len(stacks) <= maslov._PIECE_DEPTH + 1
     assert all(n > 2 for n in stacks)
+
+
+def one_crossing_path() -> LagrangianPairPath:
+    """Line 1 rises through its partner at s = 0.53, between samples, and
+    line 2 turns far from its partner, in C^4 at 21 samples."""
+    return line_sum_path(lambda s: [s - 0.53, 1.0 + 0.5 * s], [0.0, 0.0], np.eye(4), 21)
+
+
+@pytest.mark.parametrize("case", ["touch", "crossing"])
+def test_crossing_events_take_one_motion_pass_per_level_and_per_bracket(case):
+    """The motions of all pieces of a scan level come from one stacked
+    delta array, and each bracket of the event search whose end states
+    differ takes one stack of its own."""
+    path = touch_path(case) if case == "touch" else one_crossing_path()
+    in_scan, after_scan, level_sizes, done = [], [], [], []
+    circular_delta, scan = maslov._circular_delta, maslov._scan_pieces
+
+    def counted_delta(a, b):
+        (after_scan if done else in_scan).append(np.broadcast_shapes(np.shape(a), np.shape(b))[0])
+        return circular_delta(a, b)
+
+    def recorded(grid, values, motions):
+        def level_motions(pieces):
+            level_sizes.append(len(pieces))
+            return motions(pieces)
+
+        pieces = scan(grid, values, level_motions)
+        done.append(True)
+        return pieces
+
+    with mock.patch.object(maslov, "_circular_delta", counted_delta), \
+            mock.patch.object(maslov, "_scan_pieces", recorded):
+        levels = _crossing_events(path)
+    assert in_scan == level_sizes
+    assert 0 < len(level_sizes) <= maslov._PIECE_DEPTH + 1
+    assert sum(level_sizes) > 4 * len(level_sizes)
+    assert after_scan == [1] * len(after_scan)
+    if case == "crossing":
+        assert after_scan
+        assert [z for *_, z in levels] == [0, 1, 0]
+        assert levels[1][0] == pytest.approx(0.53, abs=1e-9)
+
+
+def per_point_anchored_sample(evaluate, params, form_t, anchor, v_ann_t):
+    """The anchored samples of :func:`maslov._anchored_sample`, with both
+    pair blocks cut anew at every point."""
+    out = []
+    for s in params:
+        form, lam, mu = evaluate(s)
+        v_ann = v_ann_t if form is form_t else annihilator(form, anchor.v)
+        local = IntrinsicDecomposition(anchor.lam0, anchor.v, intersect(v_ann, lam), intersect(v_ann, mu))
+        out.append((form, lam, mu, local))
+    return out
+
+
+def record_bytes(rec) -> tuple:
+    return rec.t, rec.intersection.matrix.tobytes(), rec.gamma.matrix.tobytes(), rec.signature
+
+
+def test_crossing_form_cuts_a_constant_mu_once_per_complement(monkeypatch):
+    """mu is one frame object along the path and the form does not move,
+    so V^omega inter mu is cut once for each of the two complements, not
+    at each of the four stencil points; the record keeps the bytes of
+    blocks cut at every point."""
+    path = one_crossing_path()
+    _, _, mu = path.evaluate(0.53)
+    cuts = []
+
+    def counted(v_ann, member):
+        cuts.append(member is mu)
+        return intersect(v_ann, member)
+
+    monkeypatch.setattr(maslov, "intersect", counted)
+    got = crossing_form(path, 0.53)
+    assert cuts.count(True) == 2 and cuts.count(False) == 8
+    assert got.signature == (1, 0, 0)
+    monkeypatch.setattr(maslov, "_anchored_sample", per_point_anchored_sample)
+    assert record_bytes(got) == record_bytes(crossing_form(path, 0.53))
 
 
 @pytest.mark.parametrize("case", list(TOUCH_LINES))
