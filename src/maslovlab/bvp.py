@@ -22,8 +22,18 @@ closed by a Lagrangian boundary condition in the trace space of values
 Both checks return the two integers side by side together with an
 agreement flag; they are computed by independent routes and their
 equality is the point of the exercise. Their spectral flow is
-``sf_eigen`` of the two end operators. A family keeps its Green form, and
-a constant boundary condition is checked and classified once per call.
+``sf_eigen`` of the two end operators. A family keeps its Green form and
+||J0||_2, and a constant boundary condition is checked and classified
+once per call.
+
+An operator path builds what s does not move once: the twisted stencil
+of a constant unitary graph, or kron(Q, J0), the quadrature weights, the
+whitening metric and (for a constant condition) the trace basis of the
+summation-by-parts realization. Each sample then adds the coefficient
+blocks C(s, t_j) in node order and passes one Hermitian gate. Each end
+operator is eigen-solved once, values only, and factored once by
+LDL^H; the two Morse counts must agree, or ``sf_eigen`` raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -126,6 +136,16 @@ class HamiltonianFamily:
         """:func:`green_form`, built on first use and kept."""
         return direct_sum(self._j0_form, self._j0_form, signs=(-1, 1))
 
+    @cached_property
+    def _j0_norm(self) -> float:
+        """||J0||_2, the largest modulus of the eigenvalues of -i J0 that the form's check keeps.
+
+        Only gate thresholds read it: the pairing-drift gate of
+        :func:`propagator` and the commutation gate of the unitary-graph
+        test. No propagated or assembled bit depends on it.
+        """
+        return float(np.abs(self._j0_form.eig[0]).max())
+
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -147,6 +167,9 @@ class BoundaryCondition:
                 "boundary condition must be half-dimensional "
                 f"(got {self.lagrangian.dim} in ambient {amb})"
             )
+
+
+BoundaryPath = Union[BoundaryCondition, Callable[[float], BoundaryCondition]]
 
 
 def periodic_condition(fam: HamiltonianFamily) -> BoundaryCondition:
@@ -333,9 +356,8 @@ def propagator(
             )
         else:
             pending += [(mid, end, second), (start, mid, first)]
-    scale = np.linalg.norm(fam.j0, 2)
     drift = np.linalg.norm(phi.conj().T @ fam.j0 @ phi - fam.j0, 2)
-    if drift > _PAIRING_DRIFT_TOL * scale:
+    if drift > _PAIRING_DRIFT_TOL * fam._j0_norm:
         raise ArithmeticError(
             f"propagator lost the J0 pairing (drift {drift:.3e}); "
             "the monodromy is too ill-conditioned for double precision"
@@ -379,18 +401,62 @@ def _unitary_graph(
     g = np.linalg.solve(x0.conj().T, x1.conj().T).conj().T
     if np.linalg.norm(g.conj().T @ g - np.eye(k), 2) > _GRAPH_TOL:
         return None
-    if np.linalg.norm(g @ fam.j0 - fam.j0 @ g, 2) > _GRAPH_TOL * np.linalg.norm(
-        fam.j0, 2
-    ):
+    if np.linalg.norm(g @ fam.j0 - fam.j0 @ g, 2) > _GRAPH_TOL * fam._j0_norm:
         return None
     u, _, vh = np.linalg.svd(g)
     return u @ vh
 
 
+def _fold_stencil(fam: HamiltonianFamily, g: np.ndarray, grid: int) -> np.ndarray:
+    """J0 d/dt on the twisted circulant: the part of :func:`_fold_matrix` that s does not move.
+
+    Sixth-order central weights on M nodes, M being ``grid`` bumped to
+    odd, with the ghost closure u_{M+j} = G u_j. Block (j, j +- r) is
+    +-(w_r / h) J0 where j +- r lies on the grid, and that block times G
+    (forward) or G^H (backward) where the offset wraps; the diagonal
+    blocks are zero. Returned as the (M k) x (M k) matrix.
+    """
+    k = fam.dim
+    grid = grid if grid % 2 == 1 else grid + 1
+    h = fam.t_end / grid
+    # blocks[j, i] is the k x k block coupling node j to node i. With
+    # grid >= 7 the offsets +-1, +-2, +-3 are distinct mod grid, so each
+    # block receives one term and the sum matches any assembly order.
+    blocks = np.zeros((grid, grid, k, k), dtype=complex)
+    nodes = np.arange(grid)
+    gh = g.conj().T
+    for r, w in _STENCIL6:
+        for sign in (1, -1):
+            block = (sign * w / h) * fam.j0
+            target = nodes + sign * r
+            inside = (target >= 0) & (target < grid)
+            wrapped = block @ g if sign > 0 else block @ gh
+            blocks[nodes[inside], target[inside]] += block
+            blocks[nodes[~inside], target[~inside] % grid] += wrapped
+    return blocks.transpose(0, 2, 1, 3).reshape(grid * k, grid * k)
+
+
+def _fold_operator(fam: HamiltonianFamily, stencil: np.ndarray, s: float) -> HermitianMatrix:
+    """The twisted circulant at s: ``stencil`` plus C(s, t_j) on its j-th diagonal block.
+
+    ``stencil`` is the output of :func:`_fold_stencil` and is not
+    written to. The coefficients are read at t_j = j T / M in node
+    order, and the sum passes one Hermitian gate.
+    """
+    k = fam.dim
+    grid = stencil.shape[0] // k
+    nodes = np.arange(grid)
+    a = stencil.copy()
+    a.reshape(grid, k, grid, k)[nodes, :, nodes, :] += _coefficients(
+        fam, s, nodes * (fam.t_end / grid)
+    )
+    return _gated_hermitian(a)
+
+
 def _fold_matrix(
     fam: HamiltonianFamily, g: np.ndarray, grid: int, s: float
 ) -> HermitianMatrix:
-    """Sixth-order stencil on M nodes with ghost closure u_{M+j} = G u_j.
+    """Sixth-order stencil on M nodes with ghost closure u_{M+j} = G u_j, at s.
 
     Hermitian because the stencil is antisymmetric, J0 is skew, and G is
     unitary and commutes with J0. The closure carries full interior
@@ -403,27 +469,13 @@ def _fold_matrix(
     ride the coefficient exactly like the constant mode and duplicate
     every zero crossing of the spectrum; odd counts keep the difference
     symbol bounded away from zero on all nonconstant modes.
+
+    This builds the stencil of G and adds the coefficients at s. A
+    constant boundary condition builds its stencil once per path
+    instead (see :func:`_assembler`); a boundary path whose G moves with
+    s comes here at every s.
     """
-    k = fam.dim
-    grid = grid if grid % 2 == 1 else grid + 1
-    h = fam.t_end / grid
-    # blocks[j, i] is the k x k block coupling node j to node i. With
-    # grid >= 7 the offsets +-1, +-2, +-3 are distinct mod grid, so each
-    # block receives one term and the sum matches any assembly order.
-    blocks = np.zeros((grid, grid, k, k), dtype=complex)
-    nodes = np.arange(grid)
-    blocks[nodes, nodes] += _coefficients(fam, s, nodes * h)
-    gh = g.conj().T
-    for r, w in _STENCIL6:
-        for sign in (1, -1):
-            block = (sign * w / h) * fam.j0
-            target = nodes + sign * r
-            inside = (target >= 0) & (target < grid)
-            wrapped = block @ g if sign > 0 else block @ gh
-            blocks[nodes[inside], target[inside]] += block
-            blocks[nodes[~inside], target[~inside] % grid] += wrapped
-    a = blocks.transpose(0, 2, 1, 3).reshape(grid * k, grid * k)
-    return _gated_hermitian(a)
+    return _fold_operator(fam, _fold_stencil(fam, g, grid), s)
 
 
 def _sbp_matrix_core(grid: int) -> np.ndarray:
@@ -460,46 +512,59 @@ def _trace_basis(bc: BoundaryCondition, k: int, nodes: int) -> np.ndarray:
     return p
 
 
-def _sbp_matrix(
-    fam: HamiltonianFamily, bc: BoundaryCondition, grid: int, s: float
-) -> HermitianMatrix:
-    """Compressed summation-by-parts realization on grid+1 nodes.
+def _sbp_builder(
+    fam: HamiltonianFamily, bc: BoundaryPath, grid: int
+) -> Callable[[float], HermitianMatrix]:
+    """Builder of the compressed summation-by-parts realization on grid+1 nodes.
 
-    Assembles kron(Q, J0) plus the weighted coefficient blocks,
-    compresses onto the bc-compatible trace subspace, and whitens by the
-    diagonal quadrature metric. The corner contribution of Q pairs the
-    traces by the Green form, which vanishes on the Lagrangian bc; the
-    compressed matrix is therefore Hermitian to roundoff.
+    At s the builder assembles kron(Q, J0) plus the weighted coefficient
+    blocks w_j C(s, t_j), in node order, compresses onto the
+    bc-compatible trace subspace, and whitens by the diagonal quadrature
+    metric. The corner contribution of Q pairs the traces by the Green
+    form, which vanishes on the Lagrangian bc; the compressed matrix is
+    therefore Hermitian to roundoff, and it passes one Hermitian gate.
+
+    kron(Q, J0), the weights w and the metric are built here, once per
+    path, and so is the trace basis of a constant bc; a callable bc(s)
+    gives a new trace basis at each s.
     """
     k = fam.dim
     nodes = grid + 1
     h = fam.t_end / grid
-    a = np.kron(_sbp_matrix_core(grid), fam.j0)
+    stencil = np.kron(_sbp_matrix_core(grid), fam.j0)
     weights = np.full(nodes, h)
     weights[0] = weights[-1] = h / 2.0
-    cs = _coefficients(fam, s, np.arange(nodes) * h)
-    for j in range(nodes):
-        rows = slice(j * k, (j + 1) * k)
-        a[rows, rows] += weights[j] * cs[j]
-    p = _trace_basis(bc, k, nodes)
-    a_c = p.conj().T @ a @ p
-    metric = np.concatenate(
-        [np.repeat(weights[1:-1], k), np.full(bc.lagrangian.dim, h / 2.0)]
-    )
-    d = 1.0 / np.sqrt(metric)
-    return _gated_hermitian(d[:, None] * a_c * d[None, :])
+    index = np.arange(nodes)
+    times = index * h
+    # The trace basis has k columns at the ends: bc is half-dimensional
+    # in C^{2k}.
+    d = 1.0 / np.sqrt(np.concatenate([np.repeat(weights[1:-1], k), np.full(k, h / 2.0)]))
+
+    def compression(cond: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
+        p = _trace_basis(cond, k, nodes)
+        return p.conj().T, p
+
+    fixed = compression(bc) if isinstance(bc, BoundaryCondition) else None
+
+    def build(s: float) -> HermitianMatrix:
+        ph, p = fixed if fixed is not None else compression(bc(s))
+        a = stencil.copy()
+        a.reshape(nodes, k, nodes, k)[index, :, index, :] += (
+            weights[:, None, None] * _coefficients(fam, s, times)
+        )
+        return _gated_hermitian(d[:, None] * (ph @ a @ p) * d[None, :])
+
+    return build
 
 
 def _gated_hermitian(a: np.ndarray) -> HermitianMatrix:
+    """``a`` symmetrized, once its anti-Hermitian part passes the relative 1e-10 gate."""
     defect = np.max(np.abs(a - a.conj().T))
     if exceeds_scaled_tol(defect, a, _HERMITICITY_TOL):
         raise ArithmeticError(
             f"discretized operator is not Hermitian (residual {defect:.3e})"
         )
     return HermitianMatrix.from_symmetrized(a)
-
-
-BoundaryPath = Union[BoundaryCondition, Callable[[float], BoundaryCondition]]
 
 
 def _assembler(
@@ -509,6 +574,12 @@ def _assembler(
 
     A constant bc is checked and classified once; a callable one at
     ``num_samples`` evenly spaced parameters, and again at each assembly.
+    What s does not move is built here, once per path: the twisted
+    stencil of a constant unitary graph, and kron(Q, J0), the weights,
+    the metric and (for a constant bc) the trace basis of the
+    summation-by-parts realization. The builder adds the coefficients at
+    s. A boundary path in the unitary-graph class moves G, so its
+    builder makes the whole twisted circulant at each s.
     """
     if grid < 7:
         raise ValueError("grid must be at least 7 for the difference stencils")
@@ -516,13 +587,14 @@ def _assembler(
         _check_boundary(fam, bc)
         g = _unitary_graph(bc, fam)
         if g is None:
-            return lambda s: _sbp_matrix(fam, bc, grid, s)
-        return lambda s: _fold_matrix(fam, g, grid, s)
+            return _sbp_builder(fam, bc, grid)
+        stencil = _fold_stencil(fam, g, grid)
+        return lambda s: _fold_operator(fam, stencil, s)
     probe = [bc(float(s)) for s in np.linspace(0.0, 1.0, num_samples)]
     for cond in probe:
         _check_boundary(fam, cond)
     if any(_unitary_graph(cond, fam) is None for cond in probe):
-        return lambda s: _sbp_matrix(fam, bc(s), grid, s)
+        return _sbp_builder(fam, bc, grid)
 
     def build(s: float) -> HermitianMatrix:
         g = _unitary_graph(bc(s), fam)
@@ -547,10 +619,13 @@ def discretize(
     unitary commuting with J0 (on ``grid`` nodes, bumped to ``grid + 1``
     for even counts to keep the difference symbol injective), and the
     compressed summation-by-parts realization on ``grid + 1`` nodes
-    otherwise. The path also carries the assembler as its callback, so
-    the operator can be built at any s; the eigenvalue curves are the
-    sorted spectra at the samples, and the spectral flow reads the end
-    samples only.
+    otherwise. The part of the operator that s does not move is built
+    once for the path (see :func:`_assembler`); each sample adds the
+    coefficients C(s, t_j). The path also carries the assembler as its
+    callback, so the operator can be built at any s. The eigenvalue
+    curves are the values-only spectra at the samples, and the spectral
+    flow reads the end samples only, each eigen-solved once and factored
+    once.
     """
     return HermitianPath.from_callable(_assembler(fam, bc, grid, num_samples), num_samples)
 
@@ -573,8 +648,11 @@ def desuspension_check(
     families satisfying the stated invariants; the flag reports it.
 
     The spectral flow is :func:`~maslovlab.spectral.sf_eigen`,
-    n_-(A(0)) - n_-(A(1)), so only the two end operators are assembled
-    and eigen-solved. ``num_samples`` is the sample grid of the Maslov
+    n_-(A(0)) - n_-(A(1)), so only the two end operators are assembled,
+    each eigen-solved once (values only) and factored once by LDL^H.
+    Its Morse counts by the two must agree; an end eigenvalue within
+    roundoff of -``_MORSE_ZERO`` makes them differ and raises
+    ArithmeticError. ``num_samples`` is the sample grid of the Maslov
     route. A constant bc is checked once; a callable bc(s) is checked at
     every sample of that grid. The spectra at ``num_samples`` parameters,
     as the CLI exports them, are
@@ -615,7 +693,7 @@ def _desuspension_counts(
     The spectral flow reads the end samples of ``operators`` only: the
     check passes its two-sample path, and the CLI the ``discretize``
     path whose spectra it exports, so the end operators of a CLI run are
-    assembled and eigen-solved once.
+    assembled once, eigen-solved once and factored once.
     """
     sf = sf_eigen(operators)
     bc_path = (lambda s: bc) if isinstance(bc, BoundaryCondition) else bc
@@ -650,8 +728,10 @@ def splitting_check(
 
     As in :func:`desuspension_check`, the spectral flow is
     :func:`~maslovlab.spectral.sf_eigen` of the two end operators of
-    ``discretize(fam, periodic_condition(fam), grid)``, and
-    ``num_samples`` is the sample grid of the Maslov route.
+    ``discretize(fam, periodic_condition(fam), grid)``, whose stencil is
+    built once; its two Morse counts per end must agree or it raises
+    ArithmeticError. ``num_samples`` is the sample grid of the Maslov
+    route.
     """
     if not 0.0 < cut < fam.t_end:
         raise ValueError(f"cut must lie inside (0, {fam.t_end})")

@@ -19,8 +19,10 @@ the failed trials, and any failure makes ``verify`` exit 3.
 The bvp scenarios take their integers from the cores of the public
 ``desuspension_check`` and ``splitting_check``, handed the path
 ``discretize(fam, bc, grid, num_samples)`` whose spectra they export as
-eigenvalue_curves.csv, so each end operator is assembled and
-eigen-solved once.
+eigenvalue_curves.csv, so each end operator is assembled once,
+eigen-solved once (values only) and factored once. A Morse count of an
+end on which the spectrum and the LDL^H factorization disagree is a
+numerical gate failure (exit 2).
 
 Exit codes: 0 success or ``--help``; 1 config or usage error, with a
 message naming the offending field; 2 numerical gate failure (sampling

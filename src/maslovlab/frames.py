@@ -178,10 +178,24 @@ class HermitianMatrix:
             )
         object.__setattr__(self, "matrix", sym)
 
-    @staticmethod
-    def from_symmetrized(a) -> "HermitianMatrix":
+    @classmethod
+    def from_symmetrized(cls, a) -> "HermitianMatrix":
+        """(a + a^H) / 2 of a square matrix, with no Hermitian-defect check.
+
+        For matrices whose anti-Hermitian part is expected (finite
+        differences) or gated by the caller. (a + a^H) / 2 is Hermitian
+        up to the sign of zero entries, so it is stored as it is; only a
+        non-square shape or non-finite entries raise.
+        """
         a = np.asarray(a, dtype=complex)
-        return HermitianMatrix((a + a.conj().T) / 2.0)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("Hermitian matrix must be square")
+        sym = (a + a.conj().T) / 2.0
+        if not np.isfinite(sym).all():
+            raise ValueError("Hermitian matrix has non-finite entries")
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", sym)
+        return out
 
     @property
     def dim(self) -> int:
@@ -501,19 +515,60 @@ def _heevr_lwork(n: int) -> dict:
     return {"lwork": int(lwork.real), "lrwork": int(lrwork), "liwork": int(liwork)}
 
 
-def _heevr(a: np.ndarray):
+def _heevr(a: np.ndarray, vectors: bool = True):
     """Eigenvalues and eigenvectors of a complex Hermitian matrix by LAPACK heevr.
 
     The same routine, lower triangle and workspace that
     ``scipy.linalg.eigh(a)`` uses, so the same bits, with the workspace
-    query done once per size. Non-square or non-finite input, or a
-    failed decomposition, goes through scipy for its checks and errors.
+    query done once per size; with ``vectors=False``, the eigenvalues
+    alone, as ``scipy.linalg.eigvalsh(a)`` gives them. Empty, non-square
+    or non-finite input, or a failed decomposition, goes through scipy
+    for its checks and errors.
     """
-    if a.ndim == 2 and a.shape[0] == a.shape[1] and np.isfinite(a).all():
-        vals, vecs, _, _, info = _HEEVR(a, lower=1, **_heevr_lwork(a.shape[0]))
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.size and np.isfinite(a).all():
+        vals, vecs, _, _, info = _HEEVR(
+            a, compute_v=int(vectors), lower=1, **_heevr_lwork(a.shape[0])
+        )
         if info == 0:
-            return vals, vecs
-    return scipy.linalg.eigh(a)
+            return (vals, vecs) if vectors else vals
+    return scipy.linalg.eigh(a, eigvals_only=not vectors)
+
+
+_HETRF, _HETRF_LWORK = scipy.linalg.get_lapack_funcs(
+    ("hetrf", "hetrf_lwork"), (np.zeros(1, dtype=complex),)
+)
+
+
+@cache
+def _hetrf_lwork(n: int) -> int:
+    lwork, info = _HETRF_LWORK(n, lower=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return int(lwork.real)
+
+
+def _ldl_negatives(a: np.ndarray, shift: float) -> int:
+    """n_-(a + shift I) of a complex Hermitian matrix by Sylvester's law of inertia.
+
+    One Bunch-Kaufman factorization P (a + shift I) P^T = L D L^H
+    (LAPACK hetrf; Bunch and Kaufman, Math. Comp. 31, 1977) gives a
+    block-diagonal D congruent to a + shift I, so with its inertia. A
+    1 x 1 pivot is real and counts when it is negative. A 2 x 2 pivot is
+    taken only where its off-diagonal entry dominates both diagonal
+    ones, |d11 d22| < 0.41 |d21|^2, so it is indefinite and holds
+    exactly one negative eigenvalue; hetrf marks both of its rows with a
+    negative pivot index. No eigenvalue is computed.
+    """
+    n = a.shape[0]
+    shifted = a.copy()
+    shifted[np.diag_indices(n)] += shift
+    ldu, ipiv, info = _HETRF(shifted, lower=1, lwork=_hetrf_lwork(n), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of hetrf")
+    paired = ipiv < 0
+    return int(np.count_nonzero(paired)) // 2 + int(
+        np.count_nonzero(ldu.diagonal().real[~paired] < 0.0)
+    )
 
 
 def hermitian_eig(a):

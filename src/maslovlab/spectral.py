@@ -12,12 +12,21 @@ number is the difference n_-(A(0)) - n_-(A(1)) of the end Morse indices
 (Phillips, Canad. Math. Bull. 39, 1996); the eigenvalue curves are the
 sorted spectra at the samples, and the two routes share the endpoint
 zero rule.
+
+Every spectrum of a Hermitian path comes from one values-only solver
+(LAPACK heevr without eigenvectors). Each end Morse index is counted
+twice, from that spectrum and by Sylvester's law of inertia from one
+LDL^H factorization (LAPACK hetrf) of A + _MORSE_ZERO I; an end where
+the two counts differ raises ArithmeticError. Both are kept on the
+path, so each end is eigen-solved and factored once however often the
+flow and the curves are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,7 +38,9 @@ from .frames import (
     Frame,
     HermitianMatrix,
     _full_rank_frame,
+    _heevr,
     _inertia,
+    _ldl_negatives,
     _residual_svd,
     hermitian_eig,
     orthonormalize,
@@ -324,18 +335,58 @@ class HermitianPath:
     def dim(self) -> int:
         return self.samples[0][1].dim
 
+    @cached_property
+    def _ends(self) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+        """(spectrum, Morse index) of the first and the last sample, by :func:`_checked_end`.
+
+        Computed on first use and kept, so each end is eigen-solved and
+        factored once per path.
+        """
+        (_, first), (_, last) = self.samples[0], self.samples[-1]
+        return _checked_end(first, "first"), _checked_end(last, "last")
+
+
+def _checked_end(mat: HermitianMatrix, end: str) -> tuple[np.ndarray, int]:
+    """Values-only spectrum of an end matrix A and its Morse index, counted twice.
+
+    The Morse index is n_-(A + tau I), tau = ``_MORSE_ZERO``: the
+    eigenvalues below -tau. One count reads the ascending spectrum from
+    LAPACK heevr without eigenvectors; the other reads the pivots of one
+    LDL^H factorization of A + tau I by Sylvester's law of inertia
+    (:func:`frames._ldl_negatives`). The two algorithms share only the
+    matrix, so they disagree only when an eigenvalue lies within
+    roundoff of -tau, where neither count is trustworthy; that raises
+    ArithmeticError naming the end and both counts. The spectrum is
+    returned read-only.
+    """
+    vals = _heevr(mat.matrix, vectors=False)
+    by_values = _inertia(vals, _MORSE_ZERO)[1]
+    by_pivots = _ldl_negatives(mat.matrix, _MORSE_ZERO)
+    if by_values != by_pivots:
+        raise ArithmeticError(
+            f"Morse index of the {end} sample is undecided: {by_values} eigenvalues "
+            f"below -{_MORSE_ZERO:.3g} against {by_pivots} negative pivots of "
+            f"A + {_MORSE_ZERO:.3g} I"
+        )
+    vals.flags.writeable = False
+    return vals, by_values
+
 
 def eigenvalue_curves(path: HermitianPath) -> np.ndarray:
     """Sorted spectra at the path's samples, as rows [s, lam_1 .. lam_n].
 
-    The first and last rows, which decide the spectral flow, come from
-    :func:`hermitian_eig` with its residual check. Interior rows only
-    feed the CSV export and come from eigenvalues alone.
+    Every row comes from one values-only solver, LAPACK heevr without
+    eigenvectors (``frames._heevr(a, vectors=False)``, the values of
+    ``scipy.linalg.eigvalsh``). The first and
+    last rows are the end spectra that :func:`sf_eigen` checked its
+    Morse indices against, kept on the path, so reading the curves after
+    the flow solves no end again; they raise as :func:`sf_eigen` does.
     """
-    last = len(path.samples) - 1
+    (first, _), (last, _) = path._ends
+    end = len(path.samples) - 1
     rows = []
     for i, (s, mat) in enumerate(path.samples):
-        lams = mat.eigenvalues() if i in (0, last) else scipy.linalg.eigvalsh(mat.matrix)
+        lams = first if i == 0 else last if i == end else _heevr(mat.matrix, vectors=False)
         rows.append([s, *np.sort(lams)])
     return np.array(rows)
 
@@ -344,8 +395,10 @@ def kernel_dim(lams: np.ndarray) -> int:
     """Number of eigenvalues within _MORSE_ZERO of zero: the kernel at an endpoint.
 
     The eigenvalues :func:`sf_eigen` counts neither as negative nor as
-    positive: the zero count of the inertia it reads its Morse indices
-    from.
+    positive, by the same rule |lam| <= ``_MORSE_ZERO`` on a given
+    spectrum. :func:`sf_eigen` decides only the negative count, and
+    checks it against an LDL^H factorization; the kernel count reads the
+    spectrum alone.
     """
     return _inertia(lams, _MORSE_ZERO)[2]
 
@@ -357,12 +410,18 @@ def sf_eigen(path: HermitianPath) -> int:
     Morse indices, so only the first and last samples matter. An end
     eigenvalue within the endpoint snap of zero counts as zero, as the
     lower Maslov count of the graph path against X x {0} counts it;
-    :func:`sf_relation` follows the path and gives the same number. The
-    end spectra are the end rows of :func:`eigenvalue_curves`, and the
+    :func:`sf_relation` follows the path and gives the same number.
+
+    Each end's Morse index n_-(A + tau I), tau = ``_MORSE_ZERO``, is
+    counted twice: from a values-only spectrum, and by Sylvester's law
+    from the pivots of one Bunch-Kaufman LDL^H factorization of
+    A + tau I. An end where the two counts differ, which takes an
+    eigenvalue within roundoff of -tau, raises ArithmeticError naming
+    the end and both counts. The end spectra are the end rows of
+    :func:`eigenvalue_curves`; both are kept on the path, and the
     interior samples are never eigen-solved.
     """
-    (_, first), (_, last) = path.samples[0], path.samples[-1]
-    n_first, n_last = (_inertia(mat.eigenvalues(), _MORSE_ZERO)[1] for mat in (first, last))
+    (_, n_first), (_, n_last) = path._ends
     return n_first - n_last
 
 

@@ -194,6 +194,84 @@ def test_fold_matrix_matches_blockwise_assembly(monkeypatch, case, grid):
     assert bvp._fold_matrix(fam, g, grid, 0.37).tobytes() == reference.tobytes()
 
 
+def blockwise_sbp_matrix(fam, bc, grid, s):
+    """Node-by-node assembly of the compressed summation-by-parts operator, the reference."""
+    k = fam.dim
+    nodes = grid + 1
+    h = fam.t_end / grid
+    a = np.kron(bvp._sbp_matrix_core(grid), fam.j0)
+    weights = np.full(nodes, h)
+    weights[0] = weights[-1] = h / 2.0
+    for j in range(nodes):
+        rows = slice(j * k, (j + 1) * k)
+        a[rows, rows] += weights[j] * bvp._coefficients(fam, s, [j * h])[0]
+    p = bvp._trace_basis(bc, k, nodes)
+    metric = np.concatenate([np.repeat(weights[1:-1], k), np.full(bc.lagrangian.dim, h / 2.0)])
+    d = 1.0 / np.sqrt(metric)
+    return HermitianMatrix.from_symmetrized(d[:, None] * (p.conj().T @ a @ p) * d[None, :]).matrix
+
+
+PATH_CASES = {
+    "sbp_constant": lambda fam: separated_condition(fam, line(0.0), line(0.5)),
+    "sbp_callable": lambda fam: lambda s: separated_condition(fam, line(0.3 * s), line(0.5 + 0.2 * s)),
+    "fold_constant": lambda fam: graph_condition(fam, np.exp(0.3j) * rotation(0.7)),
+    "fold_callable": lambda fam: lambda s: graph_condition(fam, np.exp(0.4j * s) * rotation(0.7 * s)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_discretize_path_matches_blockwise_assembly(case):
+    """Every operator of a 9-sample path has the bytes of a from-scratch assembly at its s,
+    and C(s, t) is called at the same points in the same order."""
+    pauli = np.array([[0.0, -1j], [1j, 0.0]])
+    calls = []
+
+    def coeff(s, t):
+        calls.append((s, t))
+        return (s + np.cos(2.0 * t)) * np.eye(2) + 0.3 * np.sin(t) * pauli
+
+    fam = HamiltonianFamily(2, J2, coeff, t_end=1.3)
+    bc = PATH_CASES[case](fam)
+    path = discretize(fam, bc, 12, 9)
+    path_calls = list(calls)
+    calls.clear()
+    for s, mat in path.samples:
+        cond = bc if isinstance(bc, BoundaryCondition) else bc(s)
+        g = bvp._unitary_graph(cond, fam)
+        assert (g is None) == case.startswith("sbp")
+        if g is None:
+            reference = blockwise_sbp_matrix(fam, cond, 12, s)
+        else:
+            reference = HermitianMatrix.from_symmetrized(blockwise_fold_matrix(fam, g, 12, s)).matrix
+        assert mat.matrix.tobytes() == reference.tobytes()
+    assert calls == path_calls
+
+
+def test_assembler_builds_the_s_independent_part_once_per_path(monkeypatch):
+    """The stencil of a constant bc is built once per path; a moving G or trace basis at each s."""
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_fold_stencil", "_sbp_matrix_core", "_trace_basis"):
+        monkeypatch.setattr(bvp, name, counted(name, getattr(bvp, name)))
+    fam = planar_family(lambda s, t: (2.0 * s - 1.0) * np.eye(2))
+    expected = {
+        "fold_constant": ["_fold_stencil"],
+        "fold_callable": ["_fold_stencil"] * 9,
+        "sbp_constant": ["_sbp_matrix_core", "_trace_basis"],
+        "sbp_callable": ["_sbp_matrix_core"] + ["_trace_basis"] * 9,
+    }
+    for case, names in expected.items():
+        built.clear()
+        discretize(fam, PATH_CASES[case](fam), 64, 9)
+        assert built == names, case
+
+
 def test_boundary_condition_must_be_half_dimensional():
     with pytest.raises(ValueError, match="half-dimensional"):
         BoundaryCondition(Frame.span([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]))
@@ -587,19 +665,27 @@ def test_splitting_check_is_the_cli_route_on_two_samples(tmp_path, dim, cut):
 def test_cli_bvp_run_assembles_each_operator_once(tmp_path, monkeypatch, kind, parameters, operators):
     """The CLI hands the check the path whose spectra it exports, so the
     two end operators are not assembled and eigen-solved a second time."""
-    assembled = []
+    assembled, gated = [], []
+    assembler, gate = bvp._assembler, bvp._gated_hermitian
 
-    def counted(build):
-        def wrapper(fam, bc, grid, s):
+    def counted_assembler(*args):
+        build = assembler(*args)
+
+        def wrapper(s):
             assembled.append(s)
-            return build(fam, bc, grid, s)
+            return build(s)
         return wrapper
 
-    for name in ("_fold_matrix", "_sbp_matrix"):
-        monkeypatch.setattr(bvp, name, counted(getattr(bvp, name)))
+    def counted_gate(a):
+        gated.append(a.shape)
+        return gate(a)
+
+    monkeypatch.setattr(bvp, "_assembler", counted_assembler)
+    monkeypatch.setattr(bvp, "_gated_hermitian", counted_gate)
     results, samples = cli_run(tmp_path, kind, 0, parameters)
     assert results["agree"] is True
     assert sorted(assembled) == samples == np.linspace(0.0, 1.0, operators).tolist()
+    assert len(gated) == operators
 
 
 def test_desuspension_check_builds_one_green_form_per_family(monkeypatch):

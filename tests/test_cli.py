@@ -513,19 +513,35 @@ def test_module_entry_point(tmp_path):
 
 
 def test_spectral_flow_run_solves_each_end_once(tmp_path, monkeypatch):
-    from maslovlab import frames
+    """Each end is eigen-solved once, values only, and factored once; no sample gets eigenvectors."""
+    from maslovlab import frames, spectral
 
-    shapes = []
-    checked = frames.hermitian_eig
+    solved, factored, vector_shapes = [], [], []
+    values, pivots, checked = spectral._heevr, spectral._ldl_negatives, frames.hermitian_eig
 
-    def counted(a):
-        shapes.append(np.shape(a))
+    def counted_values(a, vectors):
+        assert not vectors
+        solved.append(id(a) if np.shape(a) == (3, 3) else None)
+        return values(a, vectors)
+
+    def counted_pivots(a, shift):
+        factored.append(id(a))
+        return pivots(a, shift)
+
+    def counted_vectors(a):
+        vector_shapes.append(np.shape(a))
         return checked(a)
 
-    monkeypatch.setattr(frames, "hermitian_eig", counted)
+    monkeypatch.setattr(spectral, "_heevr", counted_values)
+    monkeypatch.setattr(spectral, "_ldl_negatives", counted_pivots)
+    monkeypatch.setattr(frames, "hermitian_eig", counted_vectors)
+    monkeypatch.setattr(spectral, "hermitian_eig", counted_vectors)
     cfg = write_config(
         tmp_path,
         {"schema": 1, "kind": "spectral_flow", "seed": 3, "parameters": {"dim": 3}},
     )
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
-    assert shapes.count((3, 3)) == 2
+    assert len(factored) == len(set(factored)) == 2
+    assert len(solved) == len(set(solved)) == 33
+    assert solved[:2] == factored
+    assert (3, 3) not in vector_shapes

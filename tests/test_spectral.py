@@ -1,12 +1,16 @@
 """Tests for the linear-relation calculus and spectral flow."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from maslovlab.frames import Frame, HermitianMatrix, gap_hat, hermitian_eig
+from maslovlab import frames, spectral
+from maslovlab.cli import main
+from maslovlab.frames import Frame, HermitianMatrix, _ldl_negatives, gap_hat, hermitian_eig
 from maslovlab.sampling import random_unitary, rng_from_seed
 from maslovlab.spectral import (
     HermitianPath,
@@ -290,13 +294,19 @@ def test_eigenvalue_curves_have_one_row_per_sample():
 
 
 def test_eigenvalue_curves_end_rows_are_the_checked_spectra():
+    """The end rows are the values-only spectra whose Morse counts the LDL^H count confirmed."""
     rng = rng_from_seed(41)
     a0 = 6.0 * random_hermitian(rng, 5)
     a1 = 6.0 * random_hermitian(rng, 5)
     path = HermitianPath.from_callable(lambda s: (1.0 - s) * a0 + s * a1, num_samples=5)
     curves = eigenvalue_curves(path)
-    for row, (_, mat) in ((curves[0], path.samples[0]), (curves[-1], path.samples[-1])):
-        assert row[1:].tobytes() == np.sort(hermitian_eig(mat.matrix)[0]).tobytes()
+    ends = (path.samples[0][1], path.samples[-1][1])
+    for row, mat, (vals, morse) in zip(curves[[0, -1]], ends, path._ends):
+        assert row[1:].tobytes() == vals.tobytes()
+        assert vals.tobytes() == scipy.linalg.eigvalsh(mat.matrix).tobytes()
+        assert morse == np.count_nonzero(vals < -spectral._MORSE_ZERO)
+        assert morse == _ldl_negatives(mat.matrix, spectral._MORSE_ZERO)
+    assert sf_eigen(path) == path._ends[0][1] - path._ends[1][1]
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
@@ -341,28 +351,104 @@ def test_multivalued_relation_path():
 
 
 def test_each_end_matrix_is_solved_once(monkeypatch):
-    """sf_eigen then eigenvalue_curves read each end's kept eigenvalues."""
-    from maslovlab import frames
-
+    """sf_eigen then eigenvalue_curves: each end is eigen-solved once, values only, and factored once."""
     rng = rng_from_seed(43)
     a0, a1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
     path = HermitianPath.from_callable(lambda s: (1.0 - s) * a0 + s * a1, num_samples=5)
-    solved = []
-    checked = frames.hermitian_eig
+    solved, factored, vector_solves = [], [], []
+    values, pivots, checked = spectral._heevr, spectral._ldl_negatives, frames.hermitian_eig
 
-    def counted(a):
+    def counted_values(a, vectors):
+        assert not vectors
         solved.append(id(a))
+        return values(a, vectors)
+
+    def counted_pivots(a, shift):
+        factored.append(id(a))
+        return pivots(a, shift)
+
+    def counted_vectors(a):
+        vector_solves.append(id(a))
         return checked(a)
 
-    monkeypatch.setattr(frames, "hermitian_eig", counted)
+    monkeypatch.setattr(spectral, "_heevr", counted_values)
+    monkeypatch.setattr(spectral, "_ldl_negatives", counted_pivots)
+    monkeypatch.setattr(frames, "hermitian_eig", counted_vectors)
+    monkeypatch.setattr(spectral, "hermitian_eig", counted_vectors)
     sf_eigen(path)
     curves = eigenvalue_curves(path)
     sf_eigen(path)
-    ends = [path.samples[0][1], path.samples[-1][1]]
-    assert solved == [id(mat.matrix) for mat in ends]
-    for row, mat in zip(curves[[0, -1]], ends):
-        assert row[1:].tobytes() == checked(mat.matrix)[0].tobytes()
-        assert not mat.eigenvalues().flags.writeable
+    mats = [mat.matrix for _, mat in path.samples]
+    ends = [id(mats[0]), id(mats[-1])]
+    assert factored == ends
+    assert solved == ends + [id(m) for m in mats[1:-1]]
+    assert vector_solves == []
+    for row, mat, (vals, _) in zip(curves[[0, -1]], (mats[0], mats[-1]), path._ends):
+        assert row[1:].tobytes() == scipy.linalg.eigvalsh(mat).tobytes()
+        assert not vals.flags.writeable
+
+
+_TAU = spectral._MORSE_ZERO
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    exponent=st.floats(-3.0, 3.0),
+    planted=st.lists(st.sampled_from([0.0, _TAU / 2, -_TAU / 2, 2 * _TAU, -2 * _TAU]), max_size=5),
+)
+def test_sylvester_count_is_the_eigenvalue_count(seed, n, exponent, planted):
+    """n_-(A + tau I) by LDL^H pivots equals the count of eigenvalues below -tau, and the truth.
+
+    A = U diag(lam) U^H with U unitary. The planted eigenvalues sit at
+    0, +-tau/2 and +-2 tau, next to the threshold, whatever the scale;
+    the others have modulus in [1, 2] times 10^exponent with drawn signs.
+    """
+    rng = rng_from_seed((0x51F, seed))
+    planted = planted[:n]
+    free = n - len(planted)
+    lam = np.concatenate(
+        [planted, rng.choice([-1.0, 1.0], free) * rng.uniform(1.0, 2.0, free) * 10.0**exponent]
+    )
+    u = random_unitary(rng, n)
+    a = (u * lam) @ u.conj().T
+    a = (a + a.conj().T) / 2.0
+    truth = int(np.count_nonzero(lam < -_TAU))
+    assert _ldl_negatives(a, _TAU) == truth
+    spectrum = scipy.linalg.eigvalsh(a)
+    assert np.count_nonzero(spectrum < -_TAU) == truth
+    vals, morse = spectral._checked_end(HermitianMatrix(a), "first")
+    assert morse == truth
+    assert vals.tobytes() == spectrum.tobytes()
+
+
+def across_minus_tau(solver):
+    """``solver`` with the eigenvalue nearest -tau moved to the other side of -tau."""
+
+    def moved(a, vectors):
+        vals = solver(a, vectors).copy()
+        i = int(np.argmin(np.abs(vals + _TAU)))
+        vals[i] = -_TAU / 2 if vals[i] < -_TAU else -2 * _TAU
+        return np.sort(vals)
+
+    return moved
+
+
+def test_sf_eigen_raises_when_the_two_counts_disagree(tmp_path, monkeypatch, capsys):
+    """A values-only spectrum that puts an end eigenvalue across -tau is caught, and the CLI exits 2."""
+    path = HermitianPath.from_callable(lambda s: np.diag([s - 0.5, 1.0]), num_samples=3)
+    monkeypatch.setattr(spectral, "_heevr", across_minus_tau(spectral._heevr))
+    message = "Morse index of the first sample is undecided: 0 eigenvalues .* against 1 negative pivots"
+    with pytest.raises(ArithmeticError, match=message):
+        sf_eigen(path)
+    with pytest.raises(ArithmeticError, match=message):
+        eigenvalue_curves(path)
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        json.dumps({"schema": 1, "kind": "bvp_desuspension", "parameters": {"family": "scalar_periodic"}})
+    )
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "Morse index of the first sample is undecided" in capsys.readouterr().err
 
 
 def test_graph_of_a_widely_spread_operator_keeps_every_direction():

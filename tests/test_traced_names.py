@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -30,3 +32,34 @@ def test_every_traced_name_resolves_in_maslovlab():
     finally:
         tracer.uninstall()
     assert tracer.missing == []
+
+
+def test_traced_run_spans_every_operator_of_a_path():
+    """``bvp.operator`` wraps the per-s builder that ``bvp._assembler`` returns.
+
+    The s-independent part of a path is built inside ``_assembler``,
+    once, so the span counts exactly the per-s assemblies: one per
+    sample, for either realization.
+    """
+    from maslovlab import bvp
+    from maslovlab.frames import Frame
+
+    spans = _spans_module()
+    fam = bvp.HamiltonianFamily(2, np.array([[0.0, -1.0], [1.0, 0.0]]), lambda s, t: s * np.eye(2))
+    conditions = {
+        "fold": bvp.periodic_condition(fam),
+        "sbp": bvp.separated_condition(
+            fam, Frame.span([1.0, 0.0]), Frame.span([np.cos(0.5), np.sin(0.5)])
+        ),
+    }
+    for realization, bc in conditions.items():
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            # Looked up after install, as the traced run finds it.
+            bvp.discretize(fam, bc, 64, 9)
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == []
+        assert tracer.calls["bvp.operator"] == 9, realization
+        assert tracer.calls["bvp.discretize"] == 1, realization
