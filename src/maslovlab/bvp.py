@@ -10,7 +10,8 @@ closed by a Lagrangian boundary condition in the trace space of values
 
 * the Green form on the trace space, obtained by integration by parts,
 * Cauchy data spaces as graphs of the monodromy, propagated by adaptive
-  Gauss-Legendre collocation, which keeps the J0 pairing to roundoff,
+  Gauss-Legendre collocation, which keeps the J0 pairing to roundoff;
+  a sequence of parameters is propagated in lockstep,
 * Hermitian finite-difference discretizations of the closed operator,
 * :func:`desuspension_check`, comparing the spectral flow of the
   discretized family against minus the Maslov index of the pair
@@ -34,6 +35,21 @@ blocks C(s, t_j) in node order and passes one Hermitian gate. Each end
 operator is eigen-solved once, values only, and factored once by
 LDL^H; the two Morse counts must agree, or ``sf_eigen`` raises
 ArithmeticError.
+
+The Maslov route of a check propagates its whole sample grid at once:
+:func:`propagator` and :func:`cauchy_data` take a sequence of
+parameters, each of which keeps its own adaptive step control, so every
+Phi(s) has the bits of s propagated alone, while the stage coefficients
+of all parameters pass one Hermitian check and all stage systems go
+through one solve at each level of steps. The desuspension check makes
+one such pass over the grid and the splitting check one per leg,
+0 -> cut and T -> cut; a refinement point is a stack of one. A failure
+of one parameter (a coefficient of the wrong shape or not Hermitian, a
+step underflow, pairing drift, a singular monodromy, Cauchy data that
+fail the Lagrangian check) is kept and raised when the path reaches
+that parameter, so the earliest failing sample still decides the
+error, with the message it raises alone. An exception that the
+coefficient callback raises itself propagates at once.
 """
 
 from __future__ import annotations
@@ -48,6 +64,7 @@ from numpy.polynomial import legendre
 from .frames import (
     Frame,
     HermitianMatrix,
+    _conditioned,
     exceeds_scaled_tol,
     orthonormalize,
     well_conditioned,
@@ -224,29 +241,45 @@ def green_form(fam: HamiltonianFamily) -> SymplecticForm:
     return fam._green_form
 
 
+def _coefficient_rows(fam: HamiltonianFamily, params, times) -> tuple[np.ndarray, list]:
+    """C(s, t) for rows of nodes, checked and symmetrized as one stack.
+
+    Row i holds C(params[i], t) at each t of ``times[i]``. Every matrix
+    must have shape (k, k) and be Hermitian to 1e-10 relative to
+    max(1, ||C||_2). Returns the symmetrized stack and, for each row,
+    None or the message of its failure: the first matrix of the wrong
+    shape (the row's later nodes are then not evaluated), else the first
+    t that is not Hermitian, in the order given. An exception raised by
+    ``fam.c`` itself propagates at once.
+    """
+    k = fam.dim
+    times = np.asarray(times, dtype=float)
+    cs = np.zeros(times.shape + (k, k), dtype=complex)
+    failures = [None] * len(params)
+    for i, (s, row) in enumerate(zip(params, times.tolist())):
+        for j, t in enumerate(row):
+            c = np.asarray(fam.c(s, t), dtype=complex)
+            if c.shape != (k, k):
+                failures[i] = f"coefficient C({s}, {t}) has shape {c.shape}, expected ({k}, {k})"
+                break
+            cs[i, j] = c
+    adjoints = cs.conj().swapaxes(-1, -2)
+    defects = np.max(np.abs(cs - adjoints), axis=(-2, -1))
+    for i, j in zip(*np.nonzero(~(defects <= _HERMITICITY_TOL))):
+        if failures[i] is None and exceeds_scaled_tol(defects[i, j], cs[i, j], _HERMITICITY_TOL):
+            failures[i] = f"coefficient C({params[i]}, {float(times[i, j])}) is not Hermitian"
+    return (cs + adjoints) / 2.0, failures
+
+
 def _coefficients(fam: HamiltonianFamily, s: float, times) -> np.ndarray:
     """C(s, t) at each t of ``times``, checked and symmetrized as one stack.
 
-    Every matrix must have shape (k, k) and be Hermitian to 1e-10
-    relative to max(1, ||C||_2); the first t that fails, in the order
-    given, is named in the error.
+    One row of :func:`_coefficient_rows`; its failure raises ValueError.
     """
-    k = fam.dim
-    times = [float(t) for t in times]
-    cs = np.empty((len(times), k, k), dtype=complex)
-    for i, t in enumerate(times):
-        c = np.asarray(fam.c(s, t), dtype=complex)
-        if c.shape != (k, k):
-            raise ValueError(
-                f"coefficient C({s}, {t}) has shape {c.shape}, expected ({k}, {k})"
-            )
-        cs[i] = c
-    adjoints = cs.conj().transpose(0, 2, 1)
-    defects = np.max(np.abs(cs - adjoints), axis=(1, 2))
-    for i in np.flatnonzero(~(defects <= _HERMITICITY_TOL)):
-        if exceeds_scaled_tol(defects[i], cs[i], _HERMITICITY_TOL):
-            raise ValueError(f"coefficient C({s}, {times[i]}) is not Hermitian")
-    return (cs + adjoints) / 2.0
+    cs, (failure,) = _coefficient_rows(fam, [s], [times])
+    if failure is not None:
+        raise ValueError(failure)
+    return cs[0]
 
 
 def _check_boundary(fam: HamiltonianFamily, bc: BoundaryCondition) -> None:
@@ -286,32 +319,149 @@ def _gauss_tableau(stages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _GAUSS_NODES, _GAUSS_A, _GAUSS_B = _gauss_tableau(_GAUSS_STAGES)
 
 
-def _gauss_step(fam: HamiltonianFamily, s: float, start: float, end: float) -> np.ndarray:
-    """Transfer matrix R of one Gauss-Legendre step from start to end.
+def _gauss_steps(
+    fam: HamiltonianFamily, params, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """Transfer matrices R of one Gauss-Legendre step per row, and why each row fails.
 
-    With h = end - start, the stage slopes K_i of Phi' = -J0^{-1} C Phi,
+    Row i steps from starts[i] to ends[i] at parameter params[i]. With
+    h = end - start, the stage slopes K_i of Phi' = -J0^{-1} C Phi,
     applied to the identity, solve J0 K_i + h sum_j a_ij C_i K_j = -C_i,
-    one (stages k) x (stages k) linear system; R = I + h sum_i b_i K_i.
+    one (stages k) x (stages k) linear system per row. The coefficients
+    of all rows pass one check (:func:`_coefficient_rows`), all systems
+    go through one solve, and R = I + h sum_i b_i K_i. A row whose
+    coefficients fail solves J0 K_i = 0 instead, and its R is not to be
+    read. Each R has the bits of the same step taken alone.
     """
     k = fam.dim
-    h = end - start
-    cs = _coefficients(fam, s, start + h * _GAUSS_NODES)
-    blocks = h * _GAUSS_A[:, :, None, None] * cs[:, None]
+    h = ends - starts
+    cs, failures = _coefficient_rows(fam, params, starts[:, None] + h[:, None] * _GAUSS_NODES)
+    cs[[f is not None for f in failures]] = 0.0
+    blocks = h[:, None, None, None, None] * _GAUSS_A[:, :, None, None] * cs[:, :, None]
     stages = np.arange(_GAUSS_STAGES)
-    blocks[stages, stages] += fam.j0
+    blocks[:, stages, stages] += fam.j0
     size = _GAUSS_STAGES * k
     slopes = np.linalg.solve(
-        blocks.transpose(0, 2, 1, 3).reshape(size, size), -cs.reshape(size, k)
-    ).reshape(_GAUSS_STAGES, k, k)
-    return np.eye(k) + h * np.tensordot(_GAUSS_B, slopes, axes=1)
+        blocks.transpose(0, 1, 3, 2, 4).reshape(-1, size, size), -cs.reshape(-1, size, k)
+    ).reshape(-1, _GAUSS_STAGES, k * k)
+    return np.eye(k) + h[:, None, None] * (_GAUSS_B @ slopes).reshape(-1, k, k), failures
 
 
-def propagator(
-    fam: HamiltonianFamily,
-    s: float,
-    t_from: float,
-    t_to: float,
-) -> np.ndarray:
+def _propagate(fam: HamiltonianFamily, params: list, t_from: float, t_to: float) -> list:
+    """Phi_s(t_to <- t_from) for each s of ``params``, all in lockstep; see :func:`propagator`.
+
+    Each element keeps its own step state: the next step h, the time t
+    it has reached, its pending halves and its accepted product. At each
+    level every element still stepping adds its attempt, the whole step
+    and both halves for a new step or the two halves of a pending one,
+    and all attempts go through one :func:`_gauss_steps`. Returns one
+    entry per parameter: Phi, or the exception that ends that element.
+    """
+    k = fam.dim
+    n = len(params)
+    phis = np.empty((n, k, k), dtype=complex)
+    phis[:] = np.eye(k)
+    steps = [t_to - t_from] * n
+    times = [t_from] * n
+    # Steps still to take, the next one last, as (start, end, transfer of
+    # one Gauss step over it); a rejected step leaves its two halves here.
+    pending: list[list] = [[] for _ in range(n)]
+    outcomes: list = [None] * n
+    active = list(range(n)) if t_from != t_to else []
+    while active:
+        attempts, rows = [], []
+        for e in active:
+            if pending[e]:
+                start, end, whole = pending[e].pop()
+            else:
+                start, whole = times[e], None
+                end = t_to if abs(steps[e]) >= abs(t_to - start) else start + steps[e]
+                rows.append((e, start, end))
+            mid = start + (end - start) / 2.0
+            rows += [(e, start, mid), (e, mid, end)]
+            attempts.append((e, start, mid, end, whole))
+        rs, failures = _gauss_steps(
+            fam,
+            [params[e] for e, _, _ in rows],
+            np.array([start for _, start, _ in rows]),
+            np.array([end for _, _, end in rows]),
+        )
+        # The attempts all of whose coefficients passed, as (element,
+        # start, mid, end), their whole steps and the rows of their halves.
+        kept, wholes, firsts = [], [], []
+        row = 0
+        for e, start, mid, end, whole in attempts:
+            count = 2 if whole is not None else 3
+            failure = next((f for f in failures[row : row + count] if f is not None), None)
+            if whole is None:
+                whole = rs[row]
+            row += count
+            if failure is not None:
+                outcomes[e] = ValueError(failure)
+                continue
+            kept.append((e, start, mid, end))
+            wholes.append(whole)
+            firsts.append(row - 2)
+        active = []
+        if not kept:
+            continue
+        firsts = np.array(firsts)
+        first, second = rs[firsts], rs[firsts + 1]
+        halves = second @ first
+        errs = np.max(np.abs(np.stack(wholes) - halves), axis=(1, 2)) / np.maximum(
+            1.0, np.max(np.abs(halves), axis=(1, 2))
+        )
+        accepted = []
+        for i, (e, start, mid, end) in enumerate(kept):
+            err = errs[i]
+            if err <= _ODE_TOL:
+                accepted.append(i)
+                times[e] = end
+                # A scalar power per element: a vectorized one may round differently.
+                factor = _STEP_SAFETY * (_ODE_TOL / err) ** _STEP_EXPONENT if err > 0.0 else np.inf
+                steps[e] = (end - start) * min(_STEP_GROWTH, factor)
+            elif abs(end - start) <= _MIN_STEP * abs(t_to - t_from):
+                outcomes[e] = ArithmeticError(
+                    f"propagator step size underflow at t={start:.6g} (error {err:.3e})"
+                )
+                continue
+            else:
+                pending[e] += [(mid, end, second[i]), (start, mid, first[i])]
+            if pending[e] or times[e] != t_to:
+                active.append(e)
+        if accepted:
+            done = [kept[i][0] for i in accepted]
+            phis[done] = halves[accepted] @ phis[done]
+    finished = [e for e in range(n) if outcomes[e] is None]
+    if finished:
+        phi = phis[finished]
+        pairing = phi.conj().swapaxes(1, 2) @ fam.j0 @ phi - fam.j0
+        drifts = np.linalg.norm(pairing, 2, axis=(1, 2))
+        conditioned = _conditioned(np.linalg.svd(phi, compute_uv=False))
+        for e, drift, invertible in zip(finished, drifts, conditioned):
+            if drift > _PAIRING_DRIFT_TOL * fam._j0_norm:
+                outcomes[e] = ArithmeticError(
+                    f"propagator lost the J0 pairing (drift {drift:.3e}); "
+                    "the monodromy is too ill-conditioned for double precision"
+                )
+            elif not invertible:
+                outcomes[e] = ArithmeticError("propagator is numerically singular")
+            else:
+                outcomes[e] = phis[e]
+    return outcomes
+
+
+def _one_or_each(values_at: Callable[[list], list], s):
+    """``values_at(list(s))`` for a sequence s; for one parameter s its value, raised if it failed."""
+    if np.ndim(s) > 0:
+        return values_at(list(s))
+    (value,) = values_at([s])
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def propagator(fam: HamiltonianFamily, s, t_from: float, t_to: float):
     """Propagator Phi(t_to <- t_from) of J0 u' + C(s, t) u = 0.
 
     Integrates Phi' = -J0^{-1} C(s, t) Phi by 8-stage Gauss-Legendre
@@ -326,62 +476,52 @@ def propagator(
     holds to roundoff, about eps ||J0|| ||Phi||^2, whatever the step
     tolerance. Drift beyond 1e-7 ||J0||, which only a very
     ill-conditioned monodromy reaches, a loss of invertibility, or a step shorter than
-    1e-10 of the interval raises ArithmeticError.
+    1e-10 of the interval raises ArithmeticError; a coefficient of the
+    wrong shape or not Hermitian raises ValueError naming its (s, t).
+
+    ``s`` is one parameter or a sequence of them. A sequence is
+    propagated in lockstep: each s keeps its own step control, so it
+    takes the steps it takes alone and its Phi has the same bits, but
+    at each level the stage coefficients of every s pass one Hermitian
+    check and all stage systems go through one solve. For a sequence
+    the result is a list with one entry per s: Phi, or the exception
+    that s fails with, returned rather than raised, so that a caller
+    walking the parameters raises it when it reaches that s. One float
+    s is a stack of one, whose failure is raised. An exception that
+    ``fam.c`` raises itself propagates at once.
     """
-    phi = np.eye(fam.dim, dtype=complex)
-    h = t_to - t_from
-    # Steps still to take, the next one last, as (start, end, transfer of
-    # one Gauss step over it); a rejected step leaves its two halves here.
-    pending = []
-    t = t_from
-    while pending or t != t_to:
-        if pending:
-            start, end, whole = pending.pop()
-        else:
-            start, end = t, (t_to if abs(h) >= abs(t_to - t) else t + h)
-            whole = _gauss_step(fam, s, start, end)
-        mid = start + (end - start) / 2.0
-        first = _gauss_step(fam, s, start, mid)
-        second = _gauss_step(fam, s, mid, end)
-        halves = second @ first
-        err = np.max(np.abs(whole - halves)) / max(1.0, np.max(np.abs(halves)))
-        if err <= _ODE_TOL:
-            phi = halves @ phi
-            t = end
-            factor = _STEP_SAFETY * (_ODE_TOL / err) ** _STEP_EXPONENT if err > 0.0 else np.inf
-            h = (end - start) * min(_STEP_GROWTH, factor)
-        elif abs(end - start) <= _MIN_STEP * abs(t_to - t_from):
-            raise ArithmeticError(
-                f"propagator step size underflow at t={start:.6g} (error {err:.3e})"
-            )
-        else:
-            pending += [(mid, end, second), (start, mid, first)]
-    drift = np.linalg.norm(phi.conj().T @ fam.j0 @ phi - fam.j0, 2)
-    if drift > _PAIRING_DRIFT_TOL * fam._j0_norm:
-        raise ArithmeticError(
-            f"propagator lost the J0 pairing (drift {drift:.3e}); "
-            "the monodromy is too ill-conditioned for double precision"
-        )
-    if not well_conditioned(phi):
-        raise ArithmeticError("propagator is numerically singular")
-    return phi
+    return _one_or_each(lambda params: _propagate(fam, params, t_from, t_to), s)
 
 
-def cauchy_data(fam: HamiltonianFamily, s: float) -> Frame:
+def cauchy_data(fam: HamiltonianFamily, s):
     """Cauchy data space {(v, Phi_s(T) v)} as a frame in C^{2k}.
 
     The space collects the boundary traces of all solutions of
     J0 u' + C(s, t) u = 0; it is the graph of the monodromy and is
-    Lagrangian for the Green form, which is asserted.
+    Lagrangian for the Green form, which is asserted (ArithmeticError).
+
+    ``s`` is one parameter or a sequence of them, as in
+    :func:`propagator`, whose one lockstep pass gives the monodromies:
+    for a sequence, one entry per s, the frame or the exception that s
+    fails with.
     """
-    phi = propagator(fam, s, 0.0, fam.t_end)
-    frame = orthonormalize(np.vstack([np.eye(fam.dim, dtype=complex), phi]))
-    kind = classify(green_form(fam), frame)
-    if kind != "lagrangian":
-        raise ArithmeticError(
-            f"cauchy data failed the Lagrangian check (classified '{kind}')"
-        )
-    return frame
+    eye = np.eye(fam.dim, dtype=complex)
+    form = green_form(fam)
+
+    def frames(params: list) -> list:
+        out = []
+        for phi in propagator(fam, params, 0.0, fam.t_end):
+            if isinstance(phi, np.ndarray):
+                phi = orthonormalize(np.vstack([eye, phi]))
+                kind = classify(form, phi)
+                if kind != "lagrangian":
+                    phi = ArithmeticError(
+                        f"cauchy data failed the Lagrangian check (classified '{kind}')"
+                    )
+            out.append(phi)
+        return out
+
+    return _one_or_each(frames, s)
 
 
 def _unitary_graph(
@@ -630,6 +770,32 @@ def discretize(
     return HermitianPath.from_callable(_assembler(fam, bc, grid, num_samples), num_samples)
 
 
+def _grid_reader(values_at: Callable[[list], list], num_samples: int) -> Callable[[float], object]:
+    """Path callback whose values on the sample grid come from one stacked call.
+
+    ``values_at(params)`` returns one entry per parameter, its value or
+    the exception it fails with, as :func:`propagator` and
+    :func:`cauchy_data` do for a sequence. The first call evaluates the
+    whole grid of ``LagrangianPairPath.from_callable(fn, num_samples)``
+    at once; the callback then returns each grid value, and raises a
+    grid failure only when it is called at that parameter, so the path
+    meets failures in grid order. Any other parameter (a refinement
+    point) is a stack of one.
+    """
+    grid: dict = {}
+
+    def value(s: float):
+        if not grid:
+            params = [float(t) for t in np.linspace(0.0, 1.0, num_samples)]
+            grid.update(zip(params, values_at(params)))
+        out = grid[s] if s in grid else values_at([s])[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    return value
+
+
 def desuspension_check(
     fam: HamiltonianFamily,
     bc: BoundaryPath,
@@ -653,8 +819,9 @@ def desuspension_check(
     Its Morse counts by the two must agree; an end eigenvalue within
     roundoff of -``_MORSE_ZERO`` makes them differ and raises
     ArithmeticError. ``num_samples`` is the sample grid of the Maslov
-    route. A constant bc is checked once; a callable bc(s) is checked at
-    every sample of that grid. The spectra at ``num_samples`` parameters,
+    route, whose Cauchy data come from one lockstep
+    :func:`cauchy_data` call over the grid. A constant bc is checked
+    once; a callable bc(s) is checked at every sample of that grid. The spectra at ``num_samples`` parameters,
     as the CLI exports them, are
     ``eigenvalue_curves(discretize(fam, bc, grid, num_samples))``.
 
@@ -693,14 +860,18 @@ def _desuspension_counts(
     The spectral flow reads the end samples of ``operators`` only: the
     check passes its two-sample path, and the CLI the ``discretize``
     path whose spectra it exports, so the end operators of a CLI run are
-    assembled once, eigen-solved once and factored once.
+    assembled once, eigen-solved once and factored once. At each
+    parameter the path reads bc(s) before the Cauchy data, so a bc
+    failure at s comes before a propagation failure at s.
     """
     sf = sf_eigen(operators)
     bc_path = (lambda s: bc) if isinstance(bc, BoundaryCondition) else bc
     form = green_form(fam)
+    cauchy = _grid_reader(lambda params: cauchy_data(fam, params), num_samples)
 
     def pair(t: float):
-        return form, bc_path(t).lagrangian, cauchy_data(fam, t)
+        lam = bc_path(t).lagrangian
+        return form, lam, cauchy(t)
 
     neg_mas = -maslov_winding(LagrangianPairPath.from_callable(pair, num_samples)).mas_plus
     return sf, neg_mas, sf == neg_mas
@@ -731,7 +902,8 @@ def splitting_check(
     ``discretize(fam, periodic_condition(fam), grid)``, whose stencil is
     built once; its two Morse counts per end must agree or it raises
     ArithmeticError. ``num_samples`` is the sample grid of the Maslov
-    route.
+    route, whose propagators come from one lockstep :func:`propagator`
+    call per leg.
     """
     if not 0.0 < cut < fam.t_end:
         raise ValueError(f"cut must lie inside (0, {fam.t_end})")
@@ -746,7 +918,9 @@ def _splitting_counts(
 
     As in :func:`_desuspension_counts`, only the end samples of
     ``operators`` are read; ``cut`` has been checked by the caller, and
-    ``num_samples`` defaults to that of :func:`splitting_check`.
+    ``num_samples`` defaults to that of :func:`splitting_check`. At each
+    parameter the 0 -> cut leg is read, and raises, before the T -> cut
+    leg.
     """
     sf_whole = sf_eigen(operators)
 
@@ -754,9 +928,11 @@ def _splitting_counts(
     eye = np.eye(k, dtype=complex)
     form = green_form(fam)
 
+    minus_at = _grid_reader(lambda params: propagator(fam, params, 0.0, cut), num_samples)
+    plus_at = _grid_reader(lambda params: propagator(fam, params, fam.t_end, cut), num_samples)
+
     def pair(t: float):
-        minus = propagator(fam, t, 0.0, cut)
-        plus = propagator(fam, t, fam.t_end, cut)
+        minus, plus = minus_at(t), plus_at(t)
         lam = orthonormalize(np.vstack([minus, eye]))
         mu = orthonormalize(np.vstack([plus, eye]))
         return form, lam, mu

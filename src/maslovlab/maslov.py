@@ -208,12 +208,20 @@ class _GatedSamples(tuple):
     that gate. ``angles``, when given, is how the path gets the
     relative angles of a list of parameters, in place of its own
     Lagrangian check (see :func:`_check_pairs`): a lift inherits the
-    decision of the path it lifts.
+    decision of the path it lifts. ``checked`` holds the relative angles
+    of parameters that have passed the Lagrangian check already, which
+    the path keeps and does not check again.
     """
 
-    def __new__(cls, samples, angles: Callable[[list[float], str], np.ndarray] | None = None):
+    def __new__(
+        cls,
+        samples,
+        angles: Callable[[list[float], str], np.ndarray] | None = None,
+        checked: dict | None = None,
+    ):
         out = super().__new__(cls, samples)
         out.angles = angles
+        out.checked = checked or {}
         return out
 
 
@@ -223,9 +231,11 @@ def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
     Each step is gated once, here; the constructor does not gate the
     refined samples again, but still checks them as Lagrangian. A step
     whose form, lam or mu changes dimension is given up at once: no
-    split of it can pass. When refinement fails, the given samples are
-    checked first, so a sample that is not Lagrangian is named rather
-    than the refinement.
+    split of it can pass. Once a step fails the gate, the given samples
+    are checked as Lagrangian in one stack before the first split, so a
+    sample that is not Lagrangian is named before any refinement; their
+    angles are kept, and the refined path checks only the inserted
+    parameters.
     """
 
     def step(s_a, a: PathSample, s_b, b: PathSample) -> PathSample | str:
@@ -240,16 +250,14 @@ def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
     def value_at(s: float) -> PathSample:
         return PathSample(s, *callback(s))
 
+    failures = list(_sampling_failures(samples))
+    # Only the Lagrangian check: the given samples have not passed the gate.
+    checked = LagrangianPairPath(_GatedSamples(samples))._angles if any(failures) else None
     out = [samples[0]]
-    try:
-        for a, b, failure in zip(samples, samples[1:], _sampling_failures(samples)):
-            rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
-            out.extend(smp for _, smp in rows)
-    except ValueError:
-        # Only the Lagrangian check: the given samples have not passed the gate.
-        LagrangianPairPath(_GatedSamples(samples))
-        raise
-    return LagrangianPairPath(_GatedSamples(out), callback)
+    for a, b, failure in zip(samples, samples[1:], failures):
+        rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
+        out.extend(smp for _, smp in rows)
+    return LagrangianPairPath(_GatedSamples(out, checked=checked), callback)
 
 
 @dataclass(frozen=True)
@@ -294,6 +302,7 @@ class LagrangianPairPath:
         gated = isinstance(self.samples, _GatedSamples)
         if gated:
             object.__setattr__(self, "_angles_of", self.samples.angles)
+            self._angles.update(self.samples.checked)
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
         memo = Memo([smp.s for smp in samples], [(smp.form, smp.lam, smp.mu) for smp in samples])

@@ -31,7 +31,9 @@ from maslovlab.frames import (
     fredholm_pair_index,
     gap_hat,
     intersect,
+    orthonormalize,
 )
+from maslovlab.maslov import LagrangianPairPath, maslov_winding
 from maslovlab.sampling import random_unitary, rng_from_seed
 from maslovlab.symplectic import classify
 
@@ -396,6 +398,184 @@ def test_propagator_is_the_exponential_and_keeps_the_pairing(seed, k, size):
         assert np.linalg.norm(back @ phi - eye, 2) <= 1e-10
         if fam is constant:
             assert np.linalg.norm(phi - exact, 2) <= 1e-8 * np.linalg.norm(exact, 2)
+
+
+def reference_propagator(fam, s, t_from, t_to):
+    """Phi_s(t_to <- t_from) one parameter at a time, one solve per Gauss step.
+
+    The step control of :func:`bvp.propagator` as a plain loop, without
+    its final gates: the reference the lockstep engine must match bit
+    for bit.
+    """
+    k = fam.dim
+    stages = np.arange(bvp._GAUSS_STAGES)
+    size = bvp._GAUSS_STAGES * k
+
+    def gauss_step(start, end):
+        h = end - start
+        cs = bvp._coefficients(fam, s, start + h * bvp._GAUSS_NODES)
+        blocks = h * bvp._GAUSS_A[:, :, None, None] * cs[:, None]
+        blocks[stages, stages] += fam.j0
+        slopes = np.linalg.solve(
+            blocks.transpose(0, 2, 1, 3).reshape(size, size), -cs.reshape(size, k)
+        ).reshape(bvp._GAUSS_STAGES, k, k)
+        return np.eye(k) + h * np.tensordot(bvp._GAUSS_B, slopes, axes=1)
+
+    phi = np.eye(k, dtype=complex)
+    h = t_to - t_from
+    pending = []
+    t = t_from
+    while pending or t != t_to:
+        if pending:
+            start, end, whole = pending.pop()
+        else:
+            start, end = t, (t_to if abs(h) >= abs(t_to - t) else t + h)
+            whole = gauss_step(start, end)
+        mid = start + (end - start) / 2.0
+        first, second = gauss_step(start, mid), gauss_step(mid, end)
+        halves = second @ first
+        err = np.max(np.abs(whole - halves)) / max(1.0, np.max(np.abs(halves)))
+        if err <= bvp._ODE_TOL:
+            phi = halves @ phi
+            t = end
+            factor = bvp._STEP_SAFETY * (bvp._ODE_TOL / err) ** bvp._STEP_EXPONENT if err > 0.0 else np.inf
+            h = (end - start) * min(bvp._STEP_GROWTH, factor)
+        else:
+            assert abs(end - start) > bvp._MIN_STEP * abs(t_to - t_from)
+            pending += [(mid, end, second), (start, mid, first)]
+    return phi
+
+
+def reference_cauchy_frame(fam, s):
+    eye = np.eye(fam.dim, dtype=complex)
+    return orthonormalize(np.vstack([eye, reference_propagator(fam, s, 0.0, fam.t_end)]))
+
+
+# Families of the lockstep tests: scalar, planar with a coefficient that
+# does not commute with J0, t-periodic, and the seeded CLI families.
+STACK_FAMILIES = {
+    "scalar": scalar_family,
+    "planar": lambda: planar_family(
+        lambda s, t: (3.0 * s - 1.0) * np.array([[1.0, 0.3], [0.3, -0.5]])
+    ),
+    "t-periodic": lambda: seeded_time_dependent(2),
+    "cli-seeded-0": lambda: cli._bvp_ingredients("seeded", 0)[0],
+    "cli-seeded-1": lambda: cli._bvp_ingredients("seeded", 1)[0],
+    "cli-separated": lambda: cli._bvp_ingredients("separated_lines", 0)[0],
+}
+
+
+@pytest.mark.parametrize("ends", ["forward", "backward", "to-cut", "back-to-cut"])
+@pytest.mark.parametrize("name", list(STACK_FAMILIES))
+def test_stacked_propagation_has_the_bits_of_each_parameter_alone(name, ends):
+    """Each Phi(s) of a stack has the bytes of s propagated alone and of
+    the one-step-per-solve reference, from the same multiset of C(s, t)
+    calls."""
+    fam, calls = counted(STACK_FAMILIES[name]())
+    t_from, t_to = {
+        "forward": (0.0, 1.0),
+        "backward": (1.0, 0.0),
+        "to-cut": (0.0, 0.37),
+        "back-to-cut": (1.0, 0.37),
+    }[ends]
+    params = [float(s) for s in np.linspace(0.0, 1.0, 9)] + [0.123]
+    stack = propagator(fam, params, t_from, t_to)
+    stacked_calls = sorted(calls)
+    calls.clear()
+    alone = [propagator(fam, s, t_from, t_to) for s in params]
+    assert sorted(calls) == stacked_calls
+    for s, phi, single in zip(params, stack, alone):
+        assert phi.tobytes() == single.tobytes()
+        assert phi.tobytes() == reference_propagator(fam, s, t_from, t_to).tobytes()
+
+
+def test_stacked_cauchy_data_are_the_frames_of_each_parameter_alone():
+    fam = seeded_time_dependent(3)
+    params = [0.0, 0.25, 0.4, 1.0]
+    for s, frame in zip(params, cauchy_data(fam, params)):
+        assert frame.matrix.tobytes() == cauchy_data(fam, s).matrix.tobytes()
+        assert frame.matrix.tobytes() == reference_cauchy_frame(fam, s).matrix.tobytes()
+
+
+@pytest.mark.parametrize("name", ["scalar", "t-periodic", "cli-seeded-1"])
+def test_check_theta_curves_are_those_of_one_sample_at_a_time(monkeypatch, name):
+    """The theta-curves of both checks have the bytes of a path whose
+    propagators come from the reference, one sample at a time."""
+    fam = STACK_FAMILIES[name]()
+    bc, form, cut = periodic_condition(fam), green_form(fam), 0.37
+    eye = np.eye(fam.dim, dtype=complex)
+
+    def legs(s):
+        minus = reference_propagator(fam, s, 0.0, cut)
+        plus = reference_propagator(fam, s, fam.t_end, cut)
+        return form, orthonormalize(np.vstack([minus, eye])), orthonormalize(np.vstack([plus, eye]))
+
+    references = [
+        maslov_winding(LagrangianPairPath.from_callable(
+            lambda s: (form, bc.lagrangian, reference_cauchy_frame(fam, s)), 17
+        )).theta_curves,
+        maslov_winding(LagrangianPairPath.from_callable(legs, 17)).theta_curves,
+    ]
+    curves = []
+    winding = bvp.maslov_winding
+
+    def recorded(path):
+        result = winding(path)
+        curves.append(result.theta_curves)
+        return result
+
+    monkeypatch.setattr(bvp, "maslov_winding", recorded)
+    desuspension_check(fam, bc, 64, 17)
+    splitting_check(fam, cut, 64, 17)
+    assert [c.tobytes() for c in curves] == [c.tobytes() for c in references]
+
+
+def test_desuspension_names_the_non_hermitian_stage_of_an_interior_sample():
+    """Only the fourth stage of the first step at the grid sample s = 0.375 is not Hermitian."""
+    stage = float(0.0 + 1.0 * bvp._GAUSS_NODES[3])
+
+    def coeff(s, t):
+        return skewed(1.0) if (s, t) == (0.375, stage) else (2.0 * s - 1.0) * np.eye(2)
+
+    fam = planar_family(coeff)
+    with pytest.raises(ValueError, match=re.escape(f"coefficient C(0.375, {stage}) is not Hermitian")):
+        desuspension_check(fam, periodic_condition(fam), 64, 9)
+
+
+class CoefficientFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "singular_at, other_at, other, error",
+    [
+        (0.5, 0.75, "non-hermitian", "numerically singular"),
+        (0.75, 0.5, "non-hermitian", r"coefficient C\(0.5, .*\) is not Hermitian"),
+        (0.5, 0.75, "raises", "the callback's own"),
+    ],
+)
+def test_the_earliest_failing_grid_sample_decides_the_error(singular_at, other_at, other, error):
+    """A gate failure of one sample of a stacked pass is raised when the
+    path reaches that sample, so the earliest failing sample names the
+    error; an exception of the coefficient callback itself propagates at
+    once."""
+
+    def coeff(s, t):
+        if s == singular_at:
+            return np.array([[0.0, 10.0], [10.0, 0.0]])
+        if s == other_at:
+            if other == "raises":
+                raise CoefficientFault("the callback's own")
+            return skewed(1.0)
+        return np.zeros((2, 2))
+
+    # The monodromy over a unit interval has singular values e^(+-10).
+    fam = planar_family(coeff)
+    with pytest.raises((ArithmeticError, ValueError, CoefficientFault), match=error):
+        desuspension_check(fam, periodic_condition(fam), 64, 9)
+    long = HamiltonianFamily(2, J2, coeff, t_end=2.0)
+    with pytest.raises((ArithmeticError, ValueError, CoefficientFault), match=error):
+        splitting_check(long, 1.0, 64, 9)
 
 
 def test_discretize_periodic_spectrum_accuracy():

@@ -446,18 +446,19 @@ def test_constructor_names_the_first_non_lagrangian_sample(stretch, bad_mu, kind
 
 
 @pytest.mark.parametrize(
-    "bad, kind, num_calls",
-    [(Frame.full(2), "coisotropic", 5), (Frame.span(np.array([1.0, 1j])), "symplectic", 45)],
+    "bad, kind",
+    [(Frame.full(2), "coisotropic"), (Frame.span(np.array([1.0, 1j])), "symplectic")],
     ids=["coisotropic", "symplectic"],
 )
-def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, kind, num_calls):
+def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, kind):
     """lam jumps from line(0.3) to a frame that is not Lagrangian at the
     grid point s = 0.5; the error names the sample, not the refinement.
 
-    The coisotropic plane has another dimension than the line, so the
-    step into it is given up at once and only the 5 grid points are
-    evaluated. The symplectic line has the line's dimension: the step
-    fails the gate at every depth, and refinement is exhausted first.
+    The step into s = 0.5 fails the gate, so the grid samples are checked
+    as Lagrangian before any split, and only the 5 grid points are
+    evaluated: the coisotropic plane has another dimension than the
+    line, the symplectic line has the line's dimension and would fail
+    the gate at every depth of a refinement.
     """
     calls = []
 
@@ -467,7 +468,26 @@ def test_from_callable_names_a_non_lagrangian_sample_it_cannot_refine_past(bad, 
 
     with pytest.raises(ValueError, match=f"^sample at s=0.500000: lam is {kind}, not lagrangian$"):
         LagrangianPairPath.from_callable(fn, 5)
-    assert len(calls) == num_calls
+    assert len(calls) == 5
+
+
+def test_from_callable_checks_each_sample_once_when_it_refines(monkeypatch):
+    """The grid of a path that refines is checked before the first split,
+    and the refined path checks only the parameters inserted between."""
+    from maslovlab import symplectic
+
+    checked = []
+    original = symplectic.lagrangian_generators
+
+    def counted(forms, frames, *args, **kwargs):
+        frames = list(frames)
+        checked.append(len(frames))
+        return original(forms, frames, *args, **kwargs)
+
+    monkeypatch.setattr(maslov, "lagrangian_generators", counted)
+    path = LagrangianPairPath.from_callable(lambda s: (FORM2, line(4.0 * s), MU_HORIZONTAL), 5)
+    assert len(path.samples) > 5
+    assert checked == [2 * 5, 2 * (len(path.samples) - 5)]
 
 
 def test_from_callable_keeps_the_refinement_error_when_its_samples_are_lagrangian():

@@ -63,3 +63,26 @@ def test_traced_run_spans_every_operator_of_a_path():
         assert tracer.missing == []
         assert tracer.calls["bvp.operator"] == 9, realization
         assert tracer.calls["bvp.discretize"] == 1, realization
+
+
+def test_traced_run_spans_the_stacked_propagation():
+    """A check's Maslov route propagates its whole sample grid in one
+    ``bvp.cauchy_data`` call (desuspension) or one ``bvp.propagator``
+    call per leg (splitting), so the traced run attributes that work to
+    the bvp propagation layer."""
+    from maslovlab import bvp
+
+    spans = _spans_module()
+    fam = bvp.HamiltonianFamily(
+        2, np.array([[0.0, -1.0], [1.0, 0.0]]), lambda s, t: (2.0 * s - 1.0) * np.eye(2)
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        bvp.desuspension_check(fam, bvp.periodic_condition(fam), 64, 9)
+        bvp.splitting_check(fam, 0.5, 64, 9)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["bvp.cauchy_data"] == 1
+    assert tracer.calls["bvp.propagator"] == 3
+    assert tracer.self_s["bvp.propagator"] > 0.0
