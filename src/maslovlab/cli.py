@@ -275,6 +275,8 @@ def _load_config(path: str) -> dict:
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# The identity the bvp coefficient callbacks scale, built once, not at every C(s, t) call.
+_I2 = np.eye(2)
 _FORM2 = SymplecticForm(_J2)
 
 
@@ -433,10 +435,10 @@ def _bvp_ingredients(family: str, seed: int):
         )
         return fam, periodic_condition(fam)
     if family == "separated_lines":
-        fam = HamiltonianFamily(2, _J2, lambda s, t: s * np.eye(2))
+        fam = HamiltonianFamily(2, _J2, lambda s, t: s * _I2)
         return fam, separated_condition(fam, _line(0.0), _line(0.5))
     if family in ("planar_periodic", "planar_double"):
-        fam = HamiltonianFamily(2, _J2, lambda s, t: (2.0 * s - 1.0) * np.eye(2))
+        fam = HamiltonianFamily(2, _J2, lambda s, t: (2.0 * s - 1.0) * _I2)
         return fam, periodic_condition(fam)
     rng = rng_from_seed((0xB4B0, seed))
     amp = rng.uniform(0.2, 0.5, size=3)
@@ -448,7 +450,7 @@ def _bvp_ingredients(family: str, seed: int):
                 [amp[2] * np.sin(2.0 * np.pi * t), -amp[1] * np.cos(2.0 * np.pi * t)],
             ]
         )
-        return oscillation + (2.0 * s - 1.0) * np.eye(2)
+        return oscillation + (2.0 * s - 1.0) * _I2
 
     fam = HamiltonianFamily(2, _J2, coeff)
     return fam, periodic_condition(fam)

@@ -67,7 +67,7 @@ from .reduction import (
 )
 from .symplectic import (
     SymplecticForm,
-    _doubled_forms,
+    _doubled_eig,
     _generators,
     _NotLagrangian,
     annihilator,
@@ -202,25 +202,14 @@ def _raise_first_failure(samples) -> None:
 class _GatedSamples(tuple):
     """Path samples each of whose steps has already passed the sampling gate.
 
-    :func:`_refined_path` builds them, and so does :func:`diagonal_lift`
-    for the lifts of a path, whose gate inputs a lift keeps.
-    :class:`LagrangianPairPath` then runs every construction check but
-    that gate. ``angles``, when given, is how the path gets the
-    relative angles of a list of parameters, in place of its own
-    Lagrangian check (see :func:`_check_pairs`): a lift inherits the
-    decision of the path it lifts. ``checked`` holds the relative angles
-    of parameters that have passed the Lagrangian check already, which
-    the path keeps and does not check again.
+    Only :func:`_refined_path` builds them. :class:`LagrangianPairPath`
+    then runs every construction check but that gate. ``checked`` holds
+    the relative angles of parameters that have passed the Lagrangian
+    check already, which the path keeps and does not check again.
     """
 
-    def __new__(
-        cls,
-        samples,
-        angles: Callable[[list[float], str], np.ndarray] | None = None,
-        checked: dict | None = None,
-    ):
+    def __new__(cls, samples, checked: dict | None = None):
         out = super().__new__(cls, samples)
-        out.angles = angles
         out.checked = checked or {}
         return out
 
@@ -232,10 +221,10 @@ def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
     refined samples again, but still checks them as Lagrangian. A step
     whose form, lam or mu changes dimension is given up at once: no
     split of it can pass. Once a step fails the gate, the given samples
-    are checked as Lagrangian in one stack before the first split, so a
-    sample that is not Lagrangian is named before any refinement; their
-    angles are kept, and the refined path checks only the inserted
-    parameters.
+    are checked as Lagrangian in one stack (:func:`_pair_angles`) before
+    the first split, so a sample that is not Lagrangian is named before
+    any refinement; their angles are kept, and the refined path checks
+    only the inserted parameters.
     """
 
     def step(s_a, a: PathSample, s_b, b: PathSample) -> PathSample | str:
@@ -251,8 +240,11 @@ def _refined_path(samples, callback: PathCallback) -> "LagrangianPairPath":
         return PathSample(s, *callback(s))
 
     failures = list(_sampling_failures(samples))
-    # Only the Lagrangian check: the given samples have not passed the gate.
-    checked = LagrangianPairPath(_GatedSamples(samples))._angles if any(failures) else None
+    checked = None
+    if any(failures):
+        times = [smp.s for smp in samples]
+        values = [(smp.form, smp.lam, smp.mu) for smp in samples]
+        checked = dict(zip(times, _pair_angles(values, times, _SAMPLE_FAILURE)))
     out = [samples[0]]
     for a, b, failure in zip(samples, samples[1:], failures):
         rows = [(b.s, b)] if failure is None else refine(a.s, a, b.s, b, step, value_at)
@@ -276,10 +268,11 @@ class LagrangianPairPath:
     in one call of :func:`symplectic.lagrangian_generators`, lam and mu
     of each sample in turn, so the error names the first failing sample
     along the path and its member. That is :func:`_check_pairs`, the
-    one stacked check, which the crossing scan also runs once per level
-    and :func:`_path_angles` once per new parameter. The relative
-    angles of every checked s are kept on the path, so no route checks
-    a parameter twice.
+    one stacked check on a path, which the crossing scan also runs once
+    per level and :func:`_path_angles` once per new parameter. The
+    relative angles of every checked s are kept on the path, so no route
+    checks a parameter twice; :func:`diagonal_lift` reads its rows from
+    them.
 
     The callback, when given, must evaluate the same path at arbitrary
     s; the counting routes use it to refine between samples. Being a
@@ -291,17 +284,14 @@ class LagrangianPairPath:
     samples: tuple[PathSample, ...]
     callback: PathCallback | None = None
     # Every evaluated (form, lam, mu) by parameter, the relative angles
-    # of every s whose lam and mu passed the check, how a lift gets
-    # them (see _GatedSamples), and the winding.
+    # of every s whose lam and mu passed the check, and the winding.
     _memo: Memo = field(init=False, repr=False, compare=False)
     _angles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _angles_of: Callable | None = field(default=None, init=False, repr=False, compare=False)
     _winding: MaslovResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gated = isinstance(self.samples, _GatedSamples)
         if gated:
-            object.__setattr__(self, "_angles_of", self.samples.angles)
             self._angles.update(self.samples.checked)
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
@@ -419,25 +409,15 @@ _SAMPLE_FAILURE = "sample at s={s:.6f}: {member} is {kind}, not lagrangian"
 _VALUE_FAILURE = "s={s:.6f}: {member} subspace is {kind}, not lagrangian"
 
 
-def _check_pairs(path: LagrangianPairPath, params, failure: str = _VALUE_FAILURE) -> None:
-    """Check the pairs at ``params`` as Lagrangian in one stack and keep their angles.
+def _pair_angles(values, params, failure: str) -> np.ndarray:
+    """Relative angles (see :func:`_path_angles`) of the pairs ``values`` = (form, lam, mu) at ``params``.
 
-    Parameters whose angles the path already keeps are skipped. The
-    others are evaluated, their lam and mu, each parameter in increasing
-    order, go through one call of :func:`symplectic.lagrangian_generators`,
-    and their angles (see :func:`_path_angles`) through one
-    :func:`_generator_angles`. A pair that is not Lagrangian raises
-    ValueError, worded by ``failure``, with the smallest such parameter
-    and its member. A lift of :func:`diagonal_lift` gets its angles
-    from the path it lifts instead (``path._angles_of``).
+    The lam and mu of every pair, in the order given, go through one
+    call of :func:`symplectic.lagrangian_generators`, and the angles
+    through one :func:`_generator_angles`. A pair that is not Lagrangian
+    raises ValueError, worded by ``failure``, with the first such
+    parameter and its member.
     """
-    params = sorted({float(s) for s in params} - path._angles.keys())
-    if not params:
-        return
-    if path._angles_of is not None:
-        path._angles.update(zip(params, path._angles_of(params, failure)))
-        return
-    values = [path.evaluate(s) for s in params]
     try:
         u = lagrangian_generators(
             [form for form, _, _ in values for _ in range(2)],
@@ -446,7 +426,20 @@ def _check_pairs(path: LagrangianPairPath, params, failure: str = _VALUE_FAILURE
     except _NotLagrangian as err:
         s, member = params[err.index // 2], ("lam", "mu")[err.index % 2]
         raise ValueError(failure.format(s=s, member=member, kind=err.kind)) from None
-    path._angles.update(zip(params, _generator_angles(u[0::2], u[1::2])))
+    return _generator_angles(u[0::2], u[1::2])
+
+
+def _check_pairs(path: LagrangianPairPath, params, failure: str = _VALUE_FAILURE) -> None:
+    """Check the pairs of a path at ``params`` as Lagrangian in one stack and keep their angles.
+
+    Parameters whose angles the path already keeps are skipped. The
+    others are evaluated and go, in increasing order, through one
+    :func:`_pair_angles`, so the smallest failing parameter is named.
+    """
+    params = sorted({float(s) for s in params} - path._angles.keys())
+    if params:
+        values = [path.evaluate(s) for s in params]
+        path._angles.update(zip(params, _pair_angles(values, params, failure)))
 
 
 def _path_angles(path: LagrangianPairPath, s: float) -> np.ndarray:
@@ -491,14 +484,19 @@ def _branch_step(s_a, theta_a: np.ndarray, s_b, raw_b: np.ndarray) -> np.ndarray
     return f"spectral movement {movement:.3f} rad in {s_a:.6f}..{s_b:.6f} exceeds pi/2"
 
 
-def _winding_rows(path: LagrangianPairPath) -> list[tuple[float, np.ndarray]]:
-    """Continuous angle branches along the path, one row per parameter value."""
-    angles = (_path_angles(path, smp.s) for smp in path.samples)
-    rows = [(path.samples[0].s, np.sort(next(angles)))]
-    angles_at = None if path.callback is None else (lambda s: _path_angles(path, s))
-    for smp, raw in zip(path.samples[1:], angles):
+def _winding_rows(times, raws, angles_at) -> list[tuple[float, np.ndarray]]:
+    """Continuous angle branches through the angles ``raws`` at ``times``, one row per parameter value.
+
+    The branches start at the sorted angles of the first parameter and
+    are continued by :func:`_branch_step`. A step in which the spectrum
+    moves more than pi/2 is halved by :func:`refinement.refine`, with
+    the angles ``angles_at(s)`` of its midpoint; where ``angles_at`` is
+    None it raises ValueError.
+    """
+    rows = [(times[0], np.sort(raws[0]))]
+    for s, raw in zip(times[1:], raws[1:]):
         s_prev, theta_prev = rows[-1]
-        rows.extend(refine(s_prev, theta_prev, smp.s, raw, _branch_step, angles_at))
+        rows.extend(refine(s_prev, theta_prev, s, raw, _branch_step, angles_at))
     return rows
 
 
@@ -511,27 +509,16 @@ def _snap_turns(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
-    """Maslov counts of a path by eigenvalue winding.
-
-    Continuous eigenvalue-angle branches theta_j(s) of the relative
-    unitary are selected across samples by minimal-total-displacement
-    assignment on the circle. A step in which the spectrum moves more
-    than pi/2 is halved by :func:`refinement.refine` through the path's
-    callback; without a callback it raises. Then
+def _wound(rows) -> MaslovResult:
+    """Maslov counts of continuous angle branches, one row (s, theta) per parameter value.
 
         Mas_+ = sum_j E(theta_j(1)/2pi) - E(theta_j(0)/2pi),
         Mas_- = sum_j floor(theta_j(1)/2pi) - floor(theta_j(0)/2pi),
 
     with E the upper counting function. Endpoint angles within 1e-8 rad
-    of a multiple of 2pi are snapped onto it before counting.
-
-    The result is kept on the path, so winding a path again continues
-    no branch; its ``theta_curves`` are read-only for that reason.
+    of a multiple of 2pi are snapped onto it before counting. The
+    ``theta_curves`` of the result are read-only.
     """
-    if path._winding is not None:
-        return path._winding
-    rows = _winding_rows(path)
     u_start = _snap_turns(rows[0][1] / _TWO_PI)
     u_end = _snap_turns(rows[-1][1] / _TWO_PI)
     mas_plus = sum(counting_function_E(b) - counting_function_E(a) for a, b in zip(u_start, u_end))
@@ -540,7 +527,26 @@ def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
     dim1 = int(np.sum(u_end == np.round(u_end)))
     theta = np.array([[s, *th] for s, th in rows])
     theta.flags.writeable = False
-    result = _checked_result(mas_plus, mas_minus, dim0, dim1, "winding", theta_curves=theta)
+    return _checked_result(mas_plus, mas_minus, dim0, dim1, "winding", theta_curves=theta)
+
+
+def maslov_winding(path: LagrangianPairPath) -> MaslovResult:
+    """Maslov counts of a path by eigenvalue winding.
+
+    Continuous eigenvalue-angle branches of the relative unitary are
+    selected across the samples by minimal-total-displacement assignment
+    on the circle (:func:`_winding_rows`); a step in which the spectrum
+    moves more than pi/2 is halved through the path's callback, and
+    without a callback it raises. :func:`_wound` counts the branches.
+    The result is kept on the path, so winding a path again continues
+    no branch.
+    """
+    if path._winding is not None:
+        return path._winding
+    times = [smp.s for smp in path.samples]
+    angles_at = None if path.callback is None else (lambda s: _path_angles(path, s))
+    rows = _winding_rows(times, [_path_angles(path, s) for s in times], angles_at)
+    result = _wound(rows)
     object.__setattr__(path, "_winding", result)
     return result
 
@@ -1262,29 +1268,17 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
     returned. The original path's winding is the one :func:`maslov_winding`
     keeps on it, so a path the caller has wound is not wound again.
 
-    The doubled forms J (+) -J and -J (+) J come from one stacked pass
-    over the eigendata of the path's distinct forms
-    (:func:`symplectic._doubled_forms`), once per form object, so
-    nothing here decomposes a 2N x 2N matrix. Both lifts share one pair
-    frame lam (+) mu per parameter, and a path with one form object
-    lifts to paths with one form object each.
+    Each lift is wound as rows of angles, at the rows of the path's
+    winding: its samples and every parameter the winding refined to.
+    No lifted path, sample or form is built. The path's values at the
+    rows come from its memo, the pair frames lam (+) mu of all rows are
+    one stack shared by both lifts, and the eigendata of J (+) -J and
+    -J (+) J come from one stacked pass over each distinct form object
+    of the path (:func:`symplectic._doubled_eig`), so nothing here
+    decomposes a 2N x 2N matrix.
 
-    Both lifts are sampled at the rows of the path's winding: its
-    samples and every parameter the winding refined to. The lifted
-    relative unitary's eigenvalues are +- the square roots of the
-    path's, so a lifted branch moves by half as much as the path's, at
-    most pi/4 from row to row. A lift's movement gate could not see a
-    lifted step past pi/2, so sampled at the samples alone the lifts
-    would alias where the path turns by more than pi between two of
-    them.
-
-    The lifts inherit the path's sampling gate and its Lagrangian
-    decision at the rows, because their inputs are the same by block
-    structure. The path has passed the gate on the steps between its
-    samples; the steps the winding inserted go through one
-    :func:`_sampling_failures` call on the path's values at the rows,
-    whose failure raises ValueError as the constructor's does. The
-    inputs:
+    A lift inherits the path's sampling gate and its Lagrangian decision
+    at the rows, because their inputs are the same by block structure:
 
     * the principal angles of lam_a (+) mu_a and lam_b (+) mu_b are those
       of lam and of mu together, so the lifted gap is
@@ -1296,75 +1290,56 @@ def diagonal_lift(path: LagrangianPairPath) -> MaslovResult:
       ranks add: lam (+) mu is Lagrangian exactly when lam and mu are.
       The diagonal {(x, x)} is isotropic, exactly, and of dimension N.
 
-    So no lifted frame goes through :func:`symplectic.lagrangian_mask`
-    or :func:`symplectic.classify`. A parameter that a lift's winding
-    refines to is decided on the path (:func:`_check_pairs`). Each lift
-    then solves its generators, the pair frames' and the diagonal's, in
-    one call of :func:`symplectic._generators`, the solve and unitarity
-    gate of the Lagrangian check, and has its own relative angles and
-    branch continuation, so each lift is still a check.
+    The path has passed the gate on the steps between its samples; the
+    steps the winding inserted go through one :func:`_sampling_failures`
+    call on the path's values at the rows, whose failure raises
+    ValueError as the constructor's does. Every row was checked as
+    Lagrangian on the path when it was wound, so no lifted frame goes
+    through :func:`symplectic.lagrangian_mask` or
+    :func:`symplectic.classify`. Each lift solves its generators, the
+    pair frames' and the diagonal's, in one call of
+    :func:`symplectic._generators`, the solve and unitarity gate of the
+    Lagrangian check, and has its own relative angles and branch
+    continuation, so each lift is still a check.
+
+    No lifted step refines. The lifted relative unitary's eigenvalues
+    are +- the square roots of the path's, so a lifted branch moves by
+    half as much as the path's, at most pi/4 from row to row. A lifted
+    step past pi/2 cannot happen, and would raise the ValueError of a
+    path without a callback. Sampled at the samples alone, the lifts
+    would alias where the path turns by more than pi between two of
+    them, since their movement gate could not see it.
     """
-    eye = np.eye(path.dim)
-    diagonal = Frame(np.vstack([eye, eye]) / np.sqrt(2.0))
-    pairs: dict[float, Frame] = {}
-    # Keyed by the id of a form the entry keeps alive.
-    doubled: dict[int, tuple[SymplecticForm, tuple[SymplecticForm, SymplecticForm]]] = {}
-
-    def add(params) -> None:
-        # The doubled forms of the new form objects in one stacked pass,
-        # the new pair frames as views of one stack.
-        values = {s: path.evaluate(s) for s in params if s not in pairs}
-        if not values:
-            return
-        forms = {id(form): form for form, _, _ in values.values() if id(form) not in doubled}
-        if forms:
-            for form, both in zip(forms.values(), _doubled_forms(list(forms.values()))):
-                doubled[id(form)] = form, both
-        lam, mu = (np.stack([value[k].matrix for value in values.values()]) for k in (1, 2))
-        m, n, k = lam.shape
-        stacked = np.zeros((m, 2 * n, 2 * k), dtype=complex)
-        stacked[:, :n, :k], stacked[:, n:, k:] = lam, mu
-        pairs.update(zip(values, map(Frame._of_orthonormal, stacked)))
-
-    def lifted(flip_first: bool, swap: bool) -> LagrangianPairPath:
-        def at(s: float) -> tuple[SymplecticForm, Frame]:
-            if s not in pairs:
-                add([s])
-            return doubled[id(path.evaluate(s)[0])][1][flip_first], pairs[s]
-
-        def fn(s: float):
-            form2, pair = at(s)
-            return (form2, diagonal, pair) if swap else (form2, pair, diagonal)
-
-        def angles(params: list[float], failure: str) -> np.ndarray:
-            # The path decides, in one stack, every parameter it has not.
-            _check_pairs(path, params, failure)
-            add(params)
-            forms, frames = zip(*(at(s) for s in params))
-            frames = np.stack([f.matrix for f in frames])
-            u = _generators(
-                np.stack([form.eig[0] for form in forms * 2]),
-                np.stack([form.eig[1] for form in forms * 2]),
-                np.concatenate([frames, np.broadcast_to(diagonal.matrix, frames.shape)]),
-            )
-            u_pair, u_diagonal = np.split(u, 2)
-            return _generator_angles(*((u_diagonal, u_pair) if swap else (u_pair, u_diagonal)))
-
-        samples = _GatedSamples((PathSample(s, *fn(s)) for s in rows), angles)
-        return LagrangianPairPath(samples, fn if path.callback is not None else None)
-
     direct = maslov_winding(path)
     rows = [float(s) for s in direct.theta_curves[:, 0]]
+    values = [path.evaluate(s) for s in rows]
     if len(rows) > len(path.samples):
         # The steps the winding inserted have not passed the gate yet.
-        _raise_first_failure([PathSample(s, *path.evaluate(s)) for s in rows])
-    add(rows)
-    lift = maslov_winding(lifted(flip_first=False, swap=False))
-    lift_swapped = maslov_winding(lifted(flip_first=True, swap=True))
-    values = {
-        (res.mas_plus, res.mas_minus) for res in (direct, lift, lift_swapped)
-    }
-    if len(values) != 1:
+        _raise_first_failure([PathSample(s, *value) for s, value in zip(rows, values)])
+    # The doubled eigendata of each distinct form object, taken at every
+    # row twice: for the pair frames, then for the diagonal.
+    forms = {id(form): form for form, _, _ in values}
+    slot = {key: i for i, key in enumerate(forms)}
+    vals, vecs = _doubled_eig(list(forms.values()))
+    at_rows = [slot[id(form)] for form, _, _ in values] * 2
+    lam, mu = (np.stack([value[k].matrix for value in values]) for k in (1, 2))
+    m, n, k = lam.shape
+    pairs = np.zeros((m, 2 * n, 2 * k), dtype=complex)
+    pairs[:, :n, :k], pairs[:, n:, k:] = lam, mu
+    eye = np.eye(path.dim)
+    diagonal = np.vstack([eye, eye]) / np.sqrt(2.0)
+    frames = np.concatenate([pairs, np.broadcast_to(diagonal, pairs.shape)])
+    lifts = []
+    # J (+) -J with the pair frames against the diagonal, then -J (+) J
+    # with the diagonal against them.
+    for flip, swap in ((0, False), (1, True)):
+        u = _generators(vals[flip, at_rows], vecs[flip, at_rows], frames)
+        u_pair, u_diagonal = np.split(u, 2)
+        raws = _generator_angles(*((u_diagonal, u_pair) if swap else (u_pair, u_diagonal)))
+        lifts.append(_wound(_winding_rows(rows, raws, None)))
+    lift, lift_swapped = lifts
+    counts = {(res.mas_plus, res.mas_minus) for res in (direct, lift, lift_swapped)}
+    if len(counts) != 1:
         raise ArithmeticError(
             "diagonal lift expressions disagree: direct "
             f"{(direct.mas_plus, direct.mas_minus)}, lift "

@@ -142,40 +142,31 @@ def direct_sum(*forms: SymplecticForm, signs=None) -> SymplecticForm:
     )
 
 
-def _doubled_forms(forms) -> list[tuple[SymplecticForm, SymplecticForm]]:
-    """J (+) -J and -J (+) J of each form of a stack, bit for bit ``direct_sum(form, form, signs=...)``.
+def _doubled_eig(forms) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of -i(J (+) -J) and -i(-J (+) J) for a stack of forms, bit for bit those of ``direct_sum``.
 
-    The forms share one dimension N. Their eigendata is doubled in one
-    pass: one stack of block-diagonal eigenvector matrices, one
-    re-symmetrized stack of the blocks +-J, and per sign one stable
+    The forms share one dimension N. Returns ``vals`` (2, m, 2N) and
+    ``vecs`` (2, m, 2N, 2N): index 0 holds the eigenpairs that
+    ``direct_sum(form, form, signs=(1, -1)).eig`` keeps, index 1 those
+    of ``signs=(-1, 1)``. The eigendata is doubled in one pass: one
+    stack of block-diagonal eigenvector matrices, and one stable
     ascending argsort of the doubled eigenvalues and one column take,
-    the order :func:`direct_sum` takes. Each doubled form wraps views of
-    those stacks. The moduli of the eigenvalues +-lambda are those of
-    the lambda, so each doubled form has its summand's ``sigma_min`` and
-    passes its singular gate.
+    the order :func:`direct_sum` takes. No doubled matrix is built and
+    none is decomposed. The moduli of the eigenvalues +-lambda are those
+    of the lambda, so a doubled form would pass its summand's singular
+    gate.
     """
     vals = np.stack([f.eig[0] for f in forms])
     vecs = np.stack([f.eig[1] for f in forms])
     m, n = vals.shape
-    both = np.zeros((m, 2 * n, 2 * n), dtype=complex)
-    both[:, :n, :n] = both[:, n:, n:] = vecs
-    # skewed[0] holds the blocks J and skewed[1] the blocks -J.
-    skewed = _skew(np.array([1, -1])[:, None, None, None] * np.stack([f.j for f in forms]))
-    doubled = []
-    for sign, first in ((1, 0), (-1, 1)):
-        signed = np.concatenate([sign * vals, -sign * vals], axis=-1)
-        order = np.argsort(signed, axis=-1, kind="stable")
-        j = np.zeros((m, 2 * n, 2 * n), dtype=complex)
-        j[:, :n, :n], j[:, n:, n:] = skewed[first], skewed[1 - first]
-        sorted_vals = np.take_along_axis(signed, order, axis=-1)
-        sorted_vecs = np.take_along_axis(both, order[:, None, :], axis=-1)
-        doubled.append(
-            [
-                _wrapped(j[i], sorted_vals[i], sorted_vecs[i], form.sigma_min)
-                for i, form in enumerate(forms)
-            ]
-        )
-    return list(zip(*doubled))
+    both = np.zeros((1, m, 2 * n, 2 * n), dtype=complex)
+    both[..., :n, :n] = both[..., n:, n:] = vecs
+    signed = np.stack([np.concatenate([sign * vals, -sign * vals], axis=-1) for sign in (1, -1)])
+    order = np.argsort(signed, axis=-1, kind="stable")
+    return (
+        np.take_along_axis(signed, order, axis=-1),
+        np.take_along_axis(both, order[..., None, :], axis=-1),
+    )
 
 
 def _skew(j: np.ndarray) -> np.ndarray:

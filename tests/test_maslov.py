@@ -568,55 +568,33 @@ def test_diagonal_lift_decomposes_no_doubled_matrix(monkeypatch):
 
 @pytest.mark.parametrize("constant", [True, False])
 def test_diagonal_lifts_share_pair_frames_and_doubled_forms(monkeypatch, constant):
-    """Both lifts carry one pair frame object per parameter, and one doubled
-    form per form object of the path: a constant-form path lifts to paths
-    with one form each."""
+    """Both lifts solve their generators on one stack of pair frames, and
+    the eigendata is doubled once per form object of the path: once for
+    a constant form, once per sample for a moving one."""
     if constant:
         path = rotation_pair_path(41, dim=4, num_samples=17)
     else:
-        rng = rng_from_seed(44)
-        form_at, push_at = form_deformation(rng, random_symplectic_form(rng, 4), scale=0.3)
-        lam, mu = random_lagrangian_pair(rng, form_at(0.0))
-        path = LagrangianPairPath.from_callable(
-            lambda s: (form_at(s), orthonormalize(push_at(s) @ lam.matrix),
-                       orthonormalize(push_at(s) @ mu.matrix)),
-            num_samples=9,
-        )
-    lifts = []
-    winding = maslov.maslov_winding
+        path = _moving_form_pair_path()
+    doubled, solved = [], []
+    doubled_eig, generators = maslov._doubled_eig, maslov._generators
 
-    def recorded(p):
-        lifts.append(p)
-        return winding(p)
+    def recorded_eig(forms):
+        doubled.append(list(forms))
+        return doubled_eig(forms)
 
-    monkeypatch.setattr(maslov, "maslov_winding", recorded)
+    def recorded_generators(vals, vecs, frames):
+        solved.append(frames)
+        return generators(vals, vecs, frames)
+
+    monkeypatch.setattr(maslov, "_doubled_eig", recorded_eig)
+    monkeypatch.setattr(maslov, "_generators", recorded_generators)
     diagonal_lift(path)
-    original, lift, swapped = lifts
-    assert len({id(smp.form) for smp in lift.samples}) == len(
-        {id(smp.form) for smp in original.samples}
-    )
-    assert len({id(smp.form) for smp in swapped.samples}) == len(
-        {id(smp.form) for smp in original.samples}
-    )
-    assert len({id(smp.form) for smp in original.samples}) == (1 if constant else len(path.samples))
-    for a, b in zip(lift.samples, swapped.samples):
-        assert a.lam is b.mu
-    assert np.array_equal(lift.samples[0].form.j, -swapped.samples[0].form.j)
-
-
-def _lifted_paths(monkeypatch, path: LagrangianPairPath) -> list[LagrangianPairPath]:
-    """The original path and the two lifts that diagonal_lift winds, in that order."""
-    lifts = []
-    winding = maslov.maslov_winding
-
-    def recorded(p):
-        lifts.append(p)
-        return winding(p)
-
-    monkeypatch.setattr(maslov, "maslov_winding", recorded)
-    diagonal_lift(path)
-    monkeypatch.setattr(maslov, "maslov_winding", winding)
-    return lifts
+    form_ids = {id(smp.form) for smp in path.samples}
+    assert len(form_ids) == (1 if constant else len(path.samples))
+    [forms] = doubled
+    assert [id(form) for form in forms] == list(dict.fromkeys(id(smp.form) for smp in path.samples))
+    assert len(solved) == 2 and solved[0] is solved[1]
+    assert len(solved[0]) == 2 * len(maslov_winding(path).theta_curves)
 
 
 def test_diagonal_lift_inherits_the_sampling_gate(monkeypatch):
@@ -637,23 +615,27 @@ def test_diagonal_lift_inherits_the_sampling_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_lifted_gate_inputs_equal_the_base_ones(monkeypatch, k):
+def test_lifted_gate_inputs_equal_the_base_ones(k):
     """gap(lam (+) mu) = max(gap lam, gap mu), the diagonal stays, and the
-    doubled forms move by ||J_b - J_a||_2 with sigma_min(J)."""
+    doubled forms move by ||J_b - J_a||_2 with sigma_min(J): the reason
+    diagonal_lift gates no lifted step."""
     path = moving_form_lines_path(k)
-    original, lift, swapped = _lifted_paths(monkeypatch, path)
+    rows = [float(s) for s in maslov_winding(path).theta_curves[:, 0]]
+    original = [PathSample(s, *path.evaluate(s)) for s in rows]
     base = np.maximum(
-        maslov._consecutive_gaps([smp.lam for smp in original.samples]),
-        maslov._consecutive_gaps([smp.mu for smp in original.samples]),
+        maslov._consecutive_gaps([smp.lam for smp in original]),
+        maslov._consecutive_gaps([smp.mu for smp in original]),
     )
-    base_dj = np.array(maslov._form_distances(original.samples), dtype=float)
-    for lifted, pair, fixed in ((lift, "lam", "mu"), (swapped, "mu", "lam")):
-        gaps = maslov._consecutive_gaps([getattr(smp, pair) for smp in lifted.samples])
+    base_dj = np.array(maslov._form_distances(original), dtype=float)
+    for signs, swap in (((1, -1), False), ((-1, 1), True)):
+        lifted = _explicit_lift(path, signs, swap).samples
+        pair, fixed = ("mu", "lam") if swap else ("lam", "mu")
+        gaps = maslov._consecutive_gaps([getattr(smp, pair) for smp in lifted])
         assert np.max(np.abs(gaps - base)) <= 1e-13
-        assert not maslov._consecutive_gaps([getattr(smp, fixed) for smp in lifted.samples]).any()
-        dj = np.array(maslov._form_distances(lifted.samples), dtype=float)
+        assert not maslov._consecutive_gaps([getattr(smp, fixed) for smp in lifted]).any()
+        dj = np.array(maslov._form_distances(lifted), dtype=float)
         assert np.max(np.abs(dj - base_dj)) <= 1e-13 * np.max(base_dj)
-        for a, b in zip(lifted.samples, original.samples):
+        for a, b in zip(lifted, original):
             assert a.form.sigma_min == b.form.sigma_min
 
 
@@ -717,12 +699,27 @@ def _explicit_lift(path: LagrangianPairPath, signs: tuple[int, int], swap: bool)
 )
 def test_stacked_lifts_equal_the_explicit_lifts_bit_for_bit(monkeypatch, make):
     """Both lifts that diagonal_lift winds give the theta-curve bytes of
-    the lifts built and checked through the public constructor."""
+    the lifts built and checked through the public constructor.
+
+    The path is wound first, so every counting of rows that diagonal_lift
+    makes (:func:`maslov._wound`) is a lift's.
+    """
     path = make()
-    _, lift, swapped = _lifted_paths(monkeypatch, path)
+    maslov_winding(path)
+    lifts = []
+    wound = maslov._wound
+
+    def recorded(rows):
+        lifts.append(wound(rows))
+        return lifts[-1]
+
+    monkeypatch.setattr(maslov, "_wound", recorded)
+    diagonal_lift(path)
+    monkeypatch.setattr(maslov, "_wound", wound)
+    lift, swapped = lifts
     for got, signs, swap in ((lift, (1, -1), False), (swapped, (-1, 1), True)):
         want = maslov_winding(_explicit_lift(path, signs, swap)).theta_curves
-        assert maslov_winding(got).theta_curves.tobytes() == want.tobytes()
+        assert got.theta_curves.tobytes() == want.tobytes()
     if make is fast_generator_path:
         assert len(maslov_winding(path).theta_curves) > len(path.samples)
 
@@ -1588,6 +1585,44 @@ def test_crossings_count_close_crossings_of_different_lines(case, expected):
     """
     result = maslov_crossings(close_crossings_path(case))
     assert (result.mas_plus, result.mas_minus) == expected
+
+
+def quarter_turn_path(rate: float, num_samples: int) -> LagrangianPairPath:
+    """line(0.3 + rate s) (+) line(0.3 + pi/2 + rate s) against line(0) (+) line(0) under J2 (+) J2.
+
+    The relative angles of the two lines are pi apart, so each crossing
+    of one line falls where the other line's angle passes pi. Both lines
+    rise, and each of the rate/pi crossings adds (1, 1).
+    """
+    return line_sum_path(
+        lambda s: [0.3 + rate * s, 0.3 + np.pi / 2 + rate * s], [0.0, 0.0], np.eye(4), num_samples
+    )
+
+
+QUARTER_TURN_CASES = [(2.0, 65, (1, 1)), (5.0, 33, (3, 3))]
+PI_PASSAGE_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="the crossing scan loses a crossing that coincides with a pi-passage "
+    "(ROADMAP direction 1)",
+)
+
+
+@pytest.mark.parametrize("rate, num_samples, expected", QUARTER_TURN_CASES)
+def test_quarter_turn_line_sums_wind_to_the_closed_form(rate, num_samples, expected):
+    assert _counts(maslov_winding(quarter_turn_path(rate, num_samples))) == expected
+
+
+@PI_PASSAGE_XFAIL
+@pytest.mark.parametrize("route", [maslov_crossings, maslov_reduced], ids=["crossings", "reduced"])
+@pytest.mark.parametrize("rate, num_samples, expected", QUARTER_TURN_CASES)
+def test_quarter_turn_line_sums_scan_to_the_closed_form(route, rate, num_samples, expected):
+    assert _counts(route(quarter_turn_path(rate, num_samples))) == expected
+
+
+@PI_PASSAGE_XFAIL
+@pytest.mark.parametrize("rate, num_samples, expected", QUARTER_TURN_CASES)
+def test_quarter_turn_line_sums_semipositive_is_the_closed_form(rate, num_samples, expected):
+    assert maslov_semipositive(quarter_turn_path(rate, num_samples)) == expected[0]
 
 
 @pytest.mark.parametrize("draw, expected", [(1, (1, 1)), (32, (0, 0))])
